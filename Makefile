@@ -1,8 +1,8 @@
 # Convenience targets over dune; `make check` is the pre-commit gate.
 
 .PHONY: all build test test-san bench bench-tlb bench-ipc bench-span bench-dev \
-	bench-verif bench-smp bench-slo bench-all check trace obs profile top san \
-	monitor verify clean
+	bench-verif bench-smp bench-slo bench-all perf-smoke check trace obs profile top \
+	san monitor verify clean
 
 all: build
 
@@ -82,6 +82,13 @@ bench-all:
 	dune exec bench/main.exe -- slo
 	dune exec bench/main.exe -- report
 
+# The repo benchmark (perfbench/, BENCHMARK.json) on every workload,
+# untraced and traced, for 2 s each on the held-out seed.  Gates only
+# what the benchmark itself checks — every correctness check and the
+# traced = untraced simulated-time identity — never a number.
+perf-smoke:
+	dune exec perfbench/main.exe -- --workload all --seconds 2 --seed 7919
+
 # Pre-commit gate: build, tier-1 tests (plain and with the sanitizer
 # armed, so the TLB-coherence, scheduler and span-balance lints run
 # over every suite), the fastpath on/off oracle, the headline IPC
@@ -101,7 +108,7 @@ bench-all:
 # accounting, the >= 5x incremental speedup, the >= 2.5x fine-grained
 # 8-CPU scaling and the <= 15-point monitor-over-flight delta with
 # streaming/post-mortem quantile agreement and full exemplar coverage,
-# over the BENCH_*.json set).
+# over the BENCH_*.json set), and the repo benchmark's smoke run.
 check:
 	dune build && dune runtest && SAN=1 dune runtest --force \
 	&& dune exec test/test_fastpath.exe \
@@ -132,7 +139,8 @@ check:
 	&& dune exec bench/main.exe -- verif \
 	&& dune exec bench/main.exe -- smp \
 	&& dune exec bench/main.exe -- slo \
-	&& dune exec bench/main.exe -- report
+	&& dune exec bench/main.exe -- report \
+	&& $(MAKE) perf-smoke
 
 trace:
 	dune exec bin/atmo_cli.exe -- trace

@@ -54,6 +54,7 @@ let of_perm_map f m = Perm_map.fold (fun ptr v acc -> Imap.add ptr (f v) acc) m 
 
 let abstract (k : Kernel.t) : A.t =
   let pm = k.Kernel.pm in
+  let mem = Page_alloc.views k.Kernel.alloc in
   {
     A.containers = of_perm_map abstract_container pm.Proc_mgr.cntr_perms;
     procs = of_perm_map abstract_proc pm.Proc_mgr.proc_perms;
@@ -62,12 +63,12 @@ let abstract (k : Kernel.t) : A.t =
     root = pm.Proc_mgr.root_container;
     run_queue = Proc_mgr.run_queue_list pm;
     current = Proc_mgr.current pm;
-    free_4k = Page_alloc.free_pages_4k k.Kernel.alloc;
-    free_2m = Page_alloc.free_pages_2m k.Kernel.alloc;
-    free_1g = Page_alloc.free_pages_1g k.Kernel.alloc;
-    allocated = Page_alloc.allocated_pages k.Kernel.alloc;
-    mapped = Page_alloc.mapped_pages k.Kernel.alloc;
-    merged = Page_alloc.merged_pages k.Kernel.alloc;
+    free_4k = mem.Page_alloc.free_4k;
+    free_2m = mem.Page_alloc.free_2m;
+    free_1g = mem.Page_alloc.free_1g;
+    allocated = mem.Page_alloc.allocated;
+    mapped = mem.Page_alloc.mapped;
+    merged = mem.Page_alloc.merged;
     devices =
       Imap.map
         (fun (d : Kernel.device_info) ->

@@ -242,7 +242,18 @@ let sys_mmap t ~thread ~va ~count ~size ~perm =
                     rollback acc;
                     Error Errno.Einval))
           in
-          (match go [] vaddrs with
+          (* A superpage block may come from merging free frames (or
+             splitting a larger block); when a later block or table
+             fails, the allocator undoes those reshapes after the
+             rollback, so a failing call leaves every free set as it
+             found it. *)
+          let mapped =
+            match size with
+            | Page_state.S4k -> go [] vaddrs
+            | Page_state.S2m | Page_state.S1g ->
+              Page_alloc.atomically t.alloc (fun () -> go [] vaddrs)
+          in
+          (match mapped with
            | Error e -> err e
            | Ok mapped_vas ->
              (* The dry run must have predicted the table growth exactly;

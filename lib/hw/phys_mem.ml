@@ -74,6 +74,18 @@ let write_u64 t ~addr v =
   if !hook_armed then !hook t Write addr 8;
   Bytes.set_int64_le (frame_of t addr) (addr land (page_size - 1)) v
 
+let iter_table t ~addr f =
+  check_bounds t addr page_size "iter_table";
+  if addr land (page_size - 1) <> 0 then invalid_arg "Phys_mem.iter_table: unaligned";
+  if !hook_armed then !hook t Read addr page_size;
+  match frame_opt t addr with
+  | None -> ()
+  | Some b ->
+    for index = 0 to (page_size / 8) - 1 do
+      let e = Bytes.get_int64_le b (index * 8) in
+      if e <> 0L then f index e
+    done
+
 let read_u8 t ~addr =
   check_bounds t addr 1 "read_u8";
   if !hook_armed then !hook t Read addr 1;

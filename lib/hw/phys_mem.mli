@@ -77,6 +77,15 @@ val read_u64 : t -> addr:int -> int64
 val write_u64 : t -> addr:int -> int64 -> unit
 (** Little-endian 8-byte store, same alignment rules as {!read_u64}. *)
 
+val iter_table : t -> addr:int -> (int -> int64 -> unit) -> unit
+(** [iter_table mem ~addr f] reads the 4 KiB page at [addr] as 512
+    little-endian u64 entries — a page-table page — and calls
+    [f index entry] for every non-zero entry, in index order.  One
+    bounds check, one frame lookup and one ranged [Read] hook call for
+    the whole page, and no copy: the read primitive of the page-table
+    checkers.  [addr] must be page-aligned and the page in bounds;
+    raises [Invalid_argument] otherwise. *)
+
 val read_u8 : t -> addr:int -> int
 
 val write_u8 : t -> addr:int -> int -> unit

@@ -98,44 +98,41 @@ let to_list t =
   iter t (fun id -> acc := id :: !acc);
   List.rev !acc
 
+let find t p =
+  let rec go id = if id = nil then None else if p id then Some id else go t.next.(id) in
+  go t.first
+
+(* One forward pass checks membership, the length and every back link;
+   the backward traversal runs only when a back link is wrong, to name
+   the fault (a cycle, or a disagreement with the forward order). *)
 let wf t =
   let err fmt = Format.kasprintf (fun s -> Error s) fmt in
   let cap = capacity t in
-  (* Forward traversal, bounded by capacity to detect cycles. *)
-  let rec forward id seen count =
-    if id = nil then Ok (List.rev seen, count)
+  (* Bounded by capacity to detect cycles; [linked] says every back link
+     so far mirrors the forward order. *)
+  let rec forward id prev count linked =
+    if id = nil then Ok (count, linked && prev = t.last)
     else if count > cap then err "%s: forward traversal exceeds capacity (cycle)" t.name
     else if not t.member.(id) then err "%s: %d linked but not a member" t.name id
-    else forward t.next.(id) (id :: seen) (count + 1)
+    else forward t.next.(id) id (count + 1) (linked && t.prev.(id) = prev)
   in
-  match forward t.first [] 0 with
+  let rec backward id count =
+    if id = nil then err "%s: forward/backward traversals disagree" t.name
+    else if count > cap then err "%s: backward traversal exceeds capacity" t.name
+    else backward t.prev.(id) (count + 1)
+  in
+  match forward t.first nil 0 true with
   | Error _ as e -> e
-  | Ok (fwd, n) ->
+  | Ok (n, linked) ->
     if n <> t.length then err "%s: length %d but traversal found %d" t.name t.length n
-    else
-      let rec backward id seen count =
-        if id = nil then Ok (List.rev seen)
-        else if count > cap then err "%s: backward traversal exceeds capacity" t.name
-        else backward t.prev.(id) (id :: seen) (count + 1)
-      in
-      (match backward t.last [] 0 with
-       | Error _ as e -> e
-       | Ok bwd ->
-         if List.rev bwd <> fwd then err "%s: forward/backward traversals disagree" t.name
-         else begin
-           (* Membership flags must match exactly the traversed ids. *)
-           let members = ref 0 in
-           Array.iter (fun b -> if b then incr members) t.member;
-           if !members <> t.length then
-             err "%s: %d member flags but length %d" t.name !members t.length
-           else
-             (* Adjacent link consistency. *)
-             let rec adj = function
-               | a :: (b :: _ as rest) ->
-                 if t.next.(a) <> b then err "%s: next(%d) <> %d" t.name a b
-                 else if t.prev.(b) <> a then err "%s: prev(%d) <> %d" t.name b a
-                 else adj rest
-               | _ -> Ok ()
-             in
-             adj fwd
-         end)
+    else if not linked then backward t.last 0
+    else begin
+      (* Membership flags must match exactly the traversed ids. *)
+      let members = ref 0 in
+      for id = 0 to cap - 1 do
+        if t.member.(id) then incr members
+      done;
+      if !members <> t.length then
+        err "%s: %d member flags but length %d" t.name !members t.length
+      else Ok ()
+    end

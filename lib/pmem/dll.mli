@@ -35,7 +35,12 @@ val iter : t -> (int -> unit) -> unit
 val to_list : t -> int list
 (** Front-to-back order. *)
 
+val find : t -> (int -> bool) -> int option
+(** The first id, front to back, satisfying the predicate. *)
+
 val wf : t -> (unit, string) result
 (** Structural well-formedness: forward and backward traversals agree,
     lengths match, membership flags are consistent, no cycles.  This is
-    the executable form of the allocator's free-list invariant. *)
+    the executable form of the allocator's free-list invariant.  One
+    pass over the list and one over the membership flags; allocates
+    nothing unless it fails. *)

@@ -12,6 +12,9 @@ type t = {
   free4k : Dll.t;
   free2m : Dll.t;
   free1g : Dll.t;
+  mutable journal : (unit -> unit) list option;
+      (* while {!atomically} runs: the inverse of every superpage merge
+         and split so far, newest first *)
 }
 
 let frame_addr i = i * Phys_mem.page_size
@@ -25,6 +28,9 @@ type event =
   | Claim of { alloc : t; addr : int; frames : int; purpose : purpose }
   | Free_request of { alloc : t; addr : int; what : string }
   | Release of { alloc : t; addr : int; frames : int }
+  | Merge of { alloc : t; addr : int; frames : int }
+  | Split of { alloc : t; addr : int; frames : int }
+  | Share of { alloc : t; addr : int }
 
 let hook_armed = ref false
 let hooks : (string * (event -> unit)) list ref = ref []
@@ -44,10 +50,9 @@ let set_event_hook = function
   | Some f -> add_event_hook ~key:legacy f
 
 (* Intrinsic allocator-mutation counter: always on, bumped exactly once
-   per event site (create/claim/release/free-request), independent of
-   any subscriber — the stale-proof lint compares it against the dirty
-   tracker's observed count.  Atomic so parallel discharge domains
-   building scratch worlds stay safe. *)
+   per event site, independent of any subscriber — the stale-proof lint
+   compares it against the dirty tracker's observed count.  Atomic so
+   parallel discharge domains building scratch worlds stay safe. *)
 let muts = Atomic.make 0
 let mutation_count () = Atomic.get muts
 
@@ -70,6 +75,7 @@ let create mem ~reserved_frames =
       free4k = Dll.create ~capacity:nframes ~name:"free4k";
       free2m = Dll.create ~capacity:nframes ~name:"free2m";
       free1g = Dll.create ~capacity:nframes ~name:"free1g";
+      journal = None;
     }
   in
   for i = reserved_frames to nframes - 1 do
@@ -84,6 +90,8 @@ let free_count_2m t = Dll.length t.free2m
 let free_count_1g t = Dll.length t.free1g
 
 let managed t i = i >= t.first && i < t.nframes
+
+let free_list t = function S4k -> t.free4k | S2m -> t.free2m | S1g -> t.free1g
 
 let head_meta t ~addr op =
   let i = frame_of_addr addr in
@@ -116,109 +124,63 @@ let claim t i size purpose =
   end;
   frame_addr i
 
-(* Merge [count] aligned free sub-blocks of [sub] size headed at [i] into
-   one block of [super] size.  Constituent heads are unlinked from their
-   free list in O(1) via the page-array node indices; every absorbed
-   frame — sub-heads and their bodies alike — is re-pointed at the new
-   super-head. *)
-let absorb t ~head ~sub ~free_list ~count =
+let journal t undo = match t.journal with Some l -> t.journal <- Some (undo :: l) | None -> ()
+
+(* Are the [span / frames_per sub] aligned blocks of [sub] size headed
+   at [head] all free? *)
+let subs_free t ~head ~sub ~span =
   let stride = frames_per sub in
+  let rec go k =
+    k >= span
+    ||
+    let m = t.meta.(head + k) in
+    (match m.state with Free -> equal_size m.size sub | Allocated | Mapped _ | Merged _ -> false)
+    && go (k + stride)
+  in
+  go 0
+
+(* Merge the free [sub] blocks covering the aligned [super] block at
+   [head] into one free block.  Constituent heads are unlinked from
+   their free list in O(1) via the page-array node indices; every
+   absorbed frame — sub-heads and their bodies alike — is re-pointed at
+   the new super-head. *)
+let rec merge_block t ~head ~sub ~super =
+  let stride = frames_per sub in
+  let span = frames_per super in
   (* Every constituent is free, so no live translation should target the
      range — shooting it anyway keeps the TLB protocol airtight against
      a use-after-free mapping that the sanitizer would also flag. *)
-  Atmo_hw.Tlb.shoot_frames t.mem ~lo:(frame_addr head)
-    ~hi:(frame_addr (head + (count * stride)));
-  for k = 0 to count - 1 do
-    Dll.remove free_list (head + (k * stride))
+  Atmo_hw.Tlb.shoot_frames t.mem ~lo:(frame_addr head) ~hi:(frame_addr (head + span));
+  let sub_list = free_list t sub in
+  let k = ref 0 in
+  while !k < span do
+    Dll.remove sub_list (head + !k);
+    k := !k + stride
   done;
-  for j = head + 1 to head + (count * stride) - 1 do
+  for j = head + 1 to head + span - 1 do
     t.meta.(j).state <- Merged head;
     t.meta.(j).size <- S4k
-  done
-
-(* Scan the page array for an aligned run of [count] free blocks of
-   [sub] size and merge them (the paper's superpage formation). *)
-let try_merge t ~sub ~super ~sub_list ~super_list =
-  let stride = frames_per sub in
-  let span = frames_per super in
-  let aligned_start = (t.first + span - 1) / span * span in
-  let rec scan head =
-    if head + span > t.nframes then false
-    else begin
-      let all_free = ref true in
-      (let k = ref 0 in
-       while !all_free && !k < span / stride do
-         let j = head + (!k * stride) in
-         let m = t.meta.(j) in
-         if not (m.state = Free && equal_size m.size sub) then all_free := false;
-         incr k
-      done);
-      if !all_free then begin
-        absorb t ~head ~sub ~free_list:sub_list ~count:(span / stride);
-        t.meta.(head).state <- Free;
-        t.meta.(head).size <- super;
-        Dll.push_back super_list head;
-        if Atmo_obs.Sink.tracing () then begin
-          Atmo_obs.Sink.emit_superpage_merge ~head:(frame_addr head)
-            ~order:(order_of super) ();
-          Atmo_obs.Metrics.Counter.incr merge_ctr
-        end;
-        true
-      end
-      else scan (head + span)
-    end
-  in
-  scan aligned_start
-
-let try_merge_2m t =
-  try_merge t ~sub:S4k ~super:S2m ~sub_list:t.free4k ~super_list:t.free2m
-
-(* Single pass that merges every eligible aligned group — used before a
-   1 GiB promotion, where the one-at-a-time scan would be quadratic in
-   machine size. *)
-let merge_all t ~sub ~super ~sub_list ~super_list =
-  let stride = frames_per sub in
-  let span = frames_per super in
-  let aligned_start = (t.first + span - 1) / span * span in
-  let merged = ref 0 in
-  let head = ref aligned_start in
-  while !head + span <= t.nframes do
-    let all_free = ref true in
-    (let k = ref 0 in
-     while !all_free && !k < span / stride do
-       let j = !head + (!k * stride) in
-       let m = t.meta.(j) in
-       if not (m.state = Free && equal_size m.size sub) then all_free := false;
-       incr k
-    done);
-    if !all_free then begin
-      absorb t ~head:!head ~sub ~free_list:sub_list ~count:(span / stride);
-      t.meta.(!head).state <- Free;
-      t.meta.(!head).size <- super;
-      Dll.push_back super_list !head;
-      if Atmo_obs.Sink.tracing () then begin
-        Atmo_obs.Sink.emit_superpage_merge ~head:(frame_addr !head)
-          ~order:(order_of super) ();
-        Atmo_obs.Metrics.Counter.incr merge_ctr
-      end;
-      incr merged
-    end;
-    head := !head + span
   done;
-  !merged
+  t.meta.(head).state <- Free;
+  t.meta.(head).size <- super;
+  Dll.push_back (free_list t super) head;
+  note (Merge { alloc = t; addr = frame_addr head; frames = span });
+  journal t (fun () ->
+      Dll.remove (free_list t super) head;
+      split_block t ~head ~super ~sub);
+  if Atmo_obs.Sink.tracing () then begin
+    Atmo_obs.Sink.emit_superpage_merge ~head:(frame_addr head) ~order:(order_of super) ();
+    Atmo_obs.Metrics.Counter.incr merge_ctr
+  end
 
-let try_merge_1g t =
-  (* Form all possible 2 MiB blocks first so a fully-free gigabyte
-     region can always be promoted. *)
-  ignore (merge_all t ~sub:S4k ~super:S2m ~sub_list:t.free4k ~super_list:t.free2m);
-  try_merge t ~sub:S2m ~super:S1g ~sub_list:t.free2m ~super_list:t.free1g
-
-(* Split a free block headed at [i] of [super] size into free blocks of
-   [sub] size; body frames are re-pointed at their new sub-heads. *)
-let split t ~head ~super ~sub ~sub_list =
+(* Split the free [super] block at [head] (already off its free list)
+   into free blocks of [sub] size; body frames are re-pointed at their
+   new sub-heads. *)
+and split_block t ~head ~super ~sub =
   let stride = frames_per sub in
   let span = frames_per super in
   Atmo_hw.Tlb.shoot_frames t.mem ~lo:(frame_addr head) ~hi:(frame_addr (head + span));
+  let sub_list = free_list t sub in
   t.meta.(head).size <- sub;
   Dll.push_back sub_list head;
   let k = ref stride in
@@ -235,7 +197,50 @@ let split t ~head ~super ~sub ~sub_list =
       for b = sub_head + 1 to sub_head + stride - 1 do
         t.meta.(b).state <- Merged sub_head
       done
-    done
+    done;
+  note (Split { alloc = t; addr = frame_addr head; frames = span });
+  journal t (fun () -> merge_block t ~head ~sub ~super)
+
+let aligned_start t span = (t.first + span - 1) / span * span
+
+(* Scan the page array for an aligned run of free [sub] blocks and merge
+   it into one [super] block (the paper's superpage formation). *)
+let try_merge t ~sub ~super =
+  let span = frames_per super in
+  let rec scan head =
+    if head + span > t.nframes then false
+    else if subs_free t ~head ~sub ~span then begin
+      merge_block t ~head ~sub ~super;
+      true
+    end
+    else scan (head + span)
+  in
+  scan (aligned_start t span)
+
+let try_merge_2m t = try_merge t ~sub:S4k ~super:S2m
+
+(* A gigabyte region can be promoted when each of its 2 MiB groups is a
+   free 2 MiB block or 512 free 4 KiB frames.  The region is found
+   before anything is merged, so a failed promotion changes nothing;
+   only the chosen region's 4 KiB groups are merged on the way up. *)
+let try_merge_1g t =
+  let span = frames_per S1g and group = frames_per S2m in
+  let group_free g = subs_free t ~head:g ~sub:S2m ~span:group || subs_free t ~head:g ~sub:S4k ~span:group in
+  let rec region_free head g = g >= head + span || (group_free g && region_free head (g + group)) in
+  let rec scan head =
+    if head + span > t.nframes then false
+    else if region_free head head then begin
+      let g = ref head in
+      while !g < head + span do
+        if equal_size t.meta.(!g).size S4k then merge_block t ~head:!g ~sub:S4k ~super:S2m;
+        g := !g + group
+      done;
+      merge_block t ~head ~sub:S2m ~super:S1g;
+      true
+    end
+    else scan (head + span)
+  in
+  scan (aligned_start t span)
 
 let rec alloc_4k t ~purpose =
   match Dll.pop_front t.free4k with
@@ -243,12 +248,12 @@ let rec alloc_4k t ~purpose =
   | None ->
     (match Dll.pop_front t.free2m with
      | Some head ->
-       split t ~head ~super:S2m ~sub:S4k ~sub_list:t.free4k;
+       split_block t ~head ~super:S2m ~sub:S4k;
        alloc_4k t ~purpose
      | None ->
        (match Dll.pop_front t.free1g with
         | Some head ->
-          split t ~head ~super:S1g ~sub:S2m ~sub_list:t.free2m;
+          split_block t ~head ~super:S1g ~sub:S2m;
           alloc_4k t ~purpose
         | None -> None))
 
@@ -260,7 +265,7 @@ let rec alloc_2m t ~purpose =
     else
       (match Dll.pop_front t.free1g with
        | Some head ->
-         split t ~head ~super:S1g ~sub:S2m ~sub_list:t.free2m;
+         split_block t ~head ~super:S1g ~sub:S2m;
          alloc_2m t ~purpose
        | None -> None)
 
@@ -269,14 +274,25 @@ let rec alloc_1g t ~purpose =
   | Some i -> Some (claim t i S1g purpose)
   | None -> if try_merge_1g t then alloc_1g t ~purpose else None
 
+(* The undo actions run unjournaled, newest first; the caller has
+   released every block it claimed, so each block or its parts is free
+   again. *)
+let atomically t f =
+  (match t.journal with
+   | Some _ -> invalid_arg "Page_alloc.atomically: already inside a transaction"
+   | None -> ());
+  t.journal <- Some [];
+  let r = try f () with exn -> t.journal <- None; raise exn in
+  let undo = Option.value t.journal ~default:[] in
+  t.journal <- None;
+  (match r with Error _ -> List.iter (fun inverse -> inverse ()) undo | Ok _ -> ());
+  r
+
 let release t i =
   let m = t.meta.(i) in
   note (Release { alloc = t; addr = frame_addr i; frames = frames_per m.size });
   m.state <- Free;
-  let list =
-    match m.size with S4k -> t.free4k | S2m -> t.free2m | S1g -> t.free1g
-  in
-  Dll.push_back list i;
+  Dll.push_back (free_list t m.size) i;
   if Atmo_obs.Sink.tracing () then begin
     Atmo_obs.Sink.emit_page_free ~addr:(frame_addr i) ~order:(order_of m.size) ();
     Atmo_obs.Metrics.Counter.incr free_ctr
@@ -294,7 +310,9 @@ let free_kernel_page t ~addr =
 let inc_ref t ~addr =
   let _, m = head_meta t ~addr "inc_ref" in
   match m.state with
-  | Mapped n -> m.state <- Mapped (n + 1)
+  | Mapped n ->
+    note (Share { alloc = t; addr });
+    m.state <- Mapped (n + 1)
   | Free | Allocated | Merged _ ->
     invalid_arg
       (Format.asprintf "Page_alloc.inc_ref: 0x%x is %a" addr pp_state m.state)
@@ -332,6 +350,51 @@ let size_of t ~addr =
 let is_free t ~addr =
   match state_of t ~addr with Some Free -> true | _ -> false
 
+type views = {
+  free_4k : Frame_set.t;
+  free_2m : Frame_set.t;
+  free_1g : Frame_set.t;
+  merged : Frame_set.t;
+  allocated : Iset.t;
+  mapped : Iset.t;
+}
+
+let views t =
+  (* dense classes: free 4K, 2M, 1G (by [order_of]), merged *)
+  let dense = Array.init 4 (fun _ -> Frame_set.draft ~lo:t.first ~hi:t.nframes) in
+  let allocated = ref Iset.empty and mapped = ref Iset.empty in
+  (* a run of consecutive frames of one dense class is added as a range *)
+  let run = ref (-1) and start = ref t.first in
+  let close i = if !run >= 0 then Frame_set.set_range dense.(!run) ~lo:!start ~hi:i in
+  for i = t.first to t.nframes - 1 do
+    let m = t.meta.(i) in
+    let cls =
+      match m.state with
+      | Free -> order_of m.size
+      | Merged _ -> 3
+      | Allocated ->
+        allocated := Iset.add (frame_addr i) !allocated;
+        -1
+      | Mapped _ ->
+        mapped := Iset.add (frame_addr i) !mapped;
+        -1
+    in
+    if cls <> !run then begin
+      close i;
+      run := cls;
+      start := i
+    end
+  done;
+  close t.nframes;
+  {
+    free_4k = Frame_set.freeze dense.(0);
+    free_2m = Frame_set.freeze dense.(1);
+    free_1g = Frame_set.freeze dense.(2);
+    merged = Frame_set.freeze dense.(3);
+    allocated = !allocated;
+    mapped = !mapped;
+  }
+
 let collect t pred =
   let acc = ref Iset.empty in
   for i = t.first to t.nframes - 1 do
@@ -368,80 +431,116 @@ let frames_of_block t ~addr =
   done;
   !acc
 
+(* The first violation, in a fixed order: the free lists' structure,
+   then each list's members in list order, then every frame in frame
+   order, then every superpage's body frames.  Once the members of each
+   list are known to be free frames of its size, "every managed free
+   frame is on its list" is a count per size; the frames are searched
+   for the first unlisted one only when a count is off.  (No live frame
+   can be on a list at that point either.) *)
 let wf t =
   let err fmt = Format.kasprintf (fun s -> Error s) fmt in
   let ( let* ) r f = match r with Ok () -> f () | Error _ as e -> e in
   let* () = Dll.wf t.free4k in
   let* () = Dll.wf t.free2m in
   let* () = Dll.wf t.free1g in
+  let misaligned i size = i land (frames_per size - 1) <> 0 in
   let check_list list size =
-    List.fold_left
-      (fun acc i ->
-        match acc with
-        | Error _ -> acc
-        | Ok () ->
-          let m = t.meta.(i) in
-          if m.state <> Free then
-            err "frame %d on %s list but state %a" i (Dll.name list) pp_state m.state
-          else if not (equal_size m.size size) then
-            err "frame %d on %s list but size %a" i (Dll.name list) pp_size m.size
-          else if i mod frames_per size <> 0 then
-            err "frame %d on %s list misaligned" i (Dll.name list)
-          else Ok ())
-      (Ok ()) (Dll.to_list list)
+    let mask = frames_per size - 1 in
+    let bad i =
+      let m = t.meta.(i) in
+      match m.state with
+      | Free -> m.size != size || i land mask <> 0
+      | Allocated | Mapped _ | Merged _ -> true
+    in
+    match Dll.find list bad with
+    | None -> Ok ()
+    | Some i ->
+      let m = t.meta.(i) in
+      (match m.state with
+       | Allocated | Mapped _ | Merged _ ->
+         err "frame %d on %s list but state %a" i (Dll.name list) pp_state m.state
+       | Free ->
+         if not (equal_size m.size size) then
+           err "frame %d on %s list but size %a" i (Dll.name list) pp_size m.size
+         else err "frame %d on %s list misaligned" i (Dll.name list))
   in
   let* () = check_list t.free4k S4k in
   let* () = check_list t.free2m S2m in
   let* () = check_list t.free1g S1g in
-  let result = ref (Ok ()) in
-  let fail fmt = Format.kasprintf (fun s -> if !result = Ok () then result := Error s) fmt in
-  for i = t.first to t.nframes - 1 do
-    let m = t.meta.(i) in
-    (match m.state with
-     | Free ->
-       let list =
-         match m.size with S4k -> t.free4k | S2m -> t.free2m | S1g -> t.free1g
-       in
-       if not (Dll.mem list i) then
-         fail "free frame %d (%a) not on its free list" i pp_size m.size
-     | Allocated | Mapped _ ->
-       if Dll.mem t.free4k i || Dll.mem t.free2m i || Dll.mem t.free1g i then
-         fail "live frame %d on a free list" i;
-       if i mod frames_per m.size <> 0 then
-         fail "head frame %d misaligned for size %a" i pp_size m.size;
-       (match m.state with
-        | Mapped n when n <= 0 -> fail "mapped frame %d has refcount %d" i n
-        | _ -> ())
-     | Merged h ->
-       if not (managed t h) then fail "merged frame %d has unmanaged head %d" i h
-       else begin
-         let hm = t.meta.(h) in
-         (match hm.state with
-          | Merged _ -> fail "merged frame %d points at merged head %d" i h
+  let free = Array.make 3 0 in
+  let heads = ref [] in
+  let super_head i size = match size with S4k -> () | S2m | S1g -> heads := i :: !heads in
+  (* the first frame, in order, whose own invariant fails — free-list
+     membership aside *)
+  let rec scan i =
+    if i >= t.nframes then None
+    else
+      let m = t.meta.(i) in
+      match m.state with
+      | Free ->
+        let k = order_of m.size in
+        free.(k) <- free.(k) + 1;
+        super_head i m.size;
+        scan (i + 1)
+      | Allocated | Mapped _ ->
+        if misaligned i m.size then
+          Some (i, err "head frame %d misaligned for size %a" i pp_size m.size)
+        else (
+          match m.state with
+          | Mapped n when n <= 0 -> Some (i, err "mapped frame %d has refcount %d" i n)
+          | Free | Allocated | Mapped _ | Merged _ ->
+            super_head i m.size;
+            scan (i + 1))
+      | Merged h ->
+        if not (managed t h) then Some (i, err "merged frame %d has unmanaged head %d" i h)
+        else (
+          let hm = t.meta.(h) in
+          match hm.state with
+          | Merged _ -> Some (i, err "merged frame %d points at merged head %d" i h)
           | Free | Allocated | Mapped _ ->
-            let span = frames_per hm.size in
-            if not (h mod span = 0 && h < i && i < h + span) then
-              fail "merged frame %d outside block of head %d (%a)" i h pp_size hm.size)
-       end)
-  done;
-  let* () = !result in
+            if (not (misaligned h hm.size)) && h < i && i < h + frames_per hm.size then
+              scan (i + 1)
+            else
+              Some
+                (i, err "merged frame %d outside block of head %d (%a)" i h pp_size hm.size))
+  in
+  let rec unlisted i stop =
+    if i >= stop then None
+    else
+      let m = t.meta.(i) in
+      match m.state with
+      | Free when not (Dll.mem (free_list t m.size) i) ->
+        Some (err "free frame %d (%a) not on its free list" i pp_size m.size)
+      | Free | Allocated | Mapped _ | Merged _ -> unlisted (i + 1) stop
+  in
+  let* () =
+    match scan t.first with
+    | Some (j, e) -> Option.value (unlisted t.first j) ~default:e
+    | None ->
+      (* list members among the managed frames *)
+      let listed size =
+        let list = free_list t size in
+        let n = ref (Dll.length list) in
+        for i = 0 to t.first - 1 do
+          if Dll.mem list i then decr n
+        done;
+        !n
+      in
+      if free.(0) = listed S4k && free.(1) = listed S2m && free.(2) = listed S1g then Ok ()
+      else Option.get (unlisted t.first t.nframes)
+  in
   (* Heads own their bodies: every non-head frame inside a live superpage
      block must be Merged into exactly that head. *)
-  let result = ref (Ok ()) in
-  for i = t.first to t.nframes - 1 do
-    let m = t.meta.(i) in
-    match m.state with
-    | (Free | Allocated | Mapped _) when m.size <> S4k ->
-      let span = frames_per m.size in
-      for j = i + 1 to min (i + span) t.nframes - 1 do
-        match t.meta.(j).state with
-        | Merged h when h = i -> ()
-        | st ->
-          if !result = Ok () then
-            result :=
-              Error
-                (Format.asprintf "body frame %d of head %d is %a" j i pp_state st)
-      done
-    | _ -> ()
-  done;
-  !result
+  let rec bodies i j last =
+    if j > last then Ok ()
+    else
+      match t.meta.(j).state with
+      | Merged h when h = i -> bodies i (j + 1) last
+      | st -> err "body frame %d of head %d is %a" j i pp_state st
+  in
+  List.fold_left
+    (fun acc i ->
+      let* () = acc in
+      bodies i (i + 1) (min (i + frames_per t.meta.(i).size) t.nframes - 1))
+    (Ok ()) (List.rev !heads)

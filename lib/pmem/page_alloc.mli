@@ -29,7 +29,8 @@ val mem : t -> Atmo_hw.Phys_mem.t
 
     Process-global allocator-lifecycle observer used by atmo_san's shadow
     permission map; zero-overhead (one bool load per site) when not
-    installed.  [Free_request] fires at the entry of
+    installed.  Every change of a frame's state or size emits one
+    event.  [Free_request] fires at the entry of
     {!free_kernel_page}/{!dec_ref} {e before} the allocator's own state
     guard, so an external checker can classify a double free even though
     the allocator will also reject it. *)
@@ -42,6 +43,15 @@ type event =
       (** a caller asked to release [addr] via entry point [what] *)
   | Release of { alloc : t; addr : int; frames : int }
       (** a block actually returned to its free list *)
+  | Merge of { alloc : t; addr : int; frames : int }
+      (** free blocks were merged into one free block of [frames] 4 KiB
+          frames headed at [addr] *)
+  | Split of { alloc : t; addr : int; frames : int }
+      (** the free block of [frames] frames headed at [addr] was split
+          into smaller free blocks *)
+  | Share of { alloc : t; addr : int }
+      (** one more mapping of the mapped block headed at [addr]
+          ({!inc_ref}) *)
 
 val set_event_hook : (event -> unit) option -> unit
 (** Single-subscriber shim over {!add_event_hook} under a reserved key;
@@ -99,7 +109,32 @@ val size_of : t -> addr:int -> Page_state.size option
 val is_free : t -> addr:int -> bool
 (** The paper's [page_is_free] spec function. *)
 
+val atomically : t -> (unit -> ('a, 'e) result) -> ('a, 'e) result
+(** [atomically t f] runs [f], journaling every superpage merge and
+    split the allocator makes meanwhile.  When [f] returns [Error _],
+    having released every block it claimed, the journal is replayed
+    backwards — merged blocks are split, split blocks merged again — so
+    every spec view below is exactly as before [f].  Nothing is
+    journaled outside [atomically]; it does not nest.  Used by the
+    kernel to make a failing multi-block superpage mmap side-effect
+    free. *)
+
 (** {2 Spec views (ghost state)} *)
+
+type views = {
+  free_4k : Atmo_util.Frame_set.t;
+  free_2m : Atmo_util.Frame_set.t;
+  free_1g : Atmo_util.Frame_set.t;
+  merged : Atmo_util.Frame_set.t;
+  allocated : Atmo_util.Iset.t;
+  mapped : Atmo_util.Iset.t;
+}
+
+val views : t -> views
+(** All six state sets, from one scan of the page array: the four large
+    ones dense over the managed frames, the two the specs do set
+    algebra on as {!Atmo_util.Iset}s.  Each equals the matching
+    accessor below. *)
 
 val free_pages_4k : t -> Atmo_util.Iset.t
 (** Base addresses of free 4 KiB frames. *)
@@ -123,6 +158,9 @@ val try_merge_2m : t -> bool
     demand. *)
 
 val try_merge_1g : t -> bool
+(** Promote one aligned gigabyte region whose every 2 MiB group is a
+    free 2 MiB block or 512 free 4 KiB frames.  The region is chosen
+    before anything is merged: [false] means nothing changed. *)
 
 val wf : t -> (unit, string) result
 (** The allocator's well-formedness invariant: free lists structurally

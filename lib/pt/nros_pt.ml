@@ -1,6 +1,5 @@
 open Atmo_util
 module Phys_mem = Atmo_hw.Phys_mem
-module Mmu = Atmo_hw.Mmu
 module Pte = Atmo_hw.Pte_bits
 module Page_state = Atmo_pmem.Page_state
 
@@ -12,37 +11,33 @@ let size_at_level = function
   | 2 -> Some Page_state.S2m
   | _ -> None
 
+(* Virtual base of slot [i] of a [level] table covering [vbase]
+   (sign-extended in the upper half of the L4). *)
+let slot_base ~level ~vbase i =
+  let shift = 12 + (9 * (level - 1)) in
+  if level = 4 && i land 0x100 <> 0 then vbase lor (i lsl shift) lor (-1 lsl 48)
+  else vbase lor (i lsl shift)
+
 (* Recursive interpretation of the subtree rooted at [table] (a table
    page of [level]) covering the virtual range starting at [vbase].
    This is the hierarchical definition: a node's interpretation is the
    union of its children's, derived afresh on every call. *)
 let rec interp_node mem ~table ~level ~vbase =
-  let shift = 12 + (9 * (level - 1)) in
-  let rec slots i acc =
-    if i > 511 then acc
-    else
-      let e = Phys_mem.read_u64 mem ~addr:(Mmu.entry_addr ~table ~index:i) in
-      let vslot =
-        if level = 4 && i land 0x100 <> 0 then
-          vbase lor (i lsl shift) lor (-1 lsl 48)
-        else vbase lor (i lsl shift)
-      in
-      let acc =
-        if not (Pte.is_present e) then acc
-        else if level = 1 then
+  let acc = ref [] in
+  Phys_mem.iter_table mem ~addr:table (fun i e ->
+      let vslot = slot_base ~level ~vbase i in
+      if not (Pte.is_present e) then ()
+      else if level = 1 then
+        acc :=
           (vslot, Page_table.{ frame = Pte.addr_of e; size = Page_state.S4k; perm = Pte.perm_of e })
-          :: acc
-        else if Pte.is_huge e then
-          match size_at_level level with
-          | Some size ->
-            (vslot, Page_table.{ frame = Pte.addr_of e; size; perm = Pte.perm_of e }) :: acc
-          | None -> acc (* malformed huge bit; caught by [structure] *)
-        else
-          interp_node mem ~table:(Pte.addr_of e) ~level:(level - 1) ~vbase:vslot @ acc
-      in
-      slots (i + 1) acc
-  in
-  slots 0 []
+          :: !acc
+      else if Pte.is_huge e then
+        match size_at_level level with
+        | Some size ->
+          acc := (vslot, Page_table.{ frame = Pte.addr_of e; size; perm = Pte.perm_of e }) :: !acc
+        | None -> () (* malformed huge bit; caught by [structure] *)
+      else acc := interp_node mem ~table:(Pte.addr_of e) ~level:(level - 1) ~vbase:vslot @ !acc);
+  !acc
 
 let interp pt =
   interp_node (Page_table.mem pt) ~table:(Page_table.cr3 pt) ~level:4 ~vbase:0
@@ -50,18 +45,11 @@ let interp pt =
 (* Frames used by the subtree itself (its table pages), recomputed
    recursively — the hierarchical analogue of page_closure. *)
 let rec closure_node mem ~table ~level =
-  let rec slots i acc =
-    if i > 511 then acc
-    else
-      let e = Phys_mem.read_u64 mem ~addr:(Mmu.entry_addr ~table ~index:i) in
-      let acc =
-        if Pte.is_present e && (not (Pte.is_huge e)) && level > 1 then
-          Iset.union acc (closure_node mem ~table:(Pte.addr_of e) ~level:(level - 1))
-        else acc
-      in
-      slots (i + 1) acc
-  in
-  slots 0 (Iset.singleton table)
+  let acc = ref (Iset.singleton table) in
+  Phys_mem.iter_table mem ~addr:table (fun _ e ->
+      if Pte.is_present e && (not (Pte.is_huge e)) && level > 1 then
+        acc := Iset.union !acc (closure_node mem ~table:(Pte.addr_of e) ~level:(level - 1)));
+  !acc
 
 (* Hierarchical refinement, as the recursive-ownership proof structures
    it: every node's interpretation must equal the union of its
@@ -70,40 +58,30 @@ let rec closure_node mem ~table ~level =
    Since the interpretation is defined by recursion, establishing this
    at a node re-derives each child's interpretation (once for the range
    check, once inside the node's own derivation) — the repeated
-   unrolling cost the flat design avoids. *)
+   unrolling cost the flat design avoids.  The first failing slot, in
+   index order, is the verdict. *)
 let rec verify_node mem ~table ~level ~vbase =
   let shift = 12 + (9 * (level - 1)) in
-  let* () =
-    let rec slots i acc =
-      let* () = acc in
-      if i > 511 then Ok ()
-      else
-        let e = Phys_mem.read_u64 mem ~addr:(Mmu.entry_addr ~table ~index:i) in
-        let next =
-          if (not (Pte.is_present e)) || Pte.is_huge e || level = 1 then Ok ()
-          else begin
-            let lo =
-              if level = 4 && i land 0x100 <> 0 then
-                vbase lor (i lsl shift) lor (-1 lsl 48)
-              else vbase lor (i lsl shift)
-            in
-            let child = Pte.addr_of e in
-            let* () = verify_node mem ~table:child ~level:(level - 1) ~vbase:lo in
-            (* re-derive the child's interpretation for the range check *)
-            let hi = lo + (1 lsl shift) in
-            List.fold_left
-              (fun acc (va, _) ->
-                let* () = acc in
-                if (va >= lo && va < hi) || level = 4 then Ok ()
-                else err "nros: child of L%d[%d] interprets 0x%x outside its range" level i va)
-              (Ok ())
-              (interp_node mem ~table:child ~level:(level - 1) ~vbase:lo)
-          end
-        in
-        slots (i + 1) next
-    in
-    slots 0 (Ok ())
-  in
+  let result = ref (Ok ()) in
+  Phys_mem.iter_table mem ~addr:table (fun i e ->
+      match !result with
+      | Error _ -> ()
+      | Ok () ->
+        if Pte.is_present e && (not (Pte.is_huge e)) && level > 1 then
+          result :=
+            (let lo = slot_base ~level ~vbase i in
+             let child = Pte.addr_of e in
+             let* () = verify_node mem ~table:child ~level:(level - 1) ~vbase:lo in
+             (* re-derive the child's interpretation for the range check *)
+             let hi = lo + (1 lsl shift) in
+             List.fold_left
+               (fun acc (va, _) ->
+                 let* () = acc in
+                 if (va >= lo && va < hi) || level = 4 then Ok ()
+                 else err "nros: child of L%d[%d] interprets 0x%x outside its range" level i va)
+               (Ok ())
+               (interp_node mem ~table:child ~level:(level - 1) ~vbase:lo)));
+  let* () = !result in
   (* the node's own interpretation must be internally duplicate-free
      (derived afresh: the third derivation of each subtree) *)
   let own = interp_node mem ~table ~level ~vbase in
@@ -149,42 +127,35 @@ let refinement pt =
 (* Recursive structural well-formedness: a node is wf iff its entries are
    locally sound, its children are recursively wf, and the children's
    closures (recomputed here) are pairwise disjoint and exclude this
-   node. *)
+   node.  The first failing slot, in index order, is the verdict; every
+   child's closure is derived even past it, as the disjointness check
+   quantifies over all siblings. *)
 let rec node_wf mem ~table ~level =
-  let rec slots i acc closures =
-    if i > 511 then
-      let* () = acc in
-      if Iset.pairwise_disjoint closures then Ok ()
-      else err "nros structure: sibling subtrees of 0x%x share table pages" table
-    else
-      let e = Phys_mem.read_u64 mem ~addr:(Mmu.entry_addr ~table ~index:i) in
-      if not (Pte.is_present e) then slots (i + 1) acc closures
+  let result = ref (Ok ()) in
+  let closures = ref [] in
+  let check f = match !result with Ok () -> result := f () | Error _ -> () in
+  Phys_mem.iter_table mem ~addr:table (fun i e ->
+      if not (Pte.is_present e) then ()
       else if Pte.is_huge e then
-        let next =
-          let* () = acc in
-          match size_at_level level with
-          | Some size ->
-            if Pte.addr_of e mod Page_state.bytes_per size <> 0 then
-              err "nros structure: misaligned huge leaf at L%d[%d]" level i
-            else Ok ()
-          | None -> err "nros structure: huge bit at level %d" level
-        in
-        slots (i + 1) next closures
-      else if level = 1 then slots (i + 1) acc closures
-      else begin
+        check (fun () ->
+            match size_at_level level with
+            | Some size ->
+              if Pte.addr_of e mod Page_state.bytes_per size <> 0 then
+                err "nros structure: misaligned huge leaf at L%d[%d]" level i
+              else Ok ()
+            | None -> err "nros structure: huge bit at level %d" level)
+      else if level > 1 then begin
         let child = Pte.addr_of e in
-        let next =
-          let* () = acc in
-          let* () = node_wf mem ~table:child ~level:(level - 1) in
-          let sub = closure_node mem ~table:child ~level:(level - 1) in
-          if Iset.mem table sub then
-            err "nros structure: cycle through table 0x%x" table
-          else Ok ()
-        in
-        slots (i + 1) next (closure_node mem ~table:child ~level:(level - 1) :: closures)
-      end
-  in
-  slots 0 (Ok ()) []
+        check (fun () -> node_wf mem ~table:child ~level:(level - 1));
+        let sub = closure_node mem ~table:child ~level:(level - 1) in
+        check (fun () ->
+            if Iset.mem table sub then err "nros structure: cycle through table 0x%x" table
+            else Ok ());
+        closures := sub :: !closures
+      end);
+  let* () = !result in
+  if Iset.pairwise_disjoint !closures then Ok ()
+  else err "nros structure: sibling subtrees of 0x%x share table pages" table
 
 let structure pt =
   node_wf (Page_table.mem pt) ~table:(Page_table.cr3 pt) ~level:4

@@ -388,52 +388,22 @@ let prune_empty_tables t ~keep =
   if !freed > 0 then note ~op:"prune";
   !freed
 
-(* Walk the concrete tables through the flat registry.  Rather than
-   recursing from cr3, we iterate every owned table page and emit the
-   leaves it contains, reconstructing virtual bases from the positions
-   recorded implicitly by the parent walk; this requires knowing each
-   table's virtual prefix, so we do one breadth-first pass per level
-   starting at the root — still bounded by the registry, never by
-   recursion over unbounded structure. *)
+(* Walk the concrete tables from cr3, one table-page read per table
+   page: every present leaf becomes a [(virtual base, entry)] pair. *)
 let walk_concrete t =
   let acc = ref [] in
-  let read table index =
-    Phys_mem.read_u64 t.mem ~addr:(Mmu.entry_addr ~table ~index)
+  let leaf vbase e size =
+    acc := (vbase, { frame = Pte.addr_of e; size; perm = Pte.perm_of e }) :: !acc
   in
-  let emit vbase frame size perm = acc := (vbase, { frame; size; perm }) :: !acc in
-  for i4 = 0 to 511 do
-    let e4 = read t.cr3 i4 in
-    if Pte.is_present e4 then begin
-      let l3 = Pte.addr_of e4 in
-      for i3 = 0 to 511 do
-        let e3 = read l3 i3 in
-        if Pte.is_present e3 then
-          if Pte.is_huge e3 then
-            emit
-              (Mmu.va_of_indices ~l4:i4 ~l3:i3 ~l2:0 ~l1:0)
-              (Pte.addr_of e3) Page_state.S1g (Pte.perm_of e3)
-          else begin
-            let l2 = Pte.addr_of e3 in
-            for i2 = 0 to 511 do
-              let e2 = read l2 i2 in
-              if Pte.is_present e2 then
+  let table addr f = Phys_mem.iter_table t.mem ~addr (fun i e -> if Pte.is_present e then f i e) in
+  table t.cr3 (fun i4 e4 ->
+      table (Pte.addr_of e4) (fun i3 e3 ->
+          if Pte.is_huge e3 then leaf (Mmu.va_of_indices ~l4:i4 ~l3:i3 ~l2:0 ~l1:0) e3 Page_state.S1g
+          else
+            table (Pte.addr_of e3) (fun i2 e2 ->
                 if Pte.is_huge e2 then
-                  emit
-                    (Mmu.va_of_indices ~l4:i4 ~l3:i3 ~l2:i2 ~l1:0)
-                    (Pte.addr_of e2) Page_state.S2m (Pte.perm_of e2)
-                else begin
-                  let l1 = Pte.addr_of e2 in
-                  for i1 = 0 to 511 do
-                    let e1 = read l1 i1 in
-                    if Pte.is_present e1 then
-                      emit
-                        (Mmu.va_of_indices ~l4:i4 ~l3:i3 ~l2:i2 ~l1:i1)
-                        (Pte.addr_of e1) Page_state.S4k (Pte.perm_of e1)
-                  done
-                end
-            done
-          end
-      done
-    end
-  done;
+                  leaf (Mmu.va_of_indices ~l4:i4 ~l3:i3 ~l2:i2 ~l1:0) e2 Page_state.S2m
+                else
+                  table (Pte.addr_of e2) (fun i1 e1 ->
+                      leaf (Mmu.va_of_indices ~l4:i4 ~l3:i3 ~l2:i2 ~l1:i1) e1 Page_state.S4k))));
   !acc

@@ -152,5 +152,6 @@ val mutation_count : unit -> int
 
 val walk_concrete : t -> (int * entry) list
 (** Enumerate the MMU-visible mappings by walking the concrete tables
-    through the flat registry: [(virtual base, entry)] pairs.  Used by
-    the refinement checker as the "hardware view". *)
+    from cr3, one {!Atmo_hw.Phys_mem.iter_table} per table page:
+    [(virtual base, entry)] pairs.  Used by the refinement checker as
+    the "hardware view". *)

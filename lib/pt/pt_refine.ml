@@ -34,18 +34,14 @@ let refinement pt =
       (Ok ()) concrete
   in
   (* Direction 2: equal domains, so nothing abstract is missing from the
-     hardware view. *)
-  let cdom = List.fold_left (fun s (va, _) -> Iset.add va s) Iset.empty concrete in
-  let adom = Imap.dom abstract in
-  if Iset.equal cdom adom then Ok ()
+     hardware view.  The walk never yields a virtual base twice, so after
+     direction 1 equal sizes mean equal domains. *)
+  if List.length concrete = Imap.cardinal abstract then Ok ()
   else
-    let missing = Iset.diff adom cdom in
-    (match Iset.choose_opt missing with
-     | Some va -> err "refinement: abstract maps 0x%x but MMU faults" va
-     | None ->
-       (match Iset.choose_opt (Iset.diff cdom adom) with
-        | Some va -> err "refinement: MMU maps 0x%x not in abstract map" va
-        | None -> Ok ()))
+    let cdom = List.fold_left (fun s (va, _) -> Iset.add va s) Iset.empty concrete in
+    match Iset.choose_opt (Iset.diff (Imap.dom abstract) cdom) with
+    | Some va -> err "refinement: abstract maps 0x%x but MMU faults" va
+    | None -> Ok ()
 
 let mmu_probe pt ~vaddrs =
   let abstract = Page_table.address_space pt in
@@ -87,50 +83,38 @@ let structure pt =
     | None -> err "structure: root not registered"
   in
   (* Count inbound references to each table page while validating every
-     present entry of every registered table. *)
+     present entry of every registered table; the first bad entry, in
+     registry then index order, is the verdict. *)
   let inbound = Hashtbl.create 64 in
-  let* () =
-    List.fold_left
-      (fun acc (table, level) ->
-        let* () = acc in
-        let rec entries i acc =
-          let* () = acc in
-          if i > 511 then Ok ()
-          else
-            let e = Phys_mem.read_u64 mem ~addr:(Mmu.entry_addr ~table ~index:i) in
-            let next =
-              if not (Pte.is_present e) then Ok ()
-              else if Pte.is_huge e then
-                if level = 3 || level = 2 then
-                  let size =
-                    if level = 3 then Phys_mem.page_size_1g else Phys_mem.page_size_2m
-                  in
+  let bad = ref None in
+  let fail fmt = Format.kasprintf (fun s -> bad := Some s) fmt in
+  List.iter
+    (fun (table, level) ->
+      if Option.is_none !bad then
+        Phys_mem.iter_table mem ~addr:table (fun i e ->
+            if Option.is_none !bad && Pte.is_present e then
+              if Pte.is_huge e then begin
+                if level = 3 || level = 2 then begin
+                  let size = if level = 3 then Phys_mem.page_size_1g else Phys_mem.page_size_2m in
                   if Pte.addr_of e mod size <> 0 then
-                    err "structure: huge leaf at L%d[%d] misaligned frame 0x%x" level i
+                    fail "structure: huge leaf at L%d[%d] misaligned frame 0x%x" level i
                       (Pte.addr_of e)
-                  else Ok ()
-                else err "structure: huge bit at level %d" level
-              else if level = 1 then Ok () (* L1 present entries are 4K leaves *)
-              else begin
+                end
+                else fail "structure: huge bit at level %d" level
+              end
+              else if level > 1 then begin
+                (* L1 present entries are 4K leaves *)
                 let child = Pte.addr_of e in
                 match level_of ~addr:child with
                 | Some cl when cl = level - 1 ->
                   Hashtbl.replace inbound child
-                    (1 + Option.value ~default:0 (Hashtbl.find_opt inbound child));
-                  Ok ()
+                    (1 + Option.value ~default:0 (Hashtbl.find_opt inbound child))
                 | Some cl ->
-                  err "structure: L%d[%d] points to table 0x%x of level %d" level i
-                    child cl
-                | None ->
-                  err "structure: L%d[%d] points to unregistered page 0x%x" level i
-                    child
-              end
-            in
-            entries (i + 1) next
-        in
-        entries 0 (Ok ()))
-      (Ok ()) registry
-  in
+                  fail "structure: L%d[%d] points to table 0x%x of level %d" level i child cl
+                | None -> fail "structure: L%d[%d] points to unregistered page 0x%x" level i child
+              end))
+    registry;
+  let* () = match !bad with None -> Ok () | Some msg -> Error msg in
   (* Exactly-one-parent: rules out sharing and cycles in one flat pass. *)
   List.fold_left
     (fun acc (table, _) ->
@@ -170,21 +154,16 @@ let ghost_wf pt =
     then Ok ()
     else err "ghost_wf: unified address-space cache diverged from the ghost maps"
   in
-  (* Pairwise disjointness of virtual ranges across all sizes: sort by
-     base and check adjacent ranges do not overlap. *)
-  let ranges =
-    Imap.fold
-      (fun va (e : Page_table.entry) acc -> (va, va + Page_state.bytes_per e.size) :: acc)
-      (Page_table.address_space pt) []
-    |> List.sort compare
-  in
-  let rec adjacent = function
-    | (b1, e1) :: ((b2, _) :: _ as rest) ->
+  (* Pairwise disjointness of virtual ranges across all sizes: in base
+     order, adjacent ranges must not overlap. *)
+  let rec adjacent b1 e1 ranges =
+    match ranges () with
+    | Seq.Nil -> Ok ()
+    | Seq.Cons ((b2, (e : Page_table.entry)), rest) ->
       if e1 > b2 then err "ghost_wf: ranges [0x%x..) and [0x%x..) overlap" b1 b2
-      else adjacent rest
-    | _ -> Ok ()
+      else adjacent b2 (b2 + Page_state.bytes_per e.size) rest
   in
-  adjacent ranges
+  adjacent min_int min_int (Imap.to_seq (Page_table.address_space pt))
 
 let closure_disjoint pt =
   let closure = Page_table.page_closure pt in

@@ -176,3 +176,6 @@ let on_event = function
         end
         else Bytes.set sh.codes i 'f'
       done)
+  | Page_alloc.Merge _ | Page_alloc.Split _ | Page_alloc.Share _ ->
+    (* free frames stay free, mapped frames stay mapped *)
+    ()

@@ -36,6 +36,12 @@ let dispatch_event ev =
     Lockcheck.on_mutation ~site:("pmem." ^ what) ~page:addr ~detail:""
   | Page_alloc.Release { addr; _ } ->
     Lockcheck.on_mutation ~site:"pmem.release" ~page:addr ~detail:""
+  | Page_alloc.Merge { addr; _ } ->
+    Lockcheck.on_mutation ~site:"pmem.merge" ~page:addr ~detail:""
+  | Page_alloc.Split { addr; _ } ->
+    Lockcheck.on_mutation ~site:"pmem.split" ~page:addr ~detail:""
+  | Page_alloc.Share { addr; _ } ->
+    Lockcheck.on_mutation ~site:"pmem.inc_ref" ~page:addr ~detail:""
 
 let dispatch_perm ~name ~op ~ptr =
   attr_dirty := true;

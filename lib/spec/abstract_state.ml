@@ -55,12 +55,12 @@ type t = {
   root : int;
   run_queue : int list;
   current : int option;
-  free_4k : Iset.t;
-  free_2m : Iset.t;
-  free_1g : Iset.t;
+  free_4k : Frame_set.t;
+  free_2m : Frame_set.t;
+  free_1g : Frame_set.t;
   allocated : Iset.t;
   mapped : Iset.t;
-  merged : Iset.t;
+  merged : Frame_set.t;
   devices : adevice Imap.t;
 }
 
@@ -112,6 +112,14 @@ let equal_adevice a b =
   && a.ad_irq_endpoint = b.ad_irq_endpoint
   && a.ad_irq_pending = b.ad_irq_pending
 
+let memory_unchanged a b =
+  Frame_set.equal a.free_4k b.free_4k
+  && Frame_set.equal a.free_2m b.free_2m
+  && Frame_set.equal a.free_1g b.free_1g
+  && Iset.equal a.allocated b.allocated
+  && Iset.equal a.mapped b.mapped
+  && Frame_set.equal a.merged b.merged
+
 let equal a b =
   Imap.equal equal_acontainer a.containers b.containers
   && Imap.equal equal_aproc a.procs b.procs
@@ -120,12 +128,7 @@ let equal a b =
   && a.root = b.root
   && a.run_queue = b.run_queue
   && a.current = b.current
-  && Iset.equal a.free_4k b.free_4k
-  && Iset.equal a.free_2m b.free_2m
-  && Iset.equal a.free_1g b.free_1g
-  && Iset.equal a.allocated b.allocated
-  && Iset.equal a.mapped b.mapped
-  && Iset.equal a.merged b.merged
+  && memory_unchanged a b
   && Imap.equal equal_adevice a.devices b.devices
 
 let thread_dom t = Imap.dom t.threads
@@ -152,8 +155,8 @@ let container_of_thread t ~thread =
   | Some p ->
     Option.map (fun pr -> pr.ap_owner_container) (Imap.find_opt p t.procs)
 
-let free_pages t = Iset.union_list [ t.free_4k; t.free_2m; t.free_1g ]
-let page_is_free t page = Iset.mem page (free_pages t)
+let page_is_free t page =
+  Frame_set.mem t.free_4k page || Frame_set.mem t.free_2m page || Frame_set.mem t.free_1g page
 
 let unchanged_except eq m m' touched = Imap.same_on_complement ~eq m m' touched
 
@@ -173,14 +176,6 @@ let space_unchanged_except a b ~proc touched =
   | None, None -> true
   | Some _, None | None, Some _ -> false
 
-let memory_unchanged a b =
-  Iset.equal a.free_4k b.free_4k
-  && Iset.equal a.free_2m b.free_2m
-  && Iset.equal a.free_1g b.free_1g
-  && Iset.equal a.allocated b.allocated
-  && Iset.equal a.mapped b.mapped
-  && Iset.equal a.merged b.merged
-
 let devices_unchanged_except a b s =
   unchanged_except equal_adevice a.devices b.devices s
 
@@ -199,7 +194,7 @@ let pp ppf t =
   Format.fprintf ppf
     "@[<v>Ψ{containers=%d; procs=%d; threads=%d; endpoints=%d;@ free4k=%d free2m=%d free1g=%d allocated=%d mapped=%d merged=%d;@ runq=%d; current=%s}@]"
     (Imap.cardinal t.containers) (Imap.cardinal t.procs) (Imap.cardinal t.threads)
-    (Imap.cardinal t.endpoints) (Iset.cardinal t.free_4k) (Iset.cardinal t.free_2m)
-    (Iset.cardinal t.free_1g) (Iset.cardinal t.allocated) (Iset.cardinal t.mapped)
-    (Iset.cardinal t.merged) (List.length t.run_queue)
+    (Imap.cardinal t.endpoints) (Frame_set.cardinal t.free_4k) (Frame_set.cardinal t.free_2m)
+    (Frame_set.cardinal t.free_1g) (Iset.cardinal t.allocated) (Iset.cardinal t.mapped)
+    (Frame_set.cardinal t.merged) (List.length t.run_queue)
     (match t.current with None -> "-" | Some c -> Printf.sprintf "0x%x" c)

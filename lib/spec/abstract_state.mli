@@ -2,7 +2,10 @@
 
     Pure-data model of the whole kernel: every object kind as a map from
     pointer to abstract record, plus the explicit memory-allocator state
-    (§4.2) as four page sets.  System-call specifications
+    (§4.2) as six page sets: the free and merged frames as dense
+    {!Atmo_util.Frame_set}s (O(1) cardinality and membership, [memcmp]
+    equality), the allocated and mapped heads as {!Atmo_util.Iset}s
+    for the specs' set algebra.  System-call specifications
     ({!Syscall_spec}) are relations between two values of {!t}; the
     concrete kernel is refined into this state by [Atmo_core.Abstraction].
 
@@ -62,12 +65,12 @@ type t = {
   root : int;
   run_queue : int list;
   current : int option;
-  free_4k : Atmo_util.Iset.t;
-  free_2m : Atmo_util.Iset.t;
-  free_1g : Atmo_util.Iset.t;
+  free_4k : Atmo_util.Frame_set.t;
+  free_2m : Atmo_util.Frame_set.t;
+  free_1g : Atmo_util.Frame_set.t;
   allocated : Atmo_util.Iset.t;
   mapped : Atmo_util.Iset.t;
-  merged : Atmo_util.Iset.t;
+  merged : Atmo_util.Frame_set.t;
   devices : adevice Atmo_util.Imap.t;  (** IOMMU device table *)
 }
 
@@ -99,8 +102,6 @@ val container_of_thread : t -> thread:int -> int option
 val page_is_free : t -> int -> bool
 (** The paper's [page_is_free]: the frame is in one of the free sets. *)
 
-val free_pages : t -> Atmo_util.Iset.t
-
 (** {2 Frame-condition helpers} *)
 
 val threads_unchanged_except : t -> t -> Atmo_util.Iset.t -> bool
@@ -117,7 +118,7 @@ val space_unchanged_except : t -> t -> proc:int -> Atmo_util.Iset.t -> bool
     changed"). *)
 
 val memory_unchanged : t -> t -> bool
-(** All four allocator sets are equal. *)
+(** All six allocator sets are equal. *)
 
 val devices_unchanged_except : t -> t -> Atmo_util.Iset.t -> bool
 

@@ -9,15 +9,16 @@ module Message = Atmo_pm.Message
 (* Helpers                                                             *)
 
 let free_frame_total (a : A.t) =
-  Iset.cardinal a.A.free_4k
-  + (512 * Iset.cardinal a.A.free_2m)
-  + (512 * 512 * Iset.cardinal a.A.free_1g)
+  Frame_set.cardinal a.A.free_4k
+  + (512 * Frame_set.cardinal a.A.free_2m)
+  + (512 * 512 * Frame_set.cardinal a.A.free_1g)
 
 (* Every managed frame is a head or body of exactly one set, so the sum
    of cardinals is invariant under every call (including merge/split). *)
 let accounted (a : A.t) =
-  Iset.cardinal a.A.free_4k + Iset.cardinal a.A.free_2m + Iset.cardinal a.A.free_1g
-  + Iset.cardinal a.A.allocated + Iset.cardinal a.A.mapped + Iset.cardinal a.A.merged
+  Frame_set.cardinal a.A.free_4k + Frame_set.cardinal a.A.free_2m
+  + Frame_set.cardinal a.A.free_1g + Iset.cardinal a.A.allocated
+  + Iset.cardinal a.A.mapped + Frame_set.cardinal a.A.merged
 
 let space_frames space =
   Imap.fold (fun _ (e : Page_table.entry) acc -> Iset.add e.Page_table.frame acc) space Iset.empty
@@ -125,13 +126,6 @@ let spec_mmap ~(pre : A.t) ~(post : A.t) ~thread ~va ~count ~size ~perm frames :
      | Some post_p ->
        let new_tables = Iset.diff post_p.A.ap_pt_pages pre_p.A.ap_pt_pages in
        let n_tables = Iset.cardinal new_tables in
-       let free_set =
-         match size with
-         | Page_state.S4k -> pre.A.free_4k
-         | Page_state.S2m -> pre.A.free_2m
-         | Page_state.S1g -> pre.A.free_1g
-       in
-       ignore free_set;
        c "mmap/count" (List.length frames = count)
        (* each virtual address in va_range gets its page, with the
           requested size and permission (Listing 1, lines 23-26) *)

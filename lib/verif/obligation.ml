@@ -15,17 +15,9 @@ type t = {
 
 let make ?reads ~name ~group run = { name; group; reads; run }
 
-(* Monotonic-ish clock: this OCaml's Unix lacks [clock_gettime], so
-   clamp gettimeofday through a high-water mark — elapsed times can
-   never go negative under a clock step, which is the property Table 2
-   needs.  Domains race only on a float ref; a lost update merely
-   lowers the water mark back toward real time. *)
-let water = ref 0.
-
-let now () =
-  let t = Unix.gettimeofday () in
-  if t > !water then water := t;
-  !water
+(* The monotonic clock, so elapsed times never go negative under a
+   wall-clock step; it holds no state for discharge domains to share. *)
+let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
 let discharge t =
   let t0 = now () in

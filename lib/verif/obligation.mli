@@ -37,10 +37,11 @@ val make :
   t
 
 val now : unit -> float
-(** Monotonic-by-clamping clock (gettimeofday through a high-water
-    mark): successive calls never decrease, so elapsed times cannot go
-    negative under wall-clock steps.  [Unix.clock_gettime] is absent
-    from this toolchain's Unix binding. *)
+(** Seconds on the monotonic clock ([Monotonic_clock.now] from
+    [bechamel.monotonic_clock]; this toolchain's [Unix] has no
+    [clock_gettime]): successive calls never decrease, so elapsed
+    times cannot go negative under wall-clock steps.  Only differences
+    are meaningful. *)
 
 val discharge : t -> result
 (** Run and time one obligation.  A raising obligation fails with the

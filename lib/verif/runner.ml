@@ -31,14 +31,22 @@ let run_sequential obls = List.map Obligation.discharge obls
 
 (* Static round-robin partition over domains: obligations are
    independent, so any split is sound; round-robin balances the heavy
-   kernel-wide checks across domains. *)
+   kernel-wide checks across domains.  Domain [d] discharges inputs
+   [d], [d + threads], ... and writes each result into that input's
+   slot, so the results come back in input order. *)
 let run_parallel ~threads obls =
-  let buckets = Array.make threads [] in
-  List.iteri (fun i o -> buckets.(i mod threads) <- o :: buckets.(i mod threads)) obls;
-  let domains =
-    Array.map (fun bucket -> Domain.spawn (fun () -> run_sequential (List.rev bucket))) buckets
+  let obls = Array.of_list obls in
+  let results = Array.make (Array.length obls) None in
+  let domain d =
+    Domain.spawn (fun () ->
+        let i = ref d in
+        while !i < Array.length obls do
+          results.(!i) <- Some (Obligation.discharge obls.(!i));
+          i := !i + threads
+        done)
   in
-  Array.to_list domains |> List.concat_map Domain.join
+  List.iter Domain.join (List.init threads domain);
+  Array.to_list (Array.map Option.get results)
 
 (* An obligation may be skipped only when it is annotated, has a cached
    verdict, and none of its declared reads is dirty.  Unannotated

@@ -26,7 +26,8 @@ type incremental = {
 
 val run : ?threads:int -> ?incremental:incremental -> Obligation.t list -> report
 (** [threads] defaults to 1.  With [threads > 1] obligations are
-    distributed over that many domains.  Arms
+    distributed over that many domains.  Results are in suite order
+    whatever the thread count.  Arms
     [Printexc.record_backtrace] so a raising obligation reports where
     it failed.  Raises [Invalid_argument] if two obligations share a
     name — duplicates would shadow each other in grouped reports and

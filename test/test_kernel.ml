@@ -125,6 +125,82 @@ let test_mmap_failure_is_atomic () =
   checkb "state unchanged" true (A.equal before (Abstraction.abstract k));
   expect_wf k
 
+(* A failing superpage mmap must leave the allocator's free sets as it
+   found them: checked as a refinement step, whose [error_atomic]
+   clause compares the whole abstract state. *)
+let expect_atomic_enomem k ~thread call =
+  let r = Atmo_verif.Refine_harness.step_checked k ~thread call in
+  (match r.Atmo_verif.Refine_harness.ret with
+   | Syscall.Rerr Errno.Enomem -> ()
+   | ret -> Alcotest.failf "expected ENOMEM, got %a" Syscall.pp_ret ret);
+  (match r.Atmo_verif.Refine_harness.spec with
+   | Ok () -> ()
+   | Error msg -> Alcotest.failf "spec: %s" msg);
+  match r.Atmo_verif.Refine_harness.wf with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "wf: %s" msg
+
+let test_mmap_2m_failure_undoes_merge () =
+  (* 2048 frames: pin one frame in every 2 MiB group but the last, so a
+     two-block mmap merges the free group for its first block and then
+     finds no second one *)
+  let k, init =
+    match
+      Kernel.boot
+        { Kernel.frames = 2048; reserved_frames = 16; root_quota = 2000; cpus = Iset.singleton 0 }
+    with
+    | Ok v -> v
+    | Error e -> Alcotest.failf "boot: %a" Errno.pp e
+  in
+  let group = Page_state.bytes_per Page_state.S2m in
+  (* map 4 KiB pages until one lands in group 2, then unmap all but the
+     first page of groups 1 and 2 (group 0 holds the boot objects) *)
+  let rec fill i acc =
+    let va = va0 + (i * 4096) in
+    match step k ~thread:init (Syscall.Mmap { va; count = 1; size = Page_state.S4k; perm = Pte.perm_rw }) with
+    | Syscall.Rmapped [ frame ] ->
+      let acc = (frame / group, va) :: acc in
+      if frame / group >= 2 then List.rev acc else fill (i + 1) acc
+    | r -> Alcotest.failf "pinning mmap: %a" Syscall.pp_ret r
+  in
+  let pages = fill 0 [] in
+  let pin g = List.assoc g pages in
+  List.iter
+    (fun (_, va) ->
+      if va <> pin 1 && va <> pin 2 then
+        ok "unpin" (step k ~thread:init (Syscall.Munmap { va; count = 1; size = Page_state.S4k })))
+    pages;
+  checki "no free 2m block yet" 0 (Atmo_pmem.Page_alloc.free_count_2m k.Kernel.alloc);
+  expect_atomic_enomem k ~thread:init
+    (Syscall.Mmap { va = 1 lsl 39; count = 2; size = Page_state.S2m; perm = Pte.perm_rw });
+  checki "the merged group went back to 4k frames" 0
+    (Atmo_pmem.Page_alloc.free_count_2m k.Kernel.alloc);
+  (* one block still fits, through the same merge *)
+  match
+    step k ~thread:init
+      (Syscall.Mmap { va = 1 lsl 39; count = 1; size = Page_state.S2m; perm = Pte.perm_rw })
+  with
+  | Syscall.Rmapped [ frame ] -> checki "the last group" 3 (frame / group)
+  | r -> Alcotest.failf "single 2m mmap: %a" Syscall.pp_ret r
+
+let test_mmap_1g_failure_merges_nothing () =
+  (* 300000 frames hold no aligned gigabyte above the reserved frames:
+     the promotion must fail before merging any 2 MiB group *)
+  let k, init =
+    match
+      Kernel.boot
+        { Kernel.frames = 300_000; reserved_frames = 16; root_quota = 290_000; cpus = Iset.singleton 0 }
+    with
+    | Ok v -> v
+    | Error e -> Alcotest.failf "boot: %a" Errno.pp e
+  in
+  let events = Atmo_pmem.Page_alloc.mutation_count () in
+  expect_atomic_enomem k ~thread:init
+    (Syscall.Mmap { va = 1 lsl 39; count = 1; size = Page_state.S1g; perm = Pte.perm_rw });
+  checki "no 2m block formed" 0 (Atmo_pmem.Page_alloc.free_count_2m k.Kernel.alloc);
+  checki "no page-state change, so no allocator event" events
+    (Atmo_pmem.Page_alloc.mutation_count ())
+
 let test_mprotect () =
   let k, init = boot () in
   ignore (mmap k init);
@@ -503,6 +579,10 @@ let () =
           Alcotest.test_case "mmap 1g superpage" `Quick test_mmap_1g_superpage;
           Alcotest.test_case "bad args rejected" `Quick test_mmap_rejects_bad_args;
           Alcotest.test_case "failure atomic" `Quick test_mmap_failure_is_atomic;
+          Alcotest.test_case "failing 2m mmap undoes its merge" `Quick
+            test_mmap_2m_failure_undoes_merge;
+          Alcotest.test_case "failing 1g mmap merges nothing" `Quick
+            test_mmap_1g_failure_merges_nothing;
           Alcotest.test_case "mprotect" `Quick test_mprotect;
         ] );
       ( "lifecycle",

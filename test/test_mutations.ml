@@ -55,6 +55,7 @@ let pt_with_corruption corrupt =
   expect_clean "pt flat" (Pt_refine.all pt);
   expect_clean "pt recursive" (Nros_pt.all pt);
   corrupt pt;
+  Pt_oracle.check_agrees "corrupted pt" pt;
   pt
 
 let leaf_slot pt va =
@@ -126,6 +127,7 @@ let test_pt_mutation_ghost_drift () =
    | Ok () -> ()
    | Error _ -> Alcotest.fail "remap");
   Phys_mem.write_u64 (Page_table.mem pt) ~addr:(leaf_slot pt 0x4000_0000) Pte.not_present;
+  Pt_oracle.check_agrees "ghost drift" pt;
   expect_fires "flat refinement" (Pt_refine.refinement pt)
 
 (* ------------------------------------------------------------------ *)
@@ -343,6 +345,7 @@ let test_san_malformed_pte () =
       let e = Phys_mem.read_u64 mem ~addr:slot in
       (* set a bit the kernel never programs (bit 9, "available") *)
       Phys_mem.write_u64 mem ~addr:slot (Int64.logor e 0x200L);
+      Pt_oracle.check_agrees "malformed pte" pt;
       ignore (Atmo_san.Pt_lint.lint k);
       match san_find San_report.Malformed_pte with
       | None -> Alcotest.fail "malformed PTE not detected"
@@ -366,6 +369,7 @@ let test_san_stale_tlb () =
       let pt = (Perm_map.borrow k.Kernel.pm.Proc_mgr.proc_perms ~ptr:proc).Process.pt in
       let slot = leaf_slot pt 0x7780_0000 in
       Phys_mem.write_u64 (Page_table.mem pt) ~addr:slot Pte.not_present;
+      Pt_oracle.check_agrees "stale tlb" pt;
       checkb "lint fires" true (Atmo_san.Tlb_lint.lint k > 0);
       match san_find San_report.Tlb_stale with
       | None -> Alcotest.fail "stale TLB entry not detected"

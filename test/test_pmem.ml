@@ -306,6 +306,119 @@ let prop_leak_free_roundtrip =
       List.iter (fun addr -> Page_alloc.free_kernel_page a ~addr) pages;
       Iset.equal free0 (Page_alloc.free_pages_4k a))
 
+(* ------------------------------------------------------------------ *)
+(* Frame_set against an Iset oracle                                    *)
+
+let dense ~lo ~hi frames =
+  let b = Frame_set.draft ~lo ~hi in
+  List.iter (fun f -> Frame_set.set_range b ~lo:f ~hi:(f + 1)) frames;
+  Frame_set.freeze b
+
+let addrs frames = Iset.of_list (List.map (fun f -> f * Frame_set.page_size) frames)
+
+let prop_frame_set_oracle =
+  (* frames in [64, 192), each set built over two ranges that both
+     cover them but start at different frames *)
+  QCheck.Test.make ~name:"frame set agrees with an Iset oracle" ~count:200
+    QCheck.(quad (int_bound 64) (int_bound 64) (list (int_bound 127)) (list (int_bound 127)))
+    (fun (d1, d2, xs, ys) ->
+      let xs = List.map (( + ) 64) xs and ys = List.map (( + ) 64) ys in
+      let a = dense ~lo:(64 - d1) ~hi:(192 + d2) xs in
+      let a' = dense ~lo:(64 - d2) ~hi:(192 + d1) xs in
+      let b = dense ~lo:(64 - d2) ~hi:(192 + d1) ys in
+      let ox = addrs xs and oy = addrs ys in
+      let page = Frame_set.page_size in
+      let mem_agrees f =
+        Frame_set.mem a (f * page) = Iset.mem (f * page) ox
+        && (not (Frame_set.mem a ((f * page) + 1)))
+        && not (Frame_set.mem a ((f * page) + 8))
+      in
+      Frame_set.cardinal a = Iset.cardinal ox
+      && Iset.equal (Frame_set.to_iset a) ox
+      && List.for_all mem_agrees (List.init 260 (fun i -> i - 2))
+      && (not (Frame_set.mem a (-page)))
+      && (not (Frame_set.mem a (max_int land lnot (page - 1))))
+      && Frame_set.equal a a'
+      && Frame_set.equal a' a
+      && Frame_set.equal a b = Iset.equal ox oy
+      && Frame_set.equal b a = Iset.equal ox oy
+      && Frame_set.equal (dense ~lo:(64 - d1) ~hi:(192 + d2) ys) a = Iset.equal ox oy
+      && Frame_set.equal (dense ~lo:0 ~hi:0 []) (dense ~lo:d1 ~hi:(d1 + d2) []))
+
+(* ------------------------------------------------------------------ *)
+(* Dense views on an allocator that can hold 1 GiB                     *)
+
+let views_equal (a : Page_alloc.views) (b : Page_alloc.views) =
+  Frame_set.equal a.free_4k b.free_4k
+  && Frame_set.equal a.free_2m b.free_2m
+  && Frame_set.equal a.free_1g b.free_1g
+  && Frame_set.equal a.merged b.merged
+  && Iset.equal a.allocated b.allocated
+  && Iset.equal a.mapped b.mapped
+
+let prop_views_match_accessors =
+  (* random 4K/2M/1G traffic, frees and merges on 2^18 frames (one
+     aligned gigabyte): after every step each page-state change has
+     emitted an allocator event; a transaction that claims blocks
+     (merging and splitting on the way), releases them and fails leaves
+     the views exactly as it found them; at the end the dense views
+     equal the six Iset accessors and partition the managed frames *)
+  QCheck.Test.make ~name:"dense views = Iset accessors under 4K/2M/1G traffic" ~count:6
+    QCheck.(list_of_size Gen.(int_range 1 30) (int_bound 10))
+    (fun ops ->
+      let mem = Phys_mem.create ~page_count:(512 * 512) in
+      let a = Page_alloc.create mem ~reserved_frames:0 in
+      let kernel = ref [] and user = ref [] in
+      let pop l f = match !l with p :: rest -> l := rest; f p | [] -> () in
+      let keep l = function Some p -> l := p :: !l | None -> () in
+      let silent_change = ref false and undo_failed = ref false in
+      List.iter
+        (fun op ->
+          let before = Page_alloc.views a and events = Page_alloc.mutation_count () in
+          (match op with
+           | 0 | 1 -> keep kernel (Page_alloc.alloc_4k a ~purpose:Page_alloc.Kernel)
+           | 2 -> keep user (Page_alloc.alloc_4k a ~purpose:Page_alloc.User)
+           | 3 -> keep user (Page_alloc.alloc_2m a ~purpose:Page_alloc.User)
+           | 4 -> keep user (Page_alloc.alloc_1g a ~purpose:Page_alloc.User)
+           | 5 -> pop kernel (fun addr -> Page_alloc.free_kernel_page a ~addr)
+           | 6 -> pop user (fun addr -> ignore (Page_alloc.dec_ref a ~addr))
+           | 7 -> ignore (Page_alloc.try_merge_2m a)
+           | 8 -> ignore (Page_alloc.try_merge_1g a)
+           | 9 -> pop user (fun addr -> Page_alloc.inc_ref a ~addr; user := addr :: addr :: !user)
+           | _ ->
+             let r =
+               Page_alloc.atomically a (fun () ->
+                   let got =
+                     List.filter_map Fun.id
+                       [ Page_alloc.alloc_2m a ~purpose:Page_alloc.User;
+                         Page_alloc.alloc_4k a ~purpose:Page_alloc.User;
+                         Page_alloc.alloc_1g a ~purpose:Page_alloc.User ]
+                   in
+                   List.iter (fun addr -> ignore (Page_alloc.dec_ref a ~addr)) got;
+                   Error ())
+             in
+             ignore (r : (unit, unit) result);
+             if not (views_equal before (Page_alloc.views a)) then undo_failed := true);
+          if
+            (not (views_equal before (Page_alloc.views a)))
+            && Page_alloc.mutation_count () = events
+          then silent_change := true)
+        ops;
+      let v = Page_alloc.views a in
+      let dense_sets =
+        [ Frame_set.to_iset v.free_4k; Frame_set.to_iset v.free_2m; Frame_set.to_iset v.free_1g;
+          v.allocated; v.mapped; Frame_set.to_iset v.merged ]
+      in
+      let accessors =
+        [ Page_alloc.free_pages_4k a; Page_alloc.free_pages_2m a; Page_alloc.free_pages_1g a;
+          Page_alloc.allocated_pages a; Page_alloc.mapped_pages a; Page_alloc.merged_pages a ]
+      in
+      (not !silent_change) && (not !undo_failed)
+      && List.for_all2 Iset.equal dense_sets accessors
+      && Iset.pairwise_disjoint dense_sets
+      && Iset.cardinal (Iset.union_list dense_sets) = Page_alloc.managed_frames a
+      && Page_alloc.wf a = Ok ())
+
 let () =
   Atmo_san.Runtime.arm_of_env ();
   Alcotest.run ~and_exit:false "pmem"
@@ -333,6 +446,7 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_dll_random_ops; prop_alloc_random_traffic; prop_leak_free_roundtrip ] );
+          [ prop_dll_random_ops; prop_alloc_random_traffic; prop_leak_free_roundtrip;
+            prop_frame_set_oracle; prop_views_match_accessors ] );
     ];
   Atmo_san.Runtime.exit_check ()

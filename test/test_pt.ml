@@ -227,9 +227,43 @@ let test_checkers_catch_corruption () =
        Mmu.entry_addr ~table:(Pte.addr_of e2) ~index:(Mmu.l1_index va0)
      in
      Phys_mem.write_u64 mem ~addr:l1e Pte.not_present;
+     Pt_oracle.check_agrees "cleared leaf" pt;
      checkb "flat refinement detects" true (Pt_refine.refinement pt <> Ok ());
      checkb "recursive refinement detects" true (Nros_pt.refinement pt <> Ok ())
    | None -> Alcotest.fail "fault")
+
+let test_checkers_match_oracle () =
+  (* each corruption on a fresh table: the table-page checkers must
+     give the per-entry oracle's leaves and verdicts, messages included *)
+  let slot table index = Mmu.entry_addr ~table ~index in
+  let corruptions =
+    (* name, (user frame, l4, l3, l2) -> (entry address, new entry from old) *)
+    [
+      ("huge bit at L4", fun (_, l4, _, _) ->
+          (slot l4 (Mmu.l4_index va0), fun e -> Int64.logor e 0x80L));
+      ("misaligned huge leaf", fun (_, _, _, l2) ->
+          (slot l2 7, fun _ -> Pte.make ~addr:0x3000 ~perm:Pte.perm_rw ~huge:true));
+      ("unregistered child", fun (frame, _, l3, _) ->
+          (slot l3 9, fun _ -> Pte.make_table ~addr:frame));
+      ("aliased table", fun (_, _, l3, l2) -> (slot l3 9, fun _ -> Pte.make_table ~addr:l2));
+      ("wrong-level child", fun (_, l4, _, l2) ->
+          (slot l2 (Mmu.l2_index va0), fun _ -> Pte.make_table ~addr:l4));
+      ("non-present garbage", fun (_, _, _, l2) -> (slot l2 11, fun _ -> 0x1234_5000L));
+    ]
+  in
+  List.iter
+    (fun (what, corrupt) ->
+      let mem, alloc, pt = mk_pt () in
+      let frame = user_frame alloc in
+      expect "map" (Page_table.map_4k pt ~vaddr:va0 ~frame ~perm:Pte.perm_rw);
+      let read table index = Phys_mem.read_u64 mem ~addr:(slot table index) in
+      let l4 = Page_table.cr3 pt in
+      let l3 = Pte.addr_of (read l4 (Mmu.l4_index va0)) in
+      let l2 = Pte.addr_of (read l3 (Mmu.l3_index va0)) in
+      let addr, f = corrupt (frame, l4, l3, l2) in
+      Phys_mem.write_u64 mem ~addr (f (Phys_mem.read_u64 mem ~addr));
+      Pt_oracle.check_agrees what pt)
+    corruptions
 
 let prop_random_map_unmap_refines =
   QCheck.Test.make ~name:"refinement holds under random map/unmap sequences" ~count:40
@@ -252,6 +286,7 @@ let prop_random_map_unmap_refines =
             | Ok e -> ignore (Page_alloc.dec_ref alloc ~addr:e.Page_table.frame)
             | Error _ -> ())
         ops;
+      Pt_oracle.check_agrees "random map/unmap" pt;
       Pt_refine.all pt = Ok () && Nros_pt.all pt = Ok ())
 
 let prop_mixed_sizes_refine =
@@ -288,6 +323,7 @@ let prop_mixed_sizes_refine =
             | Ok e -> ignore (Page_alloc.dec_ref alloc ~addr:e.Page_table.frame)
             | Error _ -> ())
         ops;
+      Pt_oracle.check_agrees "mixed sizes" pt;
       Pt_refine.all pt = Ok () && Nros_pt.all pt = Ok ()
       && Page_alloc.wf alloc = Ok ())
 
@@ -317,6 +353,7 @@ let () =
           Alcotest.test_case "mmu probe" `Quick test_mmu_probe_agrees;
           Alcotest.test_case "nros agrees with flat" `Quick test_nros_agrees_with_flat;
           Alcotest.test_case "checkers catch corruption" `Quick test_checkers_catch_corruption;
+          Alcotest.test_case "checkers match per-entry oracle" `Quick test_checkers_match_oracle;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -81,6 +81,36 @@ let test_poison_trample () =
       checki "only free frame reclaimed" victim back;
       checkb "poison trample" true (caught Report.Poison_trample))
 
+let test_freed_table_page_scan () =
+  (* the page-table checkers read each table page with one ranged
+     access; a table page freed behind the table's back is still a
+     use-after-free when Pt_refine scans it *)
+  with_san (fun () ->
+      let mem = Phys_mem.create ~page_count:256 in
+      let a = Page_alloc.create mem ~reserved_frames:0 in
+      let pt =
+        match Atmo_pt.Page_table.create mem a with
+        | Ok pt -> pt
+        | Error _ -> Alcotest.fail "page table"
+      in
+      let frame = Option.get (Page_alloc.alloc_4k a ~purpose:Page_alloc.User) in
+      (match Atmo_pt.Page_table.map_4k pt ~vaddr:0x4000_0000 ~frame ~perm:Pte.perm_rw with
+       | Ok () -> ()
+       | Error _ -> Alcotest.fail "map");
+      let tables = Atmo_pt.Page_table.tables pt in
+      let l1 = fst (List.find (fun (_, level) -> level = 1) tables) in
+      let before = Memsan.checked () in
+      checkb "clean scan" true (Atmo_pt.Pt_refine.structure pt = Ok ());
+      checki "one ranged check per table page" (List.length tables) (Memsan.checked () - before);
+      checki "clean before the plant" 0 (Report.count ());
+      Page_alloc.free_kernel_page a ~addr:l1;
+      ignore (Atmo_pt.Pt_refine.structure pt);
+      match List.find_opt (fun r -> r.Report.rule = Report.Use_after_free) (Report.reports ()) with
+      | Some r ->
+        checki "the freed table page" l1 r.Report.page;
+        Alcotest.(check string) "reported by the read" "phys.read" r.Report.site
+      | None -> Alcotest.fail "scan of a freed table page not reported")
+
 let test_superpage_shadow () =
   with_san (fun () ->
       (* a 2 MiB claim covers 512 frames: body frames are live too, and
@@ -252,6 +282,7 @@ let () =
           Alcotest.test_case "dec_ref double free" `Quick test_dec_ref_double_free;
           Alcotest.test_case "poison trample" `Quick test_poison_trample;
           Alcotest.test_case "superpage shadow" `Quick test_superpage_shadow;
+          Alcotest.test_case "freed table page scan" `Quick test_freed_table_page_scan;
         ] );
       ( "neutrality",
         [

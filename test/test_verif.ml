@@ -36,10 +36,9 @@ let test_runner_parallel_matches () =
   let par = Runner.run ~threads:3 obls in
   checki "same count" (List.length seq.Runner.results) (List.length par.Runner.results);
   let names r =
-    List.sort compare
-      (List.map (fun (x : Obligation.result) -> (x.Obligation.name, x.Obligation.ok)) r.Runner.results)
+    List.map (fun (x : Obligation.result) -> (x.Obligation.name, x.Obligation.ok)) r.Runner.results
   in
-  checkb "same verdicts" true (names seq = names par)
+  checkb "same verdicts, in suite order" true (names seq = names par)
 
 let test_by_group () =
   let obls =
@@ -173,6 +172,33 @@ let test_incremental_matches_full () =
         checkb "reused the rest from cache" true
           (inc.Runner.rechecked + inc.Runner.reused = n))
 
+let test_incremental_parallel_matches () =
+  (* the incremental splice fills plan slots in suite order, so a
+     2-domain re-check after a transition must give exactly the verdict
+     list of a sequential full re-check *)
+  let module Incremental = Atmo_verif.Incremental in
+  let module Kernel = Atmo_core.Kernel in
+  let module Syscall = Atmo_spec.Syscall in
+  match Catalog.build_world ~scale:2 with
+  | Error msg -> Alcotest.failf "world: %s" msg
+  | Ok (k, init) ->
+    let suite = Catalog.suite_for ~scale:2 k in
+    let verdicts (r : Runner.report) =
+      List.map
+        (fun (x : Obligation.result) ->
+          (x.Obligation.name, x.Obligation.ok, x.Obligation.detail))
+        r.Runner.results
+    in
+    Incremental.arm ();
+    Fun.protect ~finally:Incremental.disarm (fun () ->
+        ignore (Incremental.run ~threads:2 suite);
+        ignore (Kernel.step k ~thread:init Syscall.Yield);
+        let inc = Incremental.run ~threads:2 suite in
+        checkb "some verdicts reused" true (inc.Runner.reused > 0);
+        let oracle = Runner.run ~threads:1 suite in
+        checkb "2-domain incremental verdicts = sequential full" true
+          (verdicts inc = verdicts oracle))
+
 let test_refine_annotations_cover_targets () =
   (* every annotated container type contributes at least one
      obligation, and every annotation names a machine-readable read set *)
@@ -251,6 +277,8 @@ let () =
       ( "incremental",
         [
           Alcotest.test_case "matches full oracle" `Quick test_incremental_matches_full;
+          Alcotest.test_case "2 domains match full oracle" `Quick
+            test_incremental_parallel_matches;
           Alcotest.test_case "annotations cover targets" `Quick
             test_refine_annotations_cover_targets;
         ] );
