@@ -93,9 +93,11 @@ perf-smoke:
 # armed, so the TLB-coherence, scheduler and span-balance lints run
 # over every suite), the fastpath on/off oracle, the headline IPC
 # table, the sanitizer over the scripted workload + hostile device
-# sweep (clean run must report zero violations; the stale-TLB,
-# fastpath-skip, span-leak, lock-order, queue-corrupt, lost-steal and
-# driver plants must each be caught by exactly their rule), the
+# sweep (clean run must report zero violations; the double-free,
+# unlocked and bad-pte plants on the mutation-stream subscribers must
+# be caught; the stale-TLB, fastpath-skip, span-leak, lock-order,
+# queue-corrupt, lost-steal and driver plants must each be caught by
+# exactly their rule), the
 # big-lock/fine-grained scheduler oracle, the incremental verifier (dirty-set re-check
 # bit-identical to a full oracle within the 20% budget; the stale-proof
 # plant caught by exactly its rule), the profiler's request-path
@@ -114,6 +116,9 @@ check:
 	&& dune exec test/test_fastpath.exe \
 	&& dune exec bench/main.exe -- table3 \
 	&& dune exec bin/atmo_cli.exe -- san \
+	&& dune exec bin/atmo_cli.exe -- san --plant double-free \
+	&& dune exec bin/atmo_cli.exe -- san --plant unlocked \
+	&& dune exec bin/atmo_cli.exe -- san --plant bad-pte \
 	&& dune exec bin/atmo_cli.exe -- san --plant stale-tlb \
 	&& dune exec bin/atmo_cli.exe -- san --plant fastpath-skip \
 	&& dune exec bin/atmo_cli.exe -- san --plant span-leak \

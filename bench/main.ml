@@ -726,6 +726,7 @@ let tlb () =
   section "Software TLB: walk cost vs hit cost, on/off end-to-end, bit-identity";
   let module Tlb = Atmo_hw.Tlb in
   let module Mmu = Atmo_hw.Mmu in
+  let walk_loads () = Atmo_obs.Metrics.(Counter.value (counter "mmu/walk_loads")) in
   let module Page_table = Atmo_pt.Page_table in
   (* -- translation cost: page-table loads per warm resolve ----------- *)
   let pages = 32 and passes = 20 in
@@ -746,13 +747,13 @@ let tlb () =
       f pt
   in
   let loads_of_loop pt =
-    let before = Mmu.walk_steps () in
+    let before = walk_loads () in
     for _pass = 1 to passes do
       for i = 0 to pages - 1 do
         ignore (Page_table.resolve pt ~vaddr:(0x4000_0000 + (i * 4096)))
       done
     done;
-    Mmu.walk_steps () - before
+    walk_loads () - before
   in
   Tlb.set_enabled false;
   let loads_off = with_pt loads_of_loop in
@@ -819,13 +820,13 @@ let tlb () =
     (Unix.gettimeofday () -. t0, !cycles)
   in
   Tlb.set_enabled false;
-  let w0 = Mmu.walk_steps () in
+  let w0 = walk_loads () in
   let off_s, off_cycles = time_reps () in
-  let off_loads = Mmu.walk_steps () - w0 in
+  let off_loads = walk_loads () - w0 in
   Tlb.set_enabled true;
-  let w1 = Mmu.walk_steps () in
+  let w1 = walk_loads () in
   let on_s, on_cycles = time_reps () in
-  let on_loads = Mmu.walk_steps () - w1 in
+  let on_loads = walk_loads () - w1 in
   line "IPC round-trip with per-round user translations (%d runs):" reps;
   line "  TLB off: %8.2f ms  %9d page-table loads" (off_s *. 1000.) off_loads;
   line "  TLB on:  %8.2f ms  %9d page-table loads  (%.1fx fewer)" (on_s *. 1000.)

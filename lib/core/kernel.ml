@@ -71,28 +71,17 @@ let boot params =
   ignore (Proc_mgr.dequeue_next pm);
   Ok (t, init_thread)
 
-(* Device-table mutation observer for the incremental verifier: fires
-   whenever [t.devices] or the per-endpoint IRQ backlog cache changes
-   (the adjacent IOMMU attach/detach and io_pt teardown are covered by
-   the page-table layer's own hook).  Keyed registry + always-on
-   intrinsic counter, same discipline as Perm_map/Page_alloc. *)
-let dev_hook_armed = ref false
-let dev_hooks : (string * (op:string -> unit)) list ref = ref []
+(* Device-table changes on the mutation stream, for the incremental
+   verifier: one event whenever [t.devices] or the per-endpoint IRQ
+   backlog cache changes (the adjacent IOMMU attach/detach and io_pt
+   teardown are page-table changes), after bumping the always-on
+   ["kernel/devices"] counter. *)
+type Mutation.event += Devices_changed
 
-let add_device_hook ~key f =
-  dev_hooks := (key, f) :: List.remove_assoc key !dev_hooks;
-  dev_hook_armed := true
+let dev_muts = Mutation.counter Mutation.Devices "kernel/devices"
 
-let remove_device_hook ~key =
-  dev_hooks := List.remove_assoc key !dev_hooks;
-  dev_hook_armed := !dev_hooks <> []
-
-let dev_muts = Atomic.make 0
-let device_mutation_count () = Atomic.get dev_muts
-
-let note_dev ~op =
-  Atomic.incr dev_muts;
-  if !dev_hook_armed then List.iter (fun (_, f) -> f ~op) !dev_hooks
+let note_dev () =
+  if Mutation.tick dev_muts then Mutation.emit Mutation.Devices Devices_changed
 
 (* Endpoint-freeing paths must clear stale interrupt routes; the sweep
    itself is defined with the interrupt machinery below. *)
@@ -109,7 +98,7 @@ let irq_backlog_add t ~ep n =
     let v = irq_backlog_of t ~ep + n in
     t.irq_backlog <-
       (if v <= 0 then Imap.remove ep t.irq_backlog else Imap.add ep v t.irq_backlog);
-    note_dev ~op:"irq-backlog"
+    note_dev ()
   end
 
 (* ------------------------------------------------------------------ *)
@@ -689,7 +678,7 @@ let recv_impl t ~thread ~slot ~blocking =
              let info = Imap.find device t.devices in
              t.devices <-
                Imap.add device { info with irq_pending = info.irq_pending - 1 } t.devices;
-             note_dev ~op:"irq-consume";
+             note_dev ();
              irq_backlog_add t ~ep (-1);
              let msg = Message.scalars_only [ device ] in
              Perm_map.update t.pm.Proc_mgr.thrd_perms ~ptr:thread (fun th ->
@@ -796,7 +785,7 @@ let sweep_devices t =
         if Perm_map.mem t.pm.Proc_mgr.proc_perms ~ptr:info.owner_proc then true
         else begin
           teardown_device t ~device info;
-          note_dev ~op:"sweep";
+          note_dev ();
           false
         end)
       t.devices
@@ -881,7 +870,7 @@ let sys_assign_device t ~thread ~device =
                  irq_pending = 0;
                }
                t.devices;
-           note_dev ~op:"assign";
+           note_dev ();
            Syscall.Runit)
     end
 
@@ -961,11 +950,11 @@ let sweep_irqs t =
         match d.irq_endpoint with
         | Some ep when not (Perm_map.mem t.pm.Proc_mgr.edpt_perms ~ptr:ep) ->
           t.irq_backlog <- Imap.remove ep t.irq_backlog;
-          note_dev ~op:"irq-sweep";
+          note_dev ();
           { d with irq_endpoint = None; irq_pending = 0 }
         | Some _ | None -> d)
       t.devices;
-  note_dev ~op:"irq-sweep"
+  note_dev ()
 
 let sys_register_irq t ~thread ~device ~slot =
   match calling_thread t ~thread with
@@ -981,7 +970,7 @@ let sys_register_irq t ~thread ~device ~slot =
           | None -> err Errno.Einval
           | Some ep ->
             t.devices <- Imap.add device { info with irq_endpoint = Some ep } t.devices;
-            note_dev ~op:"register-irq";
+            note_dev ();
             Syscall.Runit))
 
 (* A hardware entry: no calling thread is involved.  Unassigned or
@@ -1013,7 +1002,7 @@ let irq_fire t ~device =
         | None ->
           t.devices <-
             Imap.add device { info with irq_pending = info.irq_pending + 1 } t.devices;
-          note_dev ~op:"irq-pend";
+          note_dev ();
           irq_backlog_add t ~ep 1;
           if sid <> 0 then begin
             Span.note_irq_pending ~device ~span:sid;

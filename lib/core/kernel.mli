@@ -132,16 +132,11 @@ val set_span_leak_plant : bool -> unit
     span on the IPC slowpath and never close it.  Only the span-balance
     lint should ever see this on. *)
 
-val add_device_hook : key:string -> (op:string -> unit) -> unit
-(** Process-global observer of device-table / IRQ-backlog mutations
-    (keyed registry; one bool load per change when nothing is
-    installed).  Used by the incremental verifier's dirty tracker. *)
-
-val remove_device_hook : key:string -> unit
-
-val device_mutation_count : unit -> int
-(** Intrinsic count of device-table mutations across every kernel
-    instance; always on.  Audited by atmo_san's [stale-proof] lint. *)
+type Atmo_util.Mutation.event += Devices_changed
+(** A device-table or IRQ-backlog change in any kernel, emitted as kind
+    [Devices] on {!Atmo_util.Mutation} after ticking the always-on map
+    id ["kernel/devices"].  Used by the incremental verifier's dirty
+    tracker. *)
 
 val irq_backlog_of : t -> ep:int -> int
 (** Pending interrupts routed to [ep] (the cached total; invariants

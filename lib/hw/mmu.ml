@@ -11,8 +11,6 @@ type translation = {
    it around a region of interest. *)
 let walk_loads = Atmo_obs.Metrics.counter "mmu/walk_loads"
 
-let walk_steps () = Atmo_obs.Metrics.Counter.value walk_loads
-
 let canonical va =
   let top = va asr 47 in
   top = 0 || top = -1

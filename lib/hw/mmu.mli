@@ -50,7 +50,3 @@ val write_u64 : Phys_mem.t -> cr3:int -> vaddr:int -> int64 -> bool
 (** Virtual store through the walk; [false] on fault or read-only
     mapping. *)
 
-val walk_steps : unit -> int
-(** Total page-table-walk memory references performed since start.
-    @deprecated Shim over the ["mmu/walk_loads"] counter in
-    {!Atmo_obs.Metrics}; read that registry entry instead. *)

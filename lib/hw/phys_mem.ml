@@ -1,3 +1,5 @@
+module Mutation = Atmo_util.Mutation
+
 type t = {
   uid : int;
   page_count : int;
@@ -8,23 +10,15 @@ let page_size = 4096
 let page_size_2m = 512 * page_size
 let page_size_1g = 512 * page_size_2m
 
-(* Access hook for the sanitizer layer (atmo_san): disabled it costs one
-   mutable-bool load per access, exactly like the tracepoint guards in
-   atmo_obs, so the unhooked path stays bit-identical. *)
+(* Physical accesses on the mutation stream (the sanitizer's feed):
+   with no [Access] subscriber each access costs the one guard, and no
+   event is built. *)
 type access_op = Read | Write | Zero
 
-let hook_armed = ref false
-let hook : (t -> access_op -> int -> int -> unit) ref = ref (fun _ _ _ _ -> ())
+type Mutation.event += Access of { mem : t; op : access_op; addr : int; len : int }
 
-let set_access_hook = function
-  | None ->
-    hook_armed := false;
-    hook := (fun _ _ _ _ -> ())
-  | Some f ->
-    hook := f;
-    hook_armed := true
-
-let observing () = !hook_armed
+let observed () = Mutation.wants Mutation.Access
+let access mem op addr len = Mutation.emit Mutation.Access (Access { mem; op; addr; len })
 
 let uid_counter = ref 0
 
@@ -63,7 +57,7 @@ let frame_opt t addr = Hashtbl.find_opt t.frames (page_index addr)
 let read_u64 t ~addr =
   check_bounds t addr 8 "read_u64";
   if addr land 7 <> 0 then invalid_arg "Phys_mem.read_u64: unaligned";
-  if !hook_armed then !hook t Read addr 8;
+  if observed () then access t Read addr 8;
   match frame_opt t addr with
   | None -> 0L
   | Some b -> Bytes.get_int64_le b (addr land (page_size - 1))
@@ -71,13 +65,13 @@ let read_u64 t ~addr =
 let write_u64 t ~addr v =
   check_bounds t addr 8 "write_u64";
   if addr land 7 <> 0 then invalid_arg "Phys_mem.write_u64: unaligned";
-  if !hook_armed then !hook t Write addr 8;
+  if observed () then access t Write addr 8;
   Bytes.set_int64_le (frame_of t addr) (addr land (page_size - 1)) v
 
 let iter_table t ~addr f =
   check_bounds t addr page_size "iter_table";
   if addr land (page_size - 1) <> 0 then invalid_arg "Phys_mem.iter_table: unaligned";
-  if !hook_armed then !hook t Read addr page_size;
+  if observed () then access t Read addr page_size;
   match frame_opt t addr with
   | None -> ()
   | Some b ->
@@ -88,14 +82,14 @@ let iter_table t ~addr f =
 
 let read_u8 t ~addr =
   check_bounds t addr 1 "read_u8";
-  if !hook_armed then !hook t Read addr 1;
+  if observed () then access t Read addr 1;
   match frame_opt t addr with
   | None -> 0
   | Some b -> Char.code (Bytes.get b (addr land (page_size - 1)))
 
 let write_u8 t ~addr v =
   check_bounds t addr 1 "write_u8";
-  if !hook_armed then !hook t Write addr 1;
+  if observed () then access t Write addr 1;
   Bytes.set (frame_of t addr) (addr land (page_size - 1)) (Char.chr (v land 0xff))
 
 (* Dropping the frame is observationally identical to zero-filling it
@@ -104,13 +98,13 @@ let write_u8 t ~addr v =
 let zero_page t ~addr =
   check_bounds t addr page_size "zero_page";
   if addr land (page_size - 1) <> 0 then invalid_arg "Phys_mem.zero_page: unaligned";
-  if !hook_armed then !hook t Zero addr page_size;
+  if observed () then access t Zero addr page_size;
   Hashtbl.remove t.frames (page_index addr)
 
 let blit_to t ~addr src =
   let len = Bytes.length src in
   check_bounds t addr len "blit_to";
-  if !hook_armed && len > 0 then !hook t Write addr len;
+  if len > 0 && observed () then access t Write addr len;
   let rec go off =
     if off < len then begin
       let a = addr + off in
@@ -124,7 +118,7 @@ let blit_to t ~addr src =
 
 let blit_from t ~addr ~len =
   check_bounds t addr len "blit_from";
-  if !hook_armed && len > 0 then !hook t Read addr len;
+  if len > 0 && observed () then access t Read addr len;
   let dst = Bytes.make len '\000' in
   let rec go off =
     if off < len then begin

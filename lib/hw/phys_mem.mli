@@ -31,25 +31,19 @@ val uid : t -> int
     external observers (the sanitizer) key per-memory state without
     retaining the memory itself. *)
 
-(** {2 Sanitizer access hook}
+(** {2 Accesses on the mutation stream}
 
-    A single process-global hook observing every load/store/zero, in the
-    style of the {!Atmo_obs.Sink} tracepoint guard: when no hook is
-    installed (the default) each access costs one mutable-bool load and
-    nothing else, so the unhooked path is bit-identical.  The hook runs
-    after bounds/alignment validation and before the access. *)
+    Every load, store and zero is emitted as an {!Access} event on
+    {!Atmo_util.Mutation} (kind [Access]) after bounds/alignment
+    validation and before the access.  With no [Access] subscriber an
+    access costs one guard and builds nothing. *)
 
 type access_op =
   | Read
   | Write
   | Zero  (** whole-frame zeroing via {!zero_page} *)
 
-val set_access_hook : (t -> access_op -> int -> int -> unit) option -> unit
-(** [set_access_hook (Some f)]: call [f mem op addr len] on every access
-    to every memory; [None] restores the zero-cost path. *)
-
-val observing : unit -> bool
-(** True iff an access hook is installed. *)
+type Atmo_util.Mutation.event += Access of { mem : t; op : access_op; addr : int; len : int }
 
 val page_count : t -> int
 
@@ -81,10 +75,10 @@ val iter_table : t -> addr:int -> (int -> int64 -> unit) -> unit
 (** [iter_table mem ~addr f] reads the 4 KiB page at [addr] as 512
     little-endian u64 entries — a page-table page — and calls
     [f index entry] for every non-zero entry, in index order.  One
-    bounds check, one frame lookup and one ranged [Read] hook call for
-    the whole page, and no copy: the read primitive of the page-table
-    checkers.  [addr] must be page-aligned and the page in bounds;
-    raises [Invalid_argument] otherwise. *)
+    bounds check, one frame lookup and one ranged [Read] {!Access}
+    event for the whole page, and no copy: the read primitive of the
+    page-table checkers.  [addr] must be page-aligned and the page in
+    bounds; raises [Invalid_argument] otherwise. *)
 
 val read_u8 : t -> addr:int -> int
 

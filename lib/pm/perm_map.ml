@@ -2,84 +2,43 @@ open Atmo_util
 
 exception Permission_violation of string
 
+(* A mutation attempt, on the mutation stream (kind [Perm]). *)
+type op = Alloc | Consume | Update
+
+type Mutation.event += Perm of { name : string; op : op; ptr : int }
+
 type 'a t = {
   name : string;
   mutable map : 'a Imap.t;
   borrows : Atmo_obs.Metrics.Counter.t;
       (* borrows/updates, under [pm/borrows/<name>] in the obs registry
          so benches and the CLI see them next to every other metric *)
-  muts : int Atomic.t;  (* intrinsic mutation counter, shared per name *)
+  muts : Mutation.counter;  (* intrinsic ["pm/<name>"] counter, shared per name *)
   mutable epoch : int;
       (* per-instance write epoch: the seqlock sequence word for the
          read-mostly regime — readers snapshot it around a borrow-only
          section and retry when a writer interleaved *)
 }
 
-(* Mutation observers: a keyed registry so independent analyses (the
-   sanitizer's lock-discipline checker, the incremental verifier's
-   dirty tracker) can subscribe simultaneously; one bool load per
-   mutation when nothing is installed.  Borrows are reads and are not
-   reported — the big lock protects mutations of kernel state. *)
-let hook_armed = ref false
-let hooks : (string * (name:string -> op:string -> ptr:int -> unit)) list ref = ref []
-
-let add_mutation_hook ~key f =
-  hooks := (key, f) :: List.remove_assoc key !hooks;
-  hook_armed := true
-
-let remove_mutation_hook ~key =
-  hooks := List.remove_assoc key !hooks;
-  hook_armed := !hooks <> []
-
-let legacy = "legacy-single-slot"
-
-let set_mutation_hook = function
-  | None -> remove_mutation_hook ~key:legacy
-  | Some f -> add_mutation_hook ~key:legacy f
-
-(* Intrinsic per-name mutation counters: always on, shared by every map
-   instance with the same [name] (scratch worlds included), and
-   independent of any hook — atmo_san's stale-proof lint compares them
-   against the dirty tracker's observed counts, so a mutation the
-   tracker failed to see is evidence, not something the buggy hook
-   path can hide.  Registration is rare (map creation) and guarded by a
-   mutex; bumps are atomic so parallel discharge domains stay safe. *)
-let counters : (string, int Atomic.t) Hashtbl.t = Hashtbl.create 16
-let counters_mu = Mutex.create ()
-
-let counter_for name =
-  Mutex.protect counters_mu (fun () ->
-      match Hashtbl.find_opt counters name with
-      | Some c -> c
-      | None ->
-        let c = Atomic.make 0 in
-        Hashtbl.add counters name c;
-        c)
-
-let mutation_count ~name =
-  Mutex.protect counters_mu (fun () ->
-      match Hashtbl.find_opt counters name with
-      | Some c -> Atomic.get c
-      | None -> 0)
-
 let create ~name =
   {
     name;
     map = Imap.empty;
     borrows = Atmo_obs.Metrics.counter ("pm/borrows/" ^ name);
-    muts = counter_for name;
+    muts = Mutation.counter Mutation.Perm ("pm/" ^ name);
     epoch = 0;
   }
 
 let name t = t.name
 
-(* One intrinsic bump + one dispatch per mutation attempt (before the
-   linearity guard, matching the sanitizer's long-standing view that a
-   double alloc is still an observable mutation attempt). *)
-let note t ~op ~ptr =
-  Atomic.incr t.muts;
+(* One epoch bump, one intrinsic count and, when a [Perm] subscriber
+   exists, one event per mutation attempt — before the linearity guard,
+   matching the sanitizer's long-standing view that a double alloc is
+   still an observable mutation attempt.  Borrows are reads and are not
+   reported. *)
+let note t op ~ptr =
   t.epoch <- t.epoch + 1;
-  if !hook_armed then List.iter (fun (_, f) -> f ~name:t.name ~op ~ptr) !hooks
+  if Mutation.tick t.muts then Mutation.emit Mutation.Perm (Perm { name = t.name; op; ptr })
 
 let epoch t = t.epoch
 
@@ -107,12 +66,12 @@ let violation t fmt =
   Format.kasprintf (fun s -> raise (Permission_violation (t.name ^ ": " ^ s))) fmt
 
 let alloc t ~ptr v =
-  note t ~op:"alloc" ~ptr;
+  note t Alloc ~ptr;
   if Imap.mem ptr t.map then violation t "double allocation at 0x%x" ptr;
   t.map <- Imap.add ptr v t.map
 
 let consume t ~ptr =
-  note t ~op:"consume" ~ptr;
+  note t Consume ~ptr;
   match Imap.find_opt ptr t.map with
   | None -> violation t "consume of absent permission 0x%x" ptr
   | Some v ->
@@ -131,7 +90,7 @@ let borrow_opt t ~ptr =
 
 let update t ~ptr f =
   Atmo_obs.Metrics.Counter.incr t.borrows;
-  note t ~op:"update" ~ptr;
+  note t Update ~ptr;
   match Imap.find_opt ptr t.map with
   | None -> violation t "update of absent permission 0x%x" ptr
   | Some v -> t.map <- Imap.add ptr (f v) t.map
@@ -143,4 +102,3 @@ let iter f t = Imap.iter f t.map
 let fold f t acc = Imap.fold f t.map acc
 let bindings t = Imap.bindings t.map
 let for_all f t = Imap.for_all f t.map
-let accesses t = Atmo_obs.Metrics.Counter.value t.borrows

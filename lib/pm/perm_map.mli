@@ -17,6 +17,19 @@ exception Permission_violation of string
 
 type 'a t
 
+(** {2 Mutations on the stream}
+
+    Every mutation attempt ({!alloc}, {!consume}, {!update}) is counted
+    under the always-on map id ["pm/<name>"] (shared by every map with
+    that name, scratch worlds included) and, when someone subscribes to
+    kind [Perm] of {!Atmo_util.Mutation}, emitted as a {!Perm} event —
+    both before the linearity guard.  Borrows are reads and are not
+    reported. *)
+
+type op = Alloc | Consume | Update
+
+type Atmo_util.Mutation.event += Perm of { name : string; op : op; ptr : int }
+
 val create : name:string -> 'a t
 val name : 'a t -> string
 
@@ -48,23 +61,6 @@ val bindings : 'a t -> (int * 'a) list
 (** All (pointer, permission) pairs in increasing pointer order; the
     map's ghost-state view for auditors and tests. *)
 
-val set_mutation_hook :
-  (name:string -> op:string -> ptr:int -> unit) option -> unit
-(** Process-global observer of map mutations ([op] is ["alloc"],
-    ["consume"] or ["update"]) used by atmo_san's lock-discipline
-    checker; one bool load per mutation when not installed.  Borrows are
-    reads and are not reported.  Equivalent to
-    {!add_mutation_hook}/{!remove_mutation_hook} under a reserved key —
-    kept so existing single-subscriber callers are unchanged. *)
-
-val add_mutation_hook :
-  key:string -> (name:string -> op:string -> ptr:int -> unit) -> unit
-(** Subscribe under [key]; replaces any previous subscriber with the
-    same key.  Multiple analyses (sanitizer, incremental verifier's
-    dirty tracker) observe every mutation independently. *)
-
-val remove_mutation_hook : key:string -> unit
-
 val epoch : 'a t -> int
 (** Per-instance write epoch: incremented by every mutation attempt
     ([alloc]/[update]/[consume]).  The sequence word of the read-mostly
@@ -76,16 +72,3 @@ val read_section : 'a t -> (unit -> 'b) -> 'b
     retry if the epoch moved underneath it (a writer interleaved),
     bounded at 8 retries.  Retries are counted under the
     [pm/read_retries] metric. *)
-
-val mutation_count : name:string -> int
-(** Intrinsic mutation count for every map ever created with [name],
-    summed over all instances (scratch worlds included).  Always on and
-    independent of the hook registry: atmo_san's [stale-proof] lint
-    compares it against the dirty tracker's observed count, so a
-    mutation that bypassed the tracker is detectable. *)
-
-val accesses : 'a t -> int
-(** Deprecated shim: the borrow/update count now lives in the obs
-    metrics registry as the counter [pm/borrows/<name>] (zeroed by
-    [Atmo_obs.Metrics.reset] like every other metric); this reads the
-    same counter.  Prefer the registry. *)

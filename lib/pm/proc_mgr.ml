@@ -349,6 +349,11 @@ let new_endpoint t ~thread ~slot =
           Thread.set_slot th slot (Some page));
       Ok page
 
+let install_descriptor t ~thread ~slot ~endpoint =
+  Perm_map.update t.thrd_perms ~ptr:thread (fun th -> Thread.set_slot th slot (Some endpoint));
+  Perm_map.update t.edpt_perms ~ptr:endpoint (fun e ->
+      { e with Endpoint.refcount = e.Endpoint.refcount + 1 })
+
 let drop_endpoint_ref t ~endpoint =
   let e = Perm_map.borrow t.edpt_perms ~ptr:endpoint in
   if e.Endpoint.refcount > 1 then begin

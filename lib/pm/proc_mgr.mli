@@ -91,6 +91,11 @@ val new_endpoint : t -> thread:int -> slot:int -> (int, Atmo_util.Errno.t) resul
 (** Create an endpoint and install it in a free descriptor slot of
     [thread]. *)
 
+val install_descriptor : t -> thread:int -> slot:int -> endpoint:int -> unit
+(** Trusted wiring outside any syscall: put [endpoint] in [thread]'s
+    descriptor [slot], then bump the endpoint's reference count — the
+    capabilities a parent hands a child at spawn. *)
+
 val close_endpoint_slot : t -> thread:int -> slot:int -> (unit, Atmo_util.Errno.t) result
 (** Drop the descriptor; frees the endpoint page when the last reference
     disappears ([Ebusy] if threads are still blocked on it). *)

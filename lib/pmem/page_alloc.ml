@@ -20,9 +20,9 @@ type t = {
 let frame_addr i = i * Phys_mem.page_size
 let frame_of_addr a = a / Phys_mem.page_size
 
-(* Allocator event hook for the sanitizer layer (atmo_san): same
-   zero-overhead discipline as the Phys_mem access hook — one
-   mutable-bool load per site when nothing is installed. *)
+(* Allocator events on the mutation stream.  Each event site ticks the
+   always-on ["pmem/alloc"] counter, whoever subscribes, and builds its
+   event only when an [Alloc] subscriber wants it. *)
 type event =
   | Created of t
   | Claim of { alloc : t; addr : int; frames : int; purpose : purpose }
@@ -32,33 +32,11 @@ type event =
   | Split of { alloc : t; addr : int; frames : int }
   | Share of { alloc : t; addr : int }
 
-let hook_armed = ref false
-let hooks : (string * (event -> unit)) list ref = ref []
+type Mutation.event += Alloc of event
 
-let add_event_hook ~key f =
-  hooks := (key, f) :: List.remove_assoc key !hooks;
-  hook_armed := true
+let muts = Mutation.counter Mutation.Alloc "pmem/alloc"
 
-let remove_event_hook ~key =
-  hooks := List.remove_assoc key !hooks;
-  hook_armed := !hooks <> []
-
-let legacy = "legacy-single-slot"
-
-let set_event_hook = function
-  | None -> remove_event_hook ~key:legacy
-  | Some f -> add_event_hook ~key:legacy f
-
-(* Intrinsic allocator-mutation counter: always on, bumped exactly once
-   per event site, independent of any subscriber — the stale-proof lint
-   compares it against the dirty tracker's observed count.  Atomic so
-   parallel discharge domains building scratch worlds stay safe. *)
-let muts = Atomic.make 0
-let mutation_count () = Atomic.get muts
-
-let note ev =
-  Atomic.incr muts;
-  if !hook_armed then List.iter (fun (_, f) -> f ev) !hooks
+let note ev = Mutation.emit Mutation.Alloc (Alloc ev)
 
 let mem t = t.mem
 
@@ -81,7 +59,7 @@ let create mem ~reserved_frames =
   for i = reserved_frames to nframes - 1 do
     Dll.push_back t.free4k i
   done;
-  note (Created t);
+  if Mutation.tick muts then note (Created t);
   t
 
 let managed_frames t = t.nframes - t.first
@@ -114,7 +92,8 @@ let merge_ctr = Atmo_obs.Metrics.counter "pmem/superpage_merge"
 
 let claim t i size purpose =
   let m = t.meta.(i) in
-  note (Claim { alloc = t; addr = frame_addr i; frames = frames_per size; purpose });
+  if Mutation.tick muts then
+    note (Claim { alloc = t; addr = frame_addr i; frames = frames_per size; purpose });
   m.size <- size;
   m.state <- (match purpose with Kernel -> Allocated | User -> Mapped 1);
   zero_block t i size;
@@ -164,7 +143,7 @@ let rec merge_block t ~head ~sub ~super =
   t.meta.(head).state <- Free;
   t.meta.(head).size <- super;
   Dll.push_back (free_list t super) head;
-  note (Merge { alloc = t; addr = frame_addr head; frames = span });
+  if Mutation.tick muts then note (Merge { alloc = t; addr = frame_addr head; frames = span });
   journal t (fun () ->
       Dll.remove (free_list t super) head;
       split_block t ~head ~super ~sub);
@@ -198,7 +177,7 @@ and split_block t ~head ~super ~sub =
         t.meta.(b).state <- Merged sub_head
       done
     done;
-  note (Split { alloc = t; addr = frame_addr head; frames = span });
+  if Mutation.tick muts then note (Split { alloc = t; addr = frame_addr head; frames = span });
   journal t (fun () -> merge_block t ~head ~sub ~super)
 
 let aligned_start t span = (t.first + span - 1) / span * span
@@ -290,7 +269,8 @@ let atomically t f =
 
 let release t i =
   let m = t.meta.(i) in
-  note (Release { alloc = t; addr = frame_addr i; frames = frames_per m.size });
+  if Mutation.tick muts then
+    note (Release { alloc = t; addr = frame_addr i; frames = frames_per m.size });
   m.state <- Free;
   Dll.push_back (free_list t m.size) i;
   if Atmo_obs.Sink.tracing () then begin
@@ -299,7 +279,7 @@ let release t i =
   end
 
 let free_kernel_page t ~addr =
-  note (Free_request { alloc = t; addr; what = "free_kernel_page" });
+  if Mutation.tick muts then note (Free_request { alloc = t; addr; what = "free_kernel_page" });
   let i, m = head_meta t ~addr "free_kernel_page" in
   match m.state with
   | Allocated -> release t i
@@ -311,14 +291,14 @@ let inc_ref t ~addr =
   let _, m = head_meta t ~addr "inc_ref" in
   match m.state with
   | Mapped n ->
-    note (Share { alloc = t; addr });
+    if Mutation.tick muts then note (Share { alloc = t; addr });
     m.state <- Mapped (n + 1)
   | Free | Allocated | Merged _ ->
     invalid_arg
       (Format.asprintf "Page_alloc.inc_ref: 0x%x is %a" addr pp_state m.state)
 
 let dec_ref t ~addr =
-  note (Free_request { alloc = t; addr; what = "dec_ref" });
+  if Mutation.tick muts then note (Free_request { alloc = t; addr; what = "dec_ref" });
   let i, m = head_meta t ~addr "dec_ref" in
   match m.state with
   | Mapped 1 ->

@@ -25,15 +25,15 @@ val create : Atmo_hw.Phys_mem.t -> reserved_frames:int -> t
 val mem : t -> Atmo_hw.Phys_mem.t
 (** The physical memory this allocator manages. *)
 
-(** {2 Sanitizer event hook}
+(** {2 Allocator events}
 
-    Process-global allocator-lifecycle observer used by atmo_san's shadow
-    permission map; zero-overhead (one bool load per site) when not
-    installed.  Every change of a frame's state or size emits one
-    event.  [Free_request] fires at the entry of
+    Every change of a frame's state or size is emitted as one {!Alloc}
+    event on {!Atmo_util.Mutation} (kind [Alloc]) and counted under the
+    always-on map id ["pmem/alloc"], whoever subscribes; the event is
+    built only when someone does.  [Free_request] fires at the entry of
     {!free_kernel_page}/{!dec_ref} {e before} the allocator's own state
-    guard, so an external checker can classify a double free even though
-    the allocator will also reject it. *)
+    guard, so an external checker can classify a double free even
+    though the allocator will also reject it. *)
 
 type event =
   | Created of t  (** a fresh allocator came up (all managed frames free) *)
@@ -53,21 +53,7 @@ type event =
       (** one more mapping of the mapped block headed at [addr]
           ({!inc_ref}) *)
 
-val set_event_hook : (event -> unit) option -> unit
-(** Single-subscriber shim over {!add_event_hook} under a reserved key;
-    kept so existing callers are unchanged. *)
-
-val add_event_hook : key:string -> (event -> unit) -> unit
-(** Subscribe under [key] (replacing any previous subscriber with the
-    same key); all subscribers observe every event. *)
-
-val remove_event_hook : key:string -> unit
-
-val mutation_count : unit -> int
-(** Intrinsic count of allocator events ever dispatched, over all
-    allocator instances; always on, independent of subscribers.
-    atmo_san's [stale-proof] lint compares it against the dirty
-    tracker's observed count. *)
+type Atmo_util.Mutation.event += Alloc of event
 
 val managed_frames : t -> int
 val free_count_4k : t -> int

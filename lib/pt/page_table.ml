@@ -53,29 +53,17 @@ type t = {
   mutable step_hook : (leaf:bool -> unit) option;
 }
 
-(* Global structural-mutation observer for the incremental verifier's
-   dirty tracker: unlike the per-instance [step_hook] (which counts
-   concrete PTE stores for cost models), this fires once per successful
-   structural change to ANY page table — map/unmap/update_perm/
-   create/destroy/prune — with the always-on intrinsic counter the
-   stale-proof lint audits against. *)
-let hook_armed = ref false
-let hooks : (string * (op:string -> unit)) list ref = ref []
+(* Structural changes on the mutation stream, for the incremental
+   verifier's dirty tracker: unlike the per-instance [step_hook] (which
+   counts concrete PTE stores for cost models), this fires once per
+   successful structural change to ANY page table — map/unmap/
+   update_perm/create/destroy/prune — after bumping the always-on
+   ["pt"] counter the stale-proof lint audits against. *)
+type Mutation.event += Pt_changed
 
-let add_mutation_hook ~key f =
-  hooks := (key, f) :: List.remove_assoc key !hooks;
-  hook_armed := true
+let muts = Mutation.counter Mutation.Pt "pt"
 
-let remove_mutation_hook ~key =
-  hooks := List.remove_assoc key !hooks;
-  hook_armed := !hooks <> []
-
-let muts = Atomic.make 0
-let mutation_count () = Atomic.get muts
-
-let note ~op =
-  Atomic.incr muts;
-  if !hook_armed then List.iter (fun (_, f) -> f ~op) !hooks
+let note () = if Mutation.tick muts then Mutation.emit Mutation.Pt Pt_changed
 
 let cr3 t = t.cr3
 let mem t = t.mem
@@ -99,7 +87,7 @@ let create mem alloc =
     Tlb.flush_asid mem ~cr3:root;
     let table_levels = Hashtbl.create 64 in
     Hashtbl.replace table_levels root 4;
-    note ~op:"create";
+    note ();
     Ok
       {
         mem;
@@ -163,7 +151,7 @@ let map_4k t ~vaddr ~frame ~perm =
     let e = { frame; size = Page_state.S4k; perm } in
     t.ghost4k <- Imap.add vaddr e t.ghost4k;
     t.space <- Imap.add vaddr e t.space;
-    note ~op:"map";
+    note ();
     Ok ()
   end
 
@@ -178,7 +166,7 @@ let map_2m t ~vaddr ~frame ~perm =
   let e = { frame; size = Page_state.S2m; perm } in
   t.ghost2m <- Imap.add vaddr e t.ghost2m;
   t.space <- Imap.add vaddr e t.space;
-  note ~op:"map";
+  note ();
   Ok ()
 
 let map_1g t ~vaddr ~frame ~perm =
@@ -191,7 +179,7 @@ let map_1g t ~vaddr ~frame ~perm =
   let e = { frame; size = Page_state.S1g; perm } in
   t.ghost1g <- Imap.add vaddr e t.ghost1g;
   t.space <- Imap.add vaddr e t.space;
-  note ~op:"map";
+  note ();
   Ok ()
 
 (* Locate the leaf slot of an existing mapping whose virtual base is
@@ -247,7 +235,7 @@ let unmap t ~vaddr =
    | Page_state.S2m -> t.ghost2m <- Imap.remove vaddr t.ghost2m
    | Page_state.S1g -> t.ghost1g <- Imap.remove vaddr t.ghost1g);
   t.space <- Imap.remove vaddr t.space;
-  note ~op:"unmap";
+  note ();
   Ok entry
 
 let update_perm t ~vaddr ~perm =
@@ -263,7 +251,7 @@ let update_perm t ~vaddr ~perm =
    | Page_state.S2m -> t.ghost2m <- Imap.add vaddr entry' t.ghost2m
    | Page_state.S1g -> t.ghost1g <- Imap.add vaddr entry' t.ghost1g);
   t.space <- Imap.add vaddr entry' t.space;
-  note ~op:"update";
+  note ();
   Ok ()
 
 let resolve t ~vaddr = Mmu.resolve t.mem ~cr3:t.cr3 ~vaddr
@@ -298,7 +286,7 @@ let destroy t =
   t.ghost2m <- Imap.empty;
   t.ghost1g <- Imap.empty;
   t.space <- Imap.empty;
-  note ~op:"destroy";
+  note ();
   still_mapped
 
 (* Which intermediate-table positions does a mapping of [size] at [va]
@@ -385,7 +373,7 @@ let prune_empty_tables t ~keep =
         empties
     end
   done;
-  if !freed > 0 then note ~op:"prune";
+  if !freed > 0 then note ();
   !freed
 
 (* Walk the concrete tables from cr3, one table-page read per table

@@ -132,23 +132,15 @@ val set_step_hook : t -> (leaf:bool -> unit) option -> unit
     table-entry write with [leaf] telling which case applies, letting
     tests re-check the MMU-visible mapping at every intermediate step. *)
 
-(** {2 Structural-mutation hook (incremental verification)} *)
+(** {2 Structural changes (incremental verification)} *)
 
-val add_mutation_hook : key:string -> (op:string -> unit) -> unit
-(** Process-global observer firing once per successful structural change
-    to any page table — [op] is ["create"], ["map"], ["unmap"],
-    ["update"], ["destroy"] or ["prune"].  Keyed registry like
-    {!Atmo_pm.Perm_map.add_mutation_hook}; one bool load per change when
-    nothing is installed.  Unlike {!set_step_hook} (per-instance, one
-    firing per concrete PTE store) this reports abstract-map mutations,
-    which is what the incremental verifier's dirty tracker needs. *)
-
-val remove_mutation_hook : key:string -> unit
-
-val mutation_count : unit -> int
-(** Intrinsic count of structural changes across every page table ever;
-    always on, independent of subscribers.  Audited by atmo_san's
-    [stale-proof] lint against the dirty tracker's observed count. *)
+type Atmo_util.Mutation.event += Pt_changed
+(** One successful structural change to any page table — create, map,
+    unmap, update, destroy or prune — emitted as kind [Pt] on
+    {!Atmo_util.Mutation} after ticking the always-on map id ["pt"].
+    Unlike {!set_step_hook} (per-instance, one firing per concrete PTE
+    store) this reports abstract-map mutations, which is what the
+    incremental verifier's dirty tracker needs. *)
 
 val walk_concrete : t -> (int * entry) list
 (** Enumerate the MMU-visible mappings by walking the concrete tables

@@ -5,8 +5,8 @@
     it.  Lockcheck shadows that assumption at runtime, lockdep-style:
     the SMP simulator reports lock acquire/release (with an acquisition
     site), the kernel's step observer brackets syscall execution, and
-    mutation hooks (permission maps, allocator events, physical stores)
-    report every kernel-state mutation.  A mutation inside a syscall
+    the mutation stream (permission maps, allocator events, physical
+    stores) reports every kernel-state mutation.  A mutation inside a syscall
     while the lock is not held files an [Unlocked_mutation] report with
     acquisition-site provenance; protocol breaks (double acquire,
     release without hold) file [Lock_misuse].

@@ -7,11 +7,11 @@
     that discipline: it mirrors each tracked {!Atmo_hw.Phys_mem} with
     one state byte per 4 KiB frame (reserved / never-allocated / live
     kernel / live user / freed / poisoned-free), kept in sync by the
-    allocator's event hook, and validates every access delivered by the
-    physical-memory access hook against it.
+    allocator's events, and validates every physical access against
+    it.
 
-    Memsan holds only handlers and state; {!Runtime} owns installing
-    the process-global hooks that feed it. *)
+    Memsan holds only handlers and state; {!Runtime}'s subscription to
+    {!Atmo_util.Mutation} feeds it. *)
 
 type attr = {
   owners : Atmo_util.Iset.t;  (** containers with a mapping of the frame *)
@@ -22,7 +22,7 @@ val reset : poison:bool -> unit
 (** Forget all shadows and configure free-page poisoning.  With
     [poison:true] every released frame is filled with the poison byte
     and re-validated at its next claim, catching stale-pointer writes
-    that happened while no hook observed them. *)
+    that happened while nothing observed them. *)
 
 val poisoning : unit -> bool
 
@@ -36,11 +36,11 @@ val tracking : unit -> bool
 (** True iff at least one memory is shadowed. *)
 
 val on_access : Atmo_hw.Phys_mem.t -> Atmo_hw.Phys_mem.access_op -> int -> int -> unit
-(** Access-hook handler: validate one load/store/zero against the
+(** [Access] handler: validate one load/store/zero against the
     shadow.  Accesses to untracked memories are ignored. *)
 
 val on_event : Atmo_pmem.Page_alloc.event -> unit
-(** Allocator-hook handler: transition shadow frame states on
+(** [Alloc] handler: transition shadow frame states on
     claim/free/release, filing [Double_free] / [Claim_of_live] /
     [Poison_trample] reports as they are detected. *)
 

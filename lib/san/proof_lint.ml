@@ -1,5 +1,5 @@
-(* Stale-proof lint: compare each hooked layer's always-on intrinsic
-   mutation counter against what the incremental verifier's dirty
+(* Stale-proof lint: compare each layer's always-on intrinsic mutation
+   counter (Atmo_util.Mutation) against what the incremental verifier's dirty
    tracker observed.  If a container was mutated more times than the
    tracker saw, some mutation bypassed the dirty set — every cached
    verdict that reads the container is a stale proof.  No-op when no

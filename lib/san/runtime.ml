@@ -18,34 +18,36 @@ let subject : Kernel.t option ref = ref None
    step entry rebuilds.  Staleness is safe — unknown frames are skipped. *)
 let attr_dirty = ref true
 
-let dispatch_access mem op addr len =
-  Memsan.on_access mem op addr len;
-  (match op with
-   | Phys_mem.Read -> ()
-   | Phys_mem.Write | Phys_mem.Zero ->
-     Lockcheck.on_mutation ~site:"phys.write" ~page:(Phys_mem.page_base addr) ~detail:"")
+let perm_op : Perm_map.op -> string = function
+  | Perm_map.Alloc -> "alloc"
+  | Perm_map.Consume -> "consume"
+  | Perm_map.Update -> "update"
 
-let dispatch_event ev =
-  Memsan.on_event ev;
-  attr_dirty := true;
-  match ev with
-  | Page_alloc.Created _ -> ()
-  | Page_alloc.Claim { addr; _ } ->
-    Lockcheck.on_mutation ~site:"pmem.claim" ~page:addr ~detail:""
-  | Page_alloc.Free_request { addr; what; _ } ->
-    Lockcheck.on_mutation ~site:("pmem." ^ what) ~page:addr ~detail:""
-  | Page_alloc.Release { addr; _ } ->
-    Lockcheck.on_mutation ~site:"pmem.release" ~page:addr ~detail:""
-  | Page_alloc.Merge { addr; _ } ->
-    Lockcheck.on_mutation ~site:"pmem.merge" ~page:addr ~detail:""
-  | Page_alloc.Split { addr; _ } ->
-    Lockcheck.on_mutation ~site:"pmem.split" ~page:addr ~detail:""
-  | Page_alloc.Share { addr; _ } ->
-    Lockcheck.on_mutation ~site:"pmem.inc_ref" ~page:addr ~detail:""
+let stream_key = "san"
 
-let dispatch_perm ~name ~op ~ptr =
-  attr_dirty := true;
-  Lockcheck.on_mutation ~site:(Printf.sprintf "pm.%s.%s" name op) ~page:ptr ~detail:""
+let mutated site page = Lockcheck.on_mutation ~site ~page ~detail:""
+
+let dispatch = function
+  | Phys_mem.Access { mem; op; addr; len } ->
+    Memsan.on_access mem op addr len;
+    (match op with
+     | Phys_mem.Read -> ()
+     | Phys_mem.Write | Phys_mem.Zero -> mutated "phys.write" (Phys_mem.page_base addr))
+  | Page_alloc.Alloc ev ->
+    Memsan.on_event ev;
+    attr_dirty := true;
+    (match ev with
+     | Page_alloc.Created _ -> ()
+     | Page_alloc.Claim { addr; _ } -> mutated "pmem.claim" addr
+     | Page_alloc.Free_request { addr; what; _ } -> mutated ("pmem." ^ what) addr
+     | Page_alloc.Release { addr; _ } -> mutated "pmem.release" addr
+     | Page_alloc.Merge { addr; _ } -> mutated "pmem.merge" addr
+     | Page_alloc.Split { addr; _ } -> mutated "pmem.split" addr
+     | Page_alloc.Share { addr; _ } -> mutated "pmem.inc_ref" addr)
+  | Perm_map.Perm { name; op; ptr } ->
+    attr_dirty := true;
+    mutated (Printf.sprintf "pm.%s.%s" name (perm_op op)) ptr
+  | _ -> ()
 
 let build_attribution (k : Kernel.t) =
   let tbl : (int, Memsan.attr) Hashtbl.t = Hashtbl.create 256 in
@@ -103,16 +105,12 @@ let arm ?(poison = false) ?(lockcheck = false) ?(attribution = false) () =
   attribution_on := attribution;
   attr_dirty := true;
   subject := None;
-  Phys_mem.set_access_hook (Some dispatch_access);
-  Page_alloc.set_event_hook (Some dispatch_event);
-  Perm_map.set_mutation_hook (Some dispatch_perm);
+  Mutation.subscribe ~key:stream_key ~kinds:Mutation.[ Access; Alloc; Perm ] dispatch;
   Kernel.set_step_observer (Some step_observer);
   is_armed := true
 
 let disarm () =
-  Phys_mem.set_access_hook None;
-  Page_alloc.set_event_hook None;
-  Perm_map.set_mutation_hook None;
+  Mutation.unsubscribe ~key:stream_key;
   Kernel.set_step_observer None;
   Lockcheck.disarm ();
   Memsan.reset ~poison:false;

@@ -1,12 +1,11 @@
-(** atmo-san orchestration: owns the process-global hooks.
+(** atmo-san orchestration: owns the sanitizer's subscriptions.
 
-    {!arm} installs the physical-memory access hook, the allocator
-    event hook, the permission-map mutation hook and the kernel step
-    observer, routing them to {!Memsan} and {!Lockcheck}; {!disarm}
-    restores the zero-cost paths everywhere.  Exactly one component
-    installs those hooks, so layering stays acyclic: the substrates
-    know nothing of the sanitizer, and the sanitizer reaches them only
-    through their public registries. *)
+    {!arm} subscribes once to {!Atmo_util.Mutation} for physical
+    accesses, allocator events and permission-map mutations, and
+    installs the kernel step observer, routing them to {!Memsan} and
+    {!Lockcheck}; {!disarm} unsubscribes, restoring the zero-cost
+    paths everywhere.  The substrates know nothing of the sanitizer:
+    they only emit on the stream. *)
 
 val arm : ?poison:bool -> ?lockcheck:bool -> ?attribution:bool -> unit -> unit
 (** Start sanitizing.  Defaults: [poison:false] (free-page poisoning

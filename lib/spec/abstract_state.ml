@@ -155,8 +155,13 @@ let container_of_thread t ~thread =
   | Some p ->
     Option.map (fun pr -> pr.ap_owner_container) (Imap.find_opt p t.procs)
 
+(* A frame inside a free superpage is free although only the block's
+   head is a member of [free_2m]/[free_1g]: test the aligned heads. *)
 let page_is_free t page =
-  Frame_set.mem t.free_4k page || Frame_set.mem t.free_2m page || Frame_set.mem t.free_1g page
+  let head size = page land lnot (size - 1) in
+  Frame_set.mem t.free_4k page
+  || Frame_set.mem t.free_2m (head Atmo_hw.Phys_mem.page_size_2m)
+  || Frame_set.mem t.free_1g (head Atmo_hw.Phys_mem.page_size_1g)
 
 let unchanged_except eq m m' touched = Imap.same_on_complement ~eq m m' touched
 

@@ -100,7 +100,9 @@ val proc_of_thread : t -> thread:int -> int option
 val container_of_thread : t -> thread:int -> int option
 
 val page_is_free : t -> int -> bool
-(** The paper's [page_is_free]: the frame is in one of the free sets. *)
+(** The paper's [page_is_free]: the frame is a free 4 KiB frame or lies
+    inside a free 2 MiB or 1 GiB block (its aligned head is in
+    [free_2m]/[free_1g]). *)
 
 (** {2 Frame-condition helpers} *)
 

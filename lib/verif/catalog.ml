@@ -117,10 +117,7 @@ let build_world ~scale =
      | Syscall.Rptr ep ->
        (match Kernel.step k ~thread:init Syscall.New_thread with
         | Syscall.Rptr helper ->
-          Atmo_pm.Perm_map.update k.Kernel.pm.Proc_mgr.thrd_perms ~ptr:helper
-            (fun th -> Atmo_pm.Thread.set_slot th 0 (Some ep));
-          Atmo_pm.Perm_map.update k.Kernel.pm.Proc_mgr.edpt_perms ~ptr:ep (fun e ->
-              { e with Atmo_pm.Endpoint.refcount = e.Atmo_pm.Endpoint.refcount + 1 });
+          Proc_mgr.install_descriptor k.Kernel.pm ~thread:helper ~slot:0 ~endpoint:ep;
           ignore
             (Kernel.step k ~thread:helper
                (Syscall.Send { slot = 0; msg = Message.scalars_only [ 1 ] }))

@@ -1,3 +1,4 @@
+module Mutation = Atmo_util.Mutation
 module Perm_map = Atmo_pm.Perm_map
 module Page_alloc = Atmo_pmem.Page_alloc
 module Page_table = Atmo_pt.Page_table
@@ -20,21 +21,13 @@ let pm_names = [ "cntr_perms"; "proc_perms"; "thrd_perms"; "edpt_perms" ]
 let audited_ids =
   List.map pm_id pm_names @ [ alloc_id; pt_id; dev_id ]
 
-let intrinsic_of id =
-  if id = alloc_id then Page_alloc.mutation_count ()
-  else if id = pt_id then Page_table.mutation_count ()
-  else if id = dev_id then Kernel.device_mutation_count ()
-  else
-    (* "pm/<name>" *)
-    Perm_map.mutation_count ~name:(String.sub id 3 (String.length id - 3))
-
 (* ------------------------------------------------------------------ *)
 (* The tracker                                                         *)
 
 type counter = { mutable seen : int; mutable acked : int }
 
 type t = {
-  table : (string, counter) Hashtbl.t;  (* map id -> hook-observed counts *)
+  table : (string, counter) Hashtbl.t;  (* map id -> counts observed on the stream *)
   baselines : (string, int) Hashtbl.t;  (* audited id -> intrinsic at sync *)
   cache : (string, Obligation.result) Hashtbl.t;  (* obligation name -> verdict *)
   mutable suspended : bool;  (* discharge in progress: ignore scratch worlds *)
@@ -42,7 +35,7 @@ type t = {
 }
 
 let active : t option ref = ref None
-let hook_key = "verif-incremental"
+let stream_key = "verif-incremental"
 
 let counter_of t id =
   match Hashtbl.find_opt t.table id with
@@ -65,7 +58,7 @@ let mark t id = if not (t.suspended || t.planted) then bump t id
    kernel's maps). *)
 let resync t =
   List.iter
-    (fun id -> Hashtbl.replace t.baselines id (intrinsic_of id - (counter_of t id).seen))
+    (fun id -> Hashtbl.replace t.baselines id (Mutation.count id - (counter_of t id).seen))
     audited_ids
 
 let arm () =
@@ -79,19 +72,18 @@ let arm () =
     }
   in
   resync t;
-  Perm_map.add_mutation_hook ~key:hook_key (fun ~name ~op ~ptr:_ ->
+  Mutation.subscribe ~key:stream_key ~kinds:Mutation.[ Alloc; Perm; Pt; Devices ] (function
+    | Perm_map.Perm { name; op; _ } ->
       mark t (pm_id name);
-      if op <> "update" then mark t (pm_dom_id name));
-  Page_alloc.add_event_hook ~key:hook_key (fun _ev -> mark t alloc_id);
-  Page_table.add_mutation_hook ~key:hook_key (fun ~op:_ -> mark t pt_id);
-  Kernel.add_device_hook ~key:hook_key (fun ~op:_ -> mark t dev_id);
+      if op <> Perm_map.Update then mark t (pm_dom_id name)
+    | Page_alloc.Alloc _ -> mark t alloc_id
+    | Page_table.Pt_changed -> mark t pt_id
+    | Kernel.Devices_changed -> mark t dev_id
+    | _ -> ());
   active := Some t
 
 let disarm () =
-  Perm_map.remove_mutation_hook ~key:hook_key;
-  Page_alloc.remove_event_hook ~key:hook_key;
-  Page_table.remove_mutation_hook ~key:hook_key;
-  Kernel.remove_device_hook ~key:hook_key;
+  Mutation.unsubscribe ~key:stream_key;
   active := None
 
 let is_armed () = !active <> None
@@ -136,7 +128,7 @@ let audit () =
         match Hashtbl.find_opt t.baselines id with
         | None -> None
         | Some base ->
-          let expected = intrinsic_of id - base in
+          let expected = Mutation.count id - base in
           let observed = (counter_of t id).seen in
           if expected <> observed then Some (id, expected, observed) else None)
       audited_ids

@@ -2,10 +2,10 @@
 
     Verus re-verifies only the functions whose dependencies changed;
     this layer gives the executable verifier the same locality.  A
-    process-global {e dirty tracker} subscribes to the mutation hooks of
-    every annotated state container — {!Atmo_pm.Perm_map} (per-map),
-    {!Atmo_pmem.Page_alloc}, {!Atmo_pt.Page_table} and the kernel
-    device table — and records, per {e map id}, how many mutations it
+    process-global {e dirty tracker} subscribes once to
+    {!Atmo_util.Mutation} for every annotated state container —
+    {!Atmo_pm.Perm_map} (per-map), {!Atmo_pmem.Page_alloc},
+    {!Atmo_pt.Page_table} and the kernel device table — and records, per {e map id}, how many mutations it
     has observed ([seen]) versus how many had been observed when each
     map's obligations were last discharged ([acked]).  A map is dirty
     iff [seen > acked]; {!run} re-discharges only obligations whose
@@ -19,8 +19,9 @@
     value updates.  ["pmem/alloc"], ["pt"] and ["kernel/devices"] cover
     the allocator, every page table, and the device/IRQ tables.
 
-    {b Auditability.}  Each hooked layer also maintains an always-on
-    intrinsic mutation counter.  The tracker snapshots baselines at
+    {b Auditability.}  Each of those layers also bumps an always-on
+    intrinsic counter per map id ({!Atmo_util.Mutation.count}).  The
+    tracker snapshots baselines at
     {!arm} and keeps [intrinsic = baseline + seen] as an invariant
     (re-established by {!suspend}, which obligation discharge uses so
     scratch-world mutations don't dirty the tracked kernel).  A

@@ -24,8 +24,6 @@
 module Kernel = Atmo_core.Kernel
 module Syscall = Atmo_spec.Syscall
 module Proc_mgr = Atmo_pm.Proc_mgr
-module Perm_map = Atmo_pm.Perm_map
-module Thread = Atmo_pm.Thread
 module Message = Atmo_pm.Message
 module Sink = Atmo_obs.Sink
 module Span = Atmo_obs.Span
@@ -53,7 +51,7 @@ type result = {
   replies : bytes list;  (** encoded reply per request, oldest first *)
   server_container : int;
   client_container : int;
-  abstract : Atmo_spec.Abstract_state.t;
+  kernel : Kernel.t;
 }
 
 (* Cycles charged to the server's application logic per request (decode,
@@ -326,10 +324,8 @@ let run ?(requests = 16) ?(entries = 256) ?(blk = `Nvme) ?nic ?(slow_every = 0)
      the server (the capabilities a parent hands a child at spawn) *)
   let ep_req = ptr "new_endpoint" (tstep ~cpu:0 init (Syscall.New_endpoint { slot = 0 })) in
   let ep_rep = ptr "new_endpoint" (tstep ~cpu:0 init (Syscall.New_endpoint { slot = 1 })) in
-  Perm_map.update pm.Proc_mgr.thrd_perms ~ptr:srv (fun th ->
-      Thread.set_slot th 0 (Some ep_req));
-  Perm_map.update pm.Proc_mgr.thrd_perms ~ptr:srv (fun th ->
-      Thread.set_slot th 1 (Some ep_rep));
+  Proc_mgr.install_descriptor pm ~thread:srv ~slot:0 ~endpoint:ep_req;
+  Proc_mgr.install_descriptor pm ~thread:srv ~slot:1 ~endpoint:ep_rep;
   (* application state: three kv shards behind a Maglev table, values
      naming the NVMe block that backs them *)
   let backends = [ "kv0"; "kv1"; "kv2" ] in
@@ -460,5 +456,5 @@ let run ?(requests = 16) ?(entries = 256) ?(blk = `Nvme) ?nic ?(slow_every = 0)
     replies = List.rev !replies;
     server_container = srv_container;
     client_container;
-    abstract = Atmo_core.Abstraction.abstract k;
+    kernel = k;
   }

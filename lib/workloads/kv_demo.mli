@@ -24,7 +24,7 @@ type result = {
           the bit-identity oracle across device backends *)
   server_container : int;
   client_container : int;
-  abstract : Atmo_spec.Abstract_state.t;
+  kernel : Atmo_core.Kernel.t;  (** the kernel as the workload left it *)
 }
 
 val run :

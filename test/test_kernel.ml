@@ -194,12 +194,56 @@ let test_mmap_1g_failure_merges_nothing () =
     | Ok v -> v
     | Error e -> Alcotest.failf "boot: %a" Errno.pp e
   in
-  let events = Atmo_pmem.Page_alloc.mutation_count () in
+  let events = Mutation.count "pmem/alloc" in
   expect_atomic_enomem k ~thread:init
     (Syscall.Mmap { va = 1 lsl 39; count = 1; size = Page_state.S1g; perm = Pte.perm_rw });
   checki "no 2m block formed" 0 (Atmo_pmem.Page_alloc.free_count_2m k.Kernel.alloc);
   checki "no page-state change, so no allocator event" events
-    (Atmo_pmem.Page_alloc.mutation_count ())
+    (Mutation.count "pmem/alloc")
+
+let test_mmap_4k_split_is_refinement () =
+  (* a 4 KiB mmap that finds the 4 KiB list empty splits a free 2 MiB
+     block inside the call: the frames it maps were free, though only
+     the block's head is a member of Ψ's free sets *)
+  let k, init =
+    match
+      Kernel.boot
+        { Kernel.frames = 2048; reserved_frames = 16; root_quota = 2000; cpus = Iset.singleton 0 }
+    with
+    | Ok v -> v
+    | Error e -> Alcotest.failf "boot: %a" Errno.pp e
+  in
+  let alloc = k.Kernel.alloc in
+  let big = 1 lsl 39 in
+  let mapped what = function
+    | Syscall.Rmapped _ -> ()
+    | r -> Alcotest.failf "%s: %a" what Syscall.pp_ret r
+  in
+  mapped "map 2m" (mmap ~size:Page_state.S2m ~va:big k init);
+  ok "unmap 2m" (step k ~thread:init (Syscall.Munmap { va = big; count = 1; size = Page_state.S2m }));
+  checki "one free 2m block" 1 (Atmo_pmem.Page_alloc.free_count_2m alloc);
+  let rec drain i =
+    if Atmo_pmem.Page_alloc.free_count_4k alloc > 0 then begin
+      mapped "drain" (mmap ~va:(va0 + (i * 4096)) k init);
+      drain (i + 1)
+    end
+  in
+  drain 0;
+  checki "the 2m block is still whole" 1 (Atmo_pmem.Page_alloc.free_count_2m alloc);
+  let r =
+    Atmo_verif.Refine_harness.step_checked k ~thread:init
+      (Syscall.Mmap { va = big; count = 2; size = Page_state.S4k; perm = Pte.perm_rw })
+  in
+  (match r.Atmo_verif.Refine_harness.ret with
+   | Syscall.Rmapped [ _; _ ] -> ()
+   | ret -> Alcotest.failf "expected two frames, got %a" Syscall.pp_ret ret);
+  checki "the block was split" 0 (Atmo_pmem.Page_alloc.free_count_2m alloc);
+  (match r.Atmo_verif.Refine_harness.spec with
+   | Ok () -> ()
+   | Error msg -> Alcotest.failf "spec: %s" msg);
+  match r.Atmo_verif.Refine_harness.wf with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "wf: %s" msg
 
 let test_mprotect () =
   let k, init = boot () in
@@ -583,6 +627,8 @@ let () =
             test_mmap_2m_failure_undoes_merge;
           Alcotest.test_case "failing 1g mmap merges nothing" `Quick
             test_mmap_1g_failure_merges_nothing;
+          Alcotest.test_case "4k mmap splitting a 2m block refines" `Quick
+            test_mmap_4k_split_is_refinement;
           Alcotest.test_case "mprotect" `Quick test_mprotect;
         ] );
       ( "lifecycle",

@@ -374,7 +374,7 @@ let prop_views_match_accessors =
       let silent_change = ref false and undo_failed = ref false in
       List.iter
         (fun op ->
-          let before = Page_alloc.views a and events = Page_alloc.mutation_count () in
+          let before = Page_alloc.views a and events = Mutation.count "pmem/alloc" in
           (match op with
            | 0 | 1 -> keep kernel (Page_alloc.alloc_4k a ~purpose:Page_alloc.Kernel)
            | 2 -> keep user (Page_alloc.alloc_4k a ~purpose:Page_alloc.User)
@@ -401,7 +401,7 @@ let prop_views_match_accessors =
              if not (views_equal before (Page_alloc.views a)) then undo_failed := true);
           if
             (not (views_equal before (Page_alloc.views a)))
-            && Page_alloc.mutation_count () = events
+            && Mutation.count "pmem/alloc" = events
           then silent_change := true)
         ops;
       let v = Page_alloc.views a in

@@ -149,7 +149,7 @@ let test_no_poison_keeps_memory_sparse () =
 let test_disarm_restores_zero_cost () =
   Runtime.arm ();
   Runtime.disarm ();
-  checkb "no access hook" false (Phys_mem.observing ());
+  checkb "no access hook" false Atmo_util.Mutation.(wants Access);
   let mem = Phys_mem.create ~page_count:8 in
   let a = Page_alloc.create mem ~reserved_frames:0 in
   let p = Option.get (Page_alloc.alloc_4k a ~purpose:Page_alloc.Kernel) in

@@ -45,7 +45,8 @@ let test_kv_disabled_identity () =
     traced.Kv_demo.latencies;
   Alcotest.(check int) "every GET hit" base.Kv_demo.requests base.Kv_demo.hits;
   Alcotest.(check bool) "identical abstract kernel state" true
-    (base.Kv_demo.abstract = traced.Kv_demo.abstract);
+    (Atmo_core.Abstraction.abstract base.Kv_demo.kernel
+     = Atmo_core.Abstraction.abstract traced.Kv_demo.kernel);
   let has tag = List.exists (fun (r : Event.record) -> tag r.Event.ev) events in
   Alcotest.(check bool) "traced run recorded span begins" true
     (has (function Event.Span_begin _ -> true | _ -> false));
@@ -53,6 +54,16 @@ let test_kv_disabled_identity () =
     (has (function Event.Span_end _ -> true | _ -> false));
   Alcotest.(check bool) "traced run recorded causal edges" true
     (has (function Event.Causal _ -> true | _ -> false))
+
+(* the server's descriptors are wired with their reference counts, so
+   the kernel the workload leaves behind satisfies every invariant *)
+let test_kv_kernel_wf () =
+  Sink.install Sink.Disabled;
+  Span.reset ();
+  let r = Kv_demo.run ~requests:4 () in
+  match Atmo_core.Invariants.total_wf r.Kv_demo.kernel with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "kv demo kernel not wf: %s" msg
 
 (* ------------------------------------------------------------------ *)
 (* the acceptance scenario: one GET reconstructs end to end            *)
@@ -295,6 +306,7 @@ let () =
         [
           Alcotest.test_case "disabled sink is bit-identical" `Quick
             test_kv_disabled_identity;
+          Alcotest.test_case "final kernel is well-formed" `Quick test_kv_kernel_wf;
           Alcotest.test_case "request path reconstructs" `Quick
             test_kv_request_path_reconstructs;
           Alcotest.test_case "container cycles sum to total" `Quick

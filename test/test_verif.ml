@@ -121,6 +121,11 @@ let test_unique_names_guard () =
   checkb "unique suite accepted" true
     (Runner.all_ok (Runner.run [ ok_obl "a"; ok_obl "b" ]))
 
+let verdicts (r : Runner.report) =
+  List.map
+    (fun (x : Obligation.result) -> (x.Obligation.name, x.Obligation.ok, x.Obligation.detail))
+    r.Runner.results
+
 let test_incremental_matches_full () =
   (* seeded random syscall traces: after every burst the incremental
      verdicts must be bit-identical to an oracle full re-check, and a
@@ -134,12 +139,6 @@ let test_incremental_matches_full () =
   | Ok (k, init) ->
     let suite = Catalog.suite_for ~scale:2 k in
     let n = List.length suite in
-    let verdicts (r : Runner.report) =
-      List.map
-        (fun (x : Obligation.result) ->
-          (x.Obligation.name, x.Obligation.ok, x.Obligation.detail))
-        r.Runner.results
-    in
     Incremental.arm ();
     Fun.protect ~finally:Incremental.disarm (fun () ->
         let full = Incremental.run ~threads:1 suite in
@@ -183,12 +182,6 @@ let test_incremental_parallel_matches () =
   | Error msg -> Alcotest.failf "world: %s" msg
   | Ok (k, init) ->
     let suite = Catalog.suite_for ~scale:2 k in
-    let verdicts (r : Runner.report) =
-      List.map
-        (fun (x : Obligation.result) ->
-          (x.Obligation.name, x.Obligation.ok, x.Obligation.detail))
-        r.Runner.results
-    in
     Incremental.arm ();
     Fun.protect ~finally:Incremental.disarm (fun () ->
         ignore (Incremental.run ~threads:2 suite);
@@ -198,6 +191,49 @@ let test_incremental_parallel_matches () =
         let oracle = Runner.run ~threads:1 suite in
         checkb "2-domain incremental verdicts = sequential full" true
           (verdicts inc = verdicts oracle))
+
+let test_incremental_under_sanitizer () =
+  (* both subscribers of the mutation stream armed at once: over a
+     seeded burst the incremental verdicts still equal a full
+     re-discharge, the tracker misses no mutation, and the sanitizer
+     sees no violation *)
+  let module Incremental = Atmo_verif.Incremental in
+  let module Harness = Atmo_verif.Refine_harness in
+  let module Kernel = Atmo_core.Kernel in
+  let module Mutation = Atmo_util.Mutation in
+  let module San = Atmo_san.Runtime in
+  match Catalog.build_world ~scale:2 with
+  | Error msg -> Alcotest.failf "world: %s" msg
+  | Ok (k, _init) ->
+    let suite = Catalog.suite_for ~scale:2 k in
+    Incremental.arm ();
+    Fun.protect
+      ~finally:(fun () ->
+        San.disarm ();
+        Incremental.disarm ())
+      (fun () ->
+        checkb "the tracker alone leaves the physical-access guard off" false
+          (Mutation.wants Mutation.Access);
+        San.arm ();
+        San.attach k;
+        ignore (Incremental.run ~threads:1 suite);
+        let rng = Random.State.make [| 0x5A17 |] in
+        for _burst = 1 to 3 do
+          for _step = 1 to 5 do
+            match Harness.random_thread rng k with
+            | None -> ()
+            | Some thread ->
+              ignore (Kernel.step k ~thread (Harness.random_call rng k ~thread))
+          done;
+          let inc = Incremental.run ~threads:1 suite in
+          let oracle = Runner.run ~threads:1 suite in
+          checkb "incremental verdicts bit-identical to full oracle" true
+            (verdicts inc = verdicts oracle);
+          ignore (Incremental.run ~threads:1 suite)
+        done;
+        checkb "the sanitizer checked accesses" true (Atmo_san.Memsan.checked () > 0);
+        checkb "the tracker observed every mutation" true (Incremental.audit () = []);
+        checki "the sanitizer reported nothing" 0 (Atmo_san.Report.count ()))
 
 let test_refine_annotations_cover_targets () =
   (* every annotated container type contributes at least one
@@ -279,6 +315,7 @@ let () =
           Alcotest.test_case "matches full oracle" `Quick test_incremental_matches_full;
           Alcotest.test_case "2 domains match full oracle" `Quick
             test_incremental_parallel_matches;
+          Alcotest.test_case "under the sanitizer" `Quick test_incremental_under_sanitizer;
           Alcotest.test_case "annotations cover targets" `Quick
             test_refine_annotations_cover_targets;
         ] );
