@@ -1306,19 +1306,36 @@ let san plant iterations seed =
 
 (* ------------------------------------------------------------------ *)
 
+(* The converter of every count argument: a positive integer, or a
+   non-negative one with [~zero:true] where the option's doc says what 0
+   means.  Anything else is a cmdliner usage error (exit 124). *)
+let count ?(zero = false) () =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n > 0 || (zero && n = 0) -> Ok n
+    | Some _ ->
+      Error
+        (Printf.sprintf "invalid value '%s', expected a count %s" s
+           (if zero then ">= 0" else "> 0"))
+    | None -> Error (Printf.sprintf "invalid value '%s', expected an integer" s)
+  in
+  Arg.conv' ~docv:"N" (parse, Format.pp_print_int)
+
 let scale_arg =
-  Arg.(value & opt int 6 & info [ "scale" ] ~doc:"World size for the verification suite.")
+  Arg.(
+    value & opt (count ()) 6 & info [ "scale" ] ~doc:"World size for the verification suite.")
 
 let threads_arg =
   Arg.(
     value
-    & opt int 0
+    & opt (count ~zero:true ()) 0
     & info [ "threads"; "j" ]
         ~doc:"Discharge obligations on N domains (0 = auto, the default).")
 
 let verbose_arg = Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Per-obligation report.")
 let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed.")
-let steps_arg = Arg.(value & opt int 300 & info [ "steps" ] ~doc:"Number of transitions.")
+let steps_arg =
+  Arg.(value & opt (count ()) 300 & info [ "steps" ] ~doc:"Number of transitions.")
 
 let incremental_arg =
   Arg.(
@@ -1362,13 +1379,22 @@ let sink_arg =
     & info [ "sink" ] ~doc:"Event sink: $(b,flight) records; $(b,disabled) is the baseline.")
 
 let trace_iters_arg =
-  Arg.(value & opt int 50 & info [ "iterations" ] ~doc:"IPC ping-pong rounds in the SMP phase.")
+  Arg.(
+    value
+    & opt (count ()) 50
+    & info [ "iterations" ] ~doc:"IPC ping-pong rounds in the SMP phase.")
 
 let trace_events_arg =
-  Arg.(value & opt int 40 & info [ "events" ] ~doc:"Maximum decoded events to print.")
+  Arg.(
+    value
+    & opt (count ~zero:true ()) 40
+    & info [ "events" ] ~doc:"Maximum decoded events to print (0 = none).")
 
 let trace_slots_arg =
-  Arg.(value & opt int 256 & info [ "slots" ] ~doc:"Flight-recorder slots per CPU (power of two).")
+  Arg.(
+    value
+    & opt (count ()) 256
+    & info [ "slots" ] ~doc:"Flight-recorder slots per CPU (power of two).")
 
 let workload_arg =
   Arg.(
@@ -1401,7 +1427,7 @@ let trace_filter_arg =
 
 let trace_sample_arg =
   Arg.(
-    value & opt int 0
+    value & opt (count ~zero:true ()) 0
     & info [ "sample" ]
         ~doc:
           "Keep 1 in 2^$(docv) admitted events per kind (0 = keep all).  Rejected \
@@ -1421,7 +1447,7 @@ let trace_cmd =
 
 let requests_arg =
   Arg.(
-    value & opt int 16
+    value & opt (count ()) 16
     & info [ "requests" ] ~doc:"GET requests to drive through the kv-store demo workload.")
 
 let folded_arg =
@@ -1471,7 +1497,8 @@ let monitor_workload_arg =
     & info [ "workload" ] ~doc:"Workload to drive under the monitor (only $(b,kv)).")
 
 let monitor_slots_arg =
-  Arg.(value & opt int 16384 & info [ "slots" ] ~doc:"Flight-recorder ring slots per CPU.")
+  Arg.(
+    value & opt (count ()) 16384 & info [ "slots" ] ~doc:"Flight-recorder ring slots per CPU.")
 
 let monitor_slo_arg =
   Arg.(
@@ -1483,21 +1510,21 @@ let monitor_slo_arg =
 
 let monitor_window_arg =
   Arg.(
-    value & opt int 32768
+    value & opt (count ()) 32768
     & info [ "window-cycles" ] ~doc:"Rollup window width on the virtual cycle clock.")
 
 let monitor_windows_arg =
-  Arg.(value & opt int 64 & info [ "windows" ] ~doc:"Rollup ring capacity in windows.")
+  Arg.(value & opt (count ()) 64 & info [ "windows" ] ~doc:"Rollup ring capacity in windows.")
 
 let monitor_slow_every_arg =
   Arg.(
-    value & opt int 0
+    value & opt (count ~zero:true ()) 0
     & info [ "slow-every" ]
         ~doc:"Inject a slow request every $(docv) requests (0 = none).")
 
 let monitor_slow_cycles_arg =
   Arg.(
-    value & opt int 200_000
+    value & opt (count ()) 200_000
     & info [ "slow-cycles" ] ~doc:"Extra handler cycles per injected slow request.")
 
 let monitor_prom_arg =
@@ -1562,7 +1589,10 @@ let plant_arg =
            watchdog-silent).")
 
 let san_iters_arg =
-  Arg.(value & opt int 50 & info [ "iterations" ] ~doc:"IPC ping-pong rounds in the SMP phase.")
+  Arg.(
+    value
+    & opt (count ()) 50
+    & info [ "iterations" ] ~doc:"IPC ping-pong rounds in the SMP phase.")
 
 let san_seed_arg =
   Arg.(

@@ -8,6 +8,7 @@ module Perm_map = Atmo_pm.Perm_map
 module Process = Atmo_pm.Process
 module Pm_invariants = Atmo_pm.Pm_invariants
 module Iommu = Atmo_hw.Iommu
+module Phys_mem = Atmo_hw.Phys_mem
 
 let err fmt = Format.kasprintf (fun s -> Error s) fmt
 let ( let* ) r f = match r with Ok () -> f () | Error _ as e -> e
@@ -65,21 +66,34 @@ let leak_freedom (k : Kernel.t) =
 
 let mapped_consistent (k : Kernel.t) =
   let pm = k.Kernel.pm in
+  (* the managed frames' byte range [lo, hi), at the top of memory *)
+  let page = Phys_mem.page_size in
+  let hi = Phys_mem.page_count (Page_alloc.mem k.Kernel.alloc) * page in
+  let lo = hi - (Page_alloc.managed_frames k.Kernel.alloc * page) in
   (* count (space, va) references per frame across all process address
-     spaces and all device DMA windows *)
+     spaces and all device DMA windows, noting the first entry whose
+     block leaves [lo, hi) *)
   let refs = Hashtbl.create 64 in
-  let count space =
+  let outside = ref None in
+  let count who space =
     Imap.iter
-      (fun _va (e : Page_table.entry) ->
-        Hashtbl.replace refs e.Page_table.frame
-          (1 + Option.value ~default:0 (Hashtbl.find_opt refs e.Page_table.frame)))
+      (fun va (e : Page_table.entry) ->
+        let frame = e.Page_table.frame in
+        if
+          (frame < lo || frame + Page_state.bytes_per e.Page_table.size > hi)
+          && Option.is_none !outside
+        then outside := Some (who, va, e);
+        Hashtbl.replace refs frame
+          (1 + Option.value ~default:0 (Hashtbl.find_opt refs frame)))
       space
   in
   Perm_map.iter
-    (fun _ (p : Process.t) -> count (Page_table.address_space p.Process.pt))
+    (fun ptr (p : Process.t) ->
+      count (`Process ptr) (Page_table.address_space p.Process.pt))
     pm.Proc_mgr.proc_perms;
   Imap.iter
-    (fun _ (d : Kernel.device_info) -> count (Page_table.address_space d.Kernel.io_pt))
+    (fun device (d : Kernel.device_info) ->
+      count (`Device device) (Page_table.address_space d.Kernel.io_pt))
     k.Kernel.devices;
   let union_mapped =
     Hashtbl.fold (fun f _ acc -> Iset.add f acc) refs Iset.empty
@@ -95,14 +109,24 @@ let mapped_consistent (k : Kernel.t) =
           | Some f -> err "frame 0x%x mapped by a process but not in allocator" f
           | None -> Ok ()))
   in
-  Hashtbl.fold
-    (fun frame n acc ->
-      let* () = acc in
-      match Page_alloc.ref_count k.Kernel.alloc ~addr:frame with
-      | Some rc when rc = n -> Ok ()
-      | Some rc -> err "frame 0x%x refcount %d but %d mappings" frame rc n
-      | None -> err "frame 0x%x mapped but not in Mapped state" frame)
-    refs (Ok ())
+  let* () =
+    Hashtbl.fold
+      (fun frame n acc ->
+        let* () = acc in
+        match Page_alloc.ref_count k.Kernel.alloc ~addr:frame with
+        | Some rc when rc = n -> Ok ()
+        | Some rc -> err "frame 0x%x refcount %d but %d mappings" frame rc n
+        | None -> err "frame 0x%x mapped but not in Mapped state" frame)
+      refs (Ok ())
+  in
+  match !outside with
+  | None -> Ok ()
+  | Some (who, va, e) ->
+    err "%s: PTE at 0x%x -> frame 0x%x(+%d) outside reservation [0x%x,0x%x)"
+      (match who with
+       | `Process ptr -> Printf.sprintf "process 0x%x" ptr
+       | `Device device -> Printf.sprintf "device %d io_pt" device)
+      va e.Page_table.frame (Page_state.bytes_per e.Page_table.size) lo hi
 
 let devices_wf (k : Kernel.t) =
   let* () =
@@ -200,21 +224,54 @@ let irq_backlog_wf (k : Kernel.t) =
   if Imap.equal Int.equal truth k.Kernel.irq_backlog then Ok ()
   else err "irq backlog cache diverged from the device table"
 
-let obligations =
-  [
-    ("kernel/allocator_wf", allocator_wf);
-    ("kernel/pm_wf", pm_wf);
-    ("kernel/page_tables_wf", page_tables_wf);
-    ("kernel/closures_disjoint", closures_disjoint);
-    ("kernel/leak_freedom", leak_freedom);
-    ("kernel/mapped_consistent", mapped_consistent);
-    ("kernel/devices_wf", devices_wf);
-    ("kernel/irq_backlog_wf", irq_backlog_wf);
-  ]
+type entry = Kernel.t Pm_invariants.entry
+
+let alloc = Page_alloc.map_id
+let pt = Page_table.map_id
+let dev = Kernel.devices_id
+let cntr = Perm_map.id Proc_mgr.cntr_perms_name
+let edpt = Perm_map.id Proc_mgr.edpt_perms_name
+let cntr_dom = Perm_map.dom_id Proc_mgr.cntr_perms_name
+let proc_dom = Perm_map.dom_id Proc_mgr.proc_perms_name
+let thrd_dom = Perm_map.dom_id Proc_mgr.thrd_perms_name
+let edpt_dom = Perm_map.dom_id Proc_mgr.edpt_perms_name
+
+let kernel name reads check = { Pm_invariants.name; group = "kernel"; reads; check }
+
+(* The process-manager checks run right after the allocator's, as
+   [kernel/pm_wf] always did. *)
+let table : entry list =
+  kernel "kernel/allocator_wf" [ alloc ] allocator_wf
+  :: List.map
+       (fun (e : Proc_mgr.t Pm_invariants.entry) ->
+         { e with check = (fun (k : Kernel.t) -> e.check k.Kernel.pm) })
+       Pm_invariants.table
+  @ [
+      kernel "kernel/page_tables_wf" [ proc_dom; pt ] page_tables_wf;
+      kernel "kernel/closures_disjoint"
+        [ cntr_dom; proc_dom; thrd_dom; edpt_dom; pt; dev ]
+        closures_disjoint;
+      kernel "kernel/leak_freedom"
+        [ cntr_dom; proc_dom; thrd_dom; edpt_dom; pt; alloc; dev ]
+        leak_freedom;
+      kernel "kernel/mapped_consistent" [ proc_dom; pt; alloc; dev ] mapped_consistent;
+      kernel "kernel/devices_wf" [ dev; proc_dom; cntr; edpt; pt ] devices_wf;
+      kernel "kernel/irq_backlog_wf" [ dev ] irq_backlog_wf;
+    ]
 
 let total_wf k =
   List.fold_left
-    (fun acc (_, check) ->
+    (fun acc (e : entry) ->
       let* () = acc in
-      check k)
-    (Ok ()) obligations
+      e.check k)
+    (Ok ()) table
+
+(* One [kernel/pm_wf] in place of the run of [pm] entries. *)
+let obligations =
+  List.fold_right
+    (fun (e : entry) acc ->
+      match (e.group, acc) with
+      | "pm", ("kernel/pm_wf", _) :: _ -> acc
+      | "pm", _ -> ("kernel/pm_wf", pm_wf) :: acc
+      | _ -> (e.name, e.check) :: acc)
+    table []

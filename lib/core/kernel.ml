@@ -75,10 +75,11 @@ let boot params =
    verifier: one event whenever [t.devices] or the per-endpoint IRQ
    backlog cache changes (the adjacent IOMMU attach/detach and io_pt
    teardown are page-table changes), after bumping the always-on
-   ["kernel/devices"] counter. *)
+   [devices_id] counter. *)
 type Mutation.event += Devices_changed
 
-let dev_muts = Mutation.counter Mutation.Devices "kernel/devices"
+let devices_id = "kernel/devices"
+let dev_muts = Mutation.counter Mutation.Devices devices_id
 
 let note_dev () =
   if Mutation.tick dev_muts then Mutation.emit Mutation.Devices Devices_changed

@@ -134,9 +134,12 @@ val set_span_leak_plant : bool -> unit
 
 type Atmo_util.Mutation.event += Devices_changed
 (** A device-table or IRQ-backlog change in any kernel, emitted as kind
-    [Devices] on {!Atmo_util.Mutation} after ticking the always-on map
-    id ["kernel/devices"].  Used by the incremental verifier's dirty
-    tracker. *)
+    [Devices] on {!Atmo_util.Mutation} after ticking the always-on
+    {!devices_id}.  Used by the incremental verifier's dirty tracker. *)
+
+val devices_id : string
+(** ["kernel/devices"]: the map id of the device table and the IRQ
+    backlog cache. *)
 
 val irq_backlog_of : t -> ep:int -> int
 (** Pending interrupts routed to [ep] (the cached total; invariants

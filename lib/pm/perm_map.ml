@@ -7,13 +7,16 @@ type op = Alloc | Consume | Update
 
 type Mutation.event += Perm of { name : string; op : op; ptr : int }
 
+let id name = "pm/" ^ name
+let dom_id name = "pm/" ^ name ^ "/dom"
+
 type 'a t = {
   name : string;
   mutable map : 'a Imap.t;
   borrows : Atmo_obs.Metrics.Counter.t;
       (* borrows/updates, under [pm/borrows/<name>] in the obs registry
          so benches and the CLI see them next to every other metric *)
-  muts : Mutation.counter;  (* intrinsic ["pm/<name>"] counter, shared per name *)
+  muts : Mutation.counter;  (* intrinsic [id name] counter, shared per name *)
   mutable epoch : int;
       (* per-instance write epoch: the seqlock sequence word for the
          read-mostly regime — readers snapshot it around a borrow-only
@@ -25,7 +28,7 @@ let create ~name =
     name;
     map = Imap.empty;
     borrows = Atmo_obs.Metrics.counter ("pm/borrows/" ^ name);
-    muts = Mutation.counter Mutation.Perm ("pm/" ^ name);
+    muts = Mutation.counter Mutation.Perm (id name);
     epoch = 0;
   }
 

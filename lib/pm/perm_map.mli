@@ -20,8 +20,8 @@ type 'a t
 (** {2 Mutations on the stream}
 
     Every mutation attempt ({!alloc}, {!consume}, {!update}) is counted
-    under the always-on map id ["pm/<name>"] (shared by every map with
-    that name, scratch worlds included) and, when someone subscribes to
+    under the always-on map id {!id} of its name (shared by every map
+    with that name, scratch worlds included) and, when someone subscribes to
     kind [Perm] of {!Atmo_util.Mutation}, emitted as a {!Perm} event —
     both before the linearity guard.  Borrows are reads and are not
     reported. *)
@@ -29,6 +29,15 @@ type 'a t
 type op = Alloc | Consume | Update
 
 type Atmo_util.Mutation.event += Perm of { name : string; op : op; ptr : int }
+
+val id : string -> string
+(** ["pm/<name>"]: the map id counting every mutation of the maps named
+    [name], which obligations list in their read sets. *)
+
+val dom_id : string -> string
+(** ["pm/<name>/dom"]: the map id of domain changes only ([Alloc] and
+    [Consume]; an [Update] leaves it clean), for readers that depend on
+    which objects exist but not on their contents. *)
 
 val create : name:string -> 'a t
 val name : 'a t -> string

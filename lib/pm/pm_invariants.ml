@@ -292,21 +292,38 @@ let quota_wf (pm : Proc_mgr.t) =
           delegated)
     pm.Proc_mgr.cntr_perms
 
-let obligations =
+type 'st entry = {
+  name : string;
+  group : string;
+  reads : string list;
+  check : 'st -> (unit, string) result;
+}
+
+let cntr = Perm_map.id Proc_mgr.cntr_perms_name
+let proc = Perm_map.id Proc_mgr.proc_perms_name
+let thrd = Perm_map.id Proc_mgr.thrd_perms_name
+let edpt = Perm_map.id Proc_mgr.edpt_perms_name
+
+let pm name reads check = { name; group = "pm"; reads; check }
+
+let table =
   [
-    ("pm/containers_wf", containers_wf);
-    ("pm/path_wf", path_wf);
-    ("pm/parent_child_wf", parent_child_wf);
-    ("pm/subtree_wf", subtree_wf);
-    ("pm/process_tree_wf", process_tree_wf);
-    ("pm/scheduler_wf", scheduler_wf);
-    ("pm/endpoints_wf", endpoints_wf);
-    ("pm/quota_wf", quota_wf);
+    pm "pm/containers_wf" [ cntr ] containers_wf;
+    pm "pm/path_wf" [ cntr ] path_wf;
+    pm "pm/parent_child_wf" [ cntr ] parent_child_wf;
+    pm "pm/subtree_wf" [ cntr ] subtree_wf;
+    pm "pm/process_tree_wf" [ cntr; proc; thrd ] process_tree_wf;
+    pm "pm/scheduler_wf" [ thrd; edpt ] scheduler_wf;
+    pm "pm/endpoints_wf" [ thrd; edpt; cntr ] endpoints_wf;
+    pm "pm/quota_wf"
+      [ cntr; Perm_map.dom_id Proc_mgr.proc_perms_name;
+        Perm_map.dom_id Proc_mgr.thrd_perms_name; edpt; Page_table.map_id ]
+      quota_wf;
   ]
 
 let all pm =
   List.fold_left
-    (fun acc (_, check) ->
+    (fun acc e ->
       let* () = acc in
-      check pm)
-    (Ok ()) obligations
+      e.check pm)
+    (Ok ()) table

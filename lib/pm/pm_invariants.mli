@@ -8,11 +8,26 @@
 
     {!Pm_invariants_rec} restates the tree obligations recursively (the
     formulation flat storage exists to avoid) for the ablation
-    benchmarks. *)
+    benchmarks.
+
+    {!table} declares each check once, with the map ids it reads; the
+    kernel-wide table [Atmo_core.Invariants.table] includes it. *)
+
+type 'st entry = {
+  name : string;  (** obligation name, e.g. ["pm/quota_wf"] *)
+  group : string;  (** ["pm"] here; ["kernel"] for kernel-wide checks *)
+  reads : string list;
+      (** the map ids ({!Perm_map.id}, {!Perm_map.dom_id}, and the other
+          layers' ids) whose mutation can change the verdict: a cached
+          verdict stays valid while none of them is dirty *)
+  check : 'st -> (unit, string) result;
+}
+(** One well-formedness check over a state of type ['st]. *)
 
 val containers_wf : Proc_mgr.t -> (unit, string) result
-(** Node-local well-formedness of every container (the paper's
-    [threads_wf]-style global map quantification). *)
+(** Node-local well-formedness of every container ({!Container.wf}:
+    non-negative accounting, depth equal to path length), in the paper's
+    [threads_wf]-style global map quantification. *)
 
 val path_wf : Proc_mgr.t -> (unit, string) result
 (** The paper's [resolve_path_wf]: for any container [c] and any depth
@@ -39,13 +54,17 @@ val scheduler_wf : Proc_mgr.t -> (unit, string) result
 
 val endpoints_wf : Proc_mgr.t -> (unit, string) result
 (** Every descriptor slot points at a live endpoint; each endpoint's
-    reference count equals the number of slots naming it; queues only
-    contain appropriately blocked threads. *)
+    reference count equals the number of slots naming it; its owner
+    container is live; queues only contain appropriately blocked
+    threads. *)
 
 val quota_wf : Proc_mgr.t -> (unit, string) result
 (** Accounting ground truth: each container's [used] equals its real
     page consumption, [delegated] equals the sum of live children's
     quotas, and availability is non-negative. *)
 
+val table : Proc_mgr.t entry list
+(** Every check above, in evaluation order. *)
+
 val all : Proc_mgr.t -> (unit, string) result
-val obligations : (string * (Proc_mgr.t -> (unit, string) result)) list
+(** The first failure over {!table}. *)

@@ -74,6 +74,8 @@ let obligations =
     ("pm_rec/acyclic", acyclic);
   ]
 
+let reads = [ Perm_map.id Proc_mgr.cntr_perms_name ]
+
 let all pm =
   List.fold_left
     (fun acc (_, check) ->

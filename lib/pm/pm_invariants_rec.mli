@@ -23,3 +23,6 @@ val acyclic : Proc_mgr.t -> (unit, string) result
 
 val all : Proc_mgr.t -> (unit, string) result
 val obligations : (string * (Proc_mgr.t -> (unit, string) result)) list
+
+val reads : string list
+(** The map ids every check above reads: the container map only. *)

@@ -24,6 +24,11 @@ type t = {
 let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
 let eq_int (a : int) b = a = b
 
+let cntr_perms_name = "cntr_perms"
+let proc_perms_name = "proc_perms"
+let thrd_perms_name = "thrd_perms"
+let edpt_perms_name = "edpt_perms"
+
 let create mem alloc ~root_quota ~cpus =
   if root_quota <= 0 || root_quota > Page_alloc.managed_frames alloc then
     Error Errno.Einval
@@ -31,7 +36,7 @@ let create mem alloc ~root_quota ~cpus =
     match Page_alloc.alloc_4k alloc ~purpose:Page_alloc.Kernel with
     | None -> Error Errno.Enomem
     | Some root ->
-      let cntr_perms = Perm_map.create ~name:"cntr_perms" in
+      let cntr_perms = Perm_map.create ~name:cntr_perms_name in
       let c = Container.make ~parent:None ~quota:root_quota ~cpus ~depth:0 ~path:[] in
       Perm_map.alloc cntr_perms ~ptr:root { c with Container.used = 1 };
       Ok
@@ -40,9 +45,9 @@ let create mem alloc ~root_quota ~cpus =
           alloc;
           root_container = root;
           cntr_perms;
-          proc_perms = Perm_map.create ~name:"proc_perms";
-          thrd_perms = Perm_map.create ~name:"thrd_perms";
-          edpt_perms = Perm_map.create ~name:"edpt_perms";
+          proc_perms = Perm_map.create ~name:proc_perms_name;
+          thrd_perms = Perm_map.create ~name:thrd_perms_name;
+          edpt_perms = Perm_map.create ~name:edpt_perms_name;
           external_used = Hashtbl.create 8;
           queues = [| Sched_queue.create mem |];
           currents = [| None |];

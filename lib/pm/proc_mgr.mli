@@ -42,6 +42,13 @@ type t = {
       (** atmo-san plant: skip the ledger scrub on thread destruction *)
 }
 
+val cntr_perms_name : string
+val proc_perms_name : string
+val thrd_perms_name : string
+val edpt_perms_name : string
+(** The names of the four maps: their mutations are counted under
+    [Perm_map.id name] and [Perm_map.dom_id name]. *)
+
 val create :
   Atmo_hw.Phys_mem.t ->
   Atmo_pmem.Page_alloc.t ->

@@ -21,8 +21,8 @@ let frame_addr i = i * Phys_mem.page_size
 let frame_of_addr a = a / Phys_mem.page_size
 
 (* Allocator events on the mutation stream.  Each event site ticks the
-   always-on ["pmem/alloc"] counter, whoever subscribes, and builds its
-   event only when an [Alloc] subscriber wants it. *)
+   always-on [map_id] counter, whoever subscribes, and builds its event
+   only when an [Alloc] subscriber wants it. *)
 type event =
   | Created of t
   | Claim of { alloc : t; addr : int; frames : int; purpose : purpose }
@@ -34,7 +34,8 @@ type event =
 
 type Mutation.event += Alloc of event
 
-let muts = Mutation.counter Mutation.Alloc "pmem/alloc"
+let map_id = "pmem/alloc"
+let muts = Mutation.counter Mutation.Alloc map_id
 
 let note ev = Mutation.emit Mutation.Alloc (Alloc ev)
 

@@ -29,7 +29,7 @@ val mem : t -> Atmo_hw.Phys_mem.t
 
     Every change of a frame's state or size is emitted as one {!Alloc}
     event on {!Atmo_util.Mutation} (kind [Alloc]) and counted under the
-    always-on map id ["pmem/alloc"], whoever subscribes; the event is
+    always-on map id {!map_id}, whoever subscribes; the event is
     built only when someone does.  [Free_request] fires at the entry of
     {!free_kernel_page}/{!dec_ref} {e before} the allocator's own state
     guard, so an external checker can classify a double free even
@@ -54,6 +54,9 @@ type event =
           ({!inc_ref}) *)
 
 type Atmo_util.Mutation.event += Alloc of event
+
+val map_id : string
+(** ["pmem/alloc"]: the map id of every allocator's frame states. *)
 
 val managed_frames : t -> int
 val free_count_4k : t -> int

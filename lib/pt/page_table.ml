@@ -58,10 +58,11 @@ type t = {
    counts concrete PTE stores for cost models), this fires once per
    successful structural change to ANY page table — map/unmap/
    update_perm/create/destroy/prune — after bumping the always-on
-   ["pt"] counter the stale-proof lint audits against. *)
+   [map_id] counter the stale-proof lint audits against. *)
 type Mutation.event += Pt_changed
 
-let muts = Mutation.counter Mutation.Pt "pt"
+let map_id = "pt"
+let muts = Mutation.counter Mutation.Pt map_id
 
 let note () = if Mutation.tick muts then Mutation.emit Mutation.Pt Pt_changed
 

@@ -137,10 +137,13 @@ val set_step_hook : t -> (leaf:bool -> unit) option -> unit
 type Atmo_util.Mutation.event += Pt_changed
 (** One successful structural change to any page table — create, map,
     unmap, update, destroy or prune — emitted as kind [Pt] on
-    {!Atmo_util.Mutation} after ticking the always-on map id ["pt"].
+    {!Atmo_util.Mutation} after ticking the always-on {!map_id}.
     Unlike {!set_step_hook} (per-instance, one firing per concrete PTE
     store) this reports abstract-map mutations, which is what the
     incremental verifier's dirty tracker needs. *)
+
+val map_id : string
+(** ["pt"]: the map id of every page table, process and IOMMU alike. *)
 
 val walk_concrete : t -> (int * entry) list
 (** Enumerate the MMU-visible mappings by walking the concrete tables

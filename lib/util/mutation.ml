@@ -54,3 +54,7 @@ let tick c =
 let count id =
   Mutex.protect counters_mu (fun () ->
       match Hashtbl.find_opt counters id with Some c -> Atomic.get c.n | None -> 0)
+
+let ids () =
+  Mutex.protect counters_mu (fun () ->
+      List.sort String.compare (Hashtbl.fold (fun id _ acc -> id :: acc) counters []))

@@ -65,3 +65,6 @@ val tick : counter -> bool
 val count : string -> int
 (** Mutations counted under the id since start-up; [0] for an id never
     interned. *)
+
+val ids : unit -> string list
+(** Every id interned so far, sorted. *)

@@ -47,18 +47,18 @@ let build_pt ~mappings =
   pt
 
 (* Standalone page-table worlds mutate only through the table itself,
-   so the whole suite reads exactly the "pt" map id. *)
+   so the whole suite reads exactly the page tables' map id. *)
 let pt_obligations_flat pt =
   List.map
     (fun (name, check) ->
-      Obligation.make ~reads:[ Incremental.pt_id ] ~name ~group:"pt-flat" (fun () ->
+      Obligation.make ~reads:[ Page_table.map_id ] ~name ~group:"pt-flat" (fun () ->
           check pt))
     Pt_refine.obligations
 
 let pt_obligations_recursive pt =
   List.map
     (fun (name, check) ->
-      Obligation.make ~reads:[ Incremental.pt_id ] ~name ~group:"pt-rec" (fun () ->
+      Obligation.make ~reads:[ Page_table.map_id ] ~name ~group:"pt-rec" (fun () ->
           check pt))
     Nros_pt.obligations
 
@@ -138,15 +138,19 @@ let build_world ~scale =
     note "irq_fire" (Kernel.step k ~thread:init (Syscall.Irq_fire { device = 0 }));
     (match !failed with Some msg -> Error msg | None -> Ok (k, init))
 
-(* Kernel-world obligations are generated from the refinement
-   annotations ({!Refine.builtins}) rather than hand-enumerated here:
-   one obligation per annotated predicate, each carrying the read-set
-   footprint the incremental runner needs.  The hand-written lists in
-   [Invariants]/[Pm_invariants] remain the checks themselves; this
-   module no longer decides which of them exist.  (The aggregate
-   [kernel/pm_wf] entry is gone — it duplicated every [pm/*] obligation
-   verbatim and would shadow their per-name timing.) *)
-let kernel_obligations k = Refine.obligations k
+(* One obligation per entry of the well-formedness table, carrying its
+   read set, then the recursive container-tree restatements (the
+   ablation) under group [pm-rec]. *)
+let kernel_obligations k =
+  List.map
+    (fun (e : Invariants.entry) ->
+      Obligation.make ~reads:e.reads ~name:e.name ~group:e.group (fun () -> e.check k))
+    Invariants.table
+  @ List.map
+      (fun (name, check) ->
+        Obligation.make ~reads:Pm_invariants_rec.reads ~name ~group:"pm-rec" (fun () ->
+            check k.Kernel.pm))
+      Pm_invariants_rec.obligations
 
 (* ------------------------------------------------------------------ *)
 (* Container-tree worlds (ablation)                                    *)

@@ -26,9 +26,10 @@ val build_world : scale:int -> (Atmo_core.Kernel.t * int, string) result
     endpoint shares.  Returns the kernel and the init thread. *)
 
 val kernel_obligations : Atmo_core.Kernel.t -> Obligation.t list
-(** Every state invariant of every subsystem on the given kernel —
-    generated from the refinement annotations ({!Refine.obligations}),
-    so each carries the read-set footprint the incremental runner
+(** Every state invariant of every subsystem on the given kernel: one
+    obligation per entry of {!Atmo_core.Invariants.table}, then the
+    recursive container-tree checks ({!Atmo_pm.Pm_invariants_rec},
+    group [pm-rec]).  Each carries the read set the incremental runner
     uses. *)
 
 val build_tree : depth:int -> fanout:int -> (Atmo_core.Kernel.t, string) result

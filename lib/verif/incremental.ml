@@ -5,23 +5,6 @@ module Page_table = Atmo_pt.Page_table
 module Kernel = Atmo_core.Kernel
 
 (* ------------------------------------------------------------------ *)
-(* Map ids                                                             *)
-
-let pm_id name = "pm/" ^ name
-let pm_dom_id name = "pm/" ^ name ^ "/dom"
-let alloc_id = "pmem/alloc"
-let pt_id = "pt"
-let dev_id = "kernel/devices"
-
-(* The permission maps the kernel actually creates (Proc_mgr); the
-   audit baselines are snapshotted for exactly these. *)
-let pm_names = [ "cntr_perms"; "proc_perms"; "thrd_perms"; "edpt_perms" ]
-
-(* Base ids with an always-on intrinsic counter to audit against. *)
-let audited_ids =
-  List.map pm_id pm_names @ [ alloc_id; pt_id; dev_id ]
-
-(* ------------------------------------------------------------------ *)
 (* The tracker                                                         *)
 
 type counter = { mutable seen : int; mutable acked : int }
@@ -51,15 +34,16 @@ let bump t id =
 
 let mark t id = if not (t.suspended || t.planted) then bump t id
 
-(* Invariant audited by atmo_san's stale-proof lint: for every audited
-   id, intrinsic_now = baseline + seen.  [resync] restores it after a
-   suspended section (obligation discharge builds scratch worlds whose
-   mutations bump intrinsic counters but must not dirty the tracked
-   kernel's maps). *)
+(* Invariant audited by atmo_san's stale-proof lint: for every id with
+   an intrinsic counter, intrinsic_now = baseline + seen.  [resync]
+   restores it after a suspended section (obligation discharge builds
+   scratch worlds whose mutations bump intrinsic counters but must not
+   dirty the tracked kernel's maps).  A counter interned after the last
+   resync has counted only since then: its baseline is 0. *)
 let resync t =
   List.iter
     (fun id -> Hashtbl.replace t.baselines id (Mutation.count id - (counter_of t id).seen))
-    audited_ids
+    (Mutation.ids ())
 
 let arm () =
   let t =
@@ -74,11 +58,11 @@ let arm () =
   resync t;
   Mutation.subscribe ~key:stream_key ~kinds:Mutation.[ Alloc; Perm; Pt; Devices ] (function
     | Perm_map.Perm { name; op; _ } ->
-      mark t (pm_id name);
-      if op <> Perm_map.Update then mark t (pm_dom_id name)
-    | Page_alloc.Alloc _ -> mark t alloc_id
-    | Page_table.Pt_changed -> mark t pt_id
-    | Kernel.Devices_changed -> mark t dev_id
+      mark t (Perm_map.id name);
+      if op <> Perm_map.Update then mark t (Perm_map.dom_id name)
+    | Page_alloc.Alloc _ -> mark t Page_alloc.map_id
+    | Page_table.Pt_changed -> mark t Page_table.map_id
+    | Kernel.Devices_changed -> mark t Kernel.devices_id
     | _ -> ());
   active := Some t
 
@@ -125,13 +109,11 @@ let audit () =
   | Some t ->
     List.filter_map
       (fun id ->
-        match Hashtbl.find_opt t.baselines id with
-        | None -> None
-        | Some base ->
-          let expected = Mutation.count id - base in
-          let observed = (counter_of t id).seen in
-          if expected <> observed then Some (id, expected, observed) else None)
-      audited_ids
+        let base = Option.value ~default:0 (Hashtbl.find_opt t.baselines id) in
+        let expected = Mutation.count id - base in
+        let observed = (counter_of t id).seen in
+        if expected <> observed then Some (id, expected, observed) else None)
+      (Mutation.ids ())
 
 let cached_verdicts () =
   match !active with None -> 0 | Some t -> Hashtbl.length t.cache

@@ -3,39 +3,35 @@
     Verus re-verifies only the functions whose dependencies changed;
     this layer gives the executable verifier the same locality.  A
     process-global {e dirty tracker} subscribes once to
-    {!Atmo_util.Mutation} for every annotated state container —
+    {!Atmo_util.Mutation} for every state container with a map id —
     {!Atmo_pm.Perm_map} (per-map), {!Atmo_pmem.Page_alloc},
-    {!Atmo_pt.Page_table} and the kernel device table — and records, per {e map id}, how many mutations it
+    {!Atmo_pt.Page_table} and the kernel device table — and records,
+    per {e map id}, how many mutations it
     has observed ([seen]) versus how many had been observed when each
     map's obligations were last discharged ([acked]).  A map is dirty
     iff [seen > acked]; {!run} re-discharges only obligations whose
     {!Obligation.t.reads} intersect the dirty set and splices cached
     verdicts for the rest, acking everything on completion.
 
-    {b Map ids.}  ["pm/<name>"] marks any mutation of the permission
-    map [<name>]; ["pm/<name>/dom"] marks only domain changes
+    {b Map ids.}  Each layer defines its own:
+    {!Atmo_pm.Perm_map.id} marks any mutation of a permission map;
+    {!Atmo_pm.Perm_map.dom_id} marks only domain changes
     (alloc/consume — functional [update]s leave it clean), so
     domain-only readers such as the closure-disjointness check skip
-    value updates.  ["pmem/alloc"], ["pt"] and ["kernel/devices"] cover
-    the allocator, every page table, and the device/IRQ tables.
+    value updates.  {!Atmo_pmem.Page_alloc.map_id},
+    {!Atmo_pt.Page_table.map_id} and {!Atmo_core.Kernel.devices_id}
+    cover the allocator, every page table, and the device/IRQ tables.
 
     {b Auditability.}  Each of those layers also bumps an always-on
     intrinsic counter per map id ({!Atmo_util.Mutation.count}).  The
-    tracker snapshots baselines at
+    tracker snapshots baselines of every counter
+    ({!Atmo_util.Mutation.ids}) at
     {!arm} and keeps [intrinsic = baseline + seen] as an invariant
     (re-established by {!suspend}, which obligation discharge uses so
     scratch-world mutations don't dirty the tracked kernel).  A
     mutation observed by a layer but never by the tracker breaks the
     equation — atmo_san's [stale-proof] lint reports exactly that via
     {!audit}. *)
-
-val pm_id : string -> string  (** ["pm/<name>"] *)
-
-val pm_dom_id : string -> string  (** ["pm/<name>/dom"] *)
-
-val alloc_id : string
-val pt_id : string
-val dev_id : string
 
 val arm : unit -> unit
 (** Install the tracker (fresh dirty sets, empty verdict cache,

@@ -22,8 +22,11 @@ type t = {
   name : string;
   group : string;  (** subsystem, e.g. "pt", "pm", "kernel" *)
   reads : string list option;
-      (** map ids ({!Incremental.map_id}) whose contents the check
-          depends on.  [None] = unannotated, always re-checked;
+      (** map ids whose contents the check depends on, as each state
+          layer defines them ({!Atmo_pm.Perm_map.id},
+          {!Atmo_pm.Perm_map.dom_id}, {!Atmo_pmem.Page_alloc.map_id},
+          {!Atmo_pt.Page_table.map_id}, {!Atmo_core.Kernel.devices_id}).
+          [None] = unannotated, always re-checked;
           [Some []] = pure / world-independent, never re-checked once
           discharged; [Some l] = re-checked when a map in [l] is dirty. *)
   run : unit -> (unit, string) Stdlib.result;

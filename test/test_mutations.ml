@@ -24,6 +24,7 @@ module Kernel = Atmo_core.Kernel
 module Invariants = Atmo_core.Invariants
 module Syscall = Atmo_spec.Syscall
 module Catalog = Atmo_verif.Catalog
+module Obligation = Atmo_verif.Obligation
 
 let checkb = Alcotest.(check bool)
 
@@ -266,6 +267,40 @@ let test_kernel_mutation_device () =
    | r -> Alcotest.failf "assign: %a" Syscall.pp_ret r);
   Atmo_hw.Iommu.detach k.Kernel.iommu ~device:3;
   expect_fires "devices wf" (Invariants.devices_wf k)
+
+(* The plant breaks exactly the named kernel obligation, and [total_wf]
+   reports that obligation's violation. *)
+let expect_caught_by name k =
+  let failed =
+    List.filter_map
+      (fun (o : Obligation.t) ->
+        match o.Obligation.run () with
+        | Ok () -> None
+        | Error msg -> Some (o.Obligation.name, msg))
+      (Catalog.kernel_obligations k)
+  in
+  match failed with
+  | [ (n, msg) ] when n = name ->
+    Alcotest.(check (result unit string)) "total_wf reports it" (Error msg)
+      (Invariants.total_wf k)
+  | _ ->
+    Alcotest.failf "expected exactly %s to fail, got [%s]" name
+      (String.concat "; " (List.map fst failed))
+
+let test_kernel_mutation_dead_owner () =
+  let k, _ = world () in
+  expect_clean "kernel" (Invariants.total_wf k);
+  Wf_plants.dead_owner_endpoint k;
+  expect_caught_by "pm/endpoints_wf" k
+
+let test_kernel_mutation_free_frame () =
+  let k, init = world () in
+  expect_clean "kernel" (Invariants.total_wf k);
+  Wf_plants.free_frame_pte k ~init;
+  expect_caught_by "kernel/mapped_consistent" k
+
+let test_kernel_mutation_past_top () =
+  expect_caught_by "kernel/mapped_consistent" (Wf_plants.past_top_2m ())
 
 (* ------------------------------------------------------------------ *)
 (* Sanitizer mutations: atmo-san must catch each planted bug with a
@@ -680,6 +715,12 @@ let () =
           Alcotest.test_case "type confusion" `Quick test_kernel_mutation_type_confusion;
           Alcotest.test_case "mapped drift" `Quick test_kernel_mutation_mapped_drift;
           Alcotest.test_case "device" `Quick test_kernel_mutation_device;
+          Alcotest.test_case "endpoint of a dead container" `Quick
+            test_kernel_mutation_dead_owner;
+          Alcotest.test_case "pte naming a free frame" `Quick
+            test_kernel_mutation_free_frame;
+          Alcotest.test_case "2 MiB pte past the managed top" `Quick
+            test_kernel_mutation_past_top;
         ] );
       ( "sanitizer",
         [

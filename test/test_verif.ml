@@ -235,21 +235,60 @@ let test_incremental_under_sanitizer () =
         checkb "the tracker observed every mutation" true (Incremental.audit () = []);
         checki "the sanitizer reported nothing" 0 (Atmo_san.Report.count ()))
 
-let test_refine_annotations_cover_targets () =
-  (* every annotated container type contributes at least one
-     obligation, and every annotation names a machine-readable read set *)
-  let module Refine = Atmo_verif.Refine in
-  let module Incremental = Atmo_verif.Incremental in
-  let anns = Refine.annotations () in
-  checkb "plenty of annotations" true (List.length anns >= 15);
+let test_table_reads_cover_maps () =
+  (* every entry of the well-formedness table names a machine-readable
+     read set, and together they read the container map, the allocator
+     and the page tables *)
+  let module Invariants = Atmo_core.Invariants in
+  let table = Invariants.table in
+  checkb "plenty of entries" true (List.length table >= 15);
   List.iter
-    (fun (a : Refine.annotation) ->
-      checkb (a.Refine.name ^ " has reads") true (a.Refine.reads <> []))
-    anns;
-  let targets = List.sort_uniq compare (List.map (fun a -> a.Refine.target) anns) in
+    (fun (e : Invariants.entry) -> checkb (e.name ^ " has reads") true (e.reads <> []))
+    table;
+  let reads = List.concat_map (fun (e : Invariants.entry) -> e.reads) table in
   List.iter
-    (fun t -> checkb (t ^ " annotated") true (List.mem t targets))
-    [ Incremental.pm_id "cntr_perms"; Incremental.alloc_id; Incremental.pt_id ]
+    (fun id -> checkb (id ^ " read") true (List.mem id reads))
+    [ Atmo_pm.Perm_map.id Atmo_pm.Proc_mgr.cntr_perms_name; Atmo_pmem.Page_alloc.map_id;
+      Atmo_pt.Page_table.map_id ]
+
+let test_total_wf_agrees_with_obligations () =
+  (* total_wf and the kernel obligations come from one table: over
+     seeded checked transitions and the three well-formedness plants,
+     total_wf holds exactly when every kernel obligation outside the
+     recursive ablation does *)
+  let module Harness = Atmo_verif.Refine_harness in
+  let module Invariants = Atmo_core.Invariants in
+  let obligations_ok k =
+    List.for_all
+      (fun (o : Obligation.t) -> o.Obligation.group = "pm-rec" || o.Obligation.run () = Ok ())
+      (Catalog.kernel_obligations k)
+  in
+  let world () =
+    match Catalog.build_world ~scale:3 with
+    | Ok w -> w
+    | Error msg -> Alcotest.failf "world: %s" msg
+  in
+  let k, _ = world () in
+  let rng = Random.State.make [| 0xA9EE |] in
+  for i = 1 to 40 do
+    match Harness.random_thread rng k with
+    | None -> ()
+    | Some thread ->
+      let o = Harness.step_checked k ~thread (Harness.random_call rng k ~thread) in
+      checkb (Printf.sprintf "transition %d agrees" i) (obligations_ok k)
+        (o.Harness.wf = Ok ())
+  done;
+  let caught what k =
+    checkb (what ^ " caught by total_wf") true (Invariants.total_wf k <> Ok ());
+    checkb (what ^ " caught by the obligations") false (obligations_ok k)
+  in
+  (let k, _ = world () in
+   Wf_plants.dead_owner_endpoint k;
+   caught "dead owner" k);
+  (let k, init = world () in
+   Wf_plants.free_frame_pte k ~init;
+   caught "free frame" k);
+  caught "past top" (Wf_plants.past_top_2m ())
 
 (* ------------------------------------------------------------------ *)
 (* Flat vs recursive agreement                                         *)
@@ -317,7 +356,9 @@ let () =
             test_incremental_parallel_matches;
           Alcotest.test_case "under the sanitizer" `Quick test_incremental_under_sanitizer;
           Alcotest.test_case "annotations cover targets" `Quick
-            test_refine_annotations_cover_targets;
+            test_table_reads_cover_maps;
+          Alcotest.test_case "total_wf agrees with the obligations" `Quick
+            test_total_wf_agrees_with_obligations;
         ] );
       ( "catalog",
         [
