@@ -1,8 +1,8 @@
 # Convenience targets over dune; `make check` is the pre-commit gate.
 
 .PHONY: all build test test-san bench bench-tlb bench-ipc bench-span bench-dev \
-	bench-verif bench-smp bench-slo bench-all perf-smoke check trace obs profile top \
-	san monitor verify clean
+	bench-verif bench-smp bench-slo bench-all perf-smoke perf-pairs check trace obs \
+	profile top san monitor verify clean
 
 all: build
 
@@ -88,6 +88,22 @@ bench-all:
 # traced = untraced simulated-time identity — never a number.
 perf-smoke:
 	dune exec perfbench/main.exe -- --workload all --seconds 2 --seed 7919
+
+# Paired comparison of the repo benchmark: BASE (a git revision, checked
+# out into a worktree under $$TMPDIR) against the working tree, PAIRS
+# alternating-order pairs of full-length runs of one WORKLOAD and SEED.
+# Prints each end-to-end metric's median, quartiles and wins per side,
+# and whether the change is a gain or worse than the metric's bound.
+# Not part of `check`: 10 pairs of 20 s runs take about 8 minutes.
+BASE ?= HEAD~1
+PAIRS ?= 10
+WORKLOAD ?= mm
+SEED ?= 1
+
+perf-pairs:
+	dune build tools/perf_pairs.exe
+	./_build/default/tools/perf_pairs.exe --base $(BASE) --pairs $(PAIRS) \
+	  --workload $(WORKLOAD) --seed $(SEED)
 
 # Pre-commit gate: build, tier-1 tests (plain and with the sanitizer
 # armed, so the TLB-coherence, scheduler and span-balance lints run

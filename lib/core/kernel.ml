@@ -182,18 +182,7 @@ let sys_mmap t ~thread ~va ~count ~size ~perm =
       let vaddrs = List.init count (fun i -> va + (i * bytes)) in
       (* Refuse overlapping requests up front so the loop cannot fail on
          Already_mapped after partial progress. *)
-      let space = Page_table.address_space pt in
-      let overlap =
-        List.exists
-          (fun v ->
-            Imap.exists
-              (fun base (e : Page_table.entry) ->
-                let blen = Page_state.bytes_per e.Page_table.size in
-                v < base + blen && base < v + bytes)
-              space)
-          vaddrs
-      in
-      if overlap then err Errno.Eexist
+      if Page_table.overlaps pt ~vaddr:va ~bytes:(count * bytes) then err Errno.Eexist
       else begin
         let n_tables =
           Page_table.missing_tables pt ~vaddrs:(List.map (fun v -> (v, size)) vaddrs)

@@ -231,17 +231,24 @@ let set_steal_seed t seed = t.steal_state <- if seed = 0 then 0x9e3779b9 else se
 (* Resize to [n] per-CPU queues.  Queued threads are redistributed to
    their home queues in (cpu, FIFO) order so the move is deterministic;
    a thread current on a CPU that disappears goes back to its home
-   queue.  With n = 1 this is exactly the former single-queue world. *)
+   queue.  With n = 1 this is exactly the former single-queue world.
+   The queues are drained and reused: each holds three
+   [page_count]-sized arrays, so only a CPU the old topology lacked
+   gets a new one, and a resize to the same size costs O(queued
+   threads). *)
 let set_sched_cpus t n =
   if n <= 0 then invalid_arg "Proc_mgr.set_sched_cpus: cpus <= 0";
   let old_currents = t.currents in
-  let queued = Array.to_list t.queues |> List.concat_map Sched_queue.to_list in
+  let queued = Array.to_list t.queues |> List.concat_map Sched_queue.drain in
   let displaced =
     Array.to_list old_currents
     |> List.filteri (fun i _ -> i >= n)
     |> List.filter_map Fun.id
   in
-  t.queues <- Array.init n (fun _ -> Sched_queue.create t.mem);
+  let old = t.queues in
+  t.queues <-
+    Array.init n (fun i ->
+        if i < Array.length old then old.(i) else Sched_queue.create t.mem);
   t.currents <-
     Array.init n (fun i ->
         if i < Array.length old_currents then old_currents.(i) else None);

@@ -142,7 +142,9 @@ val sched_cpus : t -> int
 val set_sched_cpus : t -> int -> unit
 (** Resize the topology.  Queued threads are redistributed to their
     home queues deterministically; threads current on removed CPUs are
-    requeued. *)
+    requeued.  The queues of CPUs that stay are drained and reused, so
+    a resize to the same size costs O(queued threads); only a CPU the
+    old topology lacked gets a new queue. *)
 
 val cpu : t -> int
 val set_cpu : t -> int -> unit

@@ -39,6 +39,10 @@ let remove_if_queued t thread =
   let id = id_of thread in
   if Dll.mem t id then Dll.remove t id
 
+let drain t =
+  let rec go acc = match pop_front t with None -> List.rev acc | Some th -> go (th :: acc) in
+  go []
+
 let iter t f = Dll.iter t (fun id -> f (thread_of id))
 let to_list t = List.map thread_of (Dll.to_list t)
 let wf = Dll.wf

@@ -37,6 +37,10 @@ val remove_if_queued : t -> int -> unit
 (** Unlink if queued, no-op otherwise (termination sweeps threads in
     any scheduling state). *)
 
+val drain : t -> int list
+(** Empty the queue, returning its threads front to back; the queue
+    stays usable. *)
+
 val iter : t -> (int -> unit) -> unit
 
 val to_list : t -> int list

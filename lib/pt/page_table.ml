@@ -43,6 +43,9 @@ type t = {
   alloc : Page_alloc.t;
   cr3 : int;
   table_levels : (int, int) Hashtbl.t;  (* table page addr -> level *)
+  (* The keys of [table_levels] as a persistent set, maintained where
+     table pages are registered and freed so [page_closure] is O(1). *)
+  mutable closure : Iset.t;
   mutable ghost4k : entry Imap.t;
   mutable ghost2m : entry Imap.t;
   mutable ghost1g : entry Imap.t;
@@ -95,6 +98,7 @@ let create mem alloc =
         alloc;
         cr3 = root;
         table_levels;
+        closure = Iset.singleton root;
         ghost4k = Imap.empty;
         ghost2m = Imap.empty;
         ghost1g = Imap.empty;
@@ -114,6 +118,7 @@ let next_table t ~table ~index ~level =
     | None -> Error Oom
     | Some page ->
       Hashtbl.replace t.table_levels page (level - 1);
+      t.closure <- Iset.add page t.closure;
       write_entry t ~table ~index (Pte.make_table ~addr:page) ~leaf:false;
       Ok page
 
@@ -273,8 +278,16 @@ let address_space_recomputed t =
 let mapped_frames t =
   Imap.fold (fun _ e acc -> Iset.add e.frame acc) (address_space t) Iset.empty
 
-let page_closure t =
-  Hashtbl.fold (fun addr _ acc -> Iset.add addr acc) t.table_levels Iset.empty
+(* Ranges in [space] are pairwise disjoint, so of the mappings based
+   below [hi] only the one with the greatest base can reach up into
+   [vaddr, hi): any other ends at or below that base. *)
+let overlaps t ~vaddr ~bytes =
+  let hi = vaddr + bytes in
+  match Imap.find_last_opt (fun base -> base < hi) t.space with
+  | None -> false
+  | Some (base, e) -> vaddr < base + Page_state.bytes_per e.size
+
+let page_closure t = t.closure
 
 let destroy t =
   (* Address-space teardown: drop the whole ASID from the TLB registry
@@ -283,6 +296,7 @@ let destroy t =
   let still_mapped = mapped_frames t in
   Hashtbl.iter (fun addr _ -> Page_alloc.free_kernel_page t.alloc ~addr) t.table_levels;
   Hashtbl.reset t.table_levels;
+  t.closure <- Iset.empty;
   t.ghost4k <- Imap.empty;
   t.ghost2m <- Imap.empty;
   t.ghost1g <- Imap.empty;
@@ -290,45 +304,43 @@ let destroy t =
   note ();
   still_mapped
 
-(* Which intermediate-table positions does a mapping of [size] at [va]
-   need?  Positions are identified by the virtual prefix and target
-   level, so that two mappings sharing a new table count it once. *)
-let needed_positions va (size : Page_state.size) =
-  let l4 = Mmu.l4_index va and l3 = Mmu.l3_index va and l2 = Mmu.l2_index va in
-  match size with
-  | Page_state.S1g -> [ (3, l4, 0, 0) ]
-  | Page_state.S2m -> [ (3, l4, 0, 0); (2, l4, l3, 0) ]
-  | Page_state.S4k -> [ (3, l4, 0, 0); (2, l4, l3, 0); (1, l4, l3, l2) ]
-
+(* One walk per mapping, from the root down to the table level its size
+   needs; once a slot is empty (or holds a huge leaf) every table below
+   it is missing.  A missing table is named by its level and the virtual
+   prefix it translates, so mappings sharing a new table count it once. *)
 let missing_tables t ~vaddrs =
-  let seen = Hashtbl.create 16 in
   let read table index =
     Phys_mem.read_u64 t.mem ~addr:(Mmu.entry_addr ~table ~index)
   in
-  (* does a table already exist at this position in the concrete tree? *)
-  let exists (target_level, l4, l3, l2) =
-    let e4 = read t.cr3 l4 in
-    if not (Pte.is_present e4) then false
-    else if target_level = 3 then true
-    else
-      let e3 = read (Pte.addr_of e4) l3 in
-      if not (Pte.is_present e3) || Pte.is_huge e3 then false
-      else if target_level = 2 then true
-      else
-        let e2 = read (Pte.addr_of e3) l2 in
-        Pte.is_present e2 && not (Pte.is_huge e2)
+  let counted = ref [] in
+  let need level va =
+    let key = ((va asr (12 + (9 * level))) lsl 2) lor level in
+    if not (List.mem key !counted) then counted := key :: !counted
   in
-  List.fold_left
-    (fun acc (va, size) ->
-      List.fold_left
-        (fun acc pos ->
-          if Hashtbl.mem seen pos || exists pos then acc
-          else begin
-            Hashtbl.replace seen pos ();
-            acc + 1
-          end)
-        acc (needed_positions va size))
-    0 vaddrs
+  List.iter
+    (fun (va, (size : Page_state.size)) ->
+      let lowest = match size with S4k -> 1 | S2m -> 2 | S1g -> 3 in
+      (* the table of [level] translating [va] exists at [table] *)
+      let rec walk level table =
+        if level > lowest then begin
+          let index =
+            match level with
+            | 4 -> Mmu.l4_index va
+            | 3 -> Mmu.l3_index va
+            | _ -> Mmu.l2_index va
+          in
+          let e = read table index in
+          if Pte.is_present e && (level = 4 || not (Pte.is_huge e)) then
+            walk (level - 1) (Pte.addr_of e)
+          else
+            for l = level - 1 downto lowest do
+              need l va
+            done
+        end
+      in
+      walk 4 t.cr3)
+    vaddrs;
+  List.length !counted
 
 let prune_empty_tables t ~keep =
   let read table index =
@@ -369,6 +381,7 @@ let prune_empty_tables t ~keep =
       Iset.iter
         (fun addr ->
           Hashtbl.remove t.table_levels addr;
+          t.closure <- Iset.remove addr t.closure;
           Page_alloc.free_kernel_page t.alloc ~addr;
           incr freed)
         empties

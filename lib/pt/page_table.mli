@@ -93,9 +93,15 @@ val address_space : t -> entry Atmo_util.Imap.t
 (** The process's abstract address space as used by the kernel
     specification: the union of the three ghost maps, maintained
     incrementally on map/unmap/update_perm so this accessor is O(1).
-    It sits on the IPC grant-validation path, [sys_mmap]'s overlap
-    check, and the invariant suites, all of which used to pay a
-    per-call union. *)
+    It sits on the IPC grant-validation path and the invariant suites,
+    both of which used to pay a per-call union. *)
+
+val overlaps : t -> vaddr:int -> bytes:int -> bool
+(** Does [\[vaddr, vaddr + bytes)] intersect a mapping?  One
+    predecessor lookup in {!address_space}, O(log n): the mapped ranges
+    are pairwise disjoint (checked by [Pt_refine.ghost_wf]), so only the
+    mapping with the greatest base below [vaddr + bytes] can reach into
+    the range.  [sys_mmap] refuses overlapping requests with it. *)
 
 val address_space_recomputed : t -> entry Atmo_util.Imap.t
 (** The union of the three per-size ghost maps recomputed from scratch;
@@ -109,7 +115,9 @@ val page_closure : t -> Atmo_util.Iset.t
 (** Frames owned by the page table itself (its table pages) — the
     paper's [page_closure] for this data structure.  Mapped user frames
     are deliberately not included; they are owned by the address-space
-    accounting of the process. *)
+    accounting of the process.  Maintained where table pages are
+    allocated and freed, so this accessor is O(1); it must always equal
+    the pages of {!tables} (checked by [Pt_refine.ghost_wf]). *)
 
 val missing_tables : t -> vaddrs:(int * Atmo_pmem.Page_state.size) list -> int
 (** Dry run: how many intermediate table pages would have to be

@@ -163,7 +163,13 @@ let ghost_wf pt =
       if e1 > b2 then err "ghost_wf: ranges [0x%x..) and [0x%x..) overlap" b1 b2
       else adjacent b2 (b2 + Page_state.bytes_per e.size) rest
   in
-  adjacent min_int min_int (Imap.to_seq (Page_table.address_space pt))
+  let* () = adjacent min_int min_int (Imap.to_seq (Page_table.address_space pt)) in
+  (* The maintained closure must equal the table registry it caches. *)
+  let registry =
+    List.fold_left (fun s (addr, _) -> Iset.add addr s) Iset.empty (Page_table.tables pt)
+  in
+  if Iset.equal (Page_table.page_closure pt) registry then Ok ()
+  else err "ghost_wf: cached page closure diverged from the table registry"
 
 let closure_disjoint pt =
   let closure = Page_table.page_closure pt in

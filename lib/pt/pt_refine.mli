@@ -26,9 +26,12 @@ val structure : Page_table.t -> (unit, string) result
     at L3/L2; leaf frames are aligned to their mapping size. *)
 
 val ghost_wf : Page_table.t -> (unit, string) result
-(** Well-formedness of the abstract state alone: canonical, size-aligned
-    virtual bases in each ghost map, and the virtual ranges of all
-    mappings (across the three sizes) are pairwise disjoint. *)
+(** Well-formedness of the abstract state: canonical, size-aligned
+    virtual bases in each ghost map, the virtual ranges of all mappings
+    (across the three sizes) are pairwise disjoint — which is what lets
+    {!Page_table.overlaps} decide overlap with one lookup — and the two
+    maintained caches, [address_space] and [page_closure], equal what
+    they cache. *)
 
 val closure_disjoint : Page_table.t -> (unit, string) result
 (** The table pages (page_closure) are disjoint from the mapped frames —

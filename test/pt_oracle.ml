@@ -4,7 +4,12 @@
    [Pt_refine.refinement]/[Pt_refine.structure], which read a whole
    table page at a time through [Phys_mem.iter_table]: on any table
    state, both must give the same leaves in the same order and the same
-   verdict with the same message. *)
+   verdict with the same message.
+
+   Also the linear forms of two mmap-path queries: [mmap_overlaps], the
+   scan of every live mapping for every requested page that
+   [Page_table.overlaps] replaces, and [missing_tables], the
+   per-position count that [Page_table.missing_tables] replaces. *)
 
 open Atmo_util
 open Atmo_pt
@@ -166,3 +171,51 @@ let check_agrees what pt =
       ("refinement", Pt_refine.refinement, refinement);
       ("structure", Pt_refine.structure, structure);
     ]
+
+(* Does an mmap of [count] pages of [size] at [va] touch a live
+   mapping?  Every requested page against every mapping. *)
+let mmap_overlaps pt ~va ~count ~size =
+  let bytes = Page_state.bytes_per size in
+  let space = Page_table.address_space pt in
+  List.exists
+    (fun v ->
+      Imap.exists
+        (fun base (e : Page_table.entry) ->
+          v < base + Page_state.bytes_per e.Page_table.size && base < v + bytes)
+        space)
+    (List.init count (fun i -> va + (i * bytes)))
+
+(* Table pages a batch of mappings would add: each needed table named
+   by (target level, l4, l3, l2), probed from the root, counted once. *)
+let missing_tables pt ~vaddrs =
+  let seen = Hashtbl.create 16 in
+  let exists (level, l4, l3, l2) =
+    let e4 = read pt (Page_table.cr3 pt) l4 in
+    if not (Pte.is_present e4) then false
+    else if level = 3 then true
+    else
+      let e3 = read pt (Pte.addr_of e4) l3 in
+      if (not (Pte.is_present e3)) || Pte.is_huge e3 then false
+      else if level = 2 then true
+      else
+        let e2 = read pt (Pte.addr_of e3) l2 in
+        Pte.is_present e2 && not (Pte.is_huge e2)
+  in
+  List.fold_left
+    (fun acc (va, (size : Page_state.size)) ->
+      let l4 = Mmu.l4_index va and l3 = Mmu.l3_index va and l2 = Mmu.l2_index va in
+      let positions =
+        match size with
+        | S1g -> [ (3, l4, 0, 0) ]
+        | S2m -> [ (3, l4, 0, 0); (2, l4, l3, 0) ]
+        | S4k -> [ (3, l4, 0, 0); (2, l4, l3, 0); (1, l4, l3, l2) ]
+      in
+      List.fold_left
+        (fun acc pos ->
+          if Hashtbl.mem seen pos || exists pos then acc
+          else begin
+            Hashtbl.replace seen pos ();
+            acc + 1
+          end)
+        acc positions)
+    0 vaddrs

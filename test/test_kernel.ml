@@ -125,20 +125,42 @@ let test_mmap_failure_is_atomic () =
   checkb "state unchanged" true (A.equal before (Abstraction.abstract k));
   expect_wf k
 
-(* A failing superpage mmap must leave the allocator's free sets as it
-   found them: checked as a refinement step, whose [error_atomic]
-   clause compares the whole abstract state. *)
-let expect_atomic_enomem k ~thread call =
+(* A failing mmap must leave Ψ — the allocator's free sets included —
+   as it found it: checked as a refinement step, whose [error_atomic]
+   clause compares the whole abstract state, and once more directly. *)
+let expect_atomic_err e k ~thread call =
+  let before = Abstraction.abstract k in
   let r = Atmo_verif.Refine_harness.step_checked k ~thread call in
   (match r.Atmo_verif.Refine_harness.ret with
-   | Syscall.Rerr Errno.Enomem -> ()
-   | ret -> Alcotest.failf "expected ENOMEM, got %a" Syscall.pp_ret ret);
+   | Syscall.Rerr got when Errno.equal got e -> ()
+   | ret -> Alcotest.failf "expected %a, got %a" Errno.pp e Syscall.pp_ret ret);
   (match r.Atmo_verif.Refine_harness.spec with
    | Ok () -> ()
    | Error msg -> Alcotest.failf "spec: %s" msg);
-  match r.Atmo_verif.Refine_harness.wf with
-  | Ok () -> ()
-  | Error msg -> Alcotest.failf "wf: %s" msg
+  (match r.Atmo_verif.Refine_harness.wf with
+   | Ok () -> ()
+   | Error msg -> Alcotest.failf "wf: %s" msg);
+  checkb "Ψ unchanged" true (A.equal before (Abstraction.abstract k))
+
+let expect_atomic_enomem = expect_atomic_err Errno.Enomem
+
+let test_mmap_overlap_refused () =
+  (* the overlap check answers with one lookup: a request inside a
+     superpage and a superpage over a single page are both refused
+     before anything is charged or allocated *)
+  let k, init = boot () in
+  let big = 1 lsl 39 in
+  (match mmap ~size:Page_state.S2m ~va:big k init with
+   | Syscall.Rmapped [ _ ] -> ()
+   | r -> Alcotest.failf "mmap 2m: %a" Syscall.pp_ret r);
+  (match mmap ~va:(va0 + (5 * 4096)) k init with
+   | Syscall.Rmapped [ _ ] -> ()
+   | r -> Alcotest.failf "mmap 4k: %a" Syscall.pp_ret r);
+  expect_atomic_err Errno.Eexist k ~thread:init
+    (Syscall.Mmap
+       { va = big + (17 * 4096); count = 1; size = Page_state.S4k; perm = Pte.perm_rw });
+  expect_atomic_err Errno.Eexist k ~thread:init
+    (Syscall.Mmap { va = va0; count = 1; size = Page_state.S2m; perm = Pte.perm_rw })
 
 let test_mmap_2m_failure_undoes_merge () =
   (* 2048 frames: pin one frame in every 2 MiB group but the last, so a
@@ -244,6 +266,61 @@ let test_mmap_4k_split_is_refinement () =
   match r.Atmo_verif.Refine_harness.wf with
   | Ok () -> ()
   | Error msg -> Alcotest.failf "wf: %s" msg
+
+let test_mmap_4k_quota_boundary () =
+  (* Quotas are delegated, never overcommitted (root quota <= managed
+     frames, available = quota - used - delegated) and sys_mmap charges
+     every frame it will allocate, table pages included, before it
+     allocates any.  So a 4 KiB mmap that passes the charge cannot run
+     out of frames: here the charge admits exactly the one free 2 MiB
+     block, and the call one page larger is refused before it splits
+     anything. *)
+  let k, init =
+    match
+      Kernel.boot
+        { Kernel.frames = 2048; reserved_frames = 16; root_quota = 2032; cpus = Iset.singleton 0 }
+    with
+    | Ok v -> v
+    | Error e -> Alcotest.failf "boot: %a" Errno.pp e
+  in
+  let alloc = k.Kernel.alloc in
+  let big = 1 lsl 39 in
+  let mapped what = function
+    | Syscall.Rmapped _ -> ()
+    | r -> Alcotest.failf "%s: %a" what Syscall.pp_ret r
+  in
+  mapped "map 2m" (mmap ~size:Page_state.S2m ~va:big k init);
+  ok "unmap 2m" (step k ~thread:init (Syscall.Munmap { va = big; count = 1; size = Page_state.S2m }));
+  let rec drain i =
+    if Atmo_pmem.Page_alloc.free_count_4k alloc > 0 then begin
+      mapped "drain" (mmap ~va:(va0 + (i * 4096)) k init);
+      drain (i + 1)
+    end
+  in
+  drain 0;
+  checki "one free 2m block" 1 (Atmo_pmem.Page_alloc.free_count_2m alloc);
+  let root = Perm_map.borrow k.Kernel.pm.Proc_mgr.cntr_perms ~ptr:k.Kernel.pm.Proc_mgr.root_container in
+  checki "the quota left is exactly the free block" 512 (Atmo_pm.Container.available root);
+  (* a fresh 512 GiB region: 3 table pages on top of the mapped pages *)
+  let region = 2 lsl 39 in
+  expect_atomic_err Errno.Equota k ~thread:init
+    (Syscall.Mmap { va = region; count = 510; size = Page_state.S4k; perm = Pte.perm_rw });
+  checki "refused before splitting" 1 (Atmo_pmem.Page_alloc.free_count_2m alloc);
+  let r =
+    Atmo_verif.Refine_harness.step_checked k ~thread:init
+      (Syscall.Mmap { va = region; count = 509; size = Page_state.S4k; perm = Pte.perm_rw })
+  in
+  (match r.Atmo_verif.Refine_harness.ret with
+   | Syscall.Rmapped frames -> checki "509 frames" 509 (List.length frames)
+   | ret -> Alcotest.failf "expected 509 frames, got %a" Syscall.pp_ret ret);
+  (match r.Atmo_verif.Refine_harness.spec with
+   | Ok () -> ()
+   | Error msg -> Alcotest.failf "spec: %s" msg);
+  (match r.Atmo_verif.Refine_harness.wf with
+   | Ok () -> ()
+   | Error msg -> Alcotest.failf "wf: %s" msg);
+  checki "the block was split" 0 (Atmo_pmem.Page_alloc.free_count_2m alloc);
+  checki "and used up" 0 (Atmo_pmem.Page_alloc.free_count_4k alloc)
 
 let test_mprotect () =
   let k, init = boot () in
@@ -629,6 +706,10 @@ let () =
             test_mmap_1g_failure_merges_nothing;
           Alcotest.test_case "4k mmap splitting a 2m block refines" `Quick
             test_mmap_4k_split_is_refinement;
+          Alcotest.test_case "overlapping mmap refused atomically" `Quick
+            test_mmap_overlap_refused;
+          Alcotest.test_case "4k mmap at the quota boundary" `Quick
+            test_mmap_4k_quota_boundary;
           Alcotest.test_case "mprotect" `Quick test_mprotect;
         ] );
       ( "lifecycle",

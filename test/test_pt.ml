@@ -157,6 +157,151 @@ let test_prune_empty_tables () =
   checki "closure shrank" (closure_before - 3) (Iset.cardinal (Page_table.page_closure pt));
   expect_wf "all obligations" (Pt_refine.all pt)
 
+(* ------------------------------------------------------------------ *)
+(* mmap-path queries against their linear oracles (test/pt_oracle.ml) *)
+
+let gib = Phys_mem.page_size_1g
+let mib2 = Phys_mem.page_size_2m
+
+(* [Page_table.overlaps] and the linear scan must agree; returns the
+   shared answer. *)
+let overlap_agrees what pt ~va ~count ~size =
+  let fast = Page_table.overlaps pt ~vaddr:va ~bytes:(count * Page_state.bytes_per size) in
+  let slow = Pt_oracle.mmap_overlaps pt ~va ~count ~size in
+  if fast <> slow then
+    Alcotest.failf "%s: overlaps says %b, the linear scan %b (va 0x%x, %d x %a)" what fast
+      slow va count Page_state.pp_size size;
+  fast
+
+let test_overlap_edges () =
+  let _, _, pt = mk_pt () in
+  let x = va0 and y = va0 + (4 * mib2) and z = 4 * gib and top = -4096 in
+  expect "map 4k" (Page_table.map_4k pt ~vaddr:x ~frame:0 ~perm:Pte.perm_rw);
+  expect "map 2m" (Page_table.map_2m pt ~vaddr:y ~frame:0 ~perm:Pte.perm_rw);
+  expect "map 1g" (Page_table.map_1g pt ~vaddr:z ~frame:0 ~perm:Pte.perm_rw);
+  expect "map top" (Page_table.map_4k pt ~vaddr:top ~frame:0 ~perm:Pte.perm_rw);
+  List.iter
+    (fun (what, va, count, size, want) ->
+      checkb what want (overlap_agrees what pt ~va ~count ~size))
+    Page_state.
+      [
+        ("ends at a 4k base", x - 4096, 1, S4k, false);
+        ("512 pages ending at a 4k base", x - (512 * 4096), 512, S4k, false);
+        ("starts at a 4k end", x + 4096, 1, S4k, false);
+        ("the 4k page itself", x, 1, S4k, true);
+        ("512 pages covering a 4k page", x - (511 * 4096), 512, S4k, true);
+        ("2m over one 4k page", x, 1, S2m, true);
+        ("4k inside a 2m mapping", y + (5 * 4096), 1, S4k, true);
+        ("4k in the last page of a 2m mapping", y + mib2 - 4096, 1, S4k, true);
+        ("starts at a 2m end", y + mib2, 3, S4k, false);
+        ("ends at a 2m base", y - mib2, 1, S2m, false);
+        ("4k inside a 1g mapping", z + (7 * mib2) + 4096, 2, S4k, true);
+        ("2m inside a 1g mapping", z + (100 * mib2), 1, S2m, true);
+        ("1g ending at a 1g base", z - gib, 1, S1g, false);
+        ("starts at a 1g end", z + gib, 512, S2m, false);
+        ("upper half: the top page", top, 1, S4k, true);
+        ("upper half: ends at the top page", top - 4096, 1, S4k, false);
+        ("upper half: 2m ending at the top", -mib2, 1, S2m, true);
+        ("upper half: bottom, nothing mapped", -(1 lsl 47), 512, S1g, false);
+      ]
+
+(* Four 4 GiB windows at both ends of each canonical half: requests
+   reach the top of the address space (end 0) and both sign edges. *)
+let windows = [| 0; (1 lsl 47) - (4 * gib); -(1 lsl 47); -(4 * gib) |]
+
+(* A seeded address space clustered so that 4 KiB, 2 MiB and 1 GiB
+   mappings crowd each other; conflicting maps are simply refused. *)
+let random_space rng =
+  let _, _, pt = mk_pt () in
+  for _ = 1 to 60 do
+    let w = windows.(Random.State.int rng 4) + (Random.State.int rng 4 * gib) in
+    let slot2m = w + (Random.State.int rng 16 * mib2) in
+    let r =
+      match Random.State.int rng 10 with
+      | 0 -> Page_table.map_1g pt ~vaddr:w ~frame:0 ~perm:Pte.perm_rw
+      | 1 | 2 | 3 -> Page_table.map_2m pt ~vaddr:slot2m ~frame:0 ~perm:Pte.perm_rw
+      | _ ->
+        Page_table.map_4k pt
+          ~vaddr:(slot2m + (Random.State.int rng 64 * 4096))
+          ~frame:0 ~perm:Pte.perm_rw
+    in
+    ignore r
+  done;
+  expect_wf "random space ghost_wf" (Pt_refine.ghost_wf pt);
+  pt
+
+let test_overlap_matches_scan () =
+  (* modes: 0 ends at a base, 1 starts at an end, 2 inside, 3 covers a
+     base, 4 anywhere in a window *)
+  let seen = Array.make_matrix 5 2 0 in
+  for seed = 1 to 8 do
+    let rng = Random.State.make [| 0x0e7; seed |] in
+    let pt = random_space rng in
+    let mappings = Array.of_list (Imap.bindings (Page_table.address_space pt)) in
+    for _ = 1 to 250 do
+      let size =
+        match Random.State.int rng 20 with
+        | 0 | 1 | 2 -> Page_state.S1g
+        | n when n < 10 -> Page_state.S2m
+        | _ -> Page_state.S4k
+      in
+      let bytes = Page_state.bytes_per size in
+      let count =
+        match Random.State.int rng 4 with
+        | 0 | 1 -> 1
+        | 2 -> 1 + Random.State.int rng 8
+        | _ -> if Random.State.bool rng then 512 else 1 + Random.State.int rng 512
+      in
+      let base, (e : Page_table.entry) = mappings.(Random.State.int rng (Array.length mappings)) in
+      let blen = Page_state.bytes_per e.Page_table.size in
+      let mode = Random.State.int rng 5 in
+      let va, count, size =
+        match mode with
+        | 0 -> (base - (count * bytes), count, size)
+        | 1 -> (base + blen, count, size)
+        | 2 ->
+          (* a 4 KiB request sitting inside the mapping *)
+          let pages = blen / 4096 in
+          let off = Random.State.int rng pages in
+          (base + (off * 4096), 1 + Random.State.int rng (min 512 (pages - off)), Page_state.S4k)
+        | 3 -> (base - (Random.State.int rng count * bytes), count, size)
+        | _ ->
+          let w = windows.(Random.State.int rng 4) in
+          (w + (Random.State.int rng (4 * gib / bytes) * bytes), count, size)
+      in
+      let hit = overlap_agrees (Printf.sprintf "seed %d mode %d" seed mode) pt ~va ~count ~size in
+      let row = seen.(mode) in
+      row.(Bool.to_int hit) <- row.(Bool.to_int hit) + 1
+    done
+  done;
+  checkb "touching requests that miss" true (seen.(0).(0) > 0 && seen.(1).(0) > 0);
+  checkb "inside and covering requests hit" true
+    (seen.(2).(1) > 0 && seen.(2).(0) = 0 && seen.(3).(1) > 0 && seen.(3).(0) = 0);
+  checkb "random requests both ways" true (seen.(4).(0) > 0 && seen.(4).(1) > 0)
+
+let test_missing_tables_matches_oracle () =
+  for seed = 1 to 8 do
+    let rng = Random.State.make [| 0x7ab; seed |] in
+    let pt = random_space rng in
+    for _ = 1 to 100 do
+      let size =
+        match Random.State.int rng 3 with
+        | 0 -> Page_state.S1g
+        | 1 -> Page_state.S2m
+        | _ -> Page_state.S4k
+      in
+      let bytes = Page_state.bytes_per size in
+      let w = windows.(Random.State.int rng 4) + (Random.State.int rng 4 * gib) in
+      let va = w + (Random.State.int rng (gib / bytes) * bytes) in
+      let count = if Random.State.bool rng then 1 else 1 + Random.State.int rng 512 in
+      let vaddrs = List.init count (fun i -> (va + (i * bytes), size)) in
+      checki
+        (Format.asprintf "seed %d: %d x %a at 0x%x" seed count Page_state.pp_size size va)
+        (Pt_oracle.missing_tables pt ~vaddrs)
+        (Page_table.missing_tables pt ~vaddrs)
+    done
+  done
+
 let test_step_hook_consistency () =
   (* §4.2: every concrete table write is a separate step; non-leaf
      writes never change the MMU-visible mapping, a leaf write changes
@@ -346,6 +491,13 @@ let () =
         [
           Alcotest.test_case "missing_tables exact" `Quick test_missing_tables_exact;
           Alcotest.test_case "prune empty tables" `Quick test_prune_empty_tables;
+          Alcotest.test_case "missing_tables matches the oracle" `Quick
+            test_missing_tables_matches_oracle;
+        ] );
+      ( "overlap",
+        [
+          Alcotest.test_case "edges" `Quick test_overlap_edges;
+          Alcotest.test_case "matches the linear scan" `Quick test_overlap_matches_scan;
         ] );
       ( "refinement",
         [

@@ -133,6 +133,39 @@ let test_double_enqueue_detected () =
     (List.exists (fun r -> r.Report.rule = Report.Queue_corrupt) (Report.reports ()));
   Report.clear ()
 
+(* What a resize to [n] CPUs must produce: the old queues drained in
+   (cpu, FIFO) order, each thread pushed to its home (0 when the home
+   is gone), then the threads current on removed CPUs, in CPU order. *)
+let expected_queues pm n =
+  let home th =
+    match Hashtbl.find_opt pm.Proc_mgr.home_cpu th with Some c when c < n -> c | _ -> 0
+  in
+  let queued = List.concat (Array.to_list (Proc_mgr.queue_lists pm)) in
+  let displaced =
+    List.filteri (fun i _ -> i >= n) (Proc_mgr.currents_list pm) |> List.filter_map Fun.id
+  in
+  Array.init n (fun c -> List.filter (fun th -> home th = c) (queued @ displaced))
+
+let resize_checked k n =
+  let pm = k.Kernel.pm in
+  let everyone () =
+    List.sort compare
+      (List.concat (Array.to_list (Proc_mgr.queue_lists pm))
+      @ List.filter_map Fun.id (Proc_mgr.currents_list pm))
+  in
+  let before = everyone () in
+  let want = expected_queues pm n in
+  Proc_mgr.set_sched_cpus pm n;
+  let what = Printf.sprintf "resize to %d" n in
+  checki (what ^ ": cpus") n (Proc_mgr.sched_cpus pm);
+  checkb (what ^ ": (cpu, FIFO) order kept") true (Proc_mgr.queue_lists pm = want);
+  checkb (what ^ ": no thread lost or duplicated") true (everyone () = before);
+  for cpu = 0 to n - 1 do
+    checkb (what ^ ": queue wf") true (Sched_queue.wf (Proc_mgr.queue pm ~cpu) = Ok ())
+  done;
+  Report.clear ();
+  checki (what ^ ": lint clean") 0 (Atmo_san.Sched_lint.lint k)
+
 let test_topology_resize_requeues () =
   let k, init = boot () in
   let pm = k.Kernel.pm in
@@ -149,7 +182,64 @@ let test_topology_resize_requeues () =
     (fun t -> checkb "requeued after shrink" true (Proc_mgr.queued_anywhere pm ~thread:t))
     ts;
   Report.clear ();
-  checki "lint clean after resize" 0 (Atmo_san.Sched_lint.lint k)
+  checki "lint clean after resize" 0 (Atmo_san.Sched_lint.lint k);
+  (* grow -> shrink -> grow, with a thread current on a CPU the shrink
+     removes *)
+  resize_checked k 4;
+  Proc_mgr.set_cpu pm 3;
+  checkb "cpu 3 runs its own thread" true (Proc_mgr.dequeue_next pm = Some (List.nth ts 3));
+  Proc_mgr.set_cpu pm 0;
+  resize_checked k 2;
+  checkb "displaced thread runnable again" true
+    ((Perm_map.borrow pm.Proc_mgr.thrd_perms ~ptr:(List.nth ts 3)).Thread.state = Thread.Runnable);
+  resize_checked k 4;
+  checkb "every thread back on its home queue" true
+    (List.for_all
+       (fun t -> Sched_queue.mem (Proc_mgr.queue pm ~cpu:(Proc_mgr.home_of pm ~thread:t)) t)
+       ts)
+
+let test_topology_reset_allocation () =
+  (* [Smp.run] resets the topology twice per run.  On a 16384-frame
+     machine one run queue is three 16384-word arrays, so a reset that
+     reallocated the queues would dwarf the run; reused queues keep a
+     one-iteration run below one such array. *)
+  let frames = 16384 in
+  let k, _ =
+    match
+      Kernel.boot
+        {
+          Kernel.frames;
+          reserved_frames = 16;
+          root_quota = frames - 16;
+          cpus = Atmo_util.Iset.of_range ~lo:0 ~hi:4;
+        }
+    with
+    | Ok v -> v
+    | Error e -> Alcotest.failf "boot: %a" Atmo_util.Errno.pp e
+  in
+  let pm = k.Kernel.pm in
+  let ok = function Ok v -> v | Error e -> Alcotest.failf "setup: %a" Atmo_util.Errno.pp e in
+  let programs =
+    List.init 8 (fun _ ->
+        let proc = ok (Proc_mgr.new_process pm ~container:pm.Proc_mgr.root_container ~parent:None) in
+        let thread = ok (Proc_mgr.new_thread pm ~proc) in
+        { Smp.thread; think_cycles = 400; call_of = (fun _ -> Syscall.Yield) })
+  in
+  let run iterations =
+    match Smp.run ~regime:Smp.Fine_grained k ~cost ~cpus:4 ~programs ~iterations with
+    | Ok s -> checki "every call ran" (8 * iterations) s.Smp.syscalls_executed
+    | Error msg -> Alcotest.failf "smp run: %s" msg
+  in
+  let words () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  run 4;
+  let w0 = words () in
+  run 1;
+  let allocated = words () -. w0 in
+  if allocated >= float_of_int frames then
+    Alcotest.failf "a one-iteration Smp.run allocated %.0f words (>= %d)" allocated frames
 
 (* ------------------------------------------------------------------ *)
 (* Lock hierarchy                                                      *)
@@ -272,6 +362,8 @@ let () =
           Alcotest.test_case "lost steal detected" `Quick test_lost_steal_detected;
           Alcotest.test_case "double enqueue detected" `Quick test_double_enqueue_detected;
           Alcotest.test_case "topology resize requeues" `Quick test_topology_resize_requeues;
+          Alcotest.test_case "topology reset reuses queues" `Quick
+            test_topology_reset_allocation;
         ] );
       ( "locks",
         [ Alcotest.test_case "hierarchy enforced" `Quick test_lock_hierarchy ] );

@@ -1,0 +1,196 @@
+(* Paired comparison of the repo benchmark between a base revision and
+   the working tree.
+
+     perf_pairs.exe --base REV --pairs N --workload W --seed S
+
+   Checks REV out into a detached git worktree under the temporary
+   directory ($TMPDIR), builds both trees, then runs the command of
+   BENCHMARK.json with its run_seconds N times on each side, alternating
+   which side goes first.  Only the JSON summary on the last line of
+   each run's output is read.  For every end-to-end metric it prints
+   each side's median and quartiles (Python's statistics.quantiles,
+   n=4), the change's wins out of N pairs, whether the change is worse
+   than the base by more than the metric's bound, and whether it is a
+   gain: a win in at least 9 of every 10 pairs and a median better by
+   more than the base's inter-quartile range.  The worktree is removed
+   on exit; each run's output stays beside it, in
+   $TMPDIR/atmo-perf-pairs-*/.  Run from the repo root
+   (`make perf-pairs`). *)
+
+module J = Atmo_util.Minijson
+
+let die fmt = Printf.ksprintf (fun s -> prerr_endline ("perf-pairs: " ^ s); exit 2) fmt
+
+let sh ?(quiet = false) fmt =
+  Printf.ksprintf
+    (fun cmd ->
+      let cmd = if quiet then cmd ^ " > /dev/null 2>&1" else cmd in
+      Sys.command cmd)
+    fmt
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let last_line s =
+  match List.filter (fun l -> String.trim l <> "") (String.split_on_char '\n' s) with
+  | [] -> ""
+  | ls -> List.nth ls (List.length ls - 1)
+
+type metric = { name : string; unit_ : string; higher : bool; bound : float }
+
+let benchmark () =
+  let j = match J.of_file "BENCHMARK.json" with Ok j -> j | Error e -> die "BENCHMARK.json: %s" e in
+  let command =
+    match J.member "command" j with
+    | Some (J.Arr parts) ->
+      List.map (function J.Str s -> Filename.quote s | _ -> die "command: not a string list") parts
+      |> String.concat " "
+    | _ -> die "BENCHMARK.json has no command"
+  in
+  let seconds =
+    match J.to_float (J.member "run_seconds" j) with
+    | Some s -> s
+    | None -> die "BENCHMARK.json has no run_seconds"
+  in
+  let metrics =
+    match J.member "end_to_end" j with
+    | Some (J.Arr ms) ->
+      List.map
+        (fun m ->
+          let str k = Option.value ~default:"" (J.to_string (J.member k m)) in
+          {
+            name = str "name";
+            unit_ = str "unit";
+            higher = str "better" = "higher";
+            bound = Option.value ~default:0. (J.to_float (J.member "bound" m));
+          })
+        ms
+    | _ -> die "BENCHMARK.json has no end_to_end list"
+  in
+  (command, seconds, metrics)
+
+(* One run in [dir]: the metric values of its JSON last line. *)
+let run ~dir ~command ~args ~log =
+  let status = sh "cd %s && %s %s > %s" (Filename.quote dir) command args (Filename.quote log) in
+  let line = last_line (read_file log) in
+  if status <> 0 then die "run in %s exited %d (output in %s)" dir status log;
+  match J.of_string line with
+  | Error e -> die "run in %s: last line is not JSON (%s)" dir e
+  | Ok j ->
+    if J.to_bool (J.member "correct" j) <> Some true then
+      die "run in %s reported correct = false (output in %s)" dir log;
+    fun name -> J.to_float (J.path [ "metrics"; name; "value" ] j)
+
+let sorted xs =
+  let a = Array.of_list xs in
+  Array.sort compare a;
+  a
+
+let median xs =
+  let a = sorted xs in
+  let n = Array.length a in
+  if n = 0 then nan else if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.
+
+(* statistics.quantiles(xs, n=4), the default "exclusive" method *)
+let quartiles xs =
+  let a = sorted xs in
+  let ld = Array.length a in
+  if ld < 2 then (median xs, median xs)
+  else
+    let q i =
+      let m = ld + 1 in
+      let j = max 1 (min (ld - 1) (i * m / 4)) in
+      let delta = (i * m) - (j * 4) in
+      ((a.(j - 1) *. float_of_int (4 - delta)) +. (a.(j) *. float_of_int delta)) /. 4.
+    in
+    (q 1, q 3)
+
+let report metrics pairs =
+  let n = List.length pairs in
+  let need = ((9 * n) + 9) / 10 in
+  let stat xs =
+    let q1, q3 = quartiles xs in
+    Printf.sprintf "%.4g [%.4g, %.4g]" (median xs) q1 q3
+  in
+  Printf.printf "\n%-16s %-4s  %-30s %-30s %-7s %-8s %s\n" "metric" "unit"
+    "base median [q1, q3]" "change median [q1, q3]" "wins" "delta" "verdict";
+  List.iter
+    (fun m ->
+      let b = List.filter_map (fun (b, _) -> b m.name) pairs
+      and c = List.filter_map (fun (_, c) -> c m.name) pairs in
+      if List.length b <> n || List.length c <> n then
+        Printf.printf "%-16s missing from some runs\n" m.name
+      else begin
+        let better x y = if m.higher then x > y else x < y in
+        let wins = List.length (List.filter (fun (x, y) -> better y x) (List.combine b c)) in
+        let mb = median b and mc = median c in
+        let b1, b3 = quartiles b in
+        let delta = if mb = 0. then 0. else (mc -. mb) /. Float.abs mb in
+        let worse = if m.higher then -.delta else delta in
+        let gain = wins >= need && better mc mb && Float.abs (mc -. mb) > b3 -. b1 in
+        Printf.printf "%-16s %-4s  %-30s %-30s %-7s %+7.1f%% %s%s\n" m.name m.unit_ (stat b)
+          (stat c)
+          (Printf.sprintf "%d/%d" wins n)
+          (100. *. delta)
+          (if gain then "gain" else "no gain")
+          (if worse > m.bound then
+             Printf.sprintf ", WORSE than its %.0f%% bound" (100. *. m.bound)
+           else "")
+      end)
+    metrics;
+  Printf.printf
+    "\ngain = the change won at least %d of %d pairs and its median beats the base's by \
+     more than the base's inter-quartile range.\n"
+    need n
+
+let () =
+  let base = ref "HEAD~1" and pairs = ref 10 and workload = ref "mm" and seed = ref 1 in
+  Arg.parse
+    [
+      ("--base", Arg.Set_string base, "REV  base revision (default HEAD~1)");
+      ("--pairs", Arg.Set_int pairs, "N  pairs of runs (default 10)");
+      ("--workload", Arg.Set_string workload, "W  benchmark workload (default mm)");
+      ("--seed", Arg.Set_int seed, "S  benchmark seed (default 1)");
+    ]
+    (fun a -> die "unexpected argument %s" a)
+    "perf_pairs.exe [--base REV] [--pairs N] [--workload W] [--seed S]";
+  if !pairs < 1 then die "--pairs must be positive";
+  if not (Sys.file_exists "BENCHMARK.json") then die "run from the repo root";
+  let command, seconds, metrics = benchmark () in
+  let work = Filename.temp_dir "atmo-perf-pairs-" "" in
+  let tree = Filename.concat work "base" in
+  let cleanup () = ignore (sh ~quiet:true "git worktree remove --force %s" (Filename.quote tree)) in
+  at_exit cleanup;
+  if sh ~quiet:true "git worktree add --detach %s %s" (Filename.quote tree) (Filename.quote !base) <> 0
+  then die "cannot check %s out into %s" !base tree;
+  Printf.printf "base %s in %s; change = the working tree\n%!" !base tree;
+  List.iter
+    (fun dir ->
+      Printf.printf "building %s\n%!" dir;
+      if sh "cd %s && dune build --display quiet" (Filename.quote dir) <> 0
+      then die "build failed in %s" dir)
+    [ tree; Sys.getcwd () ];
+  let args =
+    Printf.sprintf "--workload %s --seed %d --seconds %g" (Filename.quote !workload) !seed seconds
+  in
+  let side name dir i =
+    let log = Filename.concat work (Printf.sprintf "%s-%d.out" name i) in
+    run ~dir ~command ~args ~log
+  in
+  let results =
+    List.init !pairs (fun i ->
+        (* alternate which side runs first *)
+        let b, c =
+          if i mod 2 = 0 then
+            let b = side "base" tree i in
+            (b, side "change" (Sys.getcwd ()) i)
+          else
+            let c = side "change" (Sys.getcwd ()) i in
+            (side "base" tree i, c)
+        in
+        Printf.printf "pair %d/%d done (%s first)\n%!" (i + 1) !pairs
+          (if i mod 2 = 0 then "base" else "change");
+        (b, c))
+  in
+  Printf.printf "\n%s seed %d, %d pairs of %g s runs: %s vs the working tree\n" !workload !seed
+    !pairs seconds !base;
+  report metrics results
