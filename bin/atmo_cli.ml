@@ -452,7 +452,7 @@ let monitor_main workload requests slots slo_strs window_cycles windows slow_eve
                     if String.length name > plen && String.sub name 0 plen = heartbeat_prefix
                     then acc + v
                     else acc)
-                  0 w.Obs_timeseries.delta.Obs_metrics.Snapshot.counters
+                  0 (Obs_metrics.Snapshot.counters w.Obs_timeseries.delta)
               in
               Format.printf "%4d %10d %10d %6d %10d %7d@." w.Obs_timeseries.seq
                 w.Obs_timeseries.w_start w.Obs_timeseries.w_end reqs p99 beats)
@@ -464,7 +464,12 @@ let monitor_main workload requests slots slo_strs window_cycles windows slow_eve
           | [] -> Format.printf "@.watchdog: quiet.@."
           | fs ->
             Format.printf "@.-- watchdog findings --@.";
-            List.iter (fun f -> Format.printf "%a@." Obs_watchdog.pp_report f) fs);
+            List.iter (fun f -> Format.printf "%a@." Obs_watchdog.pp_report f) fs;
+            List.iter
+              (fun (rule, n) ->
+                Format.printf "%-12s %d more finding(s) past the %d-per-rule cap@." rule n
+                  Obs_monitor.findings_cap)
+              (Obs_monitor.unfiled m));
           let exemplars = Obs_monitor.capture_exemplars m in
           (match exemplars with
           | [] -> ()

@@ -15,6 +15,12 @@ let tx_queue = 1
 let descriptor_bytes = 16
 let line_rate_pps = 14.2e6
 
+(* Burst counters, registered on first use (the first traced burst, as
+   a by-name bump would) and cached: a registry probe per burst is a
+   string hash on the request path. *)
+let rx_ctr = lazy (Atmo_obs.Metrics.counter "drv/ixgbe_rx")
+let tx_ctr = lazy (Atmo_obs.Metrics.counter "drv/ixgbe_tx")
+
 let flag_dd = 0x1
 let flag_own = 0x2
 
@@ -44,6 +50,8 @@ type t = {
   mutable tx_frames : int;
   mutable errors : Fault.error list;  (* newest first, capped *)
   mutable error_count : int;
+  rdesc : bytes;  (* the descriptor last read off a ring *)
+  wdesc : bytes;  (* the descriptor being written to a ring *)
 }
 
 let error_cap = 32
@@ -70,6 +78,8 @@ let create mem iommu ~device ~clock ~cost =
     tx_frames = 0;
     errors = [];
     error_count = 0;
+    rdesc = Bytes.make descriptor_bytes '\000';
+    wdesc = Bytes.make descriptor_bytes '\000';
   }
 
 let model t = t.model
@@ -77,20 +87,27 @@ let set_hostile t h = Model.set_hostile t.model h
 let errors t = List.rev t.errors
 let error_count t = t.error_count
 
-(* All descriptor accesses are device-side: they go through the IOMMU. *)
+(* All descriptor accesses are device-side: they go through the IOMMU,
+   into and out of the device's two scratch descriptors.  [read_desc]
+   says whether the read succeeded; the [desc_*] accessors decode what
+   it left in [rdesc] (until the next [read_desc]). *)
 let desc_addr ring slot = ring.iova + (slot * descriptor_bytes)
 
 let read_desc t ring slot =
-  match Iommu.dma_read t.iommu ~device:t.device ~iova:(desc_addr ring slot) ~len:descriptor_bytes with
-  | None -> None
-  | Some b ->
-    Some
-      ( Int64.to_int (Bytes.get_int64_le b 0),
-        Bytes.get_uint16_le b 8,
-        Bytes.get_uint16_le b 10 )
+  match
+    Iommu.dma_read_into t.iommu ~device:t.device ~iova:(desc_addr ring slot)
+      ~len:descriptor_bytes t.rdesc
+  with
+  | Ok () -> true
+  | Error _ -> false
 
+let desc_buf t = Int64.to_int (Bytes.get_int64_le t.rdesc 0)
+let desc_len t = Bytes.get_uint16_le t.rdesc 8
+let desc_flags t = Bytes.get_uint16_le t.rdesc 10
+
+(* Bytes 12-15 of [wdesc] are reserved and stay zero. *)
 let write_desc t ring slot ~buf_iova ~len ~flags =
-  let b = Bytes.make descriptor_bytes '\000' in
+  let b = t.wdesc in
   Bytes.set_int64_le b 0 (Int64.of_int buf_iova);
   Bytes.set_uint16_le b 8 len;
   Bytes.set_uint16_le b 10 flags;
@@ -142,9 +159,12 @@ let setup_tx t ~ring_iova ~buffers =
    window.  None of these may reach the driver as anything but a typed
    error. *)
 let deliver_into t ring frame =
-  match read_desc t ring ring.hw_next with
-  | Some (buf_iova, buf_len, flags)
-    when flags land flag_own <> 0 && Bytes.length frame <= buf_len ->
+  if
+    read_desc t ring ring.hw_next
+    && desc_flags t land flag_own <> 0
+    && Bytes.length frame <= desc_len t
+  then begin
+    let buf_iova = desc_buf t in
     if
       Iommu.dma_write t.iommu ~device:t.device ~iova:buf_iova frame
       && write_desc t ring ring.hw_next ~buf_iova ~len:(Bytes.length frame)
@@ -164,25 +184,24 @@ let deliver_into t ring frame =
       t.rx_drops <- t.rx_drops + 1;
       false
     end
-  | _ ->
+  end
+  else begin
     t.rx_drops <- t.rx_drops + 1;
     false
+  end
 
 (* Post a descriptor the driver must reject: DD set with an impossible
    length.  The completion is "delivered" (the driver will consume and
    discard it); the frame itself is lost. *)
 let deliver_poisoned t ring ~len =
-  match read_desc t ring ring.hw_next with
-  | Some (buf_iova, _, flags) when flags land flag_own <> 0 ->
-    if write_desc t ring ring.hw_next ~buf_iova ~len ~flags:flag_dd then begin
+  if read_desc t ring ring.hw_next && desc_flags t land flag_own <> 0 then begin
+    if write_desc t ring ring.hw_next ~buf_iova:(desc_buf t) ~len ~flags:flag_dd then begin
       ring.hw_next <- (ring.hw_next + 1) mod ring.slots;
       Model.note_deliver t.model 1
-    end;
-    t.rx_drops <- t.rx_drops + 1;
-    false
-  | _ ->
-    t.rx_drops <- t.rx_drops + 1;
-    false
+    end
+  end;
+  t.rx_drops <- t.rx_drops + 1;
+  false
 
 let wire_deliver t frame =
   match t.rx with
@@ -241,6 +260,17 @@ let wire_collect t =
 
 let rx_drops t = t.rx_drops
 
+(* Hand a harvested descriptor back to hardware at its slot's real
+   buffer capacity. *)
+let recycle t ring ~buf_iova ~cap =
+  ignore (write_desc t ring ring.drv_next ~buf_iova ~len:cap ~flags:flag_own);
+  ring.drv_next <- (ring.drv_next + 1) mod ring.slots;
+  Model.note_harvest t.model 1
+
+let reject t e f =
+  note_error t e;
+  Model.recovered t.model f
+
 let rx_burst t ~max =
   match t.rx with
   | None -> []
@@ -249,47 +279,36 @@ let rx_burst t ~max =
     if Model.pending_irqs t.model > 0 then Model.ack_irqs t.model;
     Model.on_op t.model;
     let rec harvest acc n =
-      if n >= max then acc
-      else
-        match read_desc t ring ring.drv_next with
-        | Some (buf_iova, len, flags) when flags land flag_dd <> 0 ->
-          Clock.advance t.clock t.cost.Cost.driver_per_packet;
-          let _, cap = ring.bufs.(ring.drv_next mod Array.length ring.bufs) in
-          let consume err frame =
-            (* recycle the descriptor back to hardware at the slot's
-               real buffer capacity *)
-            ignore (write_desc t ring ring.drv_next ~buf_iova ~len:cap ~flags:flag_own);
-            ring.drv_next <- (ring.drv_next + 1) mod ring.slots;
-            Model.note_harvest t.model 1;
-            match err, frame with
-            | Some (e, f), _ ->
-              note_error t e;
-              Model.recovered t.model f;
-              harvest acc (n + 1)
-            | None, Some frame ->
-              t.rx_frames <- t.rx_frames + 1;
-              harvest (frame :: acc) (n + 1)
-            | None, None -> harvest acc (n + 1)
-          in
-          if len = 0 then
-            consume (Some (Fault.Short_frame { len = 0; min = 1 }, Fault.Short_desc)) None
-          else if len > cap then
-            consume
-              (Some
-                 ( Fault.Malformed
-                     { slot = ring.drv_next; detail = Printf.sprintf "len %d > capacity %d" len cap },
-                   Fault.Malformed_desc ))
-              None
-          else
-            (match Iommu.dma_read_checked t.iommu ~device:t.device ~iova:buf_iova ~len with
-             | Ok frame -> consume None (Some frame)
-             | Error de ->
-               consume
-                 (Some
-                    ( Fault.Dma_fault { iova = de.Iommu.e_iova; len },
-                      Fault.Malformed_desc ))
-                 None)
-        | _ -> acc
+      if n >= max || not (read_desc t ring ring.drv_next && desc_flags t land flag_dd <> 0)
+      then acc
+      else begin
+        let buf_iova = desc_buf t and len = desc_len t in
+        Clock.advance t.clock t.cost.Cost.driver_per_packet;
+        let _, cap = ring.bufs.(ring.drv_next mod Array.length ring.bufs) in
+        if len = 0 then begin
+          recycle t ring ~buf_iova ~cap;
+          reject t (Fault.Short_frame { len = 0; min = 1 }) Fault.Short_desc;
+          harvest acc (n + 1)
+        end
+        else if len > cap then begin
+          let slot = ring.drv_next in
+          recycle t ring ~buf_iova ~cap;
+          reject t
+            (Fault.Malformed { slot; detail = Printf.sprintf "len %d > capacity %d" len cap })
+            Fault.Malformed_desc;
+          harvest acc (n + 1)
+        end
+        else
+          match Iommu.dma_read_checked t.iommu ~device:t.device ~iova:buf_iova ~len with
+          | Ok frame ->
+            recycle t ring ~buf_iova ~cap;
+            t.rx_frames <- t.rx_frames + 1;
+            harvest (frame :: acc) (n + 1)
+          | Error de ->
+            recycle t ring ~buf_iova ~cap;
+            reject t (Fault.Dma_fault { iova = de.Iommu.e_iova; len }) Fault.Malformed_desc;
+            harvest acc (n + 1)
+      end
     in
     let frames = List.rev (harvest [] 0) in
     let n = List.length frames in
@@ -297,7 +316,7 @@ let rx_burst t ~max =
       Obs.emit_drv_completion ~device:t.device ~count:n ();
       (* recycled descriptors are published with a tail-register write *)
       Obs.emit_drv_doorbell ~device:t.device ~queue:rx_queue ();
-      Atmo_obs.Metrics.bump ~by:n "drv/ixgbe_rx";
+      Atmo_obs.Metrics.Counter.add (Lazy.force rx_ctr) n;
       let sid = Span.pair Span.Drv_complete in
       Span.edge Span.Drv ~src:(Span.take_submit ~device:t.device ~tag:rx_queue)
         ~dst:sid
@@ -314,8 +333,10 @@ let tx_burst t frames =
         (fun accepted frame ->
           Clock.advance t.clock t.cost.Cost.driver_per_packet;
           (* a slot is free when its OWN and DD bits are clear *)
-          match read_desc t ring ring.drv_next with
-          | Some (_, _, flags) when flags land (flag_own lor flag_dd) = 0 ->
+          if
+            read_desc t ring ring.drv_next
+            && desc_flags t land (flag_own lor flag_dd) = 0
+          then begin
             let buf_iova, cap = ring.bufs.(ring.drv_next mod Array.length ring.bufs) in
             if
               Bytes.length frame <= cap
@@ -327,7 +348,8 @@ let tx_burst t frames =
               accepted + 1
             end
             else accepted
-          | _ -> accepted)
+          end
+          else accepted)
         0 frames
     in
     if accepted > 0 then begin
@@ -338,7 +360,7 @@ let tx_burst t frames =
       Model.note_harvest t.model accepted;
       if Obs.tracing () then begin
         Obs.emit_drv_doorbell ~device:t.device ~queue:tx_queue ();
-        Atmo_obs.Metrics.bump ~by:accepted "drv/ixgbe_tx"
+        Atmo_obs.Metrics.Counter.add (Lazy.force tx_ctr) accepted
       end
     end;
     accepted

@@ -8,6 +8,10 @@ module Model = Atmo_devmodel.Model
 
 let submission_queue = 0
 
+(* Submit-to-completion latency histogram, resolved on the first traced
+   completion and cached (no registry probe per completion). *)
+let io_hist = lazy (Atmo_obs.Metrics.histogram "lat/nvme_io")
+
 type op = Read | Write
 
 type completion = {
@@ -244,7 +248,7 @@ let poll t =
     (* modeled submit-to-completion latency, in cycles *)
     List.iter
       (fun (p, _) ->
-        Atmo_obs.Metrics.observe "lat/nvme_io" (p.due - p.submitted);
+        Atmo_obs.Metrics.Histogram.observe (Lazy.force io_hist) (p.due - p.submitted);
         let sid = Span.pair Span.Drv_complete in
         Span.edge Span.Drv ~src:(Span.take_submit ~device:t.device ~tag:p.p_tag)
           ~dst:sid)

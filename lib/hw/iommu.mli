@@ -73,5 +73,15 @@ val dma_write_checked : t -> device:int -> iova:int -> bytes -> (unit, dma_error
 
 val dma_read_checked : t -> device:int -> iova:int -> len:int -> (bytes, dma_error) result
 
+val dma_read_into :
+  t -> device:int -> iova:int -> len:int -> bytes -> (unit, dma_error) result
+(** [dma_read_into t ~device ~iova ~len dst] reads one burst into
+    [dst.[0 .. len)], straight from [Phys_mem]; [dst] is
+    untouched when the burst is rejected.  Like every burst, it
+    translates each page it touches once: a permission pass resolves
+    every page (rejecting the whole burst at the first unmapped one)
+    and the copy pass reuses the recorded physical addresses.  A burst
+    whose pages all hit the IOTLB allocates nothing. *)
+
 val faults : t -> int
 (** Count of rejected DMA operations since creation. *)

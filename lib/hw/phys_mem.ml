@@ -45,9 +45,9 @@ let check_bounds t addr len what =
    allocator.  Reads of untouched frames return zero without allocating. *)
 let frame_of t addr =
   let idx = page_index addr in
-  match Hashtbl.find_opt t.frames idx with
-  | Some b -> b
-  | None ->
+  match Hashtbl.find t.frames idx with
+  | b -> b
+  | exception Not_found ->
     let b = Bytes.make page_size '\000' in
     Hashtbl.replace t.frames idx b;
     b
@@ -101,37 +101,43 @@ let zero_page t ~addr =
   if observed () then access t Zero addr page_size;
   Hashtbl.remove t.frames (page_index addr)
 
-let blit_to t ~addr src =
-  let len = Bytes.length src in
+(* Frame-by-frame copy loops, top-level so a copy allocates nothing
+   beyond the frames it materialises. *)
+let rec copy_in t ~addr src ~off ~len o =
+  if o < len then begin
+    let a = addr + o in
+    let in_frame = a land (page_size - 1) in
+    let chunk = min (len - o) (page_size - in_frame) in
+    Bytes.blit src (off + o) (frame_of t a) in_frame chunk;
+    copy_in t ~addr src ~off ~len (o + chunk)
+  end
+
+let rec copy_out t ~addr ~len dst ~off o =
+  if o < len then begin
+    let a = addr + o in
+    let in_frame = a land (page_size - 1) in
+    let chunk = min (len - o) (page_size - in_frame) in
+    (match Hashtbl.find t.frames (page_index a) with
+     | b -> Bytes.blit b in_frame dst (off + o) chunk
+     | exception Not_found -> Bytes.fill dst (off + o) chunk '\000');
+    copy_out t ~addr ~len dst ~off (o + chunk)
+  end
+
+let write_bytes t ~addr src ~off ~len =
   check_bounds t addr len "blit_to";
   if len > 0 && observed () then access t Write addr len;
-  let rec go off =
-    if off < len then begin
-      let a = addr + off in
-      let in_frame = a land (page_size - 1) in
-      let chunk = min (len - off) (page_size - in_frame) in
-      Bytes.blit src off (frame_of t a) in_frame chunk;
-      go (off + chunk)
-    end
-  in
-  go 0
+  copy_in t ~addr src ~off ~len 0
 
-let blit_from t ~addr ~len =
+let read_bytes t ~addr ~len dst ~off =
   check_bounds t addr len "blit_from";
   if len > 0 && observed () then access t Read addr len;
-  let dst = Bytes.make len '\000' in
-  let rec go off =
-    if off < len then begin
-      let a = addr + off in
-      let in_frame = a land (page_size - 1) in
-      let chunk = min (len - off) (page_size - in_frame) in
-      (match frame_opt t a with
-       | None -> ()
-       | Some b -> Bytes.blit b in_frame dst off chunk);
-      go (off + chunk)
-    end
-  in
-  go 0;
+  copy_out t ~addr ~len dst ~off 0
+
+let blit_to t ~addr src = write_bytes t ~addr src ~off:0 ~len:(Bytes.length src)
+
+let blit_from t ~addr ~len =
+  let dst = Bytes.create len in
+  read_bytes t ~addr ~len dst ~off:0;
   dst
 
 let touched_frames t = Hashtbl.length t.frames

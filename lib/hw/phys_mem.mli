@@ -96,6 +96,16 @@ val blit_to : t -> addr:int -> bytes -> unit
 val blit_from : t -> addr:int -> len:int -> bytes
 (** Read [len] bytes starting at [addr]. *)
 
+val write_bytes : t -> addr:int -> bytes -> off:int -> len:int -> unit
+(** [write_bytes t ~addr src ~off ~len] copies [src.[off .. off+len)]
+    into memory at [addr], straight from the caller's buffer; one
+    access event, as {!blit_to}. *)
+
+val read_bytes : t -> addr:int -> len:int -> bytes -> off:int -> unit
+(** [read_bytes t ~addr ~len dst ~off] copies [len] bytes at [addr]
+    into [dst.[off .. off+len)] (zeros for never-written frames); one
+    access event, as {!blit_from}. *)
+
 val touched_frames : t -> int
 (** Number of frames that have been materialised (written or zeroed);
     used by tests to check the memory stays sparse. *)

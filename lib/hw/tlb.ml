@@ -77,23 +77,34 @@ let vbase_of vpn = vpn lsl 12
    2 MiB steps and 1 GiB steps all spread across sets. *)
 let set_of vpn = (vpn lxor (vpn lsr 9) lxor (vpn lsr 18)) land (sets - 1)
 
-let lookup t ~vaddr =
+(* The probe under every lookup: the index of the slot caching
+   [vaddr]'s page, or -1, bumping the hit/miss counters.  Returns an
+   int so a hit allocates nothing; the slot accessors below read it. *)
+let rec probe_ways t vpn base w =
+  if w >= ways then begin
+    Metrics.Counter.incr t.c.misses;
+    -1
+  end
+  else if t.slots.(base + w).vpn = vpn then begin
+    Metrics.Counter.incr t.c.hits;
+    base + w
+  end
+  else probe_ways t vpn base (w + 1)
+
+let probe t ~vaddr =
   let vpn = vpn_of vaddr in
-  let base = set_of vpn * ways in
-  let rec probe w =
-    if w >= ways then begin
-      Metrics.Counter.incr t.c.misses;
-      None
-    end
-    else
-      let s = t.slots.(base + w) in
-      if s.vpn = vpn then begin
-        Metrics.Counter.incr t.c.hits;
-        Some (s.frame, s.size, s.perm)
-      end
-      else probe (w + 1)
-  in
-  probe 0
+  probe_ways t vpn (set_of vpn * ways) 0
+
+let slot_frame t i = t.slots.(i).frame
+let slot_size t i = t.slots.(i).size
+let slot_perm t i = t.slots.(i).perm
+
+let lookup t ~vaddr =
+  let i = probe t ~vaddr in
+  if i < 0 then None
+  else
+    let s = t.slots.(i) in
+    Some (s.frame, s.size, s.perm)
 
 let insert t ~vaddr ~frame ~size ~perm =
   let vpn = vpn_of vaddr in

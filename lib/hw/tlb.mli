@@ -38,9 +38,19 @@ val asid : t -> int
 val live : t -> int
 (** Number of valid entries. *)
 
+val probe : t -> vaddr:int -> int
+(** Allocation-free lookup: the index of the slot caching [vaddr]'s
+    page, or [-1] on a miss; bumps the hit / miss counters.  Read the
+    hit with {!slot_frame}, {!slot_size} and {!slot_perm} before the
+    next {!insert} into the cache. *)
+
+val slot_frame : t -> int -> int
+val slot_size : t -> int -> int
+val slot_perm : t -> int -> Pte_bits.perm
+
 val lookup : t -> vaddr:int -> (int * int * Pte_bits.perm) option
 (** [(frame, size, perm)] of the cached mapping covering [vaddr], if
-    any; bumps the hit / miss counters. *)
+    any: {!probe} with the hit boxed; bumps the hit / miss counters. *)
 
 val insert : t -> vaddr:int -> frame:int -> size:int -> perm:Pte_bits.perm -> unit
 (** Cache a successful walk result (negative results are never cached).

@@ -50,35 +50,27 @@ let size_bytes t = Bytes.length t.arena
 let check_cpu t cpu =
   if cpu < 0 || cpu >= t.cpus then invalid_arg "Flight: cpu out of range"
 
-(* Hot-path u64 accessors.  Semantically [Bytes.get_int64_le] /
-   [Bytes.set_int64_le (Int64.of_int v)], but spelled as byte loads and
-   stores: without flambda the stdlib int64 accessors are out-of-line
-   calls that box an [Int64.t] per access, and the reserve/emit path
-   runs once per traced event.  Sign extension matches [Int64.of_int]
-   bit for bit ([asr] carries the int's sign through byte 7); the
-   encode-oracle test in test_obs pins the equivalence. *)
-let get8 b i = Char.code (Bytes.unsafe_get b i)
-let set8 b i v = Bytes.unsafe_set b i (Char.unsafe_chr (v land 0xff))
+(* Hot-path u64 accessors: one native 8-byte load or store per word,
+   little-endian in the arena on every host (byte-swapped on a
+   big-endian one).  Semantically [Bytes.get_int64_le] /
+   [Bytes.set_int64_le (Int64.of_int v)]; spelled with the unchecked
+   primitives because callers only pass offsets [reserve] or the
+   geometry handed out, and because [Int64.of_int]/[Int64.to_int]
+   applied straight to a primitive stay unboxed whatever the inliner
+   decides.  The conversions match the stdlib's bit for bit (sign
+   extension from bit 62 on store, bit 63 dropped on load); the
+   accessor-oracle and encode-oracle tests in test_obs pin both. *)
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+external bswap64 : int64 -> int64 = "%bswap_int64"
 
 let load_u64 b addr =
-  get8 b addr
-  lor (get8 b (addr + 1) lsl 8)
-  lor (get8 b (addr + 2) lsl 16)
-  lor (get8 b (addr + 3) lsl 24)
-  lor (get8 b (addr + 4) lsl 32)
-  lor (get8 b (addr + 5) lsl 40)
-  lor (get8 b (addr + 6) lsl 48)
-  lor (get8 b (addr + 7) lsl 56)
+  if Sys.big_endian then Int64.to_int (bswap64 (get64u b addr))
+  else Int64.to_int (get64u b addr)
 
 let store_u64 b addr v =
-  set8 b addr v;
-  set8 b (addr + 1) (v asr 8);
-  set8 b (addr + 2) (v asr 16);
-  set8 b (addr + 3) (v asr 24);
-  set8 b (addr + 4) (v asr 32);
-  set8 b (addr + 5) (v asr 40);
-  set8 b (addr + 6) (v asr 48);
-  set8 b (addr + 7) (v asr 56)
+  if Sys.big_endian then set64u b addr (bswap64 (Int64.of_int v))
+  else set64u b addr (Int64.of_int v)
 
 let read_u64 t addr = load_u64 t.arena addr
 let write_u64 t addr v = store_u64 t.arena addr v

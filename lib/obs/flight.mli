@@ -59,9 +59,10 @@ val slot_offset : t -> cpu:int -> int -> int
 
 val store_u64 : bytes -> int -> int -> unit
 (** [store_u64 buf off v] writes [v] at [off] exactly as
-    [Bytes.set_int64_le buf off (Int64.of_int v)] would, spelled as
-    byte stores so the non-flambda compiler emits no boxed [Int64] on
-    the per-event path (the encode-oracle test pins the equivalence). *)
+    [Bytes.set_int64_le buf off (Int64.of_int v)] would, as one native
+    8-byte store (byte-swapped on big-endian hosts), so the
+    non-flambda compiler emits no boxed [Int64] on the per-event path.
+    No bounds check: [off + 8] must lie within [buf]. *)
 
 val load_u64 : bytes -> int -> int
 (** Inverse of {!store_u64} (i.e. [Int64.to_int] of the LE word). *)

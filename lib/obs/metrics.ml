@@ -8,7 +8,8 @@ module Counter = struct
 
   let make name = { name; v = 0 }
   let name t = t.name
-  let incr ?(by = 1) t = if by > 0 then t.v <- t.v + by
+  let add t by = if by > 0 then t.v <- t.v + by
+  let incr ?(by = 1) t = add t by
   let value t = t.v
   let reset t = t.v <- 0
 end
@@ -117,12 +118,36 @@ end
 let counters : (string, Counter.t) Hashtbl.t = Hashtbl.create 32
 let histograms : (string, Histogram.t) Hashtbl.t = Hashtbl.create 32
 
+(* Name-sorted view of one table, rebuilt only when a registration
+   lands.  Snapshots, dumps and window closes walk the view instead of
+   folding and re-sorting the table each time.  A rebuild makes a fresh
+   [names] array and never mutates an old one, so a snapshot can share
+   the array it was taken against and two snapshots of one registry
+   generation share it physically. *)
+type 'a view = { mutable names : string array; mutable items : 'a array; mutable stale : bool }
+
+let counter_view = { names = [||]; items = [||]; stale = false }
+let hist_view = { names = [||]; items = [||]; stale = false }
+
+let sorted tbl v =
+  if v.stale then begin
+    let l =
+      Hashtbl.fold (fun k x acc -> (k, x) :: acc) tbl []
+      |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+    in
+    v.names <- Array.of_list (List.map fst l);
+    v.items <- Array.of_list (List.map snd l);
+    v.stale <- false
+  end;
+  v
+
 let counter name =
   match Hashtbl.find_opt counters name with
   | Some c -> c
   | None ->
     let c = Counter.make name in
     Hashtbl.replace counters name c;
+    counter_view.stale <- true;
     c
 
 let histogram name =
@@ -131,17 +156,18 @@ let histogram name =
   | None ->
     let h = Histogram.make name in
     Hashtbl.replace histograms name h;
+    hist_view.stale <- true;
     h
 
 let bump ?by name = Counter.incr ?by (counter name)
 let observe name v = Histogram.observe (histogram name) v
 
-let sorted_bindings tbl =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+let bindings tbl v =
+  let v = sorted tbl v in
+  List.init (Array.length v.items) (fun i -> (v.names.(i), v.items.(i)))
 
-let all_counters () = sorted_bindings counters
-let all_histograms () = sorted_bindings histograms
+let all_counters () = bindings counters counter_view
+let all_histograms () = bindings histograms hist_view
 
 (* Zero values in place rather than dropping registrations: hot paths
    (the MMU, the TLB) hold counter handles obtained once at module
@@ -171,63 +197,147 @@ let dump () =
 (* ------------------------------------------------------------------ *)
 (* Snapshots and deltas                                                *)
 
-(* A snapshot is a pure, deterministic copy of the whole registry:
-   both tables sorted by name, bucket arrays copied out.  Taking one
-   is a single pass over the registry, which is what makes windowed
-   rollups cheap — the per-window cost is one snapshot + one diff, not
-   per-event work.  [diff] clamps negative deltas to zero so a
-   [reset] landing between two snapshots degrades to an empty window
-   instead of nonsense. *)
+(* A snapshot is a deterministic copy of the whole registry in flat
+   arrays, in the registry's name-sorted order: counter values, and per
+   histogram its bucket counts (laid end to end, [bucket_count] each),
+   sample count and sum.  The name arrays are the registry views', shared
+   rather than copied.  Snapshots and deltas are one type: a delta is the
+   same arrays holding increments.
+
+   [take_into] and [diff_into] overwrite a caller-owned snapshot, reusing
+   its arrays while the registry keeps its shape, so a window close
+   that snapshots and diffs into reused slots allocates nothing.  [diff]
+   is element-wise when both sides share the name arrays (no
+   registration in between), and a merge-join over the sorted names
+   otherwise; it clamps negative deltas to zero so a [reset] landing
+   between two snapshots degrades to an empty window instead of
+   nonsense. *)
 module Snapshot = struct
   type hist = { counts : int array; n : int; sum : int }
-  type t = { counters : (string * int) list; hists : (string * hist) list }
 
-  let empty_hist =
-    { counts = Array.make Histogram.bucket_count 0; n = 0; sum = 0 }
+  type t = {
+    mutable cnames : string array;
+    mutable cvals : int array;
+    mutable hnames : string array;
+    mutable hcounts : int array;
+    mutable hn : int array;
+    mutable hsum : int array;
+  }
+
+  let bc = Histogram.bucket_count
+
+  let create () =
+    { cnames = [||]; cvals = [||]; hnames = [||]; hcounts = [||]; hn = [||]; hsum = [||] }
+
+  let sized a n = if Array.length a = n then a else Array.make n 0
+
+  let shape t ~nc ~nh =
+    t.cvals <- sized t.cvals nc;
+    t.hcounts <- sized t.hcounts (nh * bc);
+    t.hn <- sized t.hn nh;
+    t.hsum <- sized t.hsum nh
+
+  let take_into t =
+    let cv = sorted counters counter_view and hv = sorted histograms hist_view in
+    let nc = Array.length cv.items and nh = Array.length hv.items in
+    shape t ~nc ~nh;
+    t.cnames <- cv.names;
+    t.hnames <- hv.names;
+    for i = 0 to nc - 1 do
+      t.cvals.(i) <- Counter.value cv.items.(i)
+    done;
+    for i = 0 to nh - 1 do
+      let h = hv.items.(i) in
+      Array.blit h.Histogram.counts 0 t.hcounts (i * bc) bc;
+      t.hn.(i) <- h.Histogram.n;
+      t.hsum.(i) <- h.Histogram.sum
+    done
 
   let take () =
+    let t = create () in
+    take_into t;
+    t
+
+  (* For each index of [cur]'s names, the index of the same name in
+     [base]'s, or -1: registrations never drop, so [cur]'s names are a
+     superset and one forward pass matches them. *)
+  let iter_matched base_names cur_names f =
+    if base_names == cur_names then Array.iteri (fun i _ -> f i i) cur_names
+    else begin
+      let nb = Array.length base_names in
+      let j = ref 0 in
+      Array.iteri
+        (fun i name ->
+          while !j < nb && String.compare base_names.(!j) name < 0 do
+            incr j
+          done;
+          if !j < nb && String.equal base_names.(!j) name then begin
+            f i !j;
+            incr j
+          end
+          else f i (-1))
+        cur_names
+    end
+
+  let diff_into ~base cur d =
+    let nc = Array.length cur.cnames and nh = Array.length cur.hnames in
+    shape d ~nc ~nh;
+    d.cnames <- cur.cnames;
+    d.hnames <- cur.hnames;
+    iter_matched base.cnames cur.cnames (fun i j ->
+        let b = if j < 0 then 0 else base.cvals.(j) in
+        d.cvals.(i) <- max 0 (cur.cvals.(i) - b));
+    iter_matched base.hnames cur.hnames (fun i j ->
+        let n = ref 0 in
+        for k = 0 to bc - 1 do
+          let b = if j < 0 then 0 else base.hcounts.((j * bc) + k) in
+          let v = max 0 (cur.hcounts.((i * bc) + k) - b) in
+          d.hcounts.((i * bc) + k) <- v;
+          n := !n + v
+        done;
+        d.hn.(i) <- !n;
+        d.hsum.(i) <- max 0 (cur.hsum.(i) - if j < 0 then 0 else base.hsum.(j)))
+
+  let diff ~base cur =
+    let d = create () in
+    diff_into ~base cur d;
+    d
+
+  let copy t =
     {
-      counters = List.map (fun (n, c) -> (n, Counter.value c)) (all_counters ());
-      hists =
-        List.map
-          (fun (n, h) ->
-            (n, { counts = Histogram.buckets h; n = Histogram.count h; sum = Histogram.sum h }))
-          (all_histograms ());
+      cnames = t.cnames;
+      cvals = Array.copy t.cvals;
+      hnames = t.hnames;
+      hcounts = Array.copy t.hcounts;
+      hn = Array.copy t.hn;
+      hsum = Array.copy t.hsum;
     }
 
-  (* Merge-join over the sorted name lists.  Names present only in the
-     current snapshot (registered since [base]) diff against zero;
-     names present only in [base] cannot happen (registrations never
-     drop) but are skipped defensively. *)
-  let diff ~base cur =
-    let rec dc bs cs acc =
-      match (bs, cs) with
-      | _, [] -> List.rev acc
-      | [], (n, v) :: cs -> dc [] cs ((n, max 0 v) :: acc)
-      | (bn, bv) :: bs', ((n, v) :: cs' as cs0) ->
-        let c = String.compare bn n in
-        if c < 0 then dc bs' cs0 acc
-        else if c = 0 then dc bs' cs' ((n, max 0 (v - bv)) :: acc)
-        else dc bs cs' ((n, max 0 v) :: acc)
+  (* Binary search in a name-sorted array; -1 when absent. *)
+  let index names name =
+    let rec go lo hi =
+      if lo >= hi then -1
+      else
+        let mid = (lo + hi) lsr 1 in
+        let c = String.compare names.(mid) name in
+        if c = 0 then mid else if c < 0 then go (mid + 1) hi else go lo mid
     in
-    let dh (bh : hist) (h : hist) =
-      let counts = Array.init Histogram.bucket_count (fun i -> max 0 (h.counts.(i) - bh.counts.(i))) in
-      { counts; n = Array.fold_left ( + ) 0 counts; sum = max 0 (h.sum - bh.sum) }
-    in
-    let rec dhs bs cs acc =
-      match (bs, cs) with
-      | _, [] -> List.rev acc
-      | [], (n, h) :: cs -> dhs [] cs ((n, dh empty_hist h) :: acc)
-      | (bn, bh) :: bs', ((n, h) :: cs' as cs0) ->
-        let c = String.compare bn n in
-        if c < 0 then dhs bs' cs0 acc
-        else if c = 0 then dhs bs' cs' ((n, dh bh h) :: acc)
-        else dhs bs cs' ((n, dh empty_hist h) :: acc)
-    in
-    { counters = dc base.counters cur.counters []; hists = dhs base.hists cur.hists [] }
+    go 0 (Array.length names)
 
-  let counter t name = Option.value ~default:0 (List.assoc_opt name t.counters)
-  let hist t name = List.assoc_opt name t.hists
+  let hist_at t i = { counts = Array.sub t.hcounts (i * bc) bc; n = t.hn.(i); sum = t.hsum.(i) }
+
+  let counter t name =
+    let i = index t.cnames name in
+    if i < 0 then 0 else t.cvals.(i)
+
+  let hist t name =
+    let i = index t.hnames name in
+    if i < 0 then None else Some (hist_at t i)
+
+  let counter_names t = t.cnames
+  let counter_value t i = t.cvals.(i)
+  let counters t = List.init (Array.length t.cnames) (fun i -> (t.cnames.(i), t.cvals.(i)))
+  let hists t = List.init (Array.length t.hnames) (fun i -> (t.hnames.(i), hist_at t i))
 
   let merge_hists hs =
     let acc = { counts = Array.make Histogram.bucket_count 0; n = 0; sum = 0 } in

@@ -15,6 +15,10 @@ module Counter : sig
   val incr : ?by:int -> t -> unit
   (** Monotonic: non-positive [by] is ignored. *)
 
+  val add : t -> int -> unit
+  (** [add t by] is [incr ~by t] without the option box, for per-event
+      call sites. *)
+
   val value : t -> int
   val reset : t -> unit
 end
@@ -82,31 +86,65 @@ val pp_table : Format.formatter -> unit -> unit
 
 (** {2 Snapshots and deltas}
 
-    A deterministic point-in-time copy of the whole registry, sorted by
-    name, taken in one pass — the primitive under windowed time-series
-    rollups: per-window cost is one {!Snapshot.take} plus one
-    {!Snapshot.diff}, independent of the event rate. *)
+    A deterministic point-in-time copy of the whole registry, in the
+    registry's name-sorted order — the primitive under windowed
+    time-series rollups: a window close is one {!Snapshot.take_into}
+    plus one {!Snapshot.diff_into} into reused storage, independent of
+    the event rate.  The registry keeps its name-sorted view between
+    registrations, so a snapshot neither folds nor sorts the tables. *)
 module Snapshot : sig
   type hist = { counts : int array; n : int; sum : int }
   (** Bucket counts (length {!Histogram.bucket_count}), sample count,
       and value sum.  In a delta, all three are the window's increment. *)
 
-  type t = { counters : (string * int) list; hists : (string * hist) list }
-  (** Both lists sorted by name; zero-valued entries included. *)
+  type t
+  (** Counter values and histogram buckets/counts/sums in flat arrays,
+      both tables in name order, zero-valued entries included.  A
+      delta ({!diff}) has the same representation. *)
+
+  val create : unit -> t
+  (** An empty snapshot, to be filled by {!take_into} or {!diff_into}. *)
 
   val take : unit -> t
 
+  val take_into : t -> unit
+  (** Overwrite [t] with the current registry, reusing its arrays when
+      no metric registered since they were sized. *)
+
   val diff : base:t -> t -> t
   (** [diff ~base cur] is the per-name increment from [base] to [cur],
-      bucket-wise for histograms, sorted, deterministic.  Names
-      registered after [base] diff against zero.  Negative deltas (a
-      {!val:reset} between the snapshots) clamp to zero, so a window
-      spanning a reset reads as empty rather than garbage. *)
+      bucket-wise for histograms, deterministic.  Names registered after
+      [base] diff against zero.  Negative deltas (a {!val:reset} between
+      the snapshots) clamp to zero, so a window spanning a reset reads
+      as empty rather than garbage. *)
+
+  val diff_into : base:t -> t -> t -> unit
+  (** [diff_into ~base cur d] stores [diff ~base cur] in [d], reusing
+      [d]'s arrays. *)
+
+  val copy : t -> t
+  (** A snapshot no later [take_into]/[diff_into] on the original can
+      change. *)
 
   val counter : t -> string -> int
   (** Value by name, 0 when absent. *)
 
   val hist : t -> string -> hist option
+
+  val counters : t -> (string * int) list
+  (** Every counter, sorted by name. *)
+
+  val hists : t -> (string * hist) list
+  (** Every histogram, sorted by name. *)
+
+  val counter_names : t -> string array
+  (** The sorted counter names, indexing {!counter_value}.  Shared with
+      the registry view the snapshot was taken against (physically
+      equal for every snapshot of one registry generation); never
+      mutate it. *)
+
+  val counter_value : t -> int -> int
+  (** Counter value at an index of {!counter_names}. *)
 
   val merge_hists : hist list -> hist
   (** Bucket-wise sum — merging window deltas of one histogram loses no

@@ -4,8 +4,9 @@
     Exactly one monitor is active at a time (mirroring the sink
     registry).  Arming sets the slow-root threshold to the tightest
     [lat/request] SLO limit and schedules a window tick at
-    [now + window_cycles]; every tick is one registry snapshot + diff,
-    one gauge sample, and one watchdog sweep — nothing per event. *)
+    [now + window_cycles]; every tick is one registry snapshot + diff
+    into reused storage, one gauge sample, and one watchdog sweep over
+    per-window summaries — nothing per event. *)
 
 type t
 
@@ -43,9 +44,17 @@ val verdicts : t -> Slo.verdict list
 val compliant : t -> bool
 (** All verdicts compliant — the [atmo monitor] exit code. *)
 
+val findings_cap : int
+(** Findings kept per rule (64); later ones are only counted
+    ({!unfiled}). *)
+
 val findings : t -> Watchdog.report list
-(** Accumulated watchdog reports, deduped by {!Watchdog.report_key},
-    in firing order. *)
+(** Kept watchdog reports in firing order: the first {!findings_cap}
+    of each rule. *)
+
+val unfiled : t -> (string * int) list
+(** Per rule name, the findings counted past {!findings_cap} and not
+    kept; rules with none are omitted. *)
 
 val samples : t -> Watchdog.sample list
 (** Gauge samples, oldest first (first entry is the arm-time

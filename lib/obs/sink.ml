@@ -56,24 +56,43 @@ let bad_cpu = ref 0
 let published_bad_cpu = ref 0
 
 (* Sync the hot-path tallies into the metrics registry by delta.  Kept
-   off the emit path (a registry bump is a hashtable probe); called
-   from [records]/[dropped] and explicitly by benches/CLI. *)
+   off the emit path; called from [records]/[dropped] (so once per
+   monitor window) and explicitly by benches/CLI.  Each tag's
+   [obs/emitted/<kind>] / [obs/sampled_out/<kind>] handle is resolved
+   once, the first time that tag has something to publish (so the name
+   registers exactly when a by-name bump would register it) and reused
+   after that, so a publish builds no string and probes no table. *)
+let emitted_ctrs : Metrics.Counter.t option array = Array.make counters_len None
+let sampled_ctrs : Metrics.Counter.t option array = Array.make counters_len None
+let bad_cpu_ctr = lazy (Metrics.counter "obs/bad_cpu")
+
+let publish ctrs prefix tag by =
+  let c =
+    match ctrs.(tag) with
+    | Some c -> c
+    | None ->
+      let c = Metrics.counter (prefix ^ Event.tag_name tag) in
+      ctrs.(tag) <- Some c;
+      c
+  in
+  Metrics.Counter.add c by
+
 let publish_counters () =
   for tag = 1 to Event.tag_count do
     let d = emitted.(tag) - published_emitted.(tag) in
     if d > 0 then begin
-      Metrics.bump ~by:d ("obs/emitted/" ^ Event.tag_name tag);
+      publish emitted_ctrs "obs/emitted/" tag d;
       published_emitted.(tag) <- emitted.(tag)
     end;
     let d = sampled_out.(tag) - published_sampled.(tag) in
     if d > 0 then begin
-      Metrics.bump ~by:d ("obs/sampled_out/" ^ Event.tag_name tag);
+      publish sampled_ctrs "obs/sampled_out/" tag d;
       published_sampled.(tag) <- sampled_out.(tag)
     end
   done;
   let d = !bad_cpu - !published_bad_cpu in
   if d > 0 then begin
-    Metrics.bump ~by:d "obs/bad_cpu";
+    Metrics.Counter.add (Lazy.force bad_cpu_ctr) d;
     published_bad_cpu := !bad_cpu
   end
 

@@ -79,32 +79,83 @@ let label k = label_of_code (code k)
 (* ------------------------------------------------------------------ *)
 (* Per-CPU open-span stacks                                            *)
 
+(* Frames are mutable and pooled: each CPU's stack is an array of frame
+   records reused from one span to the next, so opening and closing a
+   span writes fields in place instead of allocating a frame and a
+   cons cell.  Only [frames.(0 .. depth-1)] are open. *)
 type frame = {
-  id : int;
-  fcode : int;
-  container : int;
-  fproc : int;
-  fthread : int;
-  t0 : int;
+  mutable id : int;
+  mutable fcode : int;
+  mutable container : int;
+  mutable fproc : int;
+  mutable fthread : int;
+  mutable t0 : int;
   mutable child : int;  (* summed duration of completed direct children *)
 }
 
+type stack = { mutable frames : frame array; mutable depth : int }
+
+let fresh_frame () =
+  { id = 0; fcode = 0; container = -1; fproc = -1; fthread = -1; t0 = 0; child = 0 }
+
+let new_stack () = { frames = [||]; depth = 0 }
+
+(* Int-keyed tables probed with [find] (a miss is [Not_found]), so a
+   hit allocates no option. *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end)
+
 let next_id = ref 1
-let stacks : (int, frame list ref) Hashtbl.t = Hashtbl.create 8
+
+(* CPUs [0, max_cpus) index a flat array; any other hint (tests set
+   arbitrary ones) falls back to a table. *)
+let max_cpus = 64
+let stacks = Array.init max_cpus (fun _ -> new_stack ())
+let other_stacks : stack Itbl.t = Itbl.create 4
 let leaks : (int * int * int) list ref = ref []  (* cpu, code, id *)
 
 let stack_for cpu =
-  match Hashtbl.find_opt stacks cpu with
-  | Some r -> r
-  | None ->
-    let r = ref [] in
-    Hashtbl.replace stacks cpu r;
-    r
+  if cpu >= 0 && cpu < max_cpus then Array.unsafe_get stacks cpu
+  else
+    match Itbl.find other_stacks cpu with
+    | st -> st
+    | exception Not_found ->
+      let st = new_stack () in
+      Itbl.replace other_stacks cpu st;
+      st
+
+let push st ~id ~fcode ~container ~fproc ~fthread ~t0 =
+  let n = Array.length st.frames in
+  if st.depth = n then begin
+    let bigger = Array.make (max 8 (2 * n)) (fresh_frame ()) in
+    Array.blit st.frames 0 bigger 0 n;
+    for i = n to Array.length bigger - 1 do
+      bigger.(i) <- fresh_frame ()
+    done;
+    st.frames <- bigger
+  end;
+  let f = st.frames.(st.depth) in
+  f.id <- id;
+  f.fcode <- fcode;
+  f.container <- container;
+  f.fproc <- fproc;
+  f.fthread <- fthread;
+  f.t0 <- t0;
+  f.child <- 0;
+  st.depth <- st.depth + 1
+
+let iter_stacks f =
+  Array.iteri f stacks;
+  Itbl.iter f other_stacks
 
 (* Causal-edge side tables: who to connect a later event back to. *)
-let blocked : (int, int) Hashtbl.t = Hashtbl.create 32  (* thread -> span *)
-let irq_pending : (int, int) Hashtbl.t = Hashtbl.create 8  (* device -> span *)
-let submits : (int * int, int) Hashtbl.t = Hashtbl.create 32  (* device,tag -> span *)
+let blocked : int Itbl.t = Itbl.create 32  (* thread -> span *)
+let irq_pending : int Itbl.t = Itbl.create 8  (* device -> span *)
+let submits : int Itbl.t = Itbl.create 32  (* submit_key device tag -> span *)
 
 (* ------------------------------------------------------------------ *)
 (* Monitor feed                                                        *)
@@ -167,12 +218,13 @@ let heartbeat cpu =
 
 let reset () =
   next_id := 1;
-  Hashtbl.reset stacks;
+  iter_stacks (fun _ st -> st.depth <- 0);
+  Itbl.reset other_stacks;
   leaks := [];
   clear_slow ();
-  Hashtbl.reset blocked;
-  Hashtbl.reset irq_pending;
-  Hashtbl.reset submits
+  Itbl.reset blocked;
+  Itbl.reset irq_pending;
+  Itbl.reset submits
 
 (* ------------------------------------------------------------------ *)
 (* Begin / end                                                         *)
@@ -186,20 +238,20 @@ let total_ctr = lazy (Metrics.counter total_name)
    zero-alloc emit path next to it.  Keys pack [owner * 4 + family];
    [Metrics.reset] zeroes counters in place, so handles stay valid. *)
 let family_names = [| "cycles/container/"; "cycles/process/"; "cycles/thread/" |]
-let owner_ctrs : (int, Metrics.Counter.t) Hashtbl.t = Hashtbl.create 64
+let owner_ctrs : Metrics.Counter.t Itbl.t = Itbl.create 64
 
 let charge family owner by =
   if owner >= 0 && by > 0 then begin
     let key = (owner * 4) + family in
     let c =
-      match Hashtbl.find_opt owner_ctrs key with
-      | Some c -> c
-      | None ->
+      match Itbl.find owner_ctrs key with
+      | c -> c
+      | exception Not_found ->
         let c = Metrics.counter (family_names.(family) ^ string_of_int owner) in
-        Hashtbl.replace owner_ctrs key c;
+        Itbl.replace owner_ctrs key c;
         c
     in
-    Metrics.Counter.incr ~by c
+    Metrics.Counter.add c by
   end
 
 let kind_ctr fcode =
@@ -222,20 +274,22 @@ let begin_ ?ts ?(container = -1) ?(proc = -1) ?(thread = -1) kind =
     let st = stack_for cpu in
     let id = !next_id in
     incr next_id;
-    let parent, container, proc, thread =
-      match !st with
-      | [] -> (0, container, proc, thread)
-      | f :: _ ->
-        (* Owner inherits down the stack unless overridden. *)
-        ( f.id,
-          (if container >= 0 then container else f.container),
-          (if proc >= 0 then proc else f.fproc),
-          if thread >= 0 then thread else f.fthread )
-    in
     let c = code kind in
     let t0 = match ts with Some t -> t | None -> Sink.now () in
-    st := { id; fcode = c; container; fproc = proc; fthread = thread; t0; child = 0 } :: !st;
-    Sink.emit_span_begin ?ts ~span:id ~parent ~kind:c ~owner:container ();
+    (* Owner inherits down the stack unless overridden. *)
+    if st.depth = 0 then begin
+      push st ~id ~fcode:c ~container ~fproc:proc ~fthread:thread ~t0;
+      Sink.emit_span_begin ?ts ~span:id ~parent:0 ~kind:c ~owner:container ()
+    end
+    else begin
+      let p = st.frames.(st.depth - 1) in
+      let container = if container >= 0 then container else p.container in
+      push st ~id ~fcode:c ~container
+        ~fproc:(if proc >= 0 then proc else p.fproc)
+        ~fthread:(if thread >= 0 then thread else p.fthread)
+        ~t0;
+      Sink.emit_span_begin ?ts ~span:id ~parent:p.id ~kind:c ~owner:container ()
+    end;
     id
   end
 
@@ -253,65 +307,77 @@ let pair ?ts ?(container = -1) kind =
     let st = stack_for cpu in
     let id = !next_id in
     incr next_id;
-    let parent, container =
-      match !st with
-      | [] -> (0, container)
-      | f :: _ -> (f.id, if container >= 0 then container else f.container)
-    in
     heartbeat cpu;
-    Sink.emit_span_pair ?ts ~span:id ~parent ~kind:(code kind) ~owner:container ();
+    if st.depth = 0 then
+      Sink.emit_span_pair ?ts ~span:id ~parent:0 ~kind:(code kind) ~owner:container ()
+    else begin
+      let p = st.frames.(st.depth - 1) in
+      Sink.emit_span_pair ?ts ~span:id ~parent:p.id ~kind:(code kind)
+        ~owner:(if container >= 0 then container else p.container)
+        ()
+    end;
     id
   end
 
-let close_frame ?ts ~cpu st f rest =
-  st := rest;
+(* Pop the top frame [f] of [st].  Its fields are read before anything
+   else runs: the slot is free again once [depth] drops. *)
+let close_frame ?ts ~cpu st f =
+  st.depth <- st.depth - 1;
+  let id = f.id and fcode = f.fcode and container = f.container in
   let t1 = match ts with Some t -> t | None -> Sink.now () in
   let dur = max 0 (t1 - f.t0) in
   let self = max 0 (dur - f.child) in
-  (match rest with
-  | p :: _ -> p.child <- p.child + dur
-  | [] ->
-    Metrics.Counter.incr ~by:dur (Lazy.force total_ctr);
-    if f.fcode = request_code then begin
+  if st.depth > 0 then begin
+    let p = st.frames.(st.depth - 1) in
+    p.child <- p.child + dur
+  end
+  else begin
+    Metrics.Counter.add (Lazy.force total_ctr) dur;
+    if fcode = request_code then begin
       Metrics.Histogram.observe (Lazy.force request_hist) dur;
       if dur > !slow_threshold && !slow_n < slow_cap then begin
         incr slow_n;
-        slow_acc := (f.id, dur, t1) :: !slow_acc
+        slow_acc := (id, dur, t1) :: !slow_acc
       end
-    end);
-  charge 0 f.container self;
+    end
+  end;
+  charge 0 container self;
   charge 1 f.fproc self;
   charge 2 f.fthread self;
-  if self > 0 then Metrics.Counter.incr ~by:self (kind_ctr f.fcode);
+  if self > 0 then Metrics.Counter.add (kind_ctr fcode) self;
   heartbeat cpu;
-  Sink.emit_span_end ?ts ~span:f.id ~kind:f.fcode ~owner:f.container ();
+  Sink.emit_span_end ?ts ~span:id ~kind:fcode ~owner:container ();
   if t1 >= !tick_at then !tick_fn t1
+
+let open_below st id =
+  let rec go i = i >= 0 && (st.frames.(i).id = id || go (i - 1)) in
+  go (st.depth - 2)
 
 let rec end_ ?ts id =
   if Sink.tracing () && id > 0 then begin
     let cpu = Sink.current_cpu () in
     let st = stack_for cpu in
-    match !st with
-    | [] -> Metrics.bump "span/stray_end"
-    | f :: rest ->
-      if f.id = id then close_frame ?ts ~cpu st f rest
-      else if List.exists (fun g -> g.id = id) rest then begin
+    if st.depth = 0 then Metrics.bump "span/stray_end"
+    else begin
+      let f = st.frames.(st.depth - 1) in
+      if f.id = id then close_frame ?ts ~cpu st f
+      else if open_below st id then begin
         (* Children left open above the span being ended: a balance
            violation.  Record them for the sanitizer lint and unwind. *)
         leaks := (cpu, f.fcode, f.id) :: !leaks;
         Metrics.bump "span/leaked";
-        st := rest;
+        st.depth <- st.depth - 1;
         end_ ?ts id
       end
       else Metrics.bump "span/stray_end"
+    end
   end
 
 let current () =
   if not (Sink.tracing ()) then 0
   else
-    match Hashtbl.find_opt stacks (Sink.current_cpu ()) with
-    | Some { contents = f :: _ } -> f.id
-    | _ -> 0
+    let st = stack_for (Sink.current_cpu ()) in
+    if st.depth = 0 then 0 else st.frames.(st.depth - 1).id
 
 (* ------------------------------------------------------------------ *)
 (* Causal edges                                                        *)
@@ -323,41 +389,38 @@ let edge_code = function Ipc -> 1 | Irq_delivery -> 2 | Drv -> 3 | Wakeup -> 4
 let edge kind ~src ~dst =
   if src > 0 && dst > 0 then Sink.emit_causal ~edge:(edge_code kind) ~src ~dst ()
 
-let note_blocked ~thread ~span = if span > 0 then Hashtbl.replace blocked thread span
-
-let take_blocked ~thread =
-  match Hashtbl.find_opt blocked thread with
-  | Some s ->
-    Hashtbl.remove blocked thread;
+let take tbl key =
+  match Itbl.find tbl key with
+  | s ->
+    Itbl.remove tbl key;
     s
-  | None -> 0
+  | exception Not_found -> 0
 
-let note_irq_pending ~device ~span = if span > 0 then Hashtbl.replace irq_pending device span
+let note_blocked ~thread ~span = if span > 0 then Itbl.replace blocked thread span
+let take_blocked ~thread = take blocked thread
+let note_irq_pending ~device ~span = if span > 0 then Itbl.replace irq_pending device span
+let take_irq_pending ~device = take irq_pending device
 
-let take_irq_pending ~device =
-  match Hashtbl.find_opt irq_pending device with
-  | Some s ->
-    Hashtbl.remove irq_pending device;
-    s
-  | None -> 0
+(* One packed int per (device, tag): device ids are small and queue
+   tags count up from 0, so [tag] fits below bit 32. *)
+let submit_key ~device ~tag = (device lsl 32) lxor tag
 
-let note_submit ~device ~tag ~span = if span > 0 then Hashtbl.replace submits (device, tag) span
+let note_submit ~device ~tag ~span =
+  if span > 0 then Itbl.replace submits (submit_key ~device ~tag) span
 
-let take_submit ~device ~tag =
-  match Hashtbl.find_opt submits (device, tag) with
-  | Some s ->
-    Hashtbl.remove submits (device, tag);
-    s
-  | None -> 0
+let take_submit ~device ~tag = take submits (submit_key ~device ~tag)
 
 (* ------------------------------------------------------------------ *)
 (* Introspection (the sanitizer's span-balance lint)                   *)
 
 let open_spans () =
-  Hashtbl.fold
-    (fun cpu st acc -> List.fold_left (fun acc f -> (cpu, f.fcode, f.id) :: acc) acc !st)
-    stacks []
-  |> List.sort compare
+  let acc = ref [] in
+  iter_stacks (fun cpu st ->
+      for i = 0 to st.depth - 1 do
+        let f = st.frames.(i) in
+        acc := (cpu, f.fcode, f.id) :: !acc
+      done);
+  List.sort compare !acc
 
 let leaked () = List.sort compare !leaks
 let clear_leaked () = leaks := []

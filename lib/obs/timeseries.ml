@@ -7,24 +7,41 @@
    fixed-size wraparound ring, so the whole rollup machinery costs one
    registry pass per window boundary and nothing per event.
 
+   The ring's slots are allocated once and overwritten in place: a tick
+   snapshots into a scratch buffer, diffs it into the evicted slot's
+   arrays and swaps the scratch with the base, so while the registry
+   keeps its shape a window close allocates nothing and the retained
+   deltas are never re-promoted.  Readers get copies ([windows],
+   [latest], [last]); only [newest] hands out the live slot.
+
    Window boundaries ride on the cycle clock of whoever owns the
    timeline (the span layer's close path polls it), so window edges are
    "at least [window_cycles] apart": each window records its actual
    [w_start]/[w_end] and rates divide by the real width. *)
 
+module Snapshot = Metrics.Snapshot
+
 type window = {
   seq : int;  (* 0-based tick number, monotone across wraparound *)
   w_start : int;
   w_end : int;
-  delta : Metrics.Snapshot.t;
+  delta : Snapshot.t;
+}
+
+type slot = {
+  mutable s_seq : int;
+  mutable s_start : int;
+  mutable s_end : int;
+  s_delta : Snapshot.t;
 }
 
 type t = {
   cap : int;
   window_cycles : int;
-  ring : window option array;
+  ring : slot array;
   mutable nticks : int;
-  mutable base : Metrics.Snapshot.t;
+  mutable base : Snapshot.t;
+  mutable scratch : Snapshot.t;
   mutable w_open : int;  (* start timestamp of the currently-open window *)
 }
 
@@ -34,20 +51,26 @@ let create ?(windows = 64) ~window_cycles ~now () =
   {
     cap = windows;
     window_cycles;
-    ring = Array.make windows None;
+    ring =
+      Array.init windows (fun _ ->
+          { s_seq = 0; s_start = 0; s_end = 0; s_delta = Snapshot.create () });
     nticks = 0;
-    base = Metrics.Snapshot.take ();
+    base = Snapshot.take ();
+    scratch = Snapshot.create ();
     w_open = now;
   }
 
 let tick t ~now =
-  let cur = Metrics.Snapshot.take () in
-  let w =
-    { seq = t.nticks; w_start = t.w_open; w_end = now; delta = Metrics.Snapshot.diff ~base:t.base cur }
-  in
-  t.ring.(t.nticks mod t.cap) <- Some w;
+  Snapshot.take_into t.scratch;
+  let s = t.ring.(t.nticks mod t.cap) in
+  Snapshot.diff_into ~base:t.base t.scratch s.s_delta;
+  s.s_seq <- t.nticks;
+  s.s_start <- t.w_open;
+  s.s_end <- now;
+  let b = t.base in
+  t.base <- t.scratch;
+  t.scratch <- b;
   t.nticks <- t.nticks + 1;
-  t.base <- cur;
   t.w_open <- now
 
 let ticks t = t.nticks
@@ -55,30 +78,33 @@ let capacity t = t.cap
 let window_cycles t = t.window_cycles
 let next_boundary t = t.w_open + t.window_cycles
 
-let windows t =
-  let lo = max 0 (t.nticks - t.cap) in
-  let rec go i acc =
-    if i < lo then acc
-    else
-      match t.ring.(i mod t.cap) with
-      | Some w -> go (i - 1) (w :: acc)
-      | None -> go (i - 1) acc
-  in
-  go (t.nticks - 1) []
+let newest t =
+  if t.nticks = 0 then invalid_arg "Timeseries.newest: no window closed";
+  t.ring.((t.nticks - 1) mod t.cap).s_delta
 
-let last t n =
-  let ws = windows t in
-  let drop = max 0 (List.length ws - n) in
-  List.filteri (fun i _ -> i >= drop) ws
+(* Fold [f] over the last [n] retained slots, oldest first. *)
+let fold_slots t ~n f acc =
+  let lo = max 0 (t.nticks - min n t.cap) in
+  let acc = ref acc in
+  for i = lo to t.nticks - 1 do
+    acc := f !acc t.ring.(i mod t.cap)
+  done;
+  !acc
 
-let latest t = if t.nticks = 0 then None else t.ring.((t.nticks - 1) mod t.cap)
+let window_of s =
+  { seq = s.s_seq; w_start = s.s_start; w_end = s.s_end; delta = Snapshot.copy s.s_delta }
+
+let last t n = List.rev (fold_slots t ~n (fun acc s -> window_of s :: acc) [])
+let windows t = last t t.cap
+let latest t = if t.nticks = 0 then None else Some (window_of t.ring.((t.nticks - 1) mod t.cap))
 
 let merged t ~name ~n =
-  last t n
-  |> List.filter_map (fun w -> Metrics.Snapshot.hist w.delta name)
-  |> Metrics.Snapshot.merge_hists
+  fold_slots t ~n
+    (fun acc s -> match Snapshot.hist s.s_delta name with Some h -> h :: acc | None -> acc)
+    []
+  |> List.rev |> Snapshot.merge_hists
 
-let counter w ~name = Metrics.Snapshot.counter w.delta name
+let counter w ~name = Snapshot.counter w.delta name
 
 let rate w ~name =
   let dur = max 1 (w.w_end - w.w_start) in

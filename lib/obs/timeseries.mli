@@ -3,8 +3,10 @@
     A wraparound ring of the last N windows, each holding the registry
     delta (counter increments, histogram bucket increments) for one
     slice of the cycle timeline.  {!tick} closes the open window with a
-    single {!Metrics.Snapshot.take}/{!Metrics.Snapshot.diff} pass, so
-    rollup cost is per window boundary, never per event.
+    single {!Metrics.Snapshot.take_into}/{!Metrics.Snapshot.diff_into}
+    pass into the ring's reused slots, so rollup cost is per window
+    boundary, never per event, and a close allocates nothing while the
+    registry keeps its shape.
 
     Boundaries follow whoever owns the timeline — the span layer's
     close path polls {!next_boundary} — so windows are {e at least}
@@ -27,8 +29,8 @@ val create : ?windows:int -> window_cycles:int -> now:int -> unit -> t
 
 val tick : t -> now:int -> unit
 (** Close the open window at [now]: one registry snapshot, delta vs.
-    the previous one, stored in the ring (evicting the oldest window
-    once full); a fresh window opens at [now]. *)
+    the previous one, written over the ring's oldest slot once full; a
+    fresh window opens at [now]. *)
 
 val ticks : t -> int
 (** Windows closed so far (not capped by the ring size). *)
@@ -40,12 +42,19 @@ val next_boundary : t -> int
 (** Earliest timestamp at which the open window is due to close. *)
 
 val windows : t -> window list
-(** Retained windows, oldest first (at most [capacity] of them). *)
+(** Retained windows, oldest first (at most [capacity] of them).  Each
+    is a copy: later ticks do not change it. *)
 
 val last : t -> int -> window list
-(** Last [n] retained windows, oldest first. *)
+(** Last [n] retained windows, oldest first (copies). *)
 
 val latest : t -> window option
+
+val newest : t -> Metrics.Snapshot.t
+(** The newest closed window's delta in place, without a copy — for a
+    consumer that summarises each window as it closes.  The next tick
+    that reuses the slot overwrites it.  Raises [Invalid_argument]
+    before the first tick. *)
 
 val merged : t -> name:string -> n:int -> Metrics.Snapshot.hist
 (** Bucket-wise sum of histogram [name]'s deltas over the last [n]

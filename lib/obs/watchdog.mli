@@ -49,10 +49,25 @@ type sample = { sseq : int; depth : int; drops : int }
     the monitor's probe) and the cumulative flight-recorder drop
     count.  [sseq = -1] marks the baseline sample taken at arm time. *)
 
-val check : ?config:config -> Timeseries.t -> samples:sample list -> report list
-(** Evaluate every rule over the retained windows and [samples]
-    (oldest first).  Deterministic: sorted by {!report_key}.  Reports
-    repeat on later checks while their condition persists — the
-    monitor dedupes by {!report_key}. *)
+type t
+(** A watchdog over one series: per-window summaries (which CPUs beat,
+    the summed [smp/lock_wait/*] delta) for the last
+    [max(silent_windows+1, 8)] windows, computed once as each window
+    closes, plus the gauge samples of the last [windows + 1] ticks. *)
+
+val create : ?config:config -> windows:int -> baseline:sample -> unit -> t
+(** A watchdog for a series of [windows] ring slots, seeded with the
+    arm-time [baseline] sample. *)
+
+val observe : t -> Timeseries.t -> sample -> report list
+(** Call once per tick, right after {!Timeseries.tick}: summarise the
+    newly closed window ({!Timeseries.newest}), record [sample] (taken
+    before the tick), and evaluate every rule over the horizon.
+    Deterministic: sorted by {!report_key}.  A condition that persists
+    reports again at each tick, under that tick's window sequence
+    number, so no two ticks produce the same key. *)
+
+val samples : t -> sample list
+(** Retained gauge samples, oldest first. *)
 
 val pp_report : Format.formatter -> report -> unit

@@ -152,6 +152,48 @@ let test_driver_cycles_charged () =
   ignore (Ixgbe.rx_burst nic ~max:1);
   checki "per-packet driver cost" cost.Cost.driver_per_packet (Clock.now clock - before)
 
+(* One request's NIC leg as the kv deployment runs it: tx burst, the
+   wire, rx DMA, rx burst, with the flight recorder armed.  Descriptors
+   move through per-device scratch buffers and each DMA page resolves
+   once, so what is left is the frame copies the datapath hands out (the
+   wire copy and the harvested frame) and the lists around them.  A
+   boxed descriptor per read, a scratch buffer per copy and a second
+   translation per page come to about 1,050 words. *)
+let test_transfer_allocation_floor () =
+  let _, _, _, nic, ring, buffers = mk_env () in
+  let tx_ring = fst buffers.(0) and tx_bufs = Array.sub buffers 1 3 in
+  let rx_bufs = Array.sub buffers 4 4 in
+  (match Ixgbe.setup_rx nic ~ring_iova:ring ~buffers:rx_bufs with
+   | Ok () -> ()
+   | Error m -> Alcotest.fail (Atmo_devmodel.Fault.error_to_string m));
+  (match Ixgbe.setup_tx nic ~ring_iova:tx_ring ~buffers:tx_bufs with
+   | Ok () -> ()
+   | Error m -> Alcotest.fail (Atmo_devmodel.Fault.error_to_string m));
+  let frame = frame_of_text (String.make 40 'k') in
+  let transfer () =
+    let sent = Ixgbe.tx_burst nic [ frame ] in
+    let wire = Ixgbe.wire_collect nic in
+    List.iter (fun f -> ignore (Ixgbe.wire_deliver nic f)) wire;
+    match (sent, Ixgbe.rx_burst nic ~max:8) with
+    | 1, [ _ ] -> ()
+    | _ -> Alcotest.fail "transfer lost the frame"
+  in
+  Atmo_obs.Metrics.reset ();
+  Atmo_obs.Span.reset ();
+  Atmo_obs.Sink.install
+    (Atmo_obs.Sink.Flight
+       (Atmo_obs.Flight.create ~cpus:2 ~slots:1024 ~slot_size:Atmo_obs.Event.slot_bytes));
+  Fun.protect
+    ~finally:(fun () ->
+      Atmo_obs.Sink.install Atmo_obs.Sink.Disabled;
+      Atmo_obs.Span.reset ())
+    (fun () ->
+      for _ = 1 to 16 do
+        transfer ()
+      done;
+      Alloc.check_at_most "an ixgbe tx/wire/rx transfer" ~limit:300.
+        (Alloc.per_call transfer))
+
 (* ------------------------------------------------------------------ *)
 (* Nvme                                                                *)
 
@@ -222,6 +264,8 @@ let () =
           Alcotest.test_case "unmapped buffer drops" `Quick test_rx_unmapped_buffer_drops;
           Alcotest.test_case "tx path" `Quick test_tx_path;
           Alcotest.test_case "cycles charged" `Quick test_driver_cycles_charged;
+          Alcotest.test_case "transfer allocation floor" `Quick
+            test_transfer_allocation_floor;
         ] );
       ( "nvme",
         [

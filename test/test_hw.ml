@@ -242,6 +242,146 @@ let test_iommu_detach () =
   checkb "detached device faults" true (Iommu.translate io ~device:7 ~iova:va = None)
 
 (* ------------------------------------------------------------------ *)
+(* DMA bursts against the two-pass oracle                              *)
+
+(* A DMA window at [dma_base]: pages 0-3 read-write, page 4 read-only,
+   page 5 unmapped, page 6 read-write; and one read-write 2 MiB
+   superpage at [dma_super].  Built the same way twice, the
+   deterministic allocator gives both copies the same frames. *)
+let dma_base = 0x20_0000
+let dma_pages = 7
+let dma_super = 0x4000_0000
+
+let dma_world () =
+  let mem = Phys_mem.create ~page_count:2048 in
+  let alloc = Atmo_pmem.Page_alloc.create mem ~reserved_frames:0 in
+  let pt =
+    match Atmo_pt.Page_table.create mem alloc with
+    | Ok pt -> pt
+    | Error _ -> Alcotest.fail "dma world: page table"
+  in
+  for i = 0 to dma_pages - 1 do
+    if i <> 5 then
+      match Atmo_pmem.Page_alloc.alloc_4k alloc ~purpose:Atmo_pmem.Page_alloc.User with
+      | None -> Alcotest.fail "dma world: out of frames"
+      | Some frame ->
+        let perm = if i = 4 then Pte_bits.perm_ro else Pte_bits.perm_rw in
+        (match Atmo_pt.Page_table.map_4k pt ~vaddr:(dma_base + (i * 4096)) ~frame ~perm with
+         | Ok () -> ()
+         | Error _ -> Alcotest.fail "dma world: map")
+  done;
+  (match Atmo_pmem.Page_alloc.alloc_2m alloc ~purpose:Atmo_pmem.Page_alloc.User with
+   | None -> Alcotest.fail "dma world: no 2 MiB block"
+   | Some frame ->
+     (match Atmo_pt.Page_table.map_2m pt ~vaddr:dma_super ~frame ~perm:Pte_bits.perm_rw with
+      | Ok () -> ()
+      | Error _ -> Alcotest.fail "dma world: map_2m"));
+  (mem, Atmo_pt.Page_table.cr3 pt)
+
+(* The physical bytes behind [iova, iova + len), page by page. *)
+let burst_bytes mem cr3 ~iova ~len =
+  let first = iova land lnot 4095 in
+  String.concat ""
+    (List.init
+       (((iova + len - first) + 4095) / 4096)
+       (fun i ->
+         match Mmu.walk mem ~cr3 ~vaddr:(first + (i * 4096)) with
+         | None -> ""
+         | Some tr -> Bytes.to_string (Phys_mem.blit_from mem ~addr:tr.Mmu.paddr ~len:4096)))
+
+(* The window's physical bytes, page by page (zeros for the hole). *)
+let window_bytes mem cr3 =
+  String.concat ""
+    (List.init dma_pages (fun i ->
+         match Mmu.walk mem ~cr3 ~vaddr:(dma_base + (i * 4096)) with
+         | None -> String.make 4096 '-'
+         | Some tr -> Bytes.to_string (Phys_mem.blit_from mem ~addr:tr.Mmu.frame ~len:4096)))
+
+(* Seeded bursts, biased toward the interesting shapes: in-page,
+   crossing a page edge, running into the hole or the read-only page,
+   no domain, zero length. *)
+let random_burst rng =
+  let device = if Random.State.int rng 10 = 0 then 9 else 3 in
+  let shape = Random.State.int rng 7 in
+  let page = Random.State.int rng dma_pages in
+  let iova, len =
+    match shape with
+    | 0 -> (dma_base + (page * 4096) + Random.State.int rng 3000, 1 + Random.State.int rng 1000)
+    | 1 ->
+      let edge = dma_base + ((1 + Random.State.int rng (dma_pages - 1)) * 4096) in
+      (edge - 1 - Random.State.int rng 200, 2 + Random.State.int rng 6000)
+    | 2 -> (dma_base + (4 * 4096) - Random.State.int rng 100, 64 + Random.State.int rng 9000)
+    | 3 -> (dma_base + Random.State.int rng (dma_pages * 4096), 0)
+    | 4 -> (dma_base - Random.State.int rng 4096, 1 + Random.State.int rng 8192)
+    | 5 -> (dma_super + Random.State.int rng (2 lsl 20), 1 + Random.State.int rng 9000)
+    | _ -> (dma_base + Random.State.int rng (dma_pages * 4096), 1 + Random.State.int rng 12000)
+  in
+  (device, iova, len, Random.State.bool rng)
+
+let test_dma_matches_two_pass_oracle () =
+  let io_misses () = (Tlb.io_stats ()).Tlb.misses in
+  let delta f =
+    let b0 = Iommu.blocked () and m0 = io_misses () in
+    let r = f () in
+    (r, Iommu.blocked () - b0, io_misses () - m0)
+  in
+  let run ~iotlb seed =
+    Tlb.set_enabled iotlb;
+    let mem_a, cr3_a = dma_world () and mem_b, cr3_b = dma_world () in
+    let a = Iommu.create mem_a and b = Dma_oracle.create mem_b in
+    Iommu.attach a ~device:3 ~root:cr3_a;
+    Dma_oracle.attach b ~device:3 ~root:cr3_b;
+    let rng = Random.State.make [| seed |] in
+    for step = 1 to 400 do
+      let device, iova, len, write = random_burst rng in
+      let what = Printf.sprintf "iotlb %b step %d: device %d %s iova 0x%x len %d" iotlb step
+          device (if write then "write" else "read") iova len
+      in
+      let ra, ba, ma, rb, bb, mb =
+        if write then begin
+          let data = Bytes.init len (fun _ -> Char.chr (Random.State.int rng 256)) in
+          let ra, ba, ma = delta (fun () -> Iommu.dma_write_checked a ~device ~iova data) in
+          let rb, bb, mb = delta (fun () -> Dma_oracle.dma_write_checked b ~device ~iova data) in
+          (Result.map (fun () -> Bytes.empty) ra, ba, ma, Result.map (fun () -> Bytes.empty) rb, bb, mb)
+        end
+        else begin
+          let ra, ba, ma = delta (fun () -> Iommu.dma_read_checked a ~device ~iova ~len) in
+          let rb, bb, mb = delta (fun () -> Dma_oracle.dma_read_checked b ~device ~iova ~len) in
+          (ra, ba, ma, rb, bb, mb)
+        end
+      in
+      checkb (what ^ ": result and typed error") true (ra = rb);
+      check Alcotest.int (what ^ ": iommu/blocked") bb ba;
+      check Alcotest.int (what ^ ": iotlb misses") mb ma;
+      check Alcotest.int (what ^ ": faults") (Dma_oracle.faults b) (Iommu.faults a);
+      if write then begin
+        checkb (what ^ ": memory") true (window_bytes mem_a cr3_a = window_bytes mem_b cr3_b);
+        checkb (what ^ ": memory under the burst") true
+          (burst_bytes mem_a cr3_a ~iova ~len = burst_bytes mem_b cr3_b ~iova ~len)
+      end
+    done
+  in
+  Fun.protect ~finally:(fun () -> Tlb.set_enabled true) (fun () ->
+      List.iter (fun seed -> run ~iotlb:true seed; run ~iotlb:false seed) [ 1; 7919 ])
+
+(* An in-page burst whose page sits in the IOTLB is one probe and one
+   copy: no translation record, no scratch buffer, no closure (together
+   about 100 words per burst). *)
+let test_dma_in_page_allocation_floor () =
+  let mem, cr3 = dma_world () in
+  let io = Iommu.create mem in
+  Iommu.attach io ~device:3 ~root:cr3;
+  let data = Bytes.make 64 'x' in
+  let write () =
+    match Iommu.dma_write_checked io ~device:3 ~iova:(dma_base + 128) data with
+    | Ok () -> ()
+    | Error _ -> Alcotest.fail "in-page write rejected"
+  in
+  write ();
+  check (Alcotest.float 0.) "in-page dma_write_checked allocates nothing" 0.
+    (Alloc.per_call ~n:1000 write)
+
+(* ------------------------------------------------------------------ *)
 (* E820                                                                *)
 
 let test_e820_typical_valid () =
@@ -364,6 +504,10 @@ let () =
           Alcotest.test_case "unmapped dma rejected" `Quick test_iommu_unmapped_dma_rejected;
           Alcotest.test_case "typed dma errors" `Quick test_iommu_typed_dma_errors;
           Alcotest.test_case "detach" `Quick test_iommu_detach;
+          Alcotest.test_case "dma matches the two-pass oracle" `Quick
+            test_dma_matches_two_pass_oracle;
+          Alcotest.test_case "in-page dma allocation floor" `Quick
+            test_dma_in_page_allocation_floor;
         ] );
       ( "e820",
         [

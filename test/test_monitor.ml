@@ -53,8 +53,8 @@ let test_snapshot_sorted () =
   Metrics.observe "z/hist" 100;
   Metrics.observe "a/hist" 7;
   let s = Metrics.Snapshot.take () in
-  let cnames = List.map fst s.Metrics.Snapshot.counters in
-  let hnames = List.map fst s.Metrics.Snapshot.hists in
+  let cnames = List.map fst (Metrics.Snapshot.counters s) in
+  let hnames = List.map fst (Metrics.Snapshot.hists s) in
   checkb "counters sorted" true (cnames = List.sort String.compare cnames);
   checkb "hists sorted" true (hnames = List.sort String.compare hnames);
   let s2 = Metrics.Snapshot.take () in
@@ -379,6 +379,214 @@ let test_exemplar_coverage () =
       let prom = Export.prometheus ~exemplars:[ ("lat/request", refs) ] () in
       checkb "exemplar exposed on a bucket line" true (contains prom "# {span=\""))
 
+(* ------------------------------------------------------------------ *)
+(* The flat window close against the list-based oracle                 *)
+
+let hist_rows l =
+  List.map (fun (n, (h : Metrics.Snapshot.hist)) -> (n, (Array.to_list h.counts, h.n, h.sum))) l
+
+let check_window what (w : Timeseries.window) (o : Monitor_oracle.window) =
+  checki (what ^ ": seq") o.Monitor_oracle.seq w.Timeseries.seq;
+  checki (what ^ ": start") o.Monitor_oracle.w_start w.Timeseries.w_start;
+  checki (what ^ ": end") o.Monitor_oracle.w_end w.Timeseries.w_end;
+  Alcotest.(check (list (pair string int)))
+    (what ^ ": counter deltas")
+    o.Monitor_oracle.delta.Monitor_oracle.counters
+    (Metrics.Snapshot.counters w.Timeseries.delta);
+  Alcotest.(check (list (pair string (triple (list int) int int))))
+    (what ^ ": histogram deltas")
+    (hist_rows o.Monitor_oracle.delta.Monitor_oracle.hists)
+    (hist_rows (Metrics.Snapshot.hists w.Timeseries.delta))
+
+let pp_finding (r : Watchdog.report) = Format.asprintf "%a" Watchdog.pp_report r
+
+(* The oracle's findings with at most [cap] per rule, and what the cap
+   left over, per rule name. *)
+let capped cap findings =
+  let kept = Hashtbl.create 4 in
+  let over = Hashtbl.create 4 in
+  let keep =
+    List.filter
+      (fun (r : Watchdog.report) ->
+        let name = Watchdog.rule_name r.Watchdog.wrule in
+        let k = Option.value ~default:0 (Hashtbl.find_opt kept name) in
+        Hashtbl.replace kept name (k + 1);
+        if k < cap then true
+        else begin
+          Hashtbl.replace over name (1 + Option.value ~default:0 (Hashtbl.find_opt over name));
+          false
+        end)
+      findings
+  in
+  (keep, List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) over []))
+
+(* Everything the monitor reports after a run, against the oracle. *)
+let check_against_oracle what m o =
+  let series = Monitor.series m in
+  checki (what ^ ": ticks") o.Monitor_oracle.nticks (Timeseries.ticks series);
+  let ws = Timeseries.windows series and os = Monitor_oracle.windows o in
+  checki (what ^ ": retained windows") (List.length os) (List.length ws);
+  List.iter2 (fun w ow -> check_window (what ^ ": retained window") w ow) ws os;
+  Alcotest.(check (list string)) (what ^ ": SLO verdicts")
+    (List.map (fun s -> Format.asprintf "%a" Slo.pp_verdict (Monitor_oracle.verdict s o))
+       (Monitor.specs m))
+    (List.map (Format.asprintf "%a" Slo.pp_verdict) (Monitor.verdicts m));
+  let expected, over = capped Monitor.findings_cap (Monitor_oracle.findings o) in
+  Alcotest.(check (list string)) (what ^ ": findings up to the cap")
+    (List.map pp_finding expected) (List.map pp_finding (Monitor.findings m));
+  Alcotest.(check (list (pair string int))) (what ^ ": findings past the cap") over
+    (List.sort compare (Monitor.unfiled m));
+  checki (what ^ ": the oracle's seen table never deduplicated") 0
+    o.Monitor_oracle.dedups
+
+(* Arm the monitor and the oracle over one registry and close every
+   window in both, comparing each newly closed window and the gauge
+   samples as it goes. *)
+let with_oracle ?depth_probe ~windows ~window_cycles ~specs f =
+  let m = Monitor.arm ~windows ?depth_probe ~window_cycles ~now:0 ~specs () in
+  let o = Monitor_oracle.create ?depth_probe ~windows ~window_cycles ~now:0 () in
+  let tick now =
+    Monitor.tick m ~now;
+    Monitor_oracle.tick o ~now;
+    (match (Timeseries.latest (Monitor.series m), Monitor_oracle.last o 1) with
+    | Some w, [ ow ] -> check_window "newest window" w ow
+    | _ -> Alcotest.fail "no window after a tick");
+    checkb "gauge samples" true (Monitor.samples m = Monitor_oracle.samples o)
+  in
+  Span.set_tick ~at:window_cycles tick;
+  f tick;
+  (m, o)
+
+let slo_spec () =
+  match Slo.parse "lat/request:p99<=262143@8" with Ok s -> s | Error e -> Alcotest.fail e
+
+let test_kv_matches_list_oracle () =
+  List.iter
+    (fun (what, slots, requests, slow_every, nic, windows, window_cycles) ->
+      with_flight ~slots (fun _ ->
+          let m, o =
+            with_oracle ~windows ~window_cycles ~specs:[ slo_spec () ] (fun tick ->
+                let r =
+                  Kv_demo.run ~requests ~slow_every ~slow_cycles:200_000 ?nic ()
+                in
+                tick r.Kv_demo.end_cycles)
+          in
+          check_against_oracle what m o;
+          if slots = 64 then
+            checkb (what ^ ": the ring overflowed") true (Monitor.unfiled m <> [])))
+    [
+      ("overflowing ring", 64, 150, 0, None, 16, 32768);
+      ("slow_every 8", 8192, 64, 8, None, 16, 32768);
+      ("nic, narrow windows", 256, 80, 5, Some `Ixgbe, 64, 8192);
+    ]
+
+(* Seeded synthetic series: heartbeats, lock waits, a run-queue gauge
+   and new registrations landing mid-run (the merge-join path), under
+   configurations whose horizon exceeds the ring and whose silent
+   suffix varies. *)
+let test_synthetic_matches_list_oracle () =
+  let fired = Hashtbl.create 4 in
+  List.iter
+    (fun (seed, windows, silent_windows) ->
+      Metrics.reset ();
+      Span.reset ();
+      let rng = Random.State.make [| seed |] in
+      let depth = ref 0 in
+      let config = { Watchdog.default_config with Watchdog.silent_windows } in
+      let m =
+        Monitor.arm ~windows ~config ~depth_probe:(fun () -> !depth) ~window_cycles:100 ~now:0
+          ~specs:[] ()
+      in
+      let o =
+        Monitor_oracle.create ~config ~depth_probe:(fun () -> !depth) ~windows ~window_cycles:100
+          ~now:0 ()
+      in
+      Fun.protect ~finally:Monitor.disarm (fun () ->
+          let alive = Array.make 4 true in
+          for i = 1 to 200 do
+            if Random.State.int rng 10 = 0 then alive.(Random.State.int rng 4) <- false;
+            if Random.State.int rng 8 = 0 then alive.(Random.State.int rng 4) <- true;
+            Array.iteri
+              (fun cpu up ->
+                if up && Random.State.int rng 4 > 0 then
+                  Metrics.bump ~by:(1 + Random.State.int rng 5)
+                    (Printf.sprintf "sched/heartbeat/%d" cpu))
+              alive;
+            Metrics.bump
+              ~by:(if Random.State.int rng 20 = 0 then 200_000 else Random.State.int rng 3000)
+              (Printf.sprintf "smp/lock_wait/%d" (Random.State.int rng 4));
+            if Random.State.int rng 15 = 0 then
+              Metrics.bump (Printf.sprintf "synthetic/late_%d" (Random.State.int rng 1000));
+            Metrics.observe "lat/synthetic" (Random.State.int rng 100_000);
+            depth := max 0 (!depth + Random.State.int rng 7 - 2);
+            Monitor.tick m ~now:(i * 100);
+            Monitor_oracle.tick o ~now:(i * 100)
+          done;
+          checkb "gauge samples" true (Monitor.samples m = Monitor_oracle.samples o);
+          check_against_oracle
+            (Printf.sprintf "seed %d, %d windows, silent %d" seed windows silent_windows)
+            m o;
+          List.iter
+            (fun (f : Watchdog.report) -> Hashtbl.replace fired (Watchdog.rule_name f.Watchdog.wrule) ())
+            (Monitor_oracle.findings o)))
+    [ (1, 16, 2); (7919, 6, 2); (42, 64, 3); (5, 3, 1) ];
+  List.iter
+    (fun rule -> checkb (rule ^ " exercised") true (Hashtbl.mem fired rule))
+    [ "cpu-silent"; "lock-spike"; "runq-growth" ]
+
+(* One window close on the kv deployment's registry (ixgbe, NVMe, the
+   span families, the obs tallies) once the ring slots have their
+   shape: a snapshot and a diff into reused arrays, a summary, a sweep.
+   Sorted association-list snapshots and deltas come to 6,700-7,800
+   words per close on this registry. *)
+let test_tick_allocation_floor () =
+  with_flight ~slots:256 (fun _ ->
+      let m = Monitor.arm ~windows:64 ~window_cycles:32768 ~now:0 ~specs:[ slo_spec () ] () in
+      let r = Kv_demo.run ~requests:100 ~nic:`Ixgbe () in
+      let now = ref r.Kv_demo.end_cycles in
+      let tick () =
+        now := !now + 40_000;
+        Monitor.tick m ~now:!now
+      in
+      for _ = 1 to 70 do
+        tick ()
+      done;
+      Alloc.check_at_most "Monitor.tick on the kv registry" ~limit:1000.
+        (Alloc.per_call ~n:100 tick))
+
+(* A condition that persists files one report per window; the ledger
+   keeps [findings_cap] per rule and counts the rest, and a rule that
+   floods never uses up another rule's budget. *)
+let test_findings_ledger_bounded () =
+  with_flight ~slots:8 (fun _ ->
+      let window = 2000 in
+      let m = Monitor.arm ~windows:16 ~window_cycles:window ~now:0 ~specs:[] () in
+      let vnow = ref 0 in
+      let beat cpu =
+        Sink.set_cpu cpu;
+        let s = Span.begin_ ~ts:!vnow Span.User in
+        vnow := !vnow + 250;
+        Span.end_ ~ts:!vnow s
+      in
+      (* every window overflows the 8-slot rings: one ring-drop each *)
+      while !vnow < 100 * window do
+        beat 0;
+        beat 1
+      done;
+      while !vnow < 106 * window do
+        beat 0
+      done;
+      Monitor.finish m ~now:!vnow;
+      let count rule =
+        List.length
+          (List.filter (fun f -> Watchdog.rule_name f.Watchdog.wrule = rule) (Monitor.findings m))
+      in
+      checki "ring-drop kept up to the cap" Monitor.findings_cap (count "ring-drop");
+      checkb "the rest counted" true
+        (match List.assoc_opt "ring-drop" (Monitor.unfiled m) with Some n -> n > 0 | None -> false);
+      checkb "cpu-silent still filed on its own budget" true (count "cpu-silent" > 0);
+      checkb "cpu-silent under its cap" true (List.assoc_opt "cpu-silent" (Monitor.unfiled m) = None))
+
 let () =
   Alcotest.run "monitor"
     [
@@ -413,4 +621,17 @@ let () =
       ( "exemplar",
         [ Alcotest.test_case "coverage of injected slow requests" `Quick test_exemplar_coverage ];
       );
+      ( "oracle",
+        [
+          Alcotest.test_case "kv runs match the list-based close" `Quick
+            test_kv_matches_list_oracle;
+          Alcotest.test_case "synthetic series match the list-based close" `Quick
+            test_synthetic_matches_list_oracle;
+        ] );
+      ( "cost",
+        [
+          Alcotest.test_case "tick allocation floor" `Quick test_tick_allocation_floor;
+          Alcotest.test_case "findings ledger bounded per rule" `Quick
+            test_findings_ledger_bounded;
+        ] );
     ]

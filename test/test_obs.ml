@@ -378,6 +378,39 @@ let prop_fast_writer_matches_encode =
       Sink.install Sink.Disabled;
       Bytes.equal (arena_slot f 0) (Event.encode ~ts ~cpu:0 ev))
 
+(* The word accessors against the stdlib: [store_u64] must lay down
+   [Bytes.set_int64_le (Int64.of_int v)]'s bytes and [load_u64] must
+   read back [Int64.to_int (Bytes.get_int64_le ...)], at every offset
+   alignment, for the sign and high-bit edge cases and seeded random
+   words (a raw 64-bit pattern is read back through its low 63 bits,
+   as [Int64.to_int] does). *)
+let test_u64_accessors_match_stdlib () =
+  let rng = Random.State.make [| 0x64 |] in
+  let random_int () = Int64.to_int (Random.State.bits64 rng) in
+  let edges =
+    [ 0; 1; -1; min_int; max_int; 0xff; 0x100; -0x100;
+      0x7f lsl 55; 0xff lsl 55; (0xff lsl 55) lor 0xff; 1 lsl 62; (1 lsl 62) - 1;
+      -(1 lsl 55); 0x0123_4567_89ab_cdef; -0x0123_4567_89ab_cdef ]
+  in
+  let values = edges @ List.init 500 (fun _ -> random_int ()) in
+  List.iteri
+    (fun i v ->
+      let off = i mod 9 in
+      let ours = Bytes.make 24 '\xa5' and std = Bytes.make 24 '\xa5' in
+      Flight.store_u64 ours off v;
+      Bytes.set_int64_le std off (Int64.of_int v);
+      Alcotest.(check string) (Printf.sprintf "store %d at +%d" v off)
+        (Bytes.to_string std) (Bytes.to_string ours);
+      Alcotest.(check int) (Printf.sprintf "load %d at +%d" v off)
+        (Int64.to_int (Bytes.get_int64_le std off))
+        (Flight.load_u64 ours off);
+      (* a raw word whose bit 63 disagrees with bit 62 *)
+      let raw = Random.State.bits64 rng in
+      Bytes.set_int64_le std off raw;
+      Alcotest.(check int) (Printf.sprintf "load raw %Lx at +%d" raw off)
+        (Int64.to_int raw) (Flight.load_u64 std off))
+    values
+
 (* ------------------------------------------------------------------ *)
 (* per-tag filtering and sampling                                      *)
 
@@ -557,6 +590,8 @@ let () =
             test_span_pair_expands_balanced;
           Alcotest.test_case "kv workload records with zero drops" `Quick
             test_kv_workload_zero_drops;
+          Alcotest.test_case "u64 accessors match the stdlib" `Quick
+            test_u64_accessors_match_stdlib;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -298,6 +298,35 @@ let test_span_wraparound_decode () =
       Alcotest.(check int) "orphan ends counted as truncated" 2 (Profile.truncated p))
 
 (* ------------------------------------------------------------------ *)
+(* cost: an owned span on the request path                             *)
+
+(* A syscall-shaped span as the kv request loop opens it — explicit
+   timestamps, container and process from [Kernel] lookups, an explicit
+   thread — closed under a root so it charges all three owner families
+   and its kind.  The pooled frame stack and the int-keyed owner tables
+   leave only the caller's option boxes (two words per timestamp and
+   per owner argument).  A frame record, a cons cell, option results
+   and a tuple per pair would come to about 31 words. *)
+let test_owned_pair_allocation_floor () =
+  with_flight ~slots:64 (fun _ ->
+      Sink.set_cpu 0;
+      let now = ref 0 in
+      let container = Some 0x1000 and proc = Some 0x2000 and thread = 0x3000 in
+      let root = Span.begin_ ~ts:0 Span.Request in
+      let once () =
+        let t0 = !now in
+        let id = Span.begin_ ~ts:t0 ?container ?proc ~thread (Span.Syscall 3) in
+        now := t0 + 17;
+        Span.end_ ~ts:!now id
+      in
+      for _ = 1 to 64 do
+        once ()
+      done;
+      Alloc.check_at_most "an owned Span.begin_/end_ pair" ~limit:12. (Alloc.per_call once);
+      Span.end_ ~ts:(!now + 1) root;
+      Alcotest.(check (list (triple int int int))) "stack balanced" [] (Span.open_spans ()))
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "span"
@@ -325,5 +354,10 @@ let () =
       ( "flight",
         [
           Alcotest.test_case "wraparound decode" `Quick test_span_wraparound_decode;
+        ] );
+      ( "cost",
+        [
+          Alcotest.test_case "owned begin/end pair allocation floor" `Quick
+            test_owned_pair_allocation_floor;
         ] );
     ]

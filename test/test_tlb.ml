@@ -120,6 +120,29 @@ let test_protect_shootdown () =
      | Some tr -> not tr.Mmu.perm.Pte.write
      | None -> false)
 
+(* The allocation-free probe under [lookup]: a miss is -1 and counts a
+   miss, a hit is a slot whose accessors return what was inserted and
+   counts a hit, and [lookup] reports exactly the same. *)
+let test_probe () =
+  let mem = Phys_mem.create ~page_count:16 in
+  let tlb = Tlb.create mem ~asid:0x1000 ~kind:`Io in
+  let stats () = Tlb.io_stats () in
+  let s0 = stats () in
+  checki "cold probe misses" (-1) (Tlb.probe tlb ~vaddr:0x20_0123);
+  checki "miss counted" (s0.Tlb.misses + 1) (stats ()).Tlb.misses;
+  Tlb.insert tlb ~vaddr:0x20_0000 ~frame:0x20_0000 ~size:Phys_mem.page_size_2m ~perm:Pte.perm_ro;
+  let s1 = stats () in
+  let i = Tlb.probe tlb ~vaddr:0x20_0123 in
+  checkb "warm probe hits" true (i >= 0);
+  checki "hit counted" (s1.Tlb.hits + 1) (stats ()).Tlb.hits;
+  checki "no miss on a hit" s1.Tlb.misses (stats ()).Tlb.misses;
+  checki "slot frame" 0x20_0000 (Tlb.slot_frame tlb i);
+  checki "slot size" Phys_mem.page_size_2m (Tlb.slot_size tlb i);
+  checkb "slot perm" true (Pte.equal_perm Pte.perm_ro (Tlb.slot_perm tlb i));
+  checkb "lookup agrees" true
+    (Tlb.lookup tlb ~vaddr:0x20_0123 = Some (0x20_0000, Phys_mem.page_size_2m, Pte.perm_ro));
+  checkb "other page still misses" true (Tlb.probe tlb ~vaddr:0x20_1000 < 0)
+
 let test_superpage () =
   let _, alloc, pt = mk_pt () in
   let frame =
@@ -229,6 +252,7 @@ let () =
           Alcotest.test_case "hit and shootdown" `Quick test_hit_and_shootdown;
           Alcotest.test_case "protect shootdown" `Quick test_protect_shootdown;
           Alcotest.test_case "superpage" `Quick test_superpage;
+          Alcotest.test_case "probe" `Quick test_probe;
         ] );
       ( "isolation",
         [ Alcotest.test_case "asid tagging" `Quick test_asid_isolation ] );
