@@ -659,8 +659,7 @@ let san () =
       in
       (match Kernel.step k ~thread:init (Syscall.New_endpoint { slot = 0 }) with
        | Syscall.Rptr ep ->
-         Atmo_pm.Perm_map.update k.Kernel.pm.Atmo_pm.Proc_mgr.thrd_perms ~ptr:t2
-           (fun th -> Atmo_pm.Thread.set_slot th 0 (Some ep))
+         Atmo_pm.Proc_mgr.install_descriptor k.Kernel.pm ~thread:t2 ~slot:0 ~endpoint:ep
        | _ -> ());
       let programs =
         [
@@ -782,8 +781,7 @@ let tlb () =
       in
       (match Kernel.step k ~thread:init (Syscall.New_endpoint { slot = 0 }) with
        | Syscall.Rptr ep ->
-         Atmo_pm.Perm_map.update k.Kernel.pm.Atmo_pm.Proc_mgr.thrd_perms ~ptr:t2
-           (fun th -> Atmo_pm.Thread.set_slot th 0 (Some ep))
+         Atmo_pm.Proc_mgr.install_descriptor k.Kernel.pm ~thread:t2 ~slot:0 ~endpoint:ep
        | _ -> ());
       (* a user arena the loop translates every round, as a data-carrying
          IPC path would *)
@@ -979,10 +977,7 @@ let ipc () =
       in
       (match Kernel.step k ~thread:init (Syscall.New_endpoint { slot = 0 }) with
        | Syscall.Rptr ep ->
-         Atmo_pm.Perm_map.update k.Kernel.pm.Atmo_pm.Proc_mgr.thrd_perms ~ptr:t2
-           (fun th -> Atmo_pm.Thread.set_slot th 0 (Some ep));
-         Atmo_pm.Perm_map.update k.Kernel.pm.Atmo_pm.Proc_mgr.edpt_perms ~ptr:ep
-           (fun e -> { e with Atmo_pm.Endpoint.refcount = e.Atmo_pm.Endpoint.refcount + 1 })
+         Atmo_pm.Proc_mgr.install_descriptor k.Kernel.pm ~thread:t2 ~slot:0 ~endpoint:ep
        | _ -> ());
       let hist =
         Atmo_obs.Metrics.Histogram.make
@@ -1665,9 +1660,7 @@ let smp_build_world () =
                | r -> failwith (Format.asprintf "new_endpoint -> %a" Syscall.pp_ret r)
              in
              List.iter
-               (fun th ->
-                 Atmo_pm.Perm_map.update pm.Atmo_pm.Proc_mgr.thrd_perms ~ptr:th
-                   (fun t -> Atmo_pm.Thread.set_slot t 0 (Some ep)))
+               (fun th -> Atmo_pm.Proc_mgr.install_descriptor pm ~thread:th ~slot:0 ~endpoint:ep)
                [ receiver; sender ];
              [
                { Atmo_sim.Smp.thread = receiver; think_cycles = smp_think;

@@ -521,8 +521,7 @@ let run_trace_workload k ~init ~iterations =
     | Syscall.Rptr e -> e
     | r -> Fmt.failwith "trace: new_endpoint -> %a" Syscall.pp_ret r
   in
-  Atmo_pm.Perm_map.update pm.Atmo_pm.Proc_mgr.thrd_perms ~ptr:t2 (fun th ->
-      Atmo_pm.Thread.set_slot th 0 (Some ep));
+  Atmo_pm.Proc_mgr.install_descriptor pm ~thread:t2 ~slot:0 ~endpoint:ep;
   (* phase 1: IPC ping-pong under the big lock; the receiver runs first
      so sends rendezvous with a waiting receiver (ep_send), and the
      receiver's first call of each round blocks (ep_block) *)
@@ -764,8 +763,7 @@ let run_san_workload k ~init ~iterations =
     | Syscall.Rptr e -> e
     | r -> Fmt.failwith "san: new_endpoint -> %a" Syscall.pp_ret r
   in
-  Atmo_pm.Perm_map.update pm.Atmo_pm.Proc_mgr.thrd_perms ~ptr:t2 (fun th ->
-      Atmo_pm.Thread.set_slot th 0 (Some ep));
+  Atmo_pm.Proc_mgr.install_descriptor pm ~thread:t2 ~slot:0 ~endpoint:ep;
   let programs =
     [
       { Atmo_sim.Smp.thread = t2; think_cycles = 600;
@@ -1043,7 +1041,7 @@ let plant_bad_pte k ~init =
   let e = Phys_mem.read_u64 mem ~addr:slot in
   (* set a bit the kernel never programs (bit 9, "available") *)
   Phys_mem.write_u64 mem ~addr:slot (Int64.logor e 0x200L);
-  ignore (Atmo_san.Pt_lint.lint k)
+  ignore (San_runtime.wf_check k)
 
 let plant_stale_tlb k ~init =
   ignore
@@ -1092,7 +1090,7 @@ let plant_fastpath_skip k ~init ~t2 =
       with
       | Syscall.Runit -> ()
       | r -> Fmt.failwith "san: plant send -> %a" Syscall.pp_ret r);
-  ignore (Atmo_san.Sched_lint.lint k)
+  ignore (San_runtime.wf_check k)
 
 let plant_span_leak k ~init ~t2 =
   (* park the receiver so init's send rendezvouses, then force the
@@ -1149,7 +1147,7 @@ let plant_queue_corrupt k ~init =
      deque stays individually well-formed; only the global census can
      see the double enqueue. *)
   Atmo_pm.Sched_queue.push_back (Atmo_pm.Proc_mgr.queue pm ~cpu:1) t3;
-  ignore (Atmo_san.Sched_lint.lint k)
+  ignore (San_runtime.wf_check k)
 
 let plant_lost_steal k ~init =
   let pm = k.Kernel.pm in
@@ -1157,11 +1155,17 @@ let plant_lost_steal k ~init =
     Fmt.failwith "san: lost-steal plant needs >= 2 run queues";
   if Atmo_pm.Proc_mgr.current_of pm ~cpu:1 <> None then
     Fmt.failwith "san: lost-steal plant needs cpu 1 idle";
-  (* a Runnable thread homed on cpu 0, and nothing else to run *)
+  (* a Runnable thread homed on cpu 0, alone in a child process, and
+     nothing else to run *)
+  let proc =
+    match locked_step k ~thread:init Syscall.New_process with
+    | Syscall.Rptr p -> p
+    | r -> Fmt.failwith "san: plant new_process -> %a" Syscall.pp_ret r
+  in
   let t3 =
-    match locked_step k ~thread:init Syscall.New_thread with
-    | Syscall.Rptr t -> t
-    | r -> Fmt.failwith "san: plant new_thread -> %a" Syscall.pp_ret r
+    match Atmo_pm.Proc_mgr.new_thread pm ~proc with
+    | Ok t -> t
+    | Error e -> Fmt.failwith "san: plant new_thread: %a" Atmo_util.Errno.pp e
   in
   (* idle cpu 1 steals it — the ledger records (thief, victim, thread) *)
   Atmo_pm.Proc_mgr.set_cpu pm 1;
@@ -1170,13 +1174,17 @@ let plant_lost_steal k ~init =
   if stole <> Some t3 then Fmt.failwith "san: lost-steal plant: steal did not happen";
   if not (List.exists (fun (_, _, th) -> th = t3) (Atmo_pm.Proc_mgr.steal_ledger pm))
   then Fmt.failwith "san: lost-steal plant: steal left no ledger entry";
-  (* ...then a terminate races the in-flight steal: the buggy teardown
-     skips the ledger scrub, leaving the thief a dead reference *)
+  (* ...then terminating its process races the in-flight steal: the
+     buggy teardown skips only the ledger scrub, leaving the thief a
+     dead reference *)
   Atmo_pm.Proc_mgr.set_lost_steal_plant pm true;
   Fun.protect
     ~finally:(fun () -> Atmo_pm.Proc_mgr.set_lost_steal_plant pm false)
-    (fun () -> Atmo_pm.Proc_mgr.destroy_thread pm ~thread:t3);
-  ignore (Atmo_san.Sched_lint.lint k)
+    (fun () ->
+      match locked_step k ~thread:init (Syscall.Terminate_process { proc }) with
+      | Syscall.Runit -> ()
+      | r -> Fmt.failwith "san: plant terminate_process -> %a" Syscall.pp_ret r);
+  ignore (San_runtime.wf_check k)
 
 (* A CPU silently stops scheduling mid-run: with an SLO monitor armed,
    both CPUs beat (spans close, heartbeat counters advance) through
@@ -1292,7 +1300,9 @@ let san plant iterations seed =
            match expected with
            | San_report.Drv_undefined_state | San_report.Drv_dma_escape
            | San_report.Drv_irq_storm | San_report.Drv_lost_completion
-           | San_report.Watchdog_silent -> true
+           | San_report.Watchdog_silent | San_report.Malformed_pte
+           | San_report.Sched_incoherent | San_report.Queue_corrupt
+           | San_report.Lost_steal -> true
            | _ -> false
          in
          match hits with

@@ -60,11 +60,7 @@ let () =
        (Atmo_pm.Perm_map.borrow k.Kernel.pm.Atmo_pm.Proc_mgr.thrd_perms ~ptr:init)
        0
    with
-   | Some ep ->
-     Atmo_pm.Perm_map.update k.Kernel.pm.Atmo_pm.Proc_mgr.thrd_perms ~ptr:worker
-       (fun th -> Atmo_pm.Thread.set_slot th 0 (Some ep));
-     Atmo_pm.Perm_map.update k.Kernel.pm.Atmo_pm.Proc_mgr.edpt_perms ~ptr:ep (fun e ->
-         { e with Atmo_pm.Endpoint.refcount = e.Atmo_pm.Endpoint.refcount + 1 })
+   | Some ep -> Atmo_pm.Proc_mgr.install_descriptor k.Kernel.pm ~thread:worker ~slot:0 ~endpoint:ep
    | None -> failwith "no endpoint");
   ignore (step k ~thread:worker (Syscall.Recv { slot = 0 }));
   ignore

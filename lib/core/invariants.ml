@@ -10,20 +10,24 @@ module Pm_invariants = Atmo_pm.Pm_invariants
 module Iommu = Atmo_hw.Iommu
 module Phys_mem = Atmo_hw.Phys_mem
 
-let err fmt = Format.kasprintf (fun s -> Error s) fmt
-let ( let* ) r f = match r with Ok () -> f () | Error _ as e -> e
+module V = Violation
 
-let allocator_wf (k : Kernel.t) = Page_alloc.wf k.Kernel.alloc
-let pm_wf (k : Kernel.t) = Pm_invariants.all k.Kernel.pm
+(* Each check below is an enumerator of its violations (see
+   [Pm_invariants]); the first-failure forms are at the end. *)
 
-let page_tables_wf (k : Kernel.t) =
-  Perm_map.fold
-    (fun ptr (p : Process.t) acc ->
-      let* () = acc in
-      match Pt_refine.all p.Process.pt with
-      | Ok () -> Ok ()
-      | Error msg -> err "page table of process 0x%x: %s" ptr msg)
-    k.Kernel.pm.Proc_mgr.proc_perms (Ok ())
+(* [Page_alloc.wf] is one pass that stops at the first broken frame: it
+   yields at most one violation. *)
+let allocator_wf (k : Kernel.t) v =
+  match Page_alloc.wf k.Kernel.alloc with
+  | Ok () -> ()
+  | Error msg -> v V.Ill_formed (-1) msg
+
+let page_tables_wf (k : Kernel.t) v =
+  Perm_map.iter
+    (fun ptr (p : Process.t) ->
+      Pt_refine.violations p.Process.pt (fun rule page msg ->
+          V.report v rule page "page table of process 0x%x: %s" ptr msg))
+    k.Kernel.pm.Proc_mgr.proc_perms
 
 (* The page closures whose pairwise disjointness constitutes type
    safety: one singleton per kernel object page, one closure per page
@@ -48,41 +52,47 @@ let closures (k : Kernel.t) =
   @ singles (Perm_map.dom pm.Proc_mgr.edpt_perms)
   @ pt_closures @ io_closures
 
-let closures_disjoint (k : Kernel.t) =
-  if Iset.pairwise_disjoint (closures k) then Ok ()
-  else err "two kernel objects share a page"
+let closures_disjoint (k : Kernel.t) v =
+  if not (Iset.pairwise_disjoint (closures k)) then
+    v V.Ill_formed (-1) "two kernel objects share a page"
 
-let leak_freedom (k : Kernel.t) =
+let leak_freedom (k : Kernel.t) v =
   let owned = Iset.union_list (closures k) in
   let allocated = Page_alloc.allocated_pages k.Kernel.alloc in
-  if Iset.equal owned allocated then Ok ()
-  else
-    let leaked = Iset.diff allocated owned in
-    let phantom = Iset.diff owned allocated in
-    (match (Iset.choose_opt leaked, Iset.choose_opt phantom) with
-     | Some p, _ -> err "leak: page 0x%x allocated but owned by nothing" p
-     | None, Some p -> err "phantom: page 0x%x owned but not allocated" p
-     | None, None -> Ok ())
+  if not (Iset.equal owned allocated) then begin
+    Iset.iter
+      (fun p -> V.report v V.Leak p "leak: page 0x%x allocated but owned by nothing" p)
+      (Iset.diff allocated owned);
+    Iset.iter
+      (fun p -> V.report v V.Phantom_page p "phantom: page 0x%x owned but not allocated" p)
+      (Iset.diff owned allocated)
+  end
 
-let mapped_consistent (k : Kernel.t) =
+let pp_space ppf = function
+  | `Process ptr -> Format.fprintf ppf "process 0x%x" ptr
+  | `Device device -> Format.fprintf ppf "device %d io_pt" device
+
+let mapped_consistent (k : Kernel.t) v =
   let pm = k.Kernel.pm in
+  let alloc = k.Kernel.alloc in
   (* the managed frames' byte range [lo, hi), at the top of memory *)
   let page = Phys_mem.page_size in
-  let hi = Phys_mem.page_count (Page_alloc.mem k.Kernel.alloc) * page in
-  let lo = hi - (Page_alloc.managed_frames k.Kernel.alloc * page) in
+  let hi = Phys_mem.page_count (Page_alloc.mem alloc) * page in
+  let lo = hi - (Page_alloc.managed_frames alloc * page) in
   (* count (space, va) references per frame across all process address
-     spaces and all device DMA windows, noting the first entry whose
-     block leaves [lo, hi) *)
+     spaces and all device DMA windows, setting aside the entries whose
+     block leaves [lo, hi) and the leaves over a block of another size *)
   let refs = Hashtbl.create 64 in
-  let outside = ref None in
+  let outside = ref [] and resized = ref [] in
   let count who space =
     Imap.iter
       (fun va (e : Page_table.entry) ->
         let frame = e.Page_table.frame in
-        if
-          (frame < lo || frame + Page_state.bytes_per e.Page_table.size > hi)
-          && Option.is_none !outside
-        then outside := Some (who, va, e);
+        if frame < lo || frame + Page_state.bytes_per e.Page_table.size > hi then
+          outside := (who, va, e) :: !outside;
+        (match Page_alloc.size_of alloc ~addr:frame with
+         | Some s when Page_state.equal_size s e.Page_table.size -> ()
+         | s -> resized := (who, va, e, s) :: !resized);
         Hashtbl.replace refs frame
           (1 + Option.value ~default:0 (Hashtbl.find_opt refs frame)))
       space
@@ -95,97 +105,95 @@ let mapped_consistent (k : Kernel.t) =
     (fun device (d : Kernel.device_info) ->
       count (`Device device) (Page_table.address_space d.Kernel.io_pt))
     k.Kernel.devices;
-  let union_mapped =
-    Hashtbl.fold (fun f _ acc -> Iset.add f acc) refs Iset.empty
-  in
-  let alloc_mapped = Page_alloc.mapped_pages k.Kernel.alloc in
-  let* () =
-    if Iset.equal union_mapped alloc_mapped then Ok ()
-    else
-      (match Iset.choose_opt (Iset.diff alloc_mapped union_mapped) with
-       | Some f -> err "frame 0x%x mapped in allocator but by no process" f
-       | None ->
-         (match Iset.choose_opt (Iset.diff union_mapped alloc_mapped) with
-          | Some f -> err "frame 0x%x mapped by a process but not in allocator" f
-          | None -> Ok ()))
-  in
-  let* () =
-    Hashtbl.fold
-      (fun frame n acc ->
-        let* () = acc in
-        match Page_alloc.ref_count k.Kernel.alloc ~addr:frame with
-        | Some rc when rc = n -> Ok ()
-        | Some rc -> err "frame 0x%x refcount %d but %d mappings" frame rc n
-        | None -> err "frame 0x%x mapped but not in Mapped state" frame)
-      refs (Ok ())
-  in
-  match !outside with
-  | None -> Ok ()
-  | Some (who, va, e) ->
-    err "%s: PTE at 0x%x -> frame 0x%x(+%d) outside reservation [0x%x,0x%x)"
-      (match who with
-       | `Process ptr -> Printf.sprintf "process 0x%x" ptr
-       | `Device device -> Printf.sprintf "device %d io_pt" device)
-      va e.Page_table.frame (Page_state.bytes_per e.Page_table.size) lo hi
+  let union_mapped = Hashtbl.fold (fun f _ acc -> Iset.add f acc) refs Iset.empty in
+  let alloc_mapped = Page_alloc.mapped_pages alloc in
+  if not (Iset.equal union_mapped alloc_mapped) then begin
+    Iset.iter
+      (fun f -> V.report v V.Mapped_leak f "frame 0x%x mapped in allocator but by no process" f)
+      (Iset.diff alloc_mapped union_mapped);
+    Iset.iter
+      (fun f ->
+        V.report v V.Pt_bad_leaf_state f "frame 0x%x mapped by a process but not in allocator" f)
+      (Iset.diff union_mapped alloc_mapped)
+  end;
+  Hashtbl.iter
+    (fun frame n ->
+      match Page_alloc.ref_count alloc ~addr:frame with
+      | Some rc when rc = n -> ()
+      | Some rc ->
+        V.report v (if n > rc then V.Pt_alias else V.Ill_formed) frame
+          "frame 0x%x refcount %d but %d mappings" frame rc n
+      | None -> V.report v V.Pt_bad_leaf_state frame "frame 0x%x mapped but not in Mapped state" frame)
+    refs;
+  List.iter
+    (fun (who, va, (e : Page_table.entry)) ->
+      V.report v V.Ill_formed e.frame
+        "%a: PTE at 0x%x -> frame 0x%x(+%d) outside reservation [0x%x,0x%x)" pp_space who va
+        e.frame (Page_state.bytes_per e.size) lo hi)
+    (List.rev !outside);
+  List.iter
+    (fun (who, va, (e : Page_table.entry), s) ->
+      V.report v V.Pt_bad_leaf_state e.frame "%a: PTE at 0x%x -> %a leaf over a block of size %a"
+        pp_space who va Page_state.pp_size e.size
+        (Format.pp_print_option
+           ~none:(fun ppf () -> Format.pp_print_string ppf "<none>")
+           Page_state.pp_size)
+        s)
+    (List.rev !resized)
 
-let devices_wf (k : Kernel.t) =
-  let* () =
-    Imap.fold
-      (fun device (d : Kernel.device_info) acc ->
-        let* () = acc in
-        match
-          Perm_map.borrow_opt k.Kernel.pm.Proc_mgr.proc_perms ~ptr:d.Kernel.owner_proc
-        with
-        | None ->
-          err "device %d assigned to dead process 0x%x" device d.Kernel.owner_proc
-        | Some p ->
-          if p.Process.owner_container <> d.Kernel.owner_container then
-            err "device %d charged to the wrong container" device
-          else
-            (match Iommu.domain_of k.Kernel.iommu ~device with
-             | Some root when root = Page_table.cr3 d.Kernel.io_pt ->
-               (* the IOMMU table itself satisfies all page-table
-                  obligations, and DMA windows are 4 KiB-grained *)
-               let* () =
-                 match Pt_refine.all d.Kernel.io_pt with
-                 | Ok () -> Ok ()
-                 | Error m -> err "device %d IOMMU table: %s" device m
-               in
-               if
-                 Imap.for_all
-                   (fun _ (e : Page_table.entry) ->
-                     e.Page_table.size = Atmo_pmem.Page_state.S4k)
-                   (Page_table.address_space d.Kernel.io_pt)
-               then Ok ()
-               else err "device %d has a non-4K DMA mapping" device
-             | Some root ->
-               err "device %d IOMMU root 0x%x is not its table root" device root
-             | None -> err "device %d assigned but not attached to the IOMMU" device))
-      k.Kernel.devices (Ok ())
-  in
+let devices_wf (k : Kernel.t) v =
+  let pm = k.Kernel.pm in
+  Imap.iter
+    (fun device (d : Kernel.device_info) ->
+      match Perm_map.borrow_opt pm.Proc_mgr.proc_perms ~ptr:d.Kernel.owner_proc with
+      | None ->
+        V.report v V.Ill_formed d.Kernel.owner_proc "device %d assigned to dead process 0x%x"
+          device d.Kernel.owner_proc
+      | Some p ->
+        if p.Process.owner_container <> d.Kernel.owner_container then
+          V.report v V.Ill_formed d.Kernel.owner_proc "device %d charged to the wrong container"
+            device
+        else (
+          match Iommu.domain_of k.Kernel.iommu ~device with
+          | Some root when root = Page_table.cr3 d.Kernel.io_pt ->
+            (* the IOMMU table itself satisfies all page-table
+               obligations, and DMA windows are 4 KiB-grained *)
+            Pt_refine.violations d.Kernel.io_pt (fun rule page msg ->
+                V.report v rule page "device %d IOMMU table: %s" device msg);
+            if
+              not
+                (Imap.for_all
+                   (fun _ (e : Page_table.entry) -> e.Page_table.size = Page_state.S4k)
+                   (Page_table.address_space d.Kernel.io_pt))
+            then V.report v V.Ill_formed (-1) "device %d has a non-4K DMA mapping" device
+          | Some root ->
+            V.report v V.Ill_formed root "device %d IOMMU root 0x%x is not its table root" device
+              root
+          | None ->
+            V.report v V.Ill_formed (-1) "device %d assigned but not attached to the IOMMU" device))
+    k.Kernel.devices;
   (* interrupt routing: the target endpoint is alive, pending counts are
      sane, and interrupts never pend while a receiver is waiting *)
-  let* () =
-    Imap.fold
-      (fun device (d : Kernel.device_info) acc ->
-        let* () = acc in
-        if d.Kernel.irq_pending < 0 then err "device %d negative irq pending" device
-        else
-          match d.Kernel.irq_endpoint with
-          | None ->
-            if d.Kernel.irq_pending = 0 then Ok ()
-            else err "device %d pends interrupts with no route" device
-          | Some ep ->
-            (match Perm_map.borrow_opt k.Kernel.pm.Proc_mgr.edpt_perms ~ptr:ep with
-             | None -> err "device %d routed to dead endpoint 0x%x" device ep
-             | Some e ->
-               if
-                 d.Kernel.irq_pending > 0
-                 && not (Atmo_pm.Static_list.is_empty e.Atmo_pm.Endpoint.recv_queue)
-               then err "device %d pends interrupts past a waiting receiver" device
-               else Ok ()))
-      k.Kernel.devices (Ok ())
-  in
+  Imap.iter
+    (fun device (d : Kernel.device_info) ->
+      if d.Kernel.irq_pending < 0 then
+        V.report v V.Ill_formed (-1) "device %d negative irq pending" device
+      else
+        match d.Kernel.irq_endpoint with
+        | None ->
+          if d.Kernel.irq_pending <> 0 then
+            V.report v V.Ill_formed (-1) "device %d pends interrupts with no route" device
+        | Some ep ->
+          (match Perm_map.borrow_opt pm.Proc_mgr.edpt_perms ~ptr:ep with
+           | None -> V.report v V.Ill_formed ep "device %d routed to dead endpoint 0x%x" device ep
+           | Some e ->
+             if
+               d.Kernel.irq_pending > 0
+               && not (Atmo_pm.Static_list.is_empty e.Atmo_pm.Endpoint.recv_queue)
+             then
+               V.report v V.Ill_formed ep "device %d pends interrupts past a waiting receiver"
+                 device))
+    k.Kernel.devices;
   (* external-charge ground truth: per container, the recorded external
      frames equal the IOMMU tables + DMA-window shares of its devices *)
   let expected = Hashtbl.create 8 in
@@ -198,18 +206,18 @@ let devices_wf (k : Kernel.t) =
       in
       Hashtbl.replace expected c (n + Option.value ~default:0 (Hashtbl.find_opt expected c)))
     k.Kernel.devices;
-  Perm_map.fold
-    (fun c _ acc ->
-      let* () = acc in
+  Perm_map.iter
+    (fun c _ ->
       let want = Option.value ~default:0 (Hashtbl.find_opt expected c) in
-      let got = Proc_mgr.external_of k.Kernel.pm ~container:c in
-      if want = got then Ok ()
-      else err "container 0x%x external charge %d but devices account for %d" c got want)
-    k.Kernel.pm.Proc_mgr.cntr_perms (Ok ())
+      let got = Proc_mgr.external_of pm ~container:c in
+      if want <> got then
+        V.report v V.Ill_formed c "container 0x%x external charge %d but devices account for %d" c
+          got want)
+    pm.Proc_mgr.cntr_perms
 
 (* The cached per-endpoint interrupt backlog must equal the ground
    truth recomputed from the device table (absent key = 0). *)
-let irq_backlog_wf (k : Kernel.t) =
+let irq_backlog_wf (k : Kernel.t) v =
   let truth =
     Imap.fold
       (fun _ (d : Kernel.device_info) acc ->
@@ -221,8 +229,8 @@ let irq_backlog_wf (k : Kernel.t) =
         | Some _ | None -> acc)
       k.Kernel.devices Imap.empty
   in
-  if Imap.equal Int.equal truth k.Kernel.irq_backlog then Ok ()
-  else err "irq backlog cache diverged from the device table"
+  if not (Imap.equal Int.equal truth k.Kernel.irq_backlog) then
+    v V.Ill_formed (-1) "irq backlog cache diverged from the device table"
 
 type entry = Kernel.t Pm_invariants.entry
 
@@ -236,7 +244,8 @@ let proc_dom = Perm_map.dom_id Proc_mgr.proc_perms_name
 let thrd_dom = Perm_map.dom_id Proc_mgr.thrd_perms_name
 let edpt_dom = Perm_map.dom_id Proc_mgr.edpt_perms_name
 
-let kernel name reads check = { Pm_invariants.name; group = "kernel"; reads; check }
+let kernel name reads violations =
+  { Pm_invariants.name; group = "kernel"; reads; violations }
 
 (* The process-manager checks run right after the allocator's, as
    [kernel/pm_wf] always did. *)
@@ -244,7 +253,7 @@ let table : entry list =
   kernel "kernel/allocator_wf" [ alloc ] allocator_wf
   :: List.map
        (fun (e : Proc_mgr.t Pm_invariants.entry) ->
-         { e with check = (fun (k : Kernel.t) -> e.check k.Kernel.pm) })
+         { e with violations = (fun (k : Kernel.t) v -> e.violations k.Kernel.pm v) })
        Pm_invariants.table
   @ [
       kernel "kernel/page_tables_wf" [ proc_dom; pt ] page_tables_wf;
@@ -259,12 +268,17 @@ let table : entry list =
       kernel "kernel/irq_backlog_wf" [ dev ] irq_backlog_wf;
     ]
 
-let total_wf k =
-  List.fold_left
-    (fun acc (e : entry) ->
-      let* () = acc in
-      e.check k)
-    (Ok ()) table
+let total_wf = V.first (fun k v -> List.iter (fun (e : entry) -> e.violations k v) table)
+
+(* The first-failure form of each check. *)
+let allocator_wf = V.first allocator_wf
+let pm_wf (k : Kernel.t) = Pm_invariants.all k.Kernel.pm
+let page_tables_wf = V.first page_tables_wf
+let closures_disjoint = V.first closures_disjoint
+let leak_freedom = V.first leak_freedom
+let mapped_consistent = V.first mapped_consistent
+let devices_wf = V.first devices_wf
+let irq_backlog_wf = V.first irq_backlog_wf
 
 (* One [kernel/pm_wf] in place of the run of [pm] entries. *)
 let obligations =
@@ -273,5 +287,5 @@ let obligations =
       match (e.group, acc) with
       | "pm", ("kernel/pm_wf", _) :: _ -> acc
       | "pm", _ -> ("kernel/pm_wf", pm_wf) :: acc
-      | _ -> (e.name, e.check) :: acc)
+      | _ -> (e.name, Pm_invariants.check e) :: acc)
     table []

@@ -8,8 +8,11 @@
     the union of all mapped frames equals the allocator's mapped set,
     with matching reference counts).
 
-    {!table} is the one definition: {!total_wf}, {!obligations} and the
-    verifier's kernel obligations are all derived from it. *)
+    {!table} is the one definition.  Each entry is an enumerator of its
+    violations, each a rule, a page and a message; {!total_wf},
+    {!obligations}, the verifier's kernel obligations and atmo-san's
+    whole-state reports are all derived from it.  The functions below
+    are the first-failure forms of the [kernel/*] entries. *)
 
 type entry = Kernel.t Atmo_pm.Pm_invariants.entry
 
@@ -45,8 +48,9 @@ val mapped_consistent : Kernel.t -> (unit, string) result
 (** The allocator's mapped set equals the union of frames mapped by all
     address spaces (so every mapped frame is in state [Mapped n], [n >
     0]), each frame's reference count equals the number of (process,
-    vaddr) mappings naming it, and every mapping's whole block lies in
-    the managed frames: [lo <= frame] and [frame + bytes <= hi]. *)
+    vaddr) mappings naming it, every mapping's whole block lies in the
+    managed frames ([lo <= frame] and [frame + bytes <= hi]), and every
+    leaf's allocator block has the leaf's size. *)
 
 val devices_wf : Kernel.t -> (unit, string) result
 (** Every assigned device belongs to a live process, charged to that
@@ -61,7 +65,7 @@ val irq_backlog_wf : Kernel.t -> (unit, string) result
     recomputed from the device table. *)
 
 val total_wf : Kernel.t -> (unit, string) result
-(** The first failure over {!table}. *)
+(** The first violation over {!table}. *)
 
 val obligations : (string * (Kernel.t -> (unit, string) result)) list
 (** {!table} with its [pm] entries folded into one [kernel/pm_wf]

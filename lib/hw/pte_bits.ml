@@ -45,6 +45,11 @@ let not_present = 0L
 
 let is_present e = e &: bit_present <> 0L
 let is_huge e = e &: bit_huge <> 0L
+
+let reserved_mask =
+  Int64.lognot (bit_present |: bit_write |: bit_user |: bit_huge |: bit_nx |: addr_mask)
+
+let has_reserved e = e &: reserved_mask <> 0L
 let addr_of e = Int64.to_int (e &: addr_mask)
 
 let perm_of e =

@@ -37,5 +37,11 @@ val not_present : int64
 
 val is_present : int64 -> bool
 val is_huge : int64 -> bool
+
+val has_reserved : int64 -> bool
+(** A bit this kernel never programs is set: anything but P, R/W, U/S,
+    PS, NX and the frame address (A/D/PWT/PCD and the available bits
+    are never written). *)
+
 val addr_of : int64 -> int
 val perm_of : int64 -> perm

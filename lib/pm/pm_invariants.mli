@@ -10,8 +10,10 @@
     formulation flat storage exists to avoid) for the ablation
     benchmarks.
 
-    {!table} declares each check once, with the map ids it reads; the
-    kernel-wide table [Atmo_core.Invariants.table] includes it. *)
+    {!table} declares each check once, as an enumerator of its
+    violations, with the map ids it reads; the kernel-wide table
+    [Atmo_core.Invariants.table] includes it.  The functions below are
+    the first-failure forms of the table's checks. *)
 
 type 'st entry = {
   name : string;  (** obligation name, e.g. ["pm/quota_wf"] *)
@@ -20,9 +22,14 @@ type 'st entry = {
       (** the map ids ({!Perm_map.id}, {!Perm_map.dom_id}, and the other
           layers' ids) whose mutation can change the verdict: a cached
           verdict stays valid while none of them is dirty *)
-  check : 'st -> (unit, string) result;
+  violations : 'st -> Atmo_util.Violation.sink -> unit;
+      (** hands every violation of the check to the sink, the one
+          {!check} reports first *)
 }
 (** One well-formedness check over a state of type ['st]. *)
+
+val check : 'st entry -> 'st -> (unit, string) result
+(** The entry's first violation. *)
 
 val containers_wf : Proc_mgr.t -> (unit, string) result
 (** Node-local well-formedness of every container ({!Container.wf}:
@@ -48,15 +55,17 @@ val process_tree_wf : Proc_mgr.t -> (unit, string) result
     are listed by their owning process; dangling pointers are absent. *)
 
 val scheduler_wf : Proc_mgr.t -> (unit, string) result
-(** A thread is in the run queue exactly when runnable (exactly once),
-    is [current] exactly when running, and sits on an endpoint queue
-    exactly when blocked on that endpoint. *)
+(** Every per-CPU deque is structurally sound; a thread is in the run
+    queues exactly when runnable (exactly once), is [current] exactly
+    when running, and sits on an endpoint queue exactly when blocked on
+    that endpoint; every CPU's current thread is alive, [Running] and in
+    no run queue; and the steal ledger names only live threads. *)
 
 val endpoints_wf : Proc_mgr.t -> (unit, string) result
 (** Every descriptor slot points at a live endpoint; each endpoint's
     reference count equals the number of slots naming it; its owner
-    container is live; queues only contain appropriately blocked
-    threads. *)
+    container is live (else a [Leak]); queues only contain
+    appropriately blocked threads. *)
 
 val quota_wf : Proc_mgr.t -> (unit, string) result
 (** Accounting ground truth: each container's [used] equals its real

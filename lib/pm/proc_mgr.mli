@@ -117,11 +117,6 @@ val remove_from_run_queue : t -> thread:int -> unit
 (** Unlink a thread from every per-CPU queue and clear any [currents]
     slot naming it. *)
 
-val destroy_thread : t -> thread:int -> unit
-(** Destroy one thread: leave the scheduler and wait queues, scrub the
-    steal ledger, drop endpoint references, free the object page.
-    Exposed for termination paths and sanitizer harnesses. *)
-
 val terminate_container : t -> container:int -> (unit, Atmo_util.Errno.t) result
 (** Terminate a container subtree and harvest its resources into the
     parent (the paper's coarse-grained revocation): all delegated quota

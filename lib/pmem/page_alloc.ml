@@ -326,7 +326,9 @@ let size_of t ~addr =
   else
     match t.meta.(i).state with
     | Merged _ -> None
-    | Free | Allocated | Mapped _ -> Some t.meta.(i).size
+    | Free | Allocated | Mapped _ ->
+      (* constant options: the query allocates nothing *)
+      (match t.meta.(i).size with S4k -> Some S4k | S2m -> Some S2m | S1g -> Some S1g)
 
 let is_free t ~addr =
   match state_of t ~addr with Some Free -> true | _ -> false

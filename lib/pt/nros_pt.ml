@@ -125,9 +125,9 @@ let refinement pt =
            | None -> Ok ())))
 
 (* Recursive structural well-formedness: a node is wf iff its entries are
-   locally sound, its children are recursively wf, and the children's
-   closures (recomputed here) are pairwise disjoint and exclude this
-   node.  The first failing slot, in index order, is the verdict; every
+   locally sound (reserved bits clear included), its children are
+   recursively wf, and the children's closures (recomputed here) are
+   pairwise disjoint and exclude this node.  The first failing slot, in index order, is the verdict; every
    child's closure is derived even past it, as the disjointness check
    quantifies over all siblings. *)
 let rec node_wf mem ~table ~level =
@@ -135,23 +135,26 @@ let rec node_wf mem ~table ~level =
   let closures = ref [] in
   let check f = match !result with Ok () -> result := f () | Error _ -> () in
   Phys_mem.iter_table mem ~addr:table (fun i e ->
-      if not (Pte.is_present e) then ()
-      else if Pte.is_huge e then
-        check (fun () ->
-            match size_at_level level with
-            | Some size ->
-              if Pte.addr_of e mod Page_state.bytes_per size <> 0 then
-                err "nros structure: misaligned huge leaf at L%d[%d]" level i
-              else Ok ()
-            | None -> err "nros structure: huge bit at level %d" level)
-      else if level > 1 then begin
-        let child = Pte.addr_of e in
-        check (fun () -> node_wf mem ~table:child ~level:(level - 1));
-        let sub = closure_node mem ~table:child ~level:(level - 1) in
-        check (fun () ->
-            if Iset.mem table sub then err "nros structure: cycle through table 0x%x" table
-            else Ok ());
-        closures := sub :: !closures
+      if Pte.is_present e then begin
+        if Pte.is_huge e then
+          check (fun () ->
+              match size_at_level level with
+              | Some size ->
+                if Pte.addr_of e mod Page_state.bytes_per size <> 0 then
+                  err "nros structure: misaligned huge leaf at L%d[%d]" level i
+                else Ok ()
+              | None -> err "nros structure: huge bit at level %d" level)
+        else if level > 1 then begin
+          let child = Pte.addr_of e in
+          check (fun () -> node_wf mem ~table:child ~level:(level - 1));
+          let sub = closure_node mem ~table:child ~level:(level - 1) in
+          check (fun () ->
+              if Iset.mem table sub then err "nros structure: cycle through table 0x%x" table
+              else Ok ());
+          closures := sub :: !closures
+        end;
+        if Pte.has_reserved e then
+          check (fun () -> err "nros structure: reserved bits set at L%d[%d]" level i)
       end);
   let* () = !result in
   if Iset.pairwise_disjoint !closures then Ok ()

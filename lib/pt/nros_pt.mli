@@ -19,7 +19,8 @@ val refinement : Page_table.t -> (unit, string) result
     the hierarchical proof. *)
 
 val structure : Page_table.t -> (unit, string) result
-(** Recursive structural invariant: node-local well-formedness plus
+(** Recursive structural invariant: node-local well-formedness (with
+    {!Pt_refine.structure}'s reserved-bit clause) plus
     recursive well-formedness of each child subtree, with the subtree
     frame sets recomputed at every level to check disjointness of
     siblings (no cycles / no sharing, derived hierarchically). *)

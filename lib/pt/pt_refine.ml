@@ -3,6 +3,7 @@ module Phys_mem = Atmo_hw.Phys_mem
 module Mmu = Atmo_hw.Mmu
 module Pte = Atmo_hw.Pte_bits
 module Page_state = Atmo_pmem.Page_state
+module V = Violation
 
 let err fmt = Format.kasprintf (fun s -> Error s) fmt
 let ( let* ) r f = match r with Ok () -> f () | Error _ as e -> e
@@ -15,33 +16,40 @@ let entry_of_translation (tr : Mmu.translation) : Page_table.entry =
   in
   { frame = tr.frame; size; perm = tr.perm }
 
-let refinement pt =
+(* Each obligation below is an enumerator: it hands every violation it
+   finds to the sink [v], in the order the first-failure forms at the
+   end report them. *)
+
+let refinement pt v =
   let abstract = Page_table.address_space pt in
   let concrete = Page_table.walk_concrete pt in
   (* Direction 1: every concrete leaf is in the abstract map with an
      equal value. *)
-  let* () =
-    List.fold_left
-      (fun acc (va, e) ->
-        let* () = acc in
-        match Imap.find_opt va abstract with
-        | None -> err "refinement: MMU maps 0x%x but abstract map does not" va
-        | Some a ->
-          if Page_table.equal_entry a e then Ok ()
-          else
-            err "refinement: 0x%x maps to %a (MMU) vs %a (abstract)" va
-              Page_table.pp_entry e Page_table.pp_entry a)
-      (Ok ()) concrete
-  in
+  let clean = ref true in
+  List.iter
+    (fun (va, (e : Page_table.entry)) ->
+      match Imap.find_opt va abstract with
+      | None ->
+        clean := false;
+        V.report v V.Ill_formed e.frame "refinement: MMU maps 0x%x but abstract map does not" va
+      | Some a ->
+        if not (Page_table.equal_entry a e) then begin
+          clean := false;
+          V.report v V.Ill_formed e.frame "refinement: 0x%x maps to %a (MMU) vs %a (abstract)"
+            va Page_table.pp_entry e Page_table.pp_entry a
+        end)
+    concrete;
   (* Direction 2: equal domains, so nothing abstract is missing from the
      hardware view.  The walk never yields a virtual base twice, so after
-     direction 1 equal sizes mean equal domains. *)
-  if List.length concrete = Imap.cardinal abstract then Ok ()
-  else
+     a clean direction 1 equal sizes mean equal domains. *)
+  if not (!clean && List.length concrete = Imap.cardinal abstract) then begin
     let cdom = List.fold_left (fun s (va, _) -> Iset.add va s) Iset.empty concrete in
-    match Iset.choose_opt (Iset.diff (Imap.dom abstract) cdom) with
-    | Some va -> err "refinement: abstract maps 0x%x but MMU faults" va
-    | None -> Ok ()
+    Imap.iter
+      (fun va (a : Page_table.entry) ->
+        if not (Iset.mem va cdom) then
+          V.report v V.Ill_formed a.frame "refinement: abstract maps 0x%x but MMU faults" va)
+      abstract
+  end
 
 let mmu_probe pt ~vaddrs =
   let abstract = Page_table.address_space pt in
@@ -72,113 +80,134 @@ let mmu_probe pt ~vaddrs =
             Page_table.pp_entry e)
     (Ok ()) vaddrs
 
-let structure pt =
+let structure pt v =
   let mem = Page_table.mem pt in
   let registry = Page_table.tables pt in
   let level_of ~addr = Page_table.table_level pt ~addr in
-  let* () =
-    match level_of ~addr:(Page_table.cr3 pt) with
-    | Some 4 -> Ok ()
-    | Some l -> err "structure: root registered at level %d" l
-    | None -> err "structure: root not registered"
-  in
-  (* Count inbound references to each table page while validating every
-     present entry of every registered table; the first bad entry, in
-     registry then index order, is the verdict. *)
-  let inbound = Hashtbl.create 64 in
-  let bad = ref None in
-  let fail fmt = Format.kasprintf (fun s -> bad := Some s) fmt in
-  List.iter
-    (fun (table, level) ->
-      if Option.is_none !bad then
+  let root = Page_table.cr3 pt in
+  match level_of ~addr:root with
+  | Some l when l <> 4 -> V.report v V.Pt_bad_level root "structure: root registered at level %d" l
+  | None -> V.report v V.Pt_bad_level root "structure: root not registered"
+  | Some _ ->
+    (* Count inbound references to each table page while validating
+       every present entry of every registered table, in registry then
+       index order.  Reserved bits are the last clause: entries carrying
+       them are kept aside and reported after the reference counts. *)
+    let inbound = Hashtbl.create 64 in
+    let reserved = ref [] in
+    List.iter
+      (fun (table, level) ->
         Phys_mem.iter_table mem ~addr:table (fun i e ->
-            if Option.is_none !bad && Pte.is_present e then
+            if Pte.is_present e then begin
+              let frame = Pte.addr_of e in
               if Pte.is_huge e then begin
                 if level = 3 || level = 2 then begin
                   let size = if level = 3 then Phys_mem.page_size_1g else Phys_mem.page_size_2m in
-                  if Pte.addr_of e mod size <> 0 then
-                    fail "structure: huge leaf at L%d[%d] misaligned frame 0x%x" level i
-                      (Pte.addr_of e)
+                  if frame mod size <> 0 then
+                    V.report v V.Pt_misaligned_superpage frame
+                      "structure: huge leaf at L%d[%d] misaligned frame 0x%x" level i frame
                 end
-                else fail "structure: huge bit at level %d" level
+                else V.report v V.Malformed_pte frame "structure: huge bit at level %d" level
               end
               else if level > 1 then begin
                 (* L1 present entries are 4K leaves *)
-                let child = Pte.addr_of e in
-                match level_of ~addr:child with
+                match level_of ~addr:frame with
                 | Some cl when cl = level - 1 ->
-                  Hashtbl.replace inbound child
-                    (1 + Option.value ~default:0 (Hashtbl.find_opt inbound child))
+                  Hashtbl.replace inbound frame
+                    (1 + Option.value ~default:0 (Hashtbl.find_opt inbound frame))
                 | Some cl ->
-                  fail "structure: L%d[%d] points to table 0x%x of level %d" level i child cl
-                | None -> fail "structure: L%d[%d] points to unregistered page 0x%x" level i child
-              end))
-    registry;
-  let* () = match !bad with None -> Ok () | Some msg -> Error msg in
-  (* Exactly-one-parent: rules out sharing and cycles in one flat pass. *)
-  List.fold_left
-    (fun acc (table, _) ->
-      let* () = acc in
-      let refs = Option.value ~default:0 (Hashtbl.find_opt inbound table) in
-      if table = Page_table.cr3 pt then
-        if refs = 0 then Ok () else err "structure: root has %d inbound refs" refs
-      else if refs = 1 then Ok ()
-      else err "structure: table 0x%x has %d inbound refs" table refs)
-    (Ok ()) registry
+                  V.report v V.Pt_bad_level frame
+                    "structure: L%d[%d] points to table 0x%x of level %d" level i frame cl
+                | None ->
+                  V.report v V.Pt_bad_level frame
+                    "structure: L%d[%d] points to unregistered page 0x%x" level i frame
+              end;
+              if Pte.has_reserved e then reserved := (table, level, i, e) :: !reserved
+            end))
+      registry;
+    (* Exactly-one-parent: rules out sharing and cycles in one flat pass. *)
+    List.iter
+      (fun (table, _) ->
+        let refs = Option.value ~default:0 (Hashtbl.find_opt inbound table) in
+        if table = root then begin
+          if refs <> 0 then V.report v V.Pt_bad_level table "structure: root has %d inbound refs" refs
+        end
+        else if refs <> 1 then
+          V.report v V.Pt_bad_level table "structure: table 0x%x has %d inbound refs" table refs)
+      registry;
+    List.iter
+      (fun (table, level, i, e) ->
+        V.report v V.Malformed_pte (Pte.addr_of e)
+          "structure: reserved bits set in L%d[%d] of table 0x%x (0x%Lx)" level i table e)
+      (List.rev !reserved)
 
-let ghost_wf pt =
+let ghost_wf pt v =
   let check_map name m size =
-    Imap.fold
-      (fun va (e : Page_table.entry) acc ->
-        let* () = acc in
-        if not (Mmu.canonical va) then err "ghost_wf: %s maps non-canonical 0x%x" name va
-        else if va land (Page_state.bytes_per size - 1) <> 0 then
-          err "ghost_wf: %s base 0x%x misaligned" name va
-        else if e.frame land (Page_state.bytes_per size - 1) <> 0 then
-          err "ghost_wf: %s frame 0x%x misaligned" name e.frame
+    let mask = Page_state.bytes_per size - 1 in
+    Imap.iter
+      (fun va (e : Page_table.entry) ->
+        if not (Mmu.canonical va) then
+          V.report v V.Ill_formed e.frame "ghost_wf: %s maps non-canonical 0x%x" name va
+        else if va land mask <> 0 then
+          V.report v V.Ill_formed e.frame "ghost_wf: %s base 0x%x misaligned" name va
+        else if e.frame land mask <> 0 then
+          V.report v V.Ill_formed e.frame "ghost_wf: %s frame 0x%x misaligned" name e.frame
         else if not (Page_state.equal_size e.size size) then
-          err "ghost_wf: %s entry at 0x%x has size %a" name va Page_state.pp_size e.size
-        else Ok ())
-      m (Ok ())
+          V.report v V.Ill_formed e.frame "ghost_wf: %s entry at 0x%x has size %a" name va
+            Page_state.pp_size e.size)
+      m
   in
-  let* () = check_map "mapping_4k" (Page_table.mapping_4k pt) Page_state.S4k in
-  let* () = check_map "mapping_2m" (Page_table.mapping_2m pt) Page_state.S2m in
-  let* () = check_map "mapping_1g" (Page_table.mapping_1g pt) Page_state.S1g in
+  check_map "mapping_4k" (Page_table.mapping_4k pt) Page_state.S4k;
+  check_map "mapping_2m" (Page_table.mapping_2m pt) Page_state.S2m;
+  check_map "mapping_1g" (Page_table.mapping_1g pt) Page_state.S1g;
   (* The incrementally-maintained unified view must equal the union of
      the per-size ghost maps it caches. *)
-  let* () =
-    if
-      Imap.equal Page_table.equal_entry
-        (Page_table.address_space pt)
-        (Page_table.address_space_recomputed pt)
-    then Ok ()
-    else err "ghost_wf: unified address-space cache diverged from the ghost maps"
-  in
+  if
+    not
+      (Imap.equal Page_table.equal_entry
+         (Page_table.address_space pt)
+         (Page_table.address_space_recomputed pt))
+  then
+    V.report v V.Ill_formed (-1)
+      "ghost_wf: unified address-space cache diverged from the ghost maps";
   (* Pairwise disjointness of virtual ranges across all sizes: in base
      order, adjacent ranges must not overlap. *)
   let rec adjacent b1 e1 ranges =
     match ranges () with
-    | Seq.Nil -> Ok ()
+    | Seq.Nil -> ()
     | Seq.Cons ((b2, (e : Page_table.entry)), rest) ->
-      if e1 > b2 then err "ghost_wf: ranges [0x%x..) and [0x%x..) overlap" b1 b2
-      else adjacent b2 (b2 + Page_state.bytes_per e.size) rest
+      if e1 > b2 then
+        V.report v V.Ill_formed e.frame "ghost_wf: ranges [0x%x..) and [0x%x..) overlap" b1 b2;
+      adjacent b2 (b2 + Page_state.bytes_per e.size) rest
   in
-  let* () = adjacent min_int min_int (Imap.to_seq (Page_table.address_space pt)) in
+  adjacent min_int min_int (Imap.to_seq (Page_table.address_space pt));
   (* The maintained closure must equal the table registry it caches. *)
   let registry =
     List.fold_left (fun s (addr, _) -> Iset.add addr s) Iset.empty (Page_table.tables pt)
   in
-  if Iset.equal (Page_table.page_closure pt) registry then Ok ()
-  else err "ghost_wf: cached page closure diverged from the table registry"
+  if not (Iset.equal (Page_table.page_closure pt) registry) then
+    V.report v V.Ill_formed (-1) "ghost_wf: cached page closure diverged from the table registry"
 
-let closure_disjoint pt =
+let closure_disjoint pt v =
   let closure = Page_table.page_closure pt in
   let mapped = Page_table.mapped_frames pt in
-  if Iset.disjoint closure mapped then Ok ()
-  else
-    match Iset.choose_opt (Iset.inter closure mapped) with
-    | Some f -> err "closure: table page 0x%x is also mapped" f
-    | None -> Ok ()
+  if not (Iset.disjoint closure mapped) then
+    Iset.iter
+      (fun f -> V.report v V.Ill_formed f "closure: table page 0x%x is also mapped" f)
+      (Iset.inter closure mapped)
+
+let violations pt v =
+  refinement pt v;
+  structure pt v;
+  ghost_wf pt v;
+  closure_disjoint pt v
+
+(* The first-failure form of each obligation. *)
+let refinement = V.first refinement
+let structure = V.first structure
+let ghost_wf = V.first ghost_wf
+let closure_disjoint = V.first closure_disjoint
+let all = V.first violations
 
 let obligations =
   [
@@ -187,10 +216,3 @@ let obligations =
     ("pt/ghost_wf", ghost_wf);
     ("pt/closure_disjoint", closure_disjoint);
   ]
-
-let all pt =
-  List.fold_left
-    (fun acc (_, check) ->
-      let* () = acc in
-      check pt)
-    (Ok ()) obligations

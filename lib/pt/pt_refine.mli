@@ -5,7 +5,10 @@
     paper's flat style — they quantify over the global ghost maps and the
     flat table-page registry, never by structural recursion from the
     root.  {!Nros_pt} provides the recursive (NrOS-style) formulation of
-    the same obligations for the ablation. *)
+    the same obligations for the ablation.
+
+    Each obligation is written once, as an enumerator of violations
+    ({!violations}); the functions below are its first-failure form. *)
 
 val refinement : Page_table.t -> (unit, string) result
 (** The ghost maps and the MMU agree: every ghost entry resolves through
@@ -23,7 +26,9 @@ val structure : Page_table.t -> (unit, string) result
     table; every present non-huge entry points to a registered table of
     the next level down; every non-root table is referenced by exactly
     one parent slot (no aliasing, hence no cycles); huge bits appear only
-    at L3/L2; leaf frames are aligned to their mapping size. *)
+    at L3/L2; leaf frames are aligned to their mapping size; and, last,
+    no present entry sets a bit the kernel never programs
+    ({!Atmo_hw.Pte_bits.has_reserved}). *)
 
 val ghost_wf : Page_table.t -> (unit, string) result
 (** Well-formedness of the abstract state: canonical, size-aligned
@@ -37,8 +42,15 @@ val closure_disjoint : Page_table.t -> (unit, string) result
 (** The table pages (page_closure) are disjoint from the mapped frames —
     a mapping must never expose the page table's own memory. *)
 
+val violations : Page_table.t -> Atmo_util.Violation.sink -> unit
+(** Every violation of every obligation above except {!mmu_probe}, in
+    the order {!obligations} lists them: malformed entries file as
+    [Malformed_pte], misaligned huge leaves as
+    [Pt_misaligned_superpage], wrong-level or shared tables as
+    [Pt_bad_level], the rest as [Ill_formed]. *)
+
 val all : Page_table.t -> (unit, string) result
-(** Conjunction of every obligation above, first failure wins. *)
+(** The first of {!violations}. *)
 
 val obligations : (string * (Page_table.t -> (unit, string) result)) list
 (** Named obligations, for the verification-time harness. *)

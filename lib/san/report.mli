@@ -6,67 +6,23 @@
     recorder is tracing — the tail of the event stream leading up to the
     violation, so a report reads like a miniature kernel crash dump. *)
 
-type rule =
-  | Use_after_free  (** access to a frame after it returned to a free list *)
-  | Double_free  (** free request for a frame that is already free *)
-  | Out_of_reservation  (** access to managed memory never handed out *)
-  | Poison_trample  (** free-page poison damaged while the page was free *)
-  | Claim_of_live  (** allocator handed out a frame that was still live *)
-  | Bad_write_ro  (** store to a frame every mapping of which is read-only *)
-  | Foreign_page  (** access to a user frame of a different container *)
-  | Unlocked_mutation  (** kernel state mutated in a syscall without the big lock *)
-  | Lock_misuse  (** big-lock acquire/release protocol broken *)
-  | Leak  (** allocated frame owned by no kernel data structure *)
-  | Phantom_page  (** kernel claims a frame the allocator says is not allocated *)
-  | Mapped_leak  (** mapped frame reachable from no address space *)
-  | Malformed_pte  (** reserved/invalid bits set in a present entry *)
-  | Pt_bad_level  (** non-leaf entry not pointing at a next-level table *)
-  | Pt_misaligned_superpage  (** huge leaf whose frame is not size-aligned *)
-  | Pt_alias  (** frame mapped more times than its reference count *)
-  | Pt_bad_leaf_state  (** leaf frame not in the allocator's [Mapped] state *)
-  | Tlb_stale  (** cached TLB/IOTLB translation disagrees with a cold walk *)
-  | Sched_incoherent
-      (** scheduler state broken: a Runnable thread queued nowhere, a
-          queued thread not Runnable/alive, or current/Running disagree
-          (the IPC fastpath's obligations) *)
-  | Span_leak
-      (** span begun but never ended: still open at quiescence, or left
-          open when its enclosing span closed *)
-  | Drv_undefined_state
-      (** a device model is in the [Undefined] state the paper's driver
-          theorems forbid *)
-  | Drv_dma_escape
-      (** device DMA outside its IOMMU window actually reached memory *)
-  | Drv_irq_storm
-      (** pending unacknowledged IRQs above the storm threshold — the
-          driver neither serviced nor masked the vector *)
-  | Drv_lost_completion
-      (** a completion the device posted was never harvested by its
-          driver (checked at quiescence) *)
-  | Stale_proof
-      (** a state container was mutated with no matching dirty mark in
-          the incremental verifier's tracker — cached verdicts about it
-          are stale proofs *)
-  | Lock_order
-      (** fine-grained lock acquired against the hierarchy
-          (cpu-queue < endpoint < map-writer): a deadlock-shaped cycle *)
-  | Queue_corrupt
-      (** per-CPU run-queue census broken: a thread enqueued on more
-          than one CPU, or a queue structurally damaged cross-CPU *)
-  | Lost_steal
-      (** steal ledger names a dead thread — a terminate raced an
-          in-flight steal and the thief holds a dangling reference *)
-  | Watchdog_silent
-      (** the online monitor's watchdog saw a CPU stop scheduling: its
-          [sched/heartbeat/<cpu>] rollup deltas went to zero across
-          consecutive windows while other CPUs kept beating — the
-          liveness half of the scheduling contract broken at runtime *)
+type rule = Atmo_util.Violation.rule =
+  | Use_after_free | Double_free | Out_of_reservation | Poison_trample | Claim_of_live
+  | Bad_write_ro | Foreign_page | Unlocked_mutation | Lock_misuse | Leak | Phantom_page
+  | Mapped_leak | Malformed_pte | Pt_bad_level | Pt_misaligned_superpage | Pt_alias
+  | Pt_bad_leaf_state | Tlb_stale | Sched_incoherent | Span_leak | Drv_undefined_state
+  | Drv_dma_escape | Drv_irq_storm | Drv_lost_completion | Stale_proof | Lock_order
+  | Queue_corrupt | Lost_steal | Watchdog_silent | Ill_formed
+(** The one rule type, shared with the well-formedness table; each rule
+    is documented in {!Atmo_util.Violation}. *)
 
 val rule_name : rule -> string
 
 type t = {
   rule : rule;
-  site : string;  (** detection site, e.g. ["phys.write"] or ["pt_lint"] *)
+  site : string;
+      (** detection site, e.g. ["phys.write"], or the well-formedness
+          table entry, e.g. ["pm/scheduler_wf"] *)
   page : int;  (** faulting 4 KiB frame base; [-1] when not page-specific *)
   detail : string;
   trail : Atmo_obs.Event.record list;

@@ -125,9 +125,18 @@ let attach k =
   attr_dirty := true;
   Memsan.track k.Kernel.alloc
 
+let wf_check k =
+  let before = Report.count () in
+  Memsan.suspend (fun () ->
+      List.iter
+        (fun (e : Atmo_core.Invariants.entry) ->
+          e.violations k (fun rule page detail -> Report.record rule ~site:e.name ~page ~detail))
+        Atmo_core.Invariants.table);
+  Report.count () - before
+
 let full_check k =
-  Pt_lint.lint k + Audit.leaks k + Tlb_lint.lint k + Sched_lint.lint k + Span_lint.lint k
-  + Driver_lint.lint k + Proof_lint.lint k + Watchdog_lint.lint k
+  wf_check k + Tlb_lint.lint k + Span_lint.lint k + Driver_lint.lint k + Proof_lint.lint k
+  + Watchdog_lint.lint k
 
 let arm_of_env () =
   match Sys.getenv_opt "SAN" with

@@ -22,12 +22,18 @@ val attach : Atmo_core.Kernel.t -> unit
     the kernel booted before {!arm}) and becomes the subject of
     attribution snapshots. *)
 
+val wf_check : Atmo_core.Kernel.t -> int
+(** File every violation of every {!Atmo_core.Invariants.table} entry
+    as a report under its rule, with the entry's name as the site;
+    returns the number filed.  The table is the one definition of
+    well-formedness: [total_wf] reports the first of these. *)
+
 val full_check : Atmo_core.Kernel.t -> int
-(** Run the on-demand whole-state checks — {!Pt_lint.lint},
-    {!Audit.leaks}, {!Tlb_lint.lint}, {!Sched_lint.lint},
-    {!Span_lint.lint} and {!Driver_lint.lint} — returning the number of
-    new violations.  Call at quiescence: drivers drained, no requests
-    in flight. *)
+(** Run the on-demand whole-state checks — {!wf_check},
+    {!Tlb_lint.lint}, {!Span_lint.lint}, {!Driver_lint.lint},
+    {!Proof_lint.lint} and {!Watchdog_lint.lint} — returning the number
+    of new violations.  Call at quiescence: drivers drained, no
+    requests in flight. *)
 
 val arm_of_env : unit -> unit
 (** Arm (memsan only) when the [SAN] environment variable is [1] — the

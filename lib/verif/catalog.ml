@@ -144,7 +144,8 @@ let build_world ~scale =
 let kernel_obligations k =
   List.map
     (fun (e : Invariants.entry) ->
-      Obligation.make ~reads:e.reads ~name:e.name ~group:e.group (fun () -> e.check k))
+      Obligation.make ~reads:e.reads ~name:e.name ~group:e.group (fun () ->
+          Pm_invariants.check e k))
     Invariants.table
   @ List.map
       (fun (name, check) ->

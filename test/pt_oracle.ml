@@ -142,14 +142,34 @@ let structure pt =
         entries 0 (Ok ()))
       (Ok ()) registry
   in
+  let* () =
+    List.fold_left
+      (fun acc (table, _) ->
+        let* () = acc in
+        let refs = Option.value ~default:0 (Hashtbl.find_opt inbound table) in
+        if table = Page_table.cr3 pt then
+          if refs = 0 then Ok () else err "structure: root has %d inbound refs" refs
+        else if refs = 1 then Ok ()
+        else err "structure: table 0x%x has %d inbound refs" table refs)
+      (Ok ()) registry
+  in
+  (* last, reserved bits: a present entry sets only the bits this
+     kernel programs (P, R/W, U/S, PS, NX and the frame address) *)
+  let programmed =
+    List.fold_left Int64.logor Pte.addr_mask [ 0x1L; 0x2L; 0x4L; 0x80L; Int64.min_int ]
+  in
   List.fold_left
-    (fun acc (table, _) ->
+    (fun acc (table, level) ->
       let* () = acc in
-      let refs = Option.value ~default:0 (Hashtbl.find_opt inbound table) in
-      if table = Page_table.cr3 pt then
-        if refs = 0 then Ok () else err "structure: root has %d inbound refs" refs
-      else if refs = 1 then Ok ()
-      else err "structure: table 0x%x has %d inbound refs" table refs)
+      let rec entries i =
+        if i > 511 then Ok ()
+        else
+          let e = read pt table i in
+          if Pte.is_present e && Int64.logand e (Int64.lognot programmed) <> 0L then
+            err "structure: reserved bits set in L%d[%d] of table 0x%x (0x%Lx)" level i table e
+          else entries (i + 1)
+      in
+      entries 0)
     (Ok ()) registry
 
 let pp_verdict ppf = function

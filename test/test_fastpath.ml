@@ -56,11 +56,7 @@ let world () =
     | None -> Alcotest.fail "endpoint slot empty"
   in
   List.iter
-    (fun t ->
-      Perm_map.update k.Kernel.pm.Proc_mgr.thrd_perms ~ptr:t (fun th ->
-          Thread.set_slot th 0 (Some ep));
-      Perm_map.update k.Kernel.pm.Proc_mgr.edpt_perms ~ptr:ep (fun e ->
-          { e with Endpoint.refcount = e.Endpoint.refcount + 1 }))
+    (fun t -> Proc_mgr.install_descriptor k.Kernel.pm ~thread:t ~slot:0 ~endpoint:ep)
     [ t2; t3 ];
   (k, [| init; t2; t3 |])
 

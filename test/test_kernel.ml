@@ -391,10 +391,7 @@ let test_ipc_page_grant () =
     | Error e -> Alcotest.failf "t2: %a" Errno.pp e
   in
   let ep = ptr "ep" (step k ~thread:init (Syscall.New_endpoint { slot = 0 })) in
-  Perm_map.update k.Kernel.pm.Proc_mgr.thrd_perms ~ptr:t2 (fun th ->
-      Thread.set_slot th 0 (Some ep));
-  Perm_map.update k.Kernel.pm.Proc_mgr.edpt_perms ~ptr:ep (fun e ->
-      { e with Atmo_pm.Endpoint.refcount = e.Atmo_pm.Endpoint.refcount + 1 });
+  Proc_mgr.install_descriptor k.Kernel.pm ~thread:t2 ~slot:0 ~endpoint:ep;
   expect_wf k;
   (* receiver blocks first, then sender grants its page *)
   (match step k ~thread:t2 (Syscall.Recv { slot = 0 }) with
@@ -430,10 +427,7 @@ let test_ipc_endpoint_grant () =
   in
   let ep = ptr "ep" (step k ~thread:init (Syscall.New_endpoint { slot = 0 })) in
   let ep2 = ptr "ep2" (step k ~thread:init (Syscall.New_endpoint { slot = 1 })) in
-  Perm_map.update k.Kernel.pm.Proc_mgr.thrd_perms ~ptr:t2 (fun th ->
-      Thread.set_slot th 0 (Some ep));
-  Perm_map.update k.Kernel.pm.Proc_mgr.edpt_perms ~ptr:ep (fun e ->
-      { e with Atmo_pm.Endpoint.refcount = e.Atmo_pm.Endpoint.refcount + 1 });
+  Proc_mgr.install_descriptor k.Kernel.pm ~thread:t2 ~slot:0 ~endpoint:ep;
   (match step k ~thread:t2 (Syscall.Recv { slot = 0 }) with
    | Syscall.Rblocked -> ()
    | r -> Alcotest.failf "recv should block: %a" Syscall.pp_ret r);

@@ -115,6 +115,19 @@ let test_pt_mutation_table_cycle () =
   in
   expect_fires "flat structure" (Pt_refine.structure pt)
 
+let test_pt_mutation_reserved_bits () =
+  (* set a bit the kernel never programs (bit 9, "available") in a
+     leaf: the hardware view is unchanged, only the structure clause
+     sees it *)
+  let pt =
+    pt_with_corruption (fun pt ->
+        let mem = Page_table.mem pt in
+        let slot = leaf_slot pt 0x4000_0000 in
+        Phys_mem.write_u64 mem ~addr:slot (Int64.logor (Phys_mem.read_u64 mem ~addr:slot) 0x200L))
+  in
+  expect_fires "flat structure" (Pt_refine.structure pt);
+  expect_fires "recursive structure" (Nros_pt.structure pt)
+
 let test_pt_mutation_ghost_drift () =
   (* the ghost map claims a mapping the hardware does not have *)
   let pt = Catalog.build_pt ~mappings:16 in
@@ -214,14 +227,16 @@ let test_pm_mutation_runqueue () =
     Pm_invariants.scheduler_wf
 
 let test_pm_mutation_refcount () =
-  mutate_and_expect "endpoints"
-    (fun k ->
-      Perm_map.iter
-        (fun ep _ ->
-          Perm_map.update k.Kernel.pm.Proc_mgr.edpt_perms ~ptr:ep (fun e ->
-              { e with Endpoint.refcount = e.Endpoint.refcount + 1 }))
-        k.Kernel.pm.Proc_mgr.edpt_perms)
-    Pm_invariants.endpoints_wf
+  let k, _ = world () in
+  let edpt = k.Kernel.pm.Proc_mgr.edpt_perms in
+  expect_clean "endpoints" (Pm_invariants.all k.Kernel.pm);
+  Perm_map.iter
+    (fun ep _ ->
+      Perm_map.update edpt ~ptr:ep (fun e -> { e with Endpoint.refcount = e.Endpoint.refcount + 1 }))
+    edpt;
+  expect_fires "endpoints" (Pm_invariants.endpoints_wf k.Kernel.pm);
+  Wf_plants.expect_flagged "endpoint refcount" k Atmo_san.Report.Ill_formed
+    ~page:(Iset.min_elt (Perm_map.dom edpt))
 
 let test_pm_mutation_quota () =
   mutate_and_expect "quota"
@@ -302,6 +317,20 @@ let test_kernel_mutation_free_frame () =
 let test_kernel_mutation_past_top () =
   expect_caught_by "kernel/mapped_consistent" (Wf_plants.past_top_2m ())
 
+let test_kernel_mutation_resized_leaf () =
+  let k, init = world () in
+  expect_clean "kernel" (Invariants.total_wf k);
+  let frame = Wf_plants.resized_leaf k ~init in
+  expect_caught_by "kernel/mapped_consistent" k;
+  Wf_plants.expect_flagged "resized leaf" k Atmo_san.Report.Pt_bad_leaf_state ~page:frame
+
+let test_kernel_mutation_blocked_current () =
+  let k, _ = world () in
+  expect_clean "kernel" (Invariants.total_wf k);
+  let th = Wf_plants.blocked_current k in
+  expect_caught_by "pm/scheduler_wf" k;
+  Wf_plants.expect_flagged "blocked current" k Atmo_san.Report.Sched_incoherent ~page:th
+
 (* ------------------------------------------------------------------ *)
 (* Sanitizer mutations: atmo-san must catch each planted bug with a
    typed report naming the rule and the faulting page.                 *)
@@ -381,10 +410,7 @@ let test_san_malformed_pte () =
       (* set a bit the kernel never programs (bit 9, "available") *)
       Phys_mem.write_u64 mem ~addr:slot (Int64.logor e 0x200L);
       Pt_oracle.check_agrees "malformed pte" pt;
-      ignore (Atmo_san.Pt_lint.lint k);
-      match san_find San_report.Malformed_pte with
-      | None -> Alcotest.fail "malformed PTE not detected"
-      | Some r -> Alcotest.(check int) "faulting page" (Pte.addr_of e) r.San_report.page)
+      Wf_plants.expect_flagged "malformed pte" k San_report.Malformed_pte ~page:(Pte.addr_of e))
 
 let test_san_stale_tlb () =
   let k, init = world () in
@@ -432,16 +458,13 @@ let test_san_fastpath_skip () =
   let ep =
     Option.get (Thread.slot (Perm_map.borrow k.Kernel.pm.Proc_mgr.thrd_perms ~ptr:init) 0)
   in
-  Perm_map.update k.Kernel.pm.Proc_mgr.thrd_perms ~ptr:t2 (fun th ->
-      Thread.set_slot th 0 (Some ep));
-  Perm_map.update k.Kernel.pm.Proc_mgr.edpt_perms ~ptr:ep (fun e ->
-      { e with Endpoint.refcount = e.Endpoint.refcount + 1 });
+  Proc_mgr.install_descriptor k.Kernel.pm ~thread:t2 ~slot:0 ~endpoint:ep;
   (match Kernel.step k ~thread:t2 (Syscall.Recv { slot = 0 }) with
    | Syscall.Rblocked -> ()
    | r -> Alcotest.failf "recv should block: %a" Syscall.pp_ret r);
   with_san (fun () ->
       San_runtime.attach k;
-      checkb "clean lint before plant" true (Atmo_san.Sched_lint.lint k = 0);
+      checkb "clean before plant" true (San_runtime.wf_check k = 0);
       Kernel.set_fastpath_skip_plant true;
       Fun.protect
         ~finally:(fun () -> Kernel.set_fastpath_skip_plant false)
@@ -453,10 +476,8 @@ let test_san_fastpath_skip () =
           | Syscall.Runit -> ()
           | r -> Alcotest.failf "send: %a" Syscall.pp_ret r);
       expect_fires "scheduler_wf" (Pm_invariants.all k.Kernel.pm);
-      checkb "lint fires" true (Atmo_san.Sched_lint.lint k > 0);
-      match san_find San_report.Sched_incoherent with
-      | None -> Alcotest.fail "fastpath skip not detected"
-      | Some _ -> ())
+      (* the preempted sender is the stranded Runnable thread *)
+      Wf_plants.expect_flagged "fastpath skip" k San_report.Sched_incoherent ~page:init)
 
 let test_san_span_leak () =
   (* same parked-receiver setup as the fastpath test, but under a live
@@ -479,10 +500,7 @@ let test_san_span_leak () =
   let ep =
     Option.get (Thread.slot (Perm_map.borrow k.Kernel.pm.Proc_mgr.thrd_perms ~ptr:init) 0)
   in
-  Perm_map.update k.Kernel.pm.Proc_mgr.thrd_perms ~ptr:t2 (fun th ->
-      Thread.set_slot th 0 (Some ep));
-  Perm_map.update k.Kernel.pm.Proc_mgr.edpt_perms ~ptr:ep (fun e ->
-      { e with Endpoint.refcount = e.Endpoint.refcount + 1 });
+  Proc_mgr.install_descriptor k.Kernel.pm ~thread:t2 ~slot:0 ~endpoint:ep;
   (match Kernel.step k ~thread:t2 (Syscall.Recv { slot = 0 }) with
    | Syscall.Rblocked -> ()
    | r -> Alcotest.failf "recv should block: %a" Syscall.pp_ret r);
@@ -691,6 +709,7 @@ let () =
           Alcotest.test_case "redirected leaf" `Quick test_pt_mutation_redirected_leaf;
           Alcotest.test_case "perm flip" `Quick test_pt_mutation_perm_flip;
           Alcotest.test_case "table cycle" `Quick test_pt_mutation_table_cycle;
+          Alcotest.test_case "reserved bits" `Quick test_pt_mutation_reserved_bits;
           Alcotest.test_case "ghost drift" `Quick test_pt_mutation_ghost_drift;
         ] );
       ( "allocator",
@@ -721,6 +740,10 @@ let () =
             test_kernel_mutation_free_frame;
           Alcotest.test_case "2 MiB pte past the managed top" `Quick
             test_kernel_mutation_past_top;
+          Alcotest.test_case "leaf over a block of another size" `Quick
+            test_kernel_mutation_resized_leaf;
+          Alcotest.test_case "current thread not running" `Quick
+            test_kernel_mutation_blocked_current;
         ] );
       ( "sanitizer",
         [

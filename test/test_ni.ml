@@ -35,12 +35,8 @@ let test_scenario_isolated () =
 let test_isolation_detects_shared_endpoint () =
   let s = build () in
   (* wire A's endpoint into B — the invariant must fire *)
-  Atmo_pm.Perm_map.update s.Scenario.kernel.Kernel.pm.Atmo_pm.Proc_mgr.thrd_perms
-    ~ptr:s.Scenario.b_thread (fun th ->
-      Atmo_pm.Thread.set_slot th 5 (Some s.Scenario.ep_av));
-  Atmo_pm.Perm_map.update s.Scenario.kernel.Kernel.pm.Atmo_pm.Proc_mgr.edpt_perms
-    ~ptr:s.Scenario.ep_av (fun e ->
-      { e with Atmo_pm.Endpoint.refcount = e.Atmo_pm.Endpoint.refcount + 1 });
+  Atmo_pm.Proc_mgr.install_descriptor s.Scenario.kernel.Kernel.pm ~thread:s.Scenario.b_thread
+    ~slot:5 ~endpoint:s.Scenario.ep_av;
   checkb "endpoint_iso fires" true (Scenario.check_isolation s <> Ok ())
 
 let test_isolation_detects_shared_frame () =

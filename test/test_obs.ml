@@ -260,8 +260,7 @@ let run_workload () =
     in
     (match Kernel.step k ~thread:init (Syscall.New_endpoint { slot = 0 }) with
      | Syscall.Rptr ep ->
-       Atmo_pm.Perm_map.update k.Kernel.pm.Atmo_pm.Proc_mgr.thrd_perms ~ptr:t2 (fun th ->
-           Atmo_pm.Thread.set_slot th 0 (Some ep))
+       Atmo_pm.Proc_mgr.install_descriptor k.Kernel.pm ~thread:t2 ~slot:0 ~endpoint:ep
      | _ -> Alcotest.fail "new_endpoint");
     let programs =
       [

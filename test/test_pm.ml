@@ -252,10 +252,7 @@ let test_surviving_endpoint_harvested () =
   let ath = expect "ath" (Proc_mgr.new_thread pm ~proc:ap) in
   let ep = expect "ep" (Proc_mgr.new_endpoint pm ~thread:ath ~slot:0) in
   (* share it with the root thread (as IPC endpoint-grant would) *)
-  Perm_map.update pm.Proc_mgr.thrd_perms ~ptr:rth (fun th ->
-      Thread.set_slot th 3 (Some ep));
-  Perm_map.update pm.Proc_mgr.edpt_perms ~ptr:ep (fun e ->
-      { e with Endpoint.refcount = e.Endpoint.refcount + 1 });
+  Proc_mgr.install_descriptor pm ~thread:rth ~slot:3 ~endpoint:ep;
   expect_wf pm;
   expect "terminate A" (Proc_mgr.terminate_container pm ~container:a);
   checkb "endpoint survives" true (Perm_map.mem pm.Proc_mgr.edpt_perms ~ptr:ep);

@@ -1,6 +1,6 @@
 (* atmo-san unit tests: shadow permission map semantics, free-page
-   poisoning, lock-discipline protocol, page-table lint and leak audit
-   on live kernels, and the zero-overhead disabled path. *)
+   poisoning, lock-discipline protocol, the table-derived whole-state
+   check on live kernels, and the zero-overhead disabled path. *)
 
 module Phys_mem = Atmo_hw.Phys_mem
 module Pte = Atmo_hw.Pte_bits
@@ -193,8 +193,7 @@ let test_smp_runs_clean_under_lockcheck () =
         | Syscall.Rptr e -> e
         | r -> Alcotest.failf "new_endpoint: %a" Syscall.pp_ret r
       in
-      Perm_map.update k.Kernel.pm.Proc_mgr.thrd_perms ~ptr:t2 (fun th ->
-          Atmo_pm.Thread.set_slot th 0 (Some ep));
+      Proc_mgr.install_descriptor k.Kernel.pm ~thread:t2 ~slot:0 ~endpoint:ep;
       let programs =
         [
           { Atmo_sim.Smp.thread = t2; think_cycles = 100;
@@ -231,9 +230,9 @@ let test_audit_catches_orphan_page () =
   with_san ~poison:false (fun () ->
       let k, _ = boot () in
       Runtime.attach k;
-      checki "clean before" 0 (Atmo_san.Audit.leaks k);
-      ignore (Page_alloc.alloc_4k k.Kernel.alloc ~purpose:Page_alloc.Kernel);
-      checkb "orphan detected" true (Atmo_san.Audit.leaks k > 0 && caught Report.Leak))
+      checki "clean before" 0 (Runtime.wf_check k);
+      let page = Option.get (Page_alloc.alloc_4k k.Kernel.alloc ~purpose:Page_alloc.Kernel) in
+      Wf_plants.expect_flagged "orphan page" k Report.Leak ~page)
 
 let test_audit_after_teardown () =
   with_san ~poison:false (fun () ->
@@ -257,7 +256,7 @@ let test_pt_alias_detected () =
                (Syscall.Mmap { va = 0x4000_0000; count = 1; size = Page_state.S4k; perm = Pte.perm_rw })
        with
        | Syscall.Rmapped [ frame ] ->
-         checki "clean before" 0 (Atmo_san.Pt_lint.lint k);
+         checki "clean before" 0 (Runtime.wf_check k);
          (* map the same frame at a second VA behind the allocator's
             back: one reference, two mappings *)
          let proc = Option.get (Kernel.proc_of_thread k ~thread:init) in
@@ -267,8 +266,7 @@ let test_pt_alias_detected () =
          (match Atmo_pt.Page_table.map_4k pt ~vaddr:0x9990_0000 ~frame ~perm:Pte.perm_rw with
           | Ok () -> ()
           | Error e -> Alcotest.failf "map_4k: %a" Atmo_pt.Page_table.pp_error e);
-         checkb "alias detected" true
-           (Atmo_san.Pt_lint.lint k > 0 && caught Report.Pt_alias)
+         Wf_plants.expect_flagged "pt alias" k Report.Pt_alias ~page:frame
        | r -> Alcotest.failf "mmap: %a" Syscall.pp_ret r))
 
 let () =

@@ -27,6 +27,21 @@ let new_thread k init =
   | Syscall.Rptr t -> t
   | r -> Alcotest.failf "new_thread -> %a" Syscall.pp_ret r
 
+(* A Runnable thread alone in a child process of init's, so that
+   terminating the process is a complete teardown of the thread. *)
+let child_thread k init =
+  match Kernel.step k ~thread:init Syscall.New_process with
+  | Syscall.Rptr proc ->
+    (match Proc_mgr.new_thread k.Kernel.pm ~proc with
+     | Ok t -> (proc, t)
+     | Error e -> Alcotest.failf "new_thread: %a" Atmo_util.Errno.pp e)
+  | r -> Alcotest.failf "new_process -> %a" Syscall.pp_ret r
+
+let terminate k init proc =
+  match Kernel.step k ~thread:init (Syscall.Terminate_process { proc }) with
+  | Syscall.Runit -> ()
+  | r -> Alcotest.failf "terminate_process -> %a" Syscall.pp_ret r
+
 (* ------------------------------------------------------------------ *)
 (* Sched_queue / Proc_mgr concurrency edges                            *)
 
@@ -84,35 +99,35 @@ let test_terminate_racing_steal () =
   let k, init = boot () in
   let pm = k.Kernel.pm in
   Proc_mgr.set_sched_cpus pm 2;
-  let t2 = new_thread k init in
+  let proc, t2 = child_thread k init in
   Proc_mgr.set_cpu pm 1;
   checkb "stolen" true (Proc_mgr.dequeue_next pm = Some t2);
   Proc_mgr.set_cpu pm 0;
-  (* correct teardown scrubs the ledger: no stale reference, lint clean *)
-  Proc_mgr.destroy_thread pm ~thread:t2;
+  (* correct teardown scrubs the ledger: no stale reference, state wf *)
+  terminate k init proc;
   checkb "ledger scrubbed on destroy" true
     (not (List.exists (fun (_, _, t) -> t = t2) (Proc_mgr.steal_ledger pm)));
   checkb "thief slot cleared" true (Proc_mgr.current_of pm ~cpu:1 = None);
   Report.clear ();
-  checki "sched lint clean after the race" 0 (Atmo_san.Sched_lint.lint k)
+  checki "well-formed after the race" 0 (Atmo_san.Runtime.wf_check k)
 
 let test_lost_steal_detected () =
   let k, init = boot () in
   let pm = k.Kernel.pm in
   Proc_mgr.set_sched_cpus pm 2;
-  let t2 = new_thread k init in
+  let proc, t2 = child_thread k init in
   Proc_mgr.set_cpu pm 1;
   checkb "stolen" true (Proc_mgr.dequeue_next pm = Some t2);
   Proc_mgr.set_cpu pm 0;
-  (* buggy teardown: the ledger entry outlives the thread *)
+  (* buggy teardown: the ledger entry outlives the thread, and nothing
+     else is wrong *)
   Proc_mgr.set_lost_steal_plant pm true;
   Fun.protect
     ~finally:(fun () -> Proc_mgr.set_lost_steal_plant pm false)
-    (fun () -> Proc_mgr.destroy_thread pm ~thread:t2);
-  Report.clear ();
-  checkb "lint fires" true (Atmo_san.Sched_lint.lint k > 0);
-  checkb "as Lost_steal" true
-    (List.exists (fun r -> r.Report.rule = Report.Lost_steal) (Report.reports ()));
+    (fun () -> terminate k init proc);
+  Wf_plants.expect_flagged "lost steal" k Report.Lost_steal ~page:t2;
+  checkb "ledger only" true
+    (List.for_all (fun r -> r.Report.rule = Report.Lost_steal) (Report.reports ()));
   Report.clear ()
 
 let test_double_enqueue_detected () =
@@ -122,15 +137,13 @@ let test_double_enqueue_detected () =
   let t2 = new_thread k init in
   checkb "t2 on queue 0" true (Sched_queue.mem (Proc_mgr.queue pm ~cpu:0) t2);
   Report.clear ();
-  checki "clean before the plant" 0 (Atmo_san.Sched_lint.lint k);
+  checki "clean before the plant" 0 (Atmo_san.Runtime.wf_check k);
   (* each deque stays individually well-formed — only the global
      census sees the thread owning two queue slots *)
   Sched_queue.push_back (Proc_mgr.queue pm ~cpu:1) t2;
   checkb "queue 0 still wf" true (Sched_queue.wf (Proc_mgr.queue pm ~cpu:0) = Ok ());
   checkb "queue 1 still wf" true (Sched_queue.wf (Proc_mgr.queue pm ~cpu:1) = Ok ());
-  checkb "census fires" true (Atmo_san.Sched_lint.lint k > 0);
-  checkb "as Queue_corrupt" true
-    (List.exists (fun r -> r.Report.rule = Report.Queue_corrupt) (Report.reports ()));
+  Wf_plants.expect_flagged "double enqueue" k Report.Queue_corrupt ~page:t2;
   Report.clear ()
 
 (* What a resize to [n] CPUs must produce: the old queues drained in
@@ -164,7 +177,7 @@ let resize_checked k n =
     checkb (what ^ ": queue wf") true (Sched_queue.wf (Proc_mgr.queue pm ~cpu) = Ok ())
   done;
   Report.clear ();
-  checki (what ^ ": lint clean") 0 (Atmo_san.Sched_lint.lint k)
+  checki (what ^ ": well-formed") 0 (Atmo_san.Runtime.wf_check k)
 
 let test_topology_resize_requeues () =
   let k, init = boot () in
@@ -182,7 +195,7 @@ let test_topology_resize_requeues () =
     (fun t -> checkb "requeued after shrink" true (Proc_mgr.queued_anywhere pm ~thread:t))
     ts;
   Report.clear ();
-  checki "lint clean after resize" 0 (Atmo_san.Sched_lint.lint k);
+  checki "well-formed after resize" 0 (Atmo_san.Runtime.wf_check k);
   (* grow -> shrink -> grow, with a thread current on a CPU the shrink
      removes *)
   resize_checked k 4;
@@ -282,9 +295,7 @@ let ipc_world () =
     | r -> Alcotest.failf "new_endpoint -> %a" Syscall.pp_ret r
   in
   List.iter
-    (fun t ->
-      Perm_map.update pm.Proc_mgr.thrd_perms ~ptr:t (fun th ->
-          Thread.set_slot th 0 (Some ep)))
+    (fun t -> Proc_mgr.install_descriptor pm ~thread:t ~slot:0 ~endpoint:ep)
     [ receiver; sender ];
   ( k,
     [

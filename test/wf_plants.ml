@@ -3,10 +3,12 @@
    what the plant maps), so the property's own check is what fires.
    Shared by the mutation tests, which check that [total_wf] and the
    named obligation catch each plant, and by the verifier tests, which
-   check that both agree. *)
+   check that both agree.  [expect_flagged] checks that the sanitizer's
+   table-derived check files the same violation. *)
 
 open Atmo_util
 module Pte = Atmo_hw.Pte_bits
+module Page_state = Atmo_pmem.Page_state
 module Page_alloc = Atmo_pmem.Page_alloc
 module Page_table = Atmo_pt.Page_table
 module Perm_map = Atmo_pm.Perm_map
@@ -14,7 +16,22 @@ module Proc_mgr = Atmo_pm.Proc_mgr
 module Process = Atmo_pm.Process
 module Container = Atmo_pm.Container
 module Endpoint = Atmo_pm.Endpoint
+module Thread = Atmo_pm.Thread
 module Kernel = Atmo_core.Kernel
+module Invariants = Atmo_core.Invariants
+module Syscall = Atmo_spec.Syscall
+module Report = Atmo_san.Report
+
+(* The table and the sanitizer agree on a planted state: [total_wf]
+   fails, and the table-derived check files [rule] at [page]. *)
+let expect_flagged what k rule ~page =
+  if Invariants.total_wf k = Ok () then Alcotest.failf "%s: total_wf holds" what;
+  Report.clear ();
+  ignore (Atmo_san.Runtime.wf_check k);
+  let hit (r : Report.t) = r.Report.rule = rule && r.Report.page = page in
+  if not (List.exists hit (Report.reports ())) then
+    Alcotest.failf "%s: no %s report at page 0x%x in %a" what (Report.rule_name rule) page
+      Report.pp_summary ()
 
 (* Charge [container] with what it really uses. *)
 let recharge k ~container =
@@ -74,3 +91,45 @@ let past_top_2m () =
    | Error _ -> failwith "past_top_2m: map_2m");
   recharge k ~container:p.Process.owner_container;
   k
+
+(* A 4 KiB leaf over the head of a 2 MiB block: init's superpage,
+   re-entered in its page table as one 4 KiB entry next to its mapping
+   at 0x5000_0000.  The mapped set and the reference count still agree;
+   caught by kernel/mapped_consistent's block-size clause.  Returns the
+   frame. *)
+let resized_leaf k ~init =
+  match
+    Kernel.step k ~thread:init
+      (Syscall.Mmap { va = 0x8000_0000; count = 1; size = Page_state.S2m; perm = Pte.perm_rw })
+  with
+  | Syscall.Rmapped [ frame ] ->
+    let p = init_proc k ~init in
+    (match Page_table.unmap p.Process.pt ~vaddr:0x8000_0000 with
+     | Ok _ -> ()
+     | Error _ -> failwith "resized_leaf: unmap");
+    (match Page_table.map_4k p.Process.pt ~vaddr:0x5000_2000 ~frame ~perm:Pte.perm_rw with
+     | Ok () -> ()
+     | Error _ -> failwith "resized_leaf: map_4k");
+    recharge k ~container:p.Process.owner_container;
+    frame
+  | _ -> failwith "resized_leaf: mmap"
+
+(* A current thread that is not Running: on a second run queue, the
+   world's helper thread, blocked sending on init's endpoint, is also
+   made current on CPU 1.  Caught by pm/scheduler_wf.  Returns the
+   thread. *)
+let blocked_current k =
+  let pm = k.Kernel.pm in
+  let sending (_, (th : Thread.t)) =
+    match th.Thread.state with Thread.Blocked_send _ -> true | _ -> false
+  in
+  let th =
+    match List.find_opt sending (Perm_map.bindings pm.Proc_mgr.thrd_perms) with
+    | Some (th, _) -> th
+    | None -> failwith "blocked_current: no thread blocked sending"
+  in
+  Proc_mgr.set_sched_cpus pm 2;
+  Proc_mgr.set_cpu pm 1;
+  Proc_mgr.set_current pm (Some th);
+  Proc_mgr.set_cpu pm 0;
+  th
