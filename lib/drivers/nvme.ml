@@ -39,9 +39,9 @@ type t = {
   blocks : (int, bytes) Hashtbl.t;
   model : Model.t;
   outstanding : (int, unit) Hashtbl.t;  (* tags submitted, not yet harvested *)
-  harvested : (int, unit) Hashtbl.t;  (* tags already harvested (dedup) *)
+  mutable dropped : int list;  (* tags the drop plant discarded unharvested *)
   mutable queue : pending list;  (* oldest first *)
-  mutable next_tag : int;
+  mutable next_tag : int;  (* tags count up: [0, next_tag) were submitted *)
   mutable last_read_slot : int;  (* rate limiting: next free device slot *)
   mutable last_write_slot : int;
   mutable drop_completion_plant : bool;
@@ -66,7 +66,7 @@ let create ~clock ~cost ~capacity_blocks =
     blocks = Hashtbl.create 1024;
     model = Model.register ~name:"nvme0" ~device:0 ~initial:Model.Ready;
     outstanding = Hashtbl.create 64;
-    harvested = Hashtbl.create 256;
+    dropped = [];
     queue = [];
     next_tag = 0;
     last_read_slot = 0;
@@ -222,18 +222,21 @@ let poll t =
                its tag left dangling — drv-lost-completion must fire *)
             t.drop_completion_plant <- false;
             Hashtbl.remove t.outstanding c.tag;
+            t.dropped <- c.tag :: t.dropped;
             None
           end
           else begin
             Hashtbl.remove t.outstanding c.tag;
-            Hashtbl.replace t.harvested c.tag ();
             Model.note_harvest t.model 1;
             Some (p, c)
           end
         end
         else begin
+          (* Tags count up, so a submitted tag is one below
+             [next_tag]; one no longer outstanding was harvested, unless
+             the drop plant discarded it. *)
           let fault, err =
-            if Hashtbl.mem t.harvested c.tag then
+            if 0 <= c.tag && c.tag < t.next_tag && not (List.mem c.tag t.dropped) then
               (Fault.Duplicate_completion, Fault.Duplicate { tag = c.tag })
             else (Fault.Malformed_desc, Fault.Unknown_completion { tag = c.tag })
           in

@@ -17,10 +17,6 @@ type 'a t = {
       (* borrows/updates, under [pm/borrows/<name>] in the obs registry
          so benches and the CLI see them next to every other metric *)
   muts : Mutation.counter;  (* intrinsic [id name] counter, shared per name *)
-  mutable epoch : int;
-      (* per-instance write epoch: the seqlock sequence word for the
-         read-mostly regime — readers snapshot it around a borrow-only
-         section and retry when a writer interleaved *)
 }
 
 let create ~name =
@@ -29,41 +25,17 @@ let create ~name =
     map = Imap.empty;
     borrows = Atmo_obs.Metrics.counter ("pm/borrows/" ^ name);
     muts = Mutation.counter Mutation.Perm (id name);
-    epoch = 0;
   }
 
 let name t = t.name
 
-(* One epoch bump, one intrinsic count and, when a [Perm] subscriber
-   exists, one event per mutation attempt — before the linearity guard,
-   matching the sanitizer's long-standing view that a double alloc is
-   still an observable mutation attempt.  Borrows are reads and are not
+(* One intrinsic count and, when a [Perm] subscriber exists, one event
+   per mutation attempt — before the linearity guard, matching the
+   sanitizer's long-standing view that a double alloc is still an
+   observable mutation attempt.  Borrows are reads and are not
    reported. *)
 let note t op ~ptr =
-  t.epoch <- t.epoch + 1;
   if Mutation.tick t.muts then Mutation.emit Mutation.Perm (Perm { name = t.name; op; ptr })
-
-let epoch t = t.epoch
-
-(* Seqlock-style read section: writers (note) bump the epoch, so a
-   reader that observes the same epoch on both sides of its borrows saw
-   an unmutated map and needed no lock at all.  The retry bound guards
-   against a reader that itself mutates (a protocol violation, reported
-   by the caller's lints, not hidden by an infinite loop). *)
-let read_retries_ctr = Atmo_obs.Metrics.counter "pm/read_retries"
-
-let read_section t f =
-  let max_retries = 8 in
-  let rec go n =
-    let e0 = t.epoch in
-    let r = f () in
-    if t.epoch = e0 || n >= max_retries then r
-    else begin
-      Atmo_obs.Metrics.Counter.incr read_retries_ctr;
-      go (n + 1)
-    end
-  in
-  go 0
 
 let violation t fmt =
   Format.kasprintf (fun s -> raise (Permission_violation (t.name ^ ": " ^ s))) fmt

@@ -69,15 +69,3 @@ val for_all : (int -> 'a -> bool) -> 'a t -> bool
 val bindings : 'a t -> (int * 'a) list
 (** All (pointer, permission) pairs in increasing pointer order; the
     map's ghost-state view for auditors and tests. *)
-
-val epoch : 'a t -> int
-(** Per-instance write epoch: incremented by every mutation attempt
-    ([alloc]/[update]/[consume]).  The sequence word of the read-mostly
-    regime — a reader that sees the same epoch before and after a
-    borrow-only section raced no writer. *)
-
-val read_section : 'a t -> (unit -> 'b) -> 'b
-(** Seqlock-style optimistic read section: run [f] (borrows only),
-    retry if the epoch moved underneath it (a writer interleaved),
-    bounded at 8 retries.  Retries are counted under the
-    [pm/read_retries] metric. *)

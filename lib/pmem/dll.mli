@@ -20,6 +20,12 @@ val capacity : t -> int
 val length : t -> int
 val is_empty : t -> bool
 val mem : t -> int -> bool
+(** One bit test: membership is a bitmap beside the links. *)
+
+val mem_range : t -> lo:int -> hi:int -> bool
+(** Every id of [[lo, hi)] is a member (true for an empty range); 32
+    ids per word compare.  Raises [Invalid_argument] if the range is not
+    inside [[0, capacity)]. *)
 
 val push_front : t -> int -> unit
 val push_back : t -> int -> unit
@@ -42,5 +48,21 @@ val wf : t -> (unit, string) result
 (** Structural well-formedness: forward and backward traversals agree,
     lengths match, membership flags are consistent, no cycles.  This is
     the executable form of the allocator's free-list invariant.  One
-    pass over the list and one over the membership flags; allocates
-    nothing unless it fails. *)
+    pass over the list and one over the membership bitmap, counting
+    32 flags per word. *)
+
+(** {2 Test backdoor}
+
+    For tests that plant corruptions: raw writes that bypass every
+    guard and may leave the list ill-formed.  No kernel code calls
+    them. *)
+module Backdoor : sig
+  val set_next : t -> int -> int -> unit
+  (** [set_next t id n] re-points [id]'s forward link ([-1] is nil). *)
+
+  val set_prev : t -> int -> int -> unit
+  (** [set_prev t id p] re-points [id]'s backward link. *)
+
+  val set_member : t -> int -> bool -> unit
+  (** Flip [id]'s membership flag, leaving the links alone. *)
+end

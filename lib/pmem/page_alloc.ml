@@ -4,11 +4,16 @@ open Page_state
 
 type purpose = Kernel | User
 
+(* The page array is dense.  Each frame has one code byte holding its
+   kind (the state without its argument) and its block size, and one
+   [aux] int holding a [Mapped] frame's reference count or a [Merged]
+   frame's head.  Reserved frames read Free/4K but are never managed. *)
 type t = {
   mem : Phys_mem.t;
   first : int;  (* first managed frame index *)
   nframes : int;  (* total frames in the machine *)
-  meta : meta array;  (* indexed by frame number *)
+  codes : Bytes.t;  (* indexed by frame number *)
+  aux : int array;  (* indexed by frame number *)
   free4k : Dll.t;
   free2m : Dll.t;
   free1g : Dll.t;
@@ -19,6 +24,63 @@ type t = {
 
 let frame_addr i = i * Phys_mem.page_size
 let frame_of_addr a = a / Phys_mem.page_size
+
+(* A code byte: the kind in bits 2-3, the size's order in bits 0-1, so
+   a fresh all-zero array is every frame Free/4K. *)
+type kind = Free_k | Allocated_k | Mapped_k | Merged_k
+
+let order_of = function S4k -> 0 | S2m -> 1 | S1g -> 2
+let size_of_order = function 0 -> S4k | 1 -> S2m | _ -> S1g
+let kind_bits = function Free_k -> 0 | Allocated_k -> 4 | Mapped_k -> 8 | Merged_k -> 12
+let code kind size = kind_bits kind lor order_of size
+let kind_of c = match c lsr 2 with 0 -> Free_k | 1 -> Allocated_k | 2 -> Mapped_k | _ -> Merged_k
+let size_of_code c = size_of_order (c land 3)
+
+let code_at t i = Char.code (Bytes.get t.codes i)
+let set t i kind size = Bytes.set t.codes i (Char.unsafe_chr (code kind size))
+let kind_at t i = kind_of (code_at t i)
+let size_at t i = size_of_code (code_at t i)
+
+let state_at t i =
+  match kind_at t i with
+  | Free_k -> Free
+  | Allocated_k -> Allocated
+  | Mapped_k -> Mapped t.aux.(i)
+  | Merged_k -> Merged t.aux.(i)
+
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+(* The first frame of [[i, stop)] whose code is not [c], or [stop]:
+   bytes are compared up to an eight-frame boundary, then eight frames
+   per 64-bit load.  [stop] is at most the array's length. *)
+let run_end t c i stop =
+  let codes = t.codes and ch = Char.unsafe_chr c in
+  let i = ref i in
+  while !i < stop && !i land 7 <> 0 && Bytes.unsafe_get codes !i = ch do
+    incr i
+  done;
+  if !i land 7 = 0 then begin
+    let word = Int64.mul (Int64.of_int c) 0x0101010101010101L in
+    while !i + 8 <= stop && get64u codes !i = word do
+      i := !i + 8
+    done;
+    while !i < stop && Bytes.unsafe_get codes !i = ch do
+      incr i
+    done
+  end;
+  !i
+
+(* [runs t f] calls [f c lo hi] on each maximal run [[lo, hi)] of
+   managed frames whose code bytes all equal [c], in frame order. *)
+let runs t f =
+  let i = ref t.first in
+  while !i < t.nframes do
+    let lo = !i in
+    let c = code_at t lo in
+    let hi = run_end t c (lo + 1) t.nframes in
+    f c lo hi;
+    i := hi
+  done
 
 (* Allocator events on the mutation stream.  Each event site ticks the
    always-on [map_id] counter, whoever subscribes, and builds its event
@@ -50,7 +112,8 @@ let create mem ~reserved_frames =
       mem;
       first = reserved_frames;
       nframes;
-      meta = Array.init nframes (fun _ -> { state = Free; size = S4k });
+      codes = Bytes.make nframes (Char.chr (code Free_k S4k));
+      aux = Array.make nframes 0;
       free4k = Dll.create ~capacity:nframes ~name:"free4k";
       free2m = Dll.create ~capacity:nframes ~name:"free2m";
       free1g = Dll.create ~capacity:nframes ~name:"free1g";
@@ -72,31 +135,31 @@ let managed t i = i >= t.first && i < t.nframes
 
 let free_list t = function S4k -> t.free4k | S2m -> t.free2m | S1g -> t.free1g
 
-let head_meta t ~addr op =
+let head_frame t ~addr op =
   let i = frame_of_addr addr in
   if not (managed t i) then
     invalid_arg (Printf.sprintf "Page_alloc.%s: 0x%x unmanaged" op addr);
   if not (Phys_mem.is_page_aligned addr) then
     invalid_arg (Printf.sprintf "Page_alloc.%s: 0x%x unaligned" op addr);
-  (i, t.meta.(i))
+  i
 
 let zero_block t i size =
   for j = i to i + frames_per size - 1 do
     Phys_mem.zero_page t.mem ~addr:(frame_addr j)
   done
 
-let order_of = function S4k -> 0 | S2m -> 1 | S1g -> 2
-
 let alloc_ctr = Atmo_obs.Metrics.counter "pmem/alloc"
 let free_ctr = Atmo_obs.Metrics.counter "pmem/free"
 let merge_ctr = Atmo_obs.Metrics.counter "pmem/superpage_merge"
 
 let claim t i size purpose =
-  let m = t.meta.(i) in
   if Mutation.tick muts then
     note (Claim { alloc = t; addr = frame_addr i; frames = frames_per size; purpose });
-  m.size <- size;
-  m.state <- (match purpose with Kernel -> Allocated | User -> Mapped 1);
+  (match purpose with
+   | Kernel -> set t i Allocated_k size
+   | User ->
+     set t i Mapped_k size;
+     t.aux.(i) <- 1);
   zero_block t i size;
   if Atmo_obs.Sink.tracing () then begin
     Atmo_obs.Sink.emit_page_alloc ~addr:(frame_addr i) ~order:(order_of size) ();
@@ -109,15 +172,16 @@ let journal t undo = match t.journal with Some l -> t.journal <- Some (undo :: l
 (* Are the [span / frames_per sub] aligned blocks of [sub] size headed
    at [head] all free? *)
 let subs_free t ~head ~sub ~span =
-  let stride = frames_per sub in
-  let rec go k =
-    k >= span
-    ||
-    let m = t.meta.(head + k) in
-    (match m.state with Free -> equal_size m.size sub | Allocated | Mapped _ | Merged _ -> false)
-    && go (k + stride)
-  in
-  go 0
+  let c = code Free_k sub and stride = frames_per sub in
+  if stride = 1 then run_end t c head (head + span) = head + span
+  else
+    let rec go k = k >= span || (code_at t (head + k) = c && go (k + stride)) in
+    go 0
+
+(* Point the body frames of the [stride]-frame block at [head] at it. *)
+let absorb t ~head ~stride =
+  Bytes.fill t.codes (head + 1) (stride - 1) (Char.chr (code Merged_k S4k));
+  Array.fill t.aux (head + 1) (stride - 1) head
 
 (* Merge the free [sub] blocks covering the aligned [super] block at
    [head] into one free block.  Constituent heads are unlinked from
@@ -137,12 +201,8 @@ let rec merge_block t ~head ~sub ~super =
     Dll.remove sub_list (head + !k);
     k := !k + stride
   done;
-  for j = head + 1 to head + span - 1 do
-    t.meta.(j).state <- Merged head;
-    t.meta.(j).size <- S4k
-  done;
-  t.meta.(head).state <- Free;
-  t.meta.(head).size <- super;
+  absorb t ~head ~stride:span;
+  set t head Free_k super;
   Dll.push_back (free_list t super) head;
   if Mutation.tick muts then note (Merge { alloc = t; addr = frame_addr head; frames = span });
   journal t (fun () ->
@@ -161,22 +221,18 @@ and split_block t ~head ~super ~sub =
   let span = frames_per super in
   Atmo_hw.Tlb.shoot_frames t.mem ~lo:(frame_addr head) ~hi:(frame_addr (head + span));
   let sub_list = free_list t sub in
-  t.meta.(head).size <- sub;
+  set t head Free_k sub;
   Dll.push_back sub_list head;
   let k = ref stride in
   while !k < span do
     let j = head + !k in
-    t.meta.(j).state <- Free;
-    t.meta.(j).size <- sub;
+    set t j Free_k sub;
     Dll.push_back sub_list j;
     k := !k + stride
   done;
   if stride > 1 then
     for g = 0 to (span / stride) - 1 do
-      let sub_head = head + (g * stride) in
-      for b = sub_head + 1 to sub_head + stride - 1 do
-        t.meta.(b).state <- Merged sub_head
-      done
+      absorb t ~head:(head + (g * stride)) ~stride
     done;
   if Mutation.tick muts then note (Split { alloc = t; addr = frame_addr head; frames = span });
   journal t (fun () -> merge_block t ~head ~sub ~super)
@@ -212,7 +268,7 @@ let try_merge_1g t =
     else if region_free head head then begin
       let g = ref head in
       while !g < head + span do
-        if equal_size t.meta.(!g).size S4k then merge_block t ~head:!g ~sub:S4k ~super:S2m;
+        if equal_size (size_at t !g) S4k then merge_block t ~head:!g ~sub:S4k ~super:S2m;
         g := !g + group
       done;
       merge_block t ~head ~sub:S2m ~super:S1g;
@@ -269,69 +325,72 @@ let atomically t f =
   r
 
 let release t i =
-  let m = t.meta.(i) in
+  let size = size_at t i in
   if Mutation.tick muts then
-    note (Release { alloc = t; addr = frame_addr i; frames = frames_per m.size });
-  m.state <- Free;
-  Dll.push_back (free_list t m.size) i;
+    note (Release { alloc = t; addr = frame_addr i; frames = frames_per size });
+  set t i Free_k size;
+  Dll.push_back (free_list t size) i;
   if Atmo_obs.Sink.tracing () then begin
-    Atmo_obs.Sink.emit_page_free ~addr:(frame_addr i) ~order:(order_of m.size) ();
+    Atmo_obs.Sink.emit_page_free ~addr:(frame_addr i) ~order:(order_of size) ();
     Atmo_obs.Metrics.Counter.incr free_ctr
   end
 
 let free_kernel_page t ~addr =
   if Mutation.tick muts then note (Free_request { alloc = t; addr; what = "free_kernel_page" });
-  let i, m = head_meta t ~addr "free_kernel_page" in
-  match m.state with
-  | Allocated -> release t i
-  | Free | Mapped _ | Merged _ ->
+  let i = head_frame t ~addr "free_kernel_page" in
+  match kind_at t i with
+  | Allocated_k -> release t i
+  | Free_k | Mapped_k | Merged_k ->
     invalid_arg
-      (Format.asprintf "Page_alloc.free_kernel_page: 0x%x is %a" addr pp_state m.state)
+      (Format.asprintf "Page_alloc.free_kernel_page: 0x%x is %a" addr pp_state (state_at t i))
 
 let inc_ref t ~addr =
-  let _, m = head_meta t ~addr "inc_ref" in
-  match m.state with
-  | Mapped n ->
+  let i = head_frame t ~addr "inc_ref" in
+  match kind_at t i with
+  | Mapped_k ->
     if Mutation.tick muts then note (Share { alloc = t; addr });
-    m.state <- Mapped (n + 1)
-  | Free | Allocated | Merged _ ->
+    t.aux.(i) <- t.aux.(i) + 1
+  | Free_k | Allocated_k | Merged_k ->
     invalid_arg
-      (Format.asprintf "Page_alloc.inc_ref: 0x%x is %a" addr pp_state m.state)
+      (Format.asprintf "Page_alloc.inc_ref: 0x%x is %a" addr pp_state (state_at t i))
 
 let dec_ref t ~addr =
   if Mutation.tick muts then note (Free_request { alloc = t; addr; what = "dec_ref" });
-  let i, m = head_meta t ~addr "dec_ref" in
-  match m.state with
-  | Mapped 1 ->
+  let i = head_frame t ~addr "dec_ref" in
+  match kind_at t i with
+  | Mapped_k when t.aux.(i) = 1 ->
     release t i;
     `Freed
-  | Mapped n ->
-    m.state <- Mapped (n - 1);
+  | Mapped_k ->
+    t.aux.(i) <- t.aux.(i) - 1;
     `Live
-  | Free | Allocated | Merged _ ->
+  | Free_k | Allocated_k | Merged_k ->
     invalid_arg
-      (Format.asprintf "Page_alloc.dec_ref: 0x%x is %a" addr pp_state m.state)
+      (Format.asprintf "Page_alloc.dec_ref: 0x%x is %a" addr pp_state (state_at t i))
 
 let ref_count t ~addr =
-  let _, m = head_meta t ~addr "ref_count" in
-  match m.state with Mapped n -> Some n | Free | Allocated | Merged _ -> None
+  let i = head_frame t ~addr "ref_count" in
+  match kind_at t i with
+  | Mapped_k -> Some t.aux.(i)
+  | Free_k | Allocated_k | Merged_k -> None
 
 let state_of t ~addr =
   let i = frame_of_addr addr in
-  if managed t i then Some t.meta.(i).state else None
+  if managed t i then Some (state_at t i) else None
 
 let size_of t ~addr =
   let i = frame_of_addr addr in
   if not (managed t i) then None
   else
-    match t.meta.(i).state with
-    | Merged _ -> None
-    | Free | Allocated | Mapped _ ->
+    match kind_at t i with
+    | Merged_k -> None
+    | Free_k | Allocated_k | Mapped_k ->
       (* constant options: the query allocates nothing *)
-      (match t.meta.(i).size with S4k -> Some S4k | S2m -> Some S2m | S1g -> Some S1g)
+      (match size_at t i with S4k -> Some S4k | S2m -> Some S2m | S1g -> Some S1g)
 
 let is_free t ~addr =
-  match state_of t ~addr with Some Free -> true | _ -> false
+  let i = frame_of_addr addr in
+  managed t i && kind_at t i = Free_k
 
 type views = {
   free_4k : Frame_set.t;
@@ -342,85 +401,66 @@ type views = {
   mapped : Iset.t;
 }
 
+(* Frames in increasing order, consed onto [acc] *)
+let add_frames acc lo hi =
+  for i = lo to hi - 1 do
+    acc := frame_addr i :: !acc
+  done
+
 let views t =
-  (* dense classes: free 4K, 2M, 1G (by [order_of]), merged *)
-  let dense = Array.init 4 (fun _ -> Frame_set.draft ~lo:t.first ~hi:t.nframes) in
-  let allocated = ref Iset.empty and mapped = ref Iset.empty in
-  (* a run of consecutive frames of one dense class is added as a range *)
-  let run = ref (-1) and start = ref t.first in
-  let close i = if !run >= 0 then Frame_set.set_range dense.(!run) ~lo:!start ~hi:i in
-  for i = t.first to t.nframes - 1 do
-    let m = t.meta.(i) in
-    let cls =
-      match m.state with
-      | Free -> order_of m.size
-      | Merged _ -> 3
-      | Allocated ->
-        allocated := Iset.add (frame_addr i) !allocated;
-        -1
-      | Mapped _ ->
-        mapped := Iset.add (frame_addr i) !mapped;
-        -1
-    in
-    if cls <> !run then begin
-      close i;
-      run := cls;
-      start := i
-    end
-  done;
-  close t.nframes;
+  let draft () = Frame_set.draft ~lo:t.first ~hi:t.nframes in
+  let free_4k = draft () and free_2m = draft () and free_1g = draft () and merged = draft () in
+  let allocated = ref [] and mapped = ref [] in
+  runs t (fun c lo hi ->
+      match kind_of c with
+      | Free_k ->
+        let set = match size_of_code c with S4k -> free_4k | S2m -> free_2m | S1g -> free_1g in
+        Frame_set.set_range set ~lo ~hi
+      | Merged_k -> Frame_set.set_range merged ~lo ~hi
+      | Allocated_k -> add_frames allocated lo hi
+      | Mapped_k -> add_frames mapped lo hi);
   {
-    free_4k = Frame_set.freeze dense.(0);
-    free_2m = Frame_set.freeze dense.(1);
-    free_1g = Frame_set.freeze dense.(2);
-    merged = Frame_set.freeze dense.(3);
-    allocated = !allocated;
-    mapped = !mapped;
+    free_4k = Frame_set.freeze free_4k;
+    free_2m = Frame_set.freeze free_2m;
+    free_1g = Frame_set.freeze free_1g;
+    merged = Frame_set.freeze merged;
+    allocated = Iset.of_list !allocated;
+    mapped = Iset.of_list !mapped;
   }
 
-let collect t pred =
-  let acc = ref Iset.empty in
-  for i = t.first to t.nframes - 1 do
-    if pred t.meta.(i) then acc := Iset.add (frame_addr i) !acc
-  done;
-  !acc
+(* The managed frames whose code satisfies [keep]. *)
+let collect t keep =
+  let acc = ref [] in
+  runs t (fun c lo hi -> if keep c then add_frames acc lo hi);
+  Iset.of_list !acc
 
-let free_pages_4k t =
-  collect t (fun m -> m.state = Free && m.size = S4k)
-
-let free_pages_2m t =
-  collect t (fun m -> m.state = Free && m.size = S2m)
-
-let free_pages_1g t =
-  collect t (fun m -> m.state = Free && m.size = S1g)
-
-let allocated_pages t = collect t (fun m -> m.state = Allocated)
-
-let mapped_pages t =
-  collect t (fun m -> match m.state with Mapped _ -> true | _ -> false)
-
-let merged_pages t =
-  collect t (fun m -> match m.state with Merged _ -> true | _ -> false)
+let free_pages_4k t = collect t (fun c -> c = code Free_k S4k)
+let free_pages_2m t = collect t (fun c -> c = code Free_k S2m)
+let free_pages_1g t = collect t (fun c -> c = code Free_k S1g)
+let allocated_pages t = collect t (fun c -> kind_of c = Allocated_k)
+let mapped_pages t = collect t (fun c -> kind_of c = Mapped_k)
+let merged_pages t = collect t (fun c -> kind_of c = Merged_k)
 
 let frames_of_block t ~addr =
-  let i, m = head_meta t ~addr "frames_of_block" in
-  (match m.state with
-   | Merged _ -> invalid_arg "Page_alloc.frames_of_block: body frame"
-   | Free | Allocated | Mapped _ -> ());
-  let n = frames_per m.size in
-  let acc = ref Iset.empty in
-  for j = i to i + n - 1 do
-    acc := Iset.add (frame_addr j) !acc
-  done;
-  !acc
+  let i = head_frame t ~addr "frames_of_block" in
+  (match kind_at t i with
+   | Merged_k -> invalid_arg "Page_alloc.frames_of_block: body frame"
+   | Free_k | Allocated_k | Mapped_k -> ());
+  let acc = ref [] in
+  add_frames acc i (i + frames_per (size_at t i));
+  Iset.of_list !acc
 
 (* The first violation, in a fixed order: the free lists' structure,
-   then each list's members in list order, then every frame in frame
-   order, then every superpage's body frames.  Once the members of each
-   list are known to be free frames of its size, "every managed free
-   frame is on its list" is a count per size; the frames are searched
-   for the first unlisted one only when a count is off.  (No live frame
-   can be on a list at that point either.) *)
+   then each list's members in list order, then every list's members
+   against the managed range, then every frame in frame order, then
+   every superpage's body frames.  One pass over the runs of code bytes
+   checks each frame's own invariant and that every free frame is an
+   aligned member of its size's list, a range test per free run.  With
+   equal counts per size, that makes each list exactly the set of free
+   frames of its size, so every member is a managed, aligned free frame
+   of the list's size.  The members are searched one by one, and the
+   frames for an unlisted one, only to name the culprit once a check
+   fails. *)
 let wf t =
   let err fmt = Format.kasprintf (fun s -> Error s) fmt in
   let ( let* ) r f = match r with Ok () -> f () | Error _ as e -> e in
@@ -428,102 +468,114 @@ let wf t =
   let* () = Dll.wf t.free2m in
   let* () = Dll.wf t.free1g in
   let misaligned i size = i land (frames_per size - 1) <> 0 in
-  let check_list list size =
-    let mask = frames_per size - 1 in
-    let bad i =
-      let m = t.meta.(i) in
-      match m.state with
-      | Free -> m.size != size || i land mask <> 0
-      | Allocated | Mapped _ | Merged _ -> true
-    in
-    match Dll.find list bad with
-    | None -> Ok ()
-    | Some i ->
-      let m = t.meta.(i) in
-      (match m.state with
-       | Allocated | Mapped _ | Merged _ ->
-         err "frame %d on %s list but state %a" i (Dll.name list) pp_state m.state
-       | Free ->
-         if not (equal_size m.size size) then
-           err "frame %d on %s list but size %a" i (Dll.name list) pp_size m.size
-         else err "frame %d on %s list misaligned" i (Dll.name list))
-  in
-  let* () = check_list t.free4k S4k in
-  let* () = check_list t.free2m S2m in
-  let* () = check_list t.free1g S1g in
   let free = Array.make 3 0 in
+  let listed = ref true in
   let heads = ref [] in
-  let super_head i size = match size with S4k -> () | S2m | S1g -> heads := i :: !heads in
   (* the first frame, in order, whose own invariant fails — free-list
      membership aside *)
-  let rec scan i =
-    if i >= t.nframes then None
-    else
-      let m = t.meta.(i) in
-      match m.state with
-      | Free ->
-        let k = order_of m.size in
-        free.(k) <- free.(k) + 1;
-        super_head i m.size;
-        scan (i + 1)
-      | Allocated | Mapped _ ->
-        if misaligned i m.size then
-          Some (i, err "head frame %d misaligned for size %a" i pp_size m.size)
-        else (
-          match m.state with
-          | Mapped n when n <= 0 -> Some (i, err "mapped frame %d has refcount %d" i n)
-          | Free | Allocated | Mapped _ | Merged _ ->
-            super_head i m.size;
-            scan (i + 1))
-      | Merged h ->
-        if not (managed t h) then Some (i, err "merged frame %d has unmanaged head %d" i h)
-        else (
-          let hm = t.meta.(h) in
-          match hm.state with
-          | Merged _ -> Some (i, err "merged frame %d points at merged head %d" i h)
-          | Free | Allocated | Mapped _ ->
-            if (not (misaligned h hm.size)) && h < i && i < h + frames_per hm.size then
-              scan (i + 1)
-            else
-              Some
-                (i, err "merged frame %d outside block of head %d (%a)" i h pp_size hm.size))
-  in
-  let rec unlisted i stop =
-    if i >= stop then None
-    else
-      let m = t.meta.(i) in
-      match m.state with
-      | Free when not (Dll.mem (free_list t m.size) i) ->
-        Some (err "free frame %d (%a) not on its free list" i pp_size m.size)
-      | Free | Allocated | Mapped _ | Merged _ -> unlisted (i + 1) stop
-  in
+  let broken = ref None in
+  let fail i e = if Option.is_none !broken then broken := Some (i, e ()) in
+  runs t (fun c lo hi ->
+      let size = size_of_code c in
+      match kind_of c with
+      | Free_k ->
+        free.(order_of size) <- free.(order_of size) + (hi - lo);
+        if not (Dll.mem_range (free_list t size) ~lo ~hi) then listed := false;
+        if not (equal_size size S4k) then
+          for i = lo to hi - 1 do
+            if misaligned i size then listed := false;
+            heads := i :: !heads
+          done
+      | (Allocated_k | Mapped_k) as kind ->
+        let mapped = kind = Mapped_k and super = not (equal_size size S4k) in
+        if mapped || super then
+          for i = lo to hi - 1 do
+            if misaligned i size then
+              fail i (fun () -> err "head frame %d misaligned for size %a" i pp_size size)
+            else if mapped && t.aux.(i) <= 0 then
+              fail i (fun () -> err "mapped frame %d has refcount %d" i t.aux.(i))
+            else if super then heads := i :: !heads
+          done
+      | Merged_k ->
+        for i = lo to hi - 1 do
+          let h = t.aux.(i) in
+          if not (managed t h) then
+            fail i (fun () -> err "merged frame %d has unmanaged head %d" i h)
+          else if kind_at t h = Merged_k then
+            fail i (fun () -> err "merged frame %d points at merged head %d" i h)
+          else
+            let hs = size_at t h in
+            if misaligned h hs || h >= i || i >= h + frames_per hs then
+              fail i (fun () ->
+                  err "merged frame %d outside block of head %d (%a)" i h pp_size hs)
+        done);
   let* () =
-    match scan t.first with
-    | Some (j, e) -> Option.value (unlisted t.first j) ~default:e
-    | None ->
-      (* list members among the managed frames *)
-      let listed size =
-        let list = free_list t size in
-        let n = ref (Dll.length list) in
-        for i = 0 to t.first - 1 do
-          if Dll.mem list i then decr n
-        done;
-        !n
+    if
+      Option.is_none !broken && !listed
+      && free.(0) = Dll.length t.free4k
+      && free.(1) = Dll.length t.free2m
+      && free.(2) = Dll.length t.free1g
+    then Ok ()
+    else begin
+      let check_list list size =
+        let c = code Free_k size in
+        match Dll.find list (fun i -> code_at t i <> c || misaligned i size) with
+        | None -> Ok ()
+        | Some i ->
+          (match kind_at t i with
+           | Allocated_k | Mapped_k | Merged_k ->
+             err "frame %d on %s list but state %a" i (Dll.name list) pp_state (state_at t i)
+           | Free_k ->
+             if not (equal_size (size_at t i) size) then
+               err "frame %d on %s list but size %a" i (Dll.name list) pp_size (size_at t i)
+             else err "frame %d on %s list misaligned" i (Dll.name list))
       in
-      if free.(0) = listed S4k && free.(1) = listed S2m && free.(2) = listed S1g then Ok ()
-      else Option.get (unlisted t.first t.nframes)
+      let check_managed list =
+        match Dll.find list (fun i -> not (managed t i)) with
+        | None -> Ok ()
+        | Some i -> err "frame %d on %s list but not a managed frame" i (Dll.name list)
+      in
+      let rec unlisted i stop =
+        if i >= stop then None
+        else if kind_at t i = Free_k && not (Dll.mem (free_list t (size_at t i)) i) then
+          Some (err "free frame %d (%a) not on its free list" i pp_size (size_at t i))
+        else unlisted (i + 1) stop
+      in
+      let* () = check_list t.free4k S4k in
+      let* () = check_list t.free2m S2m in
+      let* () = check_list t.free1g S1g in
+      let* () = check_managed t.free4k in
+      let* () = check_managed t.free2m in
+      let* () = check_managed t.free1g in
+      match !broken with
+      | Some (j, e) -> Option.value (unlisted t.first j) ~default:e
+      | None -> Option.get (unlisted t.first t.nframes)
+    end
   in
   (* Heads own their bodies: every non-head frame inside a live superpage
      block must be Merged into exactly that head. *)
   let rec bodies i j last =
     if j > last then Ok ()
-    else
-      match t.meta.(j).state with
-      | Merged h when h = i -> bodies i (j + 1) last
-      | st -> err "body frame %d of head %d is %a" j i pp_state st
+    else if kind_at t j = Merged_k && t.aux.(j) = i then bodies i (j + 1) last
+    else err "body frame %d of head %d is %a" j i pp_state (state_at t j)
   in
   List.fold_left
     (fun acc i ->
       let* () = acc in
-      bodies i (i + 1) (min (i + frames_per t.meta.(i).size) t.nframes - 1))
+      bodies i (i + 1) (min (i + frames_per (size_at t i)) t.nframes - 1))
     (Ok ()) (List.rev !heads)
+
+module Backdoor = struct
+  let set_frame t ~frame state size =
+    match state with
+    | Free -> set t frame Free_k size
+    | Allocated -> set t frame Allocated_k size
+    | Mapped n ->
+      set t frame Mapped_k size;
+      t.aux.(frame) <- n
+    | Merged h ->
+      set t frame Merged_k size;
+      t.aux.(frame) <- h
+
+  let free_list = free_list
+end

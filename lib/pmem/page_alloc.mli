@@ -5,7 +5,10 @@
     2 MiB and 1 GiB granularity from three doubly-linked free lists; a
     flat page-metadata array supports O(1) unlink when 4 KiB frames are
     merged into superpages; every frame is always in exactly one of the
-    states free / allocated / mapped / merged.
+    states free / allocated / mapped / merged.  The array is dense: one
+    code byte per frame for the state's tag and the block size, and one
+    int for a reference count or a merged frame's head (see
+    {!Page_state}), so a scan compares eight frames per 64-bit load.
 
     The allocator exposes its internal state as sets (the paper's
     "explicit memory allocator state"), which the kernel's leak-freedom
@@ -122,8 +125,11 @@ type views = {
 val views : t -> views
 (** All six state sets, from one scan of the page array: the four large
     ones dense over the managed frames, the two the specs do set
-    algebra on as {!Atmo_util.Iset}s.  Each equals the matching
-    accessor below. *)
+    algebra on as {!Atmo_util.Iset}s.  The scan visits maximal runs of
+    frames with equal code bytes, eight frames per compare, and adds a
+    free or merged run to its set as one range.  Each set equals the
+    matching accessor below, which scans the same way, and the frame by
+    frame answers of {!state_of} and {!size_of}. *)
 
 val free_pages_4k : t -> Atmo_util.Iset.t
 (** Base addresses of free 4 KiB frames. *)
@@ -153,7 +159,32 @@ val try_merge_1g : t -> bool
 
 val wf : t -> (unit, string) result
 (** The allocator's well-formedness invariant: free lists structurally
-    sound, list membership consistent with frame states, merged frames
-    point into a live superpage head of the right size and alignment,
-    reference counts positive, and the four state sets partition the
-    managed frames. *)
+    sound, list membership consistent with frame states, every list
+    member a managed frame, merged frames point into a live superpage
+    head of the right size and alignment, reference counts positive,
+    and the four state sets partition the managed frames.
+
+    The frame checks are one scan over the runs of equal code bytes.
+    Each free run is tested against its list's membership bitmap as a
+    range; with equal counts per size, that proves each list is exactly
+    the set of aligned free frames of its size.  Only when that fails
+    are the lists walked member by member, to name the first culprit.
+    The error is the first violation in a fixed order: list structure,
+    list members' states, sizes and alignment, list members outside the
+    managed frames, each frame's own invariant (an unlisted free frame
+    before it first), then superpage bodies. *)
+
+(** {2 Test backdoor}
+
+    For tests that plant corruptions: raw writes that bypass every
+    guard of the allocator and may leave it ill-formed.  No kernel code
+    calls them. *)
+module Backdoor : sig
+  val set_frame : t -> frame:int -> Page_state.state -> Page_state.size -> unit
+  (** Overwrite frame [frame]'s state (with its reference count or
+      head) and size. *)
+
+  val free_list : t -> Page_state.size -> Dll.t
+  (** The free list of a size, to link, unlink or re-point members
+      with {!Dll} and {!Dll.Backdoor}. *)
+end

@@ -23,8 +23,3 @@ let pp_state ppf = function
   | Merged h -> Format.fprintf ppf "merged(head=%d)" h
 
 let equal_state (a : state) b = a = b
-
-type meta = {
-  mutable state : state;
-  mutable size : size;
-}

@@ -1,9 +1,12 @@
-(** Per-frame metadata, Linux-page-array style.
+(** The vocabulary of per-frame metadata.
 
     The paper tracks every physical page in one of four states — free,
     mapped, merged or allocated — in a flat page array.  [Merged] frames
     record the head frame of the superpage block they belong to; head
-    frames carry the block size. *)
+    frames carry the block size.  {!Page_alloc} keeps that array dense:
+    one code byte per frame for the state and the size, plus one int
+    for a [Mapped] reference count or a [Merged] head.  These types are
+    how it answers queries about a frame. *)
 
 type size = S4k | S2m | S1g
 
@@ -22,8 +25,3 @@ type state =
 
 val pp_state : Format.formatter -> state -> unit
 val equal_state : state -> state -> bool
-
-type meta = {
-  mutable state : state;
-  mutable size : size;  (** meaningful on head frames only *)
-}

@@ -60,8 +60,7 @@ let allowed_cpus k ~thread ~cpus =
      different endpoints proceed in parallel;
    - interrupt delivery serializes on the shard of its route;
    - address-space and lifecycle calls take the exclusive permission-
-     map writer lock (reads are epoch-validated and lock-free, see
-     [Perm_map.read_section]); a yield takes no lock beyond its queue. *)
+     map writer lock; a yield takes no lock beyond its queue. *)
 let footprint k ~thread ~cpu call =
   let shards = Atmo_pm.Kconfig.endpoint_lock_shards in
   let shard_of_slot slot =

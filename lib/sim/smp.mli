@@ -9,9 +9,9 @@
     - {b Fine_grained}: each kernel entry waits only for its lock
       footprint — its CPU's run-queue lock, the sharded endpoint lock
       of the IPC it performs, and the exclusive permission-map writer
-      lock for address-space and lifecycle calls (reads are
-      epoch-validated and lock-free).  Footprints are acquired in the
-      fixed hierarchy cpu-queue < endpoint < map-writer.
+      lock for address-space and lifecycle calls.  Footprints are
+      acquired in the fixed hierarchy cpu-queue < endpoint <
+      map-writer.
 
     Both regimes drive the {e identical} kernel: same per-CPU topology
     ([Proc_mgr.set_sched_cpus]), same placement and homes, same

@@ -23,17 +23,38 @@ let draft ~lo ~hi =
   let n = hi - lo in
   { b_base = lo; b_frames = n; b_bits = Bytes.make ((n + 7) lsr 3) '\000'; b_count = 0 }
 
+let popcount8 x =
+  let x = x - ((x lsr 1) land 0x55) in
+  let x = (x land 0x33) + ((x lsr 2) land 0x33) in
+  (x + (x lsr 4)) land 0x0f
+
+(* Set the bits [mask] of byte [k], counting only the newly set ones. *)
+let set_bits b k mask =
+  let byte = Char.code (Bytes.unsafe_get b.b_bits k) in
+  if byte land mask <> mask then begin
+    Bytes.unsafe_set b.b_bits k (Char.unsafe_chr (byte lor mask));
+    b.b_count <- b.b_count + popcount8 (mask land lnot byte)
+  end
+
+(* The partial bytes at either end are masked; the bytes between are
+   filled whole. *)
 let set_range b ~lo ~hi =
   if lo < b.b_base || hi > b.b_base + b.b_frames || hi < lo then
     invalid_arg (Printf.sprintf "Frame_set.set_range: [%d, %d) outside the range" lo hi);
-  for i = lo - b.b_base to hi - b.b_base - 1 do
-    let byte = Char.code (Bytes.unsafe_get b.b_bits (i lsr 3)) in
-    let bit = 1 lsl (i land 7) in
-    if byte land bit = 0 then begin
-      Bytes.unsafe_set b.b_bits (i lsr 3) (Char.unsafe_chr (byte lor bit));
-      b.b_count <- b.b_count + 1
+  if hi > lo then begin
+    let i = lo - b.b_base and j = hi - b.b_base in
+    let klo = i lsr 3 and khi = (j - 1) lsr 3 in
+    let head = 0xff land lnot ((1 lsl (i land 7)) - 1)
+    and tail = 0xff lsr (7 - ((j - 1) land 7)) in
+    if klo = khi then set_bits b klo (head land tail)
+    else begin
+      set_bits b klo head;
+      for k = klo + 1 to khi - 1 do
+        set_bits b k 0xff
+      done;
+      set_bits b khi tail
     end
-  done
+  end
 
 let freeze b =
   { base = b.b_base; bits = Bytes.unsafe_to_string b.b_bits; count = b.b_count }

@@ -26,8 +26,9 @@ val draft : lo:int -> hi:int -> draft
 
 val set_range : draft -> lo:int -> hi:int -> unit
 (** Add frames [lo .. hi-1] (addresses [lo * page_size] ...); one call
-    for a whole run of frames.  Raises [Invalid_argument] if the run is
-    not inside the draft's range. *)
+    for a whole run of frames, filling whole bytes of the bitmap and
+    counting only the bits it newly sets.  Raises [Invalid_argument] if
+    the run is not inside the draft's range. *)
 
 val freeze : draft -> t
 (** The set drafted so far.  The draft must not be used afterwards. *)

@@ -252,6 +252,26 @@ let test_nvme_completion_order () =
   Alcotest.(check (list int)) "FIFO completion for same-kind ops" tags
     (List.map (fun c -> c.Nvme.tag) completions)
 
+let test_nvme_footprint_flat () =
+  (* a long run of write-throughs leaves nothing behind that grows with
+     the requests served: the driver's reachable heap is the same after
+     10k and after 20k *)
+  let clock = Clock.create () in
+  let dev = Nvme.create ~clock ~cost ~capacity_blocks:64 in
+  let data = Bytes.make Nvme.block_bytes 'w' in
+  let write_through n =
+    for i = 1 to n do
+      (match Nvme.submit_write dev ~lba:(i mod 64) ~data with
+       | Ok _ -> ()
+       | Error m -> Alcotest.fail (Atmo_devmodel.Fault.error_to_string m));
+      ignore (Nvme.wait_all dev)
+    done
+  in
+  write_through 10_000;
+  let words = Obj.reachable_words (Obj.repr dev) in
+  write_through 10_000;
+  checki "reachable words after 20k" words (Obj.reachable_words (Obj.repr dev))
+
 let () =
   Alcotest.run "drivers"
     [
@@ -274,5 +294,6 @@ let () =
           Alcotest.test_case "bad args" `Quick test_nvme_bad_args;
           Alcotest.test_case "latency and cap" `Quick test_nvme_latency_and_cap;
           Alcotest.test_case "completion order" `Quick test_nvme_completion_order;
+          Alcotest.test_case "write-through footprint flat" `Quick test_nvme_footprint_flat;
         ] );
     ]

@@ -56,14 +56,18 @@ let test_dll_empty () =
 
 let prop_dll_random_ops =
   (* random pushes/removes keep the structure well-formed and matching a
-     model list *)
+     model list, at capacities on either side of a membership word;
+     [mem] of every id and [mem_range] of every range agree with the
+     model *)
   QCheck.Test.make ~name:"dll random ops match model" ~count:100
-    QCheck.(list (pair (int_bound 2) (int_bound 31)))
-    (fun ops ->
-      let l = Dll.create ~capacity:32 ~name:"m" in
+    QCheck.(pair (int_bound 5) (list (pair (int_bound 2) (int_bound 64))))
+    (fun (c, ops) ->
+      let cap = List.nth [ 1; 7; 8; 63; 64; 65 ] c in
+      let l = Dll.create ~capacity:cap ~name:"m" in
       let model = ref [] in
       List.iter
         (fun (op, id) ->
+          let id = id mod cap in
           match op with
           | 0 ->
             if not (Dll.mem l id) then begin
@@ -81,7 +85,40 @@ let prop_dll_random_ops =
               model := List.filter (fun x -> x <> id) !model
             end)
         ops;
-      Dll.wf l = Ok () && Dll.to_list l = !model)
+      let member = Array.init cap (fun id -> List.mem id !model) in
+      let rec all lo hi = lo >= hi || (member.(lo) && all (lo + 1) hi) in
+      let ranges_agree =
+        List.for_all
+          (fun lo ->
+            List.for_all
+              (fun hi -> Dll.mem_range l ~lo ~hi = all lo hi)
+              (List.init (cap - lo + 1) (( + ) lo)))
+          (List.init (cap + 1) Fun.id)
+      in
+      Dll.wf l = Ok ()
+      && Dll.to_list l = !model
+      && List.for_all (fun id -> Dll.mem l id = member.(id)) (List.init cap Fun.id)
+      && ranges_agree)
+
+(* One planted fault per [Dll.wf] message, each on the list [0; 1; 2]
+   of capacity 8. *)
+let dll_plants =
+  let module B = Dll.Backdoor in
+  [
+    ("forward cycle", (fun l -> B.set_next l 2 0), "t: forward traversal exceeds capacity (cycle)");
+    ("linked non-member", (fun l -> B.set_member l 1 false), "t: 1 linked but not a member");
+    ("wrong back link", (fun l -> B.set_prev l 2 0), "t: forward/backward traversals disagree");
+    ("backward cycle", (fun l -> B.set_prev l 0 2), "t: backward traversal exceeds capacity");
+    ("skipped node", (fun l -> B.set_next l 0 2), "t: length 3 but traversal found 2");
+    ("unlinked member", (fun l -> B.set_member l 5 true), "t: 4 member flags but length 3");
+  ]
+
+let test_dll_plant (plant, expected) () =
+  let l = Dll.create ~capacity:8 ~name:"t" in
+  List.iter (Dll.push_back l) [ 0; 1; 2 ];
+  expect_wf "before the plant" (Dll.wf l);
+  plant l;
+  Alcotest.(check (result unit string)) "wf names the fault" (Error expected) (Dll.wf l)
 
 (* ------------------------------------------------------------------ *)
 (* Page_alloc                                                          *)
@@ -306,6 +343,66 @@ let prop_leak_free_roundtrip =
       List.iter (fun addr -> Page_alloc.free_kernel_page a ~addr) pages;
       Iset.equal free0 (Page_alloc.free_pages_4k a))
 
+(* One planted fault per [Page_alloc.wf] message.  The machine has 1024
+   frames, the first 16 reserved: frame 16 is a kernel page, 17 a user
+   page, 512 the head of a user 2 MiB block whose bodies 513..1023 are
+   merged into it, and 18..511 are on the 4 KiB free list. *)
+let alloc_plants =
+  let module B = Page_alloc.Backdoor in
+  let free4k a = B.free_list a Page_state.S4k in
+  [
+    ( "allocated frame on a list",
+      (fun a -> Dll.push_back (free4k a) 16),
+      "frame 16 on free4k list but state allocated" );
+    ( "free frame of another size on a list",
+      (fun a -> B.set_frame a ~frame:18 Page_state.Free Page_state.S2m),
+      "frame 18 on free4k list but size 2M" );
+    ( "misaligned block on a list",
+      (fun a ->
+        Dll.remove (free4k a) 19;
+        B.set_frame a ~frame:19 Page_state.Free Page_state.S2m;
+        Dll.push_back (B.free_list a Page_state.S2m) 19),
+      "frame 19 on free2m list misaligned" );
+    ( "reserved frame on a list",
+      (* boot memory at the front of the 4 KiB list: the next allocation
+         would hand it out *)
+      (fun a -> Dll.push_front (free4k a) 3),
+      "frame 3 on free4k list but not a managed frame" );
+    ( "misaligned live head",
+      (fun a -> B.set_frame a ~frame:16 Page_state.Allocated Page_state.S2m),
+      "head frame 16 misaligned for size 2M" );
+    ( "mapped frame without references",
+      (fun a -> B.set_frame a ~frame:17 (Page_state.Mapped 0) Page_state.S4k),
+      "mapped frame 17 has refcount 0" );
+    ( "merged into an unmanaged head",
+      (fun a -> B.set_frame a ~frame:16 (Page_state.Merged 3) Page_state.S4k),
+      "merged frame 16 has unmanaged head 3" );
+    ( "merged into a merged frame",
+      (fun a -> B.set_frame a ~frame:600 (Page_state.Merged 513) Page_state.S4k),
+      "merged frame 600 points at merged head 513" );
+    ( "merged outside its head's block",
+      (fun a -> B.set_frame a ~frame:16 (Page_state.Merged 17) Page_state.S4k),
+      "merged frame 16 outside block of head 17 (4K)" );
+    ( "free frame off its list",
+      (fun a -> Dll.remove (free4k a) 300),
+      "free frame 300 (4K) not on its free list" );
+    ( "live frame inside a superpage",
+      (fun a -> B.set_frame a ~frame:700 Page_state.Allocated Page_state.S4k),
+      "body frame 700 of head 512 is allocated" );
+  ]
+
+let test_alloc_plant (plant, expected) () =
+  let _, a = mk_alloc ~frames:1024 ~reserved:16 () in
+  let kernel = Page_alloc.alloc_4k a ~purpose:Page_alloc.Kernel in
+  let user = Page_alloc.alloc_4k a ~purpose:Page_alloc.User in
+  let big = Page_alloc.alloc_2m a ~purpose:Page_alloc.User in
+  Alcotest.(check (list (option int))) "layout"
+    [ Some (16 * 4096); Some (17 * 4096); Some (512 * 4096) ]
+    [ kernel; user; big ];
+  expect_wf "before the plant" (Page_alloc.wf a);
+  plant a;
+  Alcotest.(check (result unit string)) "wf names the fault" (Error expected) (Page_alloc.wf a)
+
 (* ------------------------------------------------------------------ *)
 (* Frame_set against an Iset oracle                                    *)
 
@@ -315,6 +412,15 @@ let dense ~lo ~hi frames =
   Frame_set.freeze b
 
 let addrs frames = Iset.of_list (List.map (fun f -> f * Frame_set.page_size) frames)
+
+(* frames [f, f + n) for each (f, n), clipped at [hi]; runs overlap *)
+let dense_runs ~lo ~hi runs =
+  let b = Frame_set.draft ~lo ~hi in
+  List.iter (fun (f, n) -> Frame_set.set_range b ~lo:f ~hi:(min hi (f + n))) runs;
+  Frame_set.freeze b
+
+let run_frames ~hi runs =
+  List.concat_map (fun (f, n) -> List.init (min hi (f + n) - f) (( + ) f)) runs
 
 let prop_frame_set_oracle =
   (* frames in [64, 192), each set built over two ranges that both
@@ -327,6 +433,12 @@ let prop_frame_set_oracle =
       let a' = dense ~lo:(64 - d2) ~hi:(192 + d1) xs in
       let b = dense ~lo:(64 - d2) ~hi:(192 + d1) ys in
       let ox = addrs xs and oy = addrs ys in
+      (* runs of up to 40 frames from [xs], lengths from [ys] *)
+      let runs =
+        List.mapi (fun i x -> (x, match List.nth_opt ys i with Some y -> y mod 41 | None -> 1)) xs
+      in
+      let r = dense_runs ~lo:(64 - d1) ~hi:(192 + d2) runs
+      and o_runs = addrs (run_frames ~hi:(192 + d2) runs) in
       let page = Frame_set.page_size in
       let mem_agrees f =
         Frame_set.mem a (f * page) = Iset.mem (f * page) ox
@@ -335,6 +447,8 @@ let prop_frame_set_oracle =
       in
       Frame_set.cardinal a = Iset.cardinal ox
       && Iset.equal (Frame_set.to_iset a) ox
+      && Frame_set.cardinal r = Iset.cardinal o_runs
+      && Iset.equal (Frame_set.to_iset r) o_runs
       && List.for_all mem_agrees (List.init 260 (fun i -> i - 2))
       && (not (Frame_set.mem a (-page)))
       && (not (Frame_set.mem a (max_int land lnot (page - 1))))
@@ -356,14 +470,35 @@ let views_equal (a : Page_alloc.views) (b : Page_alloc.views) =
   && Iset.equal a.allocated b.allocated
   && Iset.equal a.mapped b.mapped
 
-let prop_views_match_accessors =
+(* The six state sets, frame by frame from [state_of] and [size_of]. *)
+let frame_oracle a =
+  let sets = Array.make 6 Iset.empty in
+  let add k addr = sets.(k) <- Iset.add addr sets.(k) in
+  for i = 0 to Phys_mem.page_count (Page_alloc.mem a) - 1 do
+    let addr = i * Phys_mem.page_size in
+    match Page_alloc.state_of a ~addr with
+    | None -> ()
+    | Some Page_state.Free ->
+      (match Page_alloc.size_of a ~addr with
+       | Some Page_state.S4k -> add 0 addr
+       | Some Page_state.S2m -> add 1 addr
+       | Some Page_state.S1g -> add 2 addr
+       | None -> Alcotest.failf "free frame %d has no size" i)
+    | Some Page_state.Allocated -> add 3 addr
+    | Some (Page_state.Mapped _) -> add 4 addr
+    | Some (Page_state.Merged _) -> add 5 addr
+  done;
+  Array.to_list sets
+
+let prop_views_match_frames =
   (* random 4K/2M/1G traffic, frees and merges on 2^18 frames (one
      aligned gigabyte): after every step each page-state change has
      emitted an allocator event; a transaction that claims blocks
      (merging and splitting on the way), releases them and fails leaves
-     the views exactly as it found them; at the end the dense views
-     equal the six Iset accessors and partition the managed frames *)
-  QCheck.Test.make ~name:"dense views = Iset accessors under 4K/2M/1G traffic" ~count:6
+     the views exactly as it found them; at the end the dense views and
+     the six accessors equal the sets built frame by frame from
+     [state_of]/[size_of], which partition the managed frames *)
+  QCheck.Test.make ~name:"dense views match per-frame states" ~count:6
     QCheck.(list_of_size Gen.(int_range 1 30) (int_bound 10))
     (fun ops ->
       let mem = Phys_mem.create ~page_count:(512 * 512) in
@@ -413,10 +548,12 @@ let prop_views_match_accessors =
         [ Page_alloc.free_pages_4k a; Page_alloc.free_pages_2m a; Page_alloc.free_pages_1g a;
           Page_alloc.allocated_pages a; Page_alloc.mapped_pages a; Page_alloc.merged_pages a ]
       in
+      let oracle = frame_oracle a in
       (not !silent_change) && (not !undo_failed)
-      && List.for_all2 Iset.equal dense_sets accessors
-      && Iset.pairwise_disjoint dense_sets
-      && Iset.cardinal (Iset.union_list dense_sets) = Page_alloc.managed_frames a
+      && List.for_all2 Iset.equal dense_sets oracle
+      && List.for_all2 Iset.equal accessors oracle
+      && Iset.pairwise_disjoint oracle
+      && Iset.cardinal (Iset.union_list oracle) = Page_alloc.managed_frames a
       && Page_alloc.wf a = Ok ())
 
 let () =
@@ -429,7 +566,11 @@ let () =
           Alcotest.test_case "O(1) middle removal" `Quick test_dll_o1_remove_middle;
           Alcotest.test_case "misuse raises" `Quick test_dll_misuse_raises;
           Alcotest.test_case "empty" `Quick test_dll_empty;
-        ] );
+        ]
+        @ List.map
+            (fun (name, plant, expected) ->
+              Alcotest.test_case ("wf rejects " ^ name) `Quick (test_dll_plant (plant, expected)))
+            dll_plants );
       ( "page_alloc",
         [
           Alcotest.test_case "alloc/free 4k" `Quick test_alloc_free_4k;
@@ -443,10 +584,14 @@ let () =
           Alcotest.test_case "merge/split 1g" `Quick test_merge_split_1g;
           Alcotest.test_case "reserved frames unmanaged" `Quick test_reserved_frames_unmanaged;
           Alcotest.test_case "spec views partition" `Quick test_spec_views_partition;
-        ] );
+        ]
+        @ List.map
+            (fun (name, plant, expected) ->
+              Alcotest.test_case ("wf rejects " ^ name) `Quick (test_alloc_plant (plant, expected)))
+            alloc_plants );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_dll_random_ops; prop_alloc_random_traffic; prop_leak_free_roundtrip;
-            prop_frame_set_oracle; prop_views_match_accessors ] );
+            prop_frame_set_oracle; prop_views_match_frames ] );
     ];
   Atmo_san.Runtime.exit_check ()
