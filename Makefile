@@ -25,14 +25,14 @@ bench:
 bench-tlb:
 	dune exec bench/main.exe -- tlb
 
-# IPC ping-pong with the rendezvous fastpath on vs off: latency
-# distribution, permission-map operations and allocation per
-# rendezvous.  Writes BENCH_ipc.json.
+# IPC ping-pong with the rendezvous fastpath on vs off: host time per
+# round, permission-map operations and allocation per rendezvous.
+# Writes BENCH_ipc.json.
 bench-ipc:
 	dune exec bench/main.exe -- ipc
 
-# Span layer over the kv-store demo workload: tracing overhead in host
-# time, cycle-model bit-identity, merged latency quantiles.  Writes
+# Span layer over the kv-store demo workload: span and causal-edge
+# counts, cycle-model bit-identity, merged latency quantiles.  Writes
 # BENCH_span.json.
 bench-span:
 	dune exec bench/main.exe -- span
@@ -50,8 +50,8 @@ bench-dev:
 bench-verif:
 	dune exec bench/main.exe -- verif
 
-# Online SLO monitor over the kv workload: paired flight-vs-monitor
-# overhead (<= 15 points over flight-only), zero drops with exact
+# Online SLO monitor over the kv workload: the monitor's cost over
+# flight-only in rotating rounds (median <= 15 points), zero drops with exact
 # rollup accounting and cycle identity, streaming-vs-post-mortem
 # quantile agreement, and exemplar coverage of every injected slow
 # request.  Writes BENCH_slo.json.
@@ -67,9 +67,10 @@ bench-smp:
 	dune exec bench/main.exe -- smp
 
 # Every benchmark that writes a BENCH_*.json artifact, then the merge:
-# `bench report` folds them into BENCH_summary.json, reports deltas
-# >= 5% against the previous summary, and enforces the hard floors
-# (cycle identity, TLB load reduction, fastpath map-op reduction).
+# `bench report` folds them into BENCH_summary.json, reports host-time
+# fields that moved past their IQR and deterministic fields that changed
+# against the previous summary, and enforces the hard floors (cycle
+# identity, TLB load reduction, fastpath map-op reduction, ...).
 bench-all:
 	dune exec bench/main.exe -- obs
 	dune exec bench/main.exe -- san

@@ -147,13 +147,16 @@ let wf t =
   let next = t.next and prev = t.prev and bits = t.bits in
   (* Bounded by capacity to detect cycles; [linked] says every back link
      so far mirrors the forward order.  One range test per id covers
-     the three array reads; a wild link raises as they would. *)
+     the three array reads; a wild link stops the traversal. *)
   let id = ref t.first and back = ref nil and count = ref 0 and linked = ref true in
-  let cycle = ref false and stray = ref nil in
+  let cycle = ref false and stray = ref nil and outside = ref nil in
   while !id <> nil do
     let i = !id in
-    if i lor (cap - 1 - i) < 0 then invalid_arg "index out of bounds";
-    if !count > cap then begin
+    if i lor (cap - 1 - i) < 0 then begin
+      outside := i;
+      id := nil
+    end
+    else if !count > cap then begin
       cycle := true;
       id := nil
     end
@@ -168,12 +171,15 @@ let wf t =
       id := Array.unsafe_get next i
     end
   done;
+  let link_outside i = err "%s: link to %d outside [0, %d)" t.name i cap in
   let rec backward id count =
     if id = nil then err "%s: forward/backward traversals disagree" t.name
+    else if id lor (cap - 1 - id) < 0 then link_outside id
     else if count > cap then err "%s: backward traversal exceeds capacity" t.name
     else backward t.prev.(id) (count + 1)
   in
-  if !cycle then err "%s: forward traversal exceeds capacity (cycle)" t.name
+  if !outside <> nil then link_outside !outside
+  else if !cycle then err "%s: forward traversal exceeds capacity (cycle)" t.name
   else if !stray <> nil then err "%s: %d linked but not a member" t.name !stray
   else if !count <> t.length then
     err "%s: length %d but traversal found %d" t.name t.length !count

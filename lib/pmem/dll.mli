@@ -46,7 +46,8 @@ val find : t -> (int -> bool) -> int option
 
 val wf : t -> (unit, string) result
 (** Structural well-formedness: forward and backward traversals agree,
-    lengths match, membership flags are consistent, no cycles.  This is
+    lengths match, membership flags are consistent, no cycles, and no
+    link points outside [\[0, capacity)] (reported, not raised).  This is
     the executable form of the allocator's free-list invariant.  One
     pass over the list and one over the membership bitmap, counting
     32 flags per word. *)

@@ -35,10 +35,6 @@ module Virtio_blk = Atmo_drivers.Virtio_blk
 module Virtio_ring = Atmo_drivers.Virtio_ring
 module Fault = Atmo_devmodel.Fault
 module Phys_mem = Atmo_hw.Phys_mem
-module Iommu = Atmo_hw.Iommu
-module Pte = Atmo_hw.Pte_bits
-module Page_alloc = Atmo_pmem.Page_alloc
-module Page_table = Atmo_pt.Page_table
 module Packet = Atmo_net.Packet
 module Kv_store = Atmo_net.Kv_store
 module Maglev = Atmo_net.Maglev
@@ -124,41 +120,6 @@ let lba_of i = 1 + (i mod keys)
 type blk = Blk_nvme of Nvme.t | Blk_virtio of Virtio_blk.t
 type nic = Nic_ixgbe of Ixgbe.t | Nic_virtio of Virtio_net.t
 
-(* A private DMA arena: fresh memory, an identity-style page table
-   attached to the IOMMU as [device], and a bump allocator of mapped
-   iova ranges. *)
-let mk_dma_env ~page_count ~device =
-  let mem = Phys_mem.create ~page_count in
-  let alloc = Page_alloc.create mem ~reserved_frames:0 in
-  let iommu = Iommu.create mem in
-  let pt =
-    match Page_table.create mem alloc with
-    | Ok pt -> pt
-    | Error e -> Fmt.failwith "kv_demo: device page table: %a" Page_table.pp_error e
-  in
-  let map_page iova =
-    let frame =
-      match Page_alloc.alloc_4k alloc ~purpose:Page_alloc.User with
-      | Some f -> f
-      | None -> Fmt.failwith "kv_demo: device arena out of frames"
-    in
-    match Page_table.map_4k pt ~vaddr:iova ~frame ~perm:Pte.perm_rw with
-    | Ok () -> ()
-    | Error _ -> Fmt.failwith "kv_demo: device arena map failed at 0x%x" iova
-  in
-  let next_iova = ref 0x20_0000 in
-  let span bytes =
-    let base = !next_iova in
-    let pages = (bytes + Phys_mem.page_size - 1) / Phys_mem.page_size in
-    for i = 0 to pages - 1 do
-      map_page (base + (i * Phys_mem.page_size))
-    done;
-    next_iova := base + (pages * Phys_mem.page_size);
-    base
-  in
-  Iommu.attach iommu ~device ~root:(Page_table.cr3 pt);
-  (mem, iommu, span)
-
 let blk_queue_depth = 32
 
 let mk_blk backend ~clock ~cost =
@@ -168,7 +129,7 @@ let mk_blk backend ~clock ~cost =
     Nvme.set_device nvme 7;
     Blk_nvme nvme
   | `Virtio ->
-    let mem, iommu, span = mk_dma_env ~page_count:64 ~device:7 in
+    let mem, iommu, span = Device_env.mk_dma_env ~page_count:64 ~device:7 in
     let blk = Virtio_blk.create mem iommu ~device:7 ~clock ~cost ~capacity_blocks:1024 in
     let _, _, _, ring_bytes =
       Virtio_ring.layout ~qsz:(3 * blk_queue_depth) ~base:0
@@ -219,14 +180,14 @@ let mk_nic backend ~clock ~cost =
   in
   match backend with
   | `Ixgbe ->
-    let mem, iommu, span = mk_dma_env ~page_count:mem_pages ~device:3 in
+    let mem, iommu, span = Device_env.mk_dma_env ~page_count:mem_pages ~device:3 in
     let nic = Ixgbe.create mem iommu ~device:3 ~clock ~cost in
     let rx_ring, rx_bufs, tx_ring, tx_bufs = mk_rings span in
     fail "ixgbe setup_rx" (Ixgbe.setup_rx nic ~ring_iova:rx_ring ~buffers:rx_bufs);
     fail "ixgbe setup_tx" (Ixgbe.setup_tx nic ~ring_iova:tx_ring ~buffers:tx_bufs);
     Nic_ixgbe nic
   | `Virtio ->
-    let mem, iommu, span = mk_dma_env ~page_count:mem_pages ~device:3 in
+    let mem, iommu, span = Device_env.mk_dma_env ~page_count:mem_pages ~device:3 in
     let nic = Virtio_net.create mem iommu ~device:3 ~clock ~cost in
     let rx_ring, rx_bufs, tx_ring, tx_bufs = mk_rings span in
     fail "virtio-net setup_rx" (Virtio_net.setup_rx nic ~ring_iova:rx_ring ~buffers:rx_bufs);

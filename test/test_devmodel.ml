@@ -10,16 +10,11 @@ module Fault = Atmo_devmodel.Fault
 module Hostile = Atmo_devmodel.Hostile
 module Model = Atmo_devmodel.Model
 module Ixgbe = Atmo_drivers.Ixgbe
-module Nvme = Atmo_drivers.Nvme
 module Virtio_net = Atmo_drivers.Virtio_net
 module Virtio_blk = Atmo_drivers.Virtio_blk
 module Virtio_ring = Atmo_drivers.Virtio_ring
 module Phys_mem = Atmo_hw.Phys_mem
-module Iommu = Atmo_hw.Iommu
 module Clock = Atmo_hw.Clock
-module Pte = Atmo_hw.Pte_bits
-module Page_alloc = Atmo_pmem.Page_alloc
-module Page_table = Atmo_pt.Page_table
 module Kernel = Atmo_core.Kernel
 module Event = Atmo_obs.Event
 module Sink = Atmo_obs.Sink
@@ -27,6 +22,7 @@ module Flight = Atmo_obs.Flight
 module San_report = Atmo_san.Report
 module Driver_lint = Atmo_san.Driver_lint
 module Kv_demo = Atmo_workloads.Kv_demo
+module Device_env = Atmo_workloads.Device_env
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -121,152 +117,6 @@ let test_irq_storm_auto_mask () =
       | None -> Alcotest.fail "drv-irq-storm not filed"
       | Some _ -> ())
 
-(* ------------------------------------------------------------------ *)
-(* DMA environment shared by the device sweeps: private memory, an
-   IOMMU domain, and a bump allocator of mapped iova spans. *)
-
-let mk_dev_env ~device =
-  let mem = Phys_mem.create ~page_count:128 in
-  let alloc = Page_alloc.create mem ~reserved_frames:0 in
-  let iommu = Iommu.create mem in
-  let pt =
-    match Page_table.create mem alloc with
-    | Ok p -> p
-    | Error _ -> Alcotest.fail "dev env page table"
-  in
-  let next = ref 0x20_0000 in
-  let span bytes =
-    let base = !next in
-    let pages = (bytes + Phys_mem.page_size - 1) / Phys_mem.page_size in
-    for i = 0 to pages - 1 do
-      let frame =
-        match Page_alloc.alloc_4k alloc ~purpose:Page_alloc.User with
-        | Some f -> f
-        | None -> Alcotest.fail "dev env out of frames"
-      in
-      match
-        Page_table.map_4k pt
-          ~vaddr:(base + (i * Phys_mem.page_size))
-          ~frame ~perm:Pte.perm_rw
-      with
-      | Ok () -> ()
-      | Error _ -> Alcotest.fail "dev env map"
-    done;
-    next := base + (pages * Phys_mem.page_size);
-    base
-  in
-  Iommu.attach iommu ~device ~root:(Page_table.cr3 pt);
-  (mem, iommu, span)
-
-let sweep_frame = Bytes.make 96 '\x5a'
-
-(* One hostile run per NIC backend: deliver/rx with periodic tx, then
-   drain with the engine detached.  Any escaped exception fails the
-   test; the return is the typed-error count the driver absorbed. *)
-let hostile_nic_sweep ~seed ~steps ~kind =
-  let cost = Atmo_sim.Cost.default in
-  let clock = Clock.create () in
-  let slots = 8 in
-  let rx drv_rx = ignore (drv_rx ~max:slots) in
-  match kind with
-  | `Ixgbe ->
-    let mem, iommu, span = mk_dev_env ~device:11 in
-    let nic = Ixgbe.create mem iommu ~device:11 ~clock ~cost in
-    let buffers () = Array.init slots (fun _ -> (span 2048, 2048)) in
-    (match Ixgbe.setup_rx nic ~ring_iova:(span Phys_mem.page_size) ~buffers:(buffers ()) with
-    | Ok () -> ()
-    | Error e -> Alcotest.fail (Fault.error_to_string e));
-    (match Ixgbe.setup_tx nic ~ring_iova:(span Phys_mem.page_size) ~buffers:(buffers ()) with
-    | Ok () -> ()
-    | Error e -> Alcotest.fail (Fault.error_to_string e));
-    Ixgbe.set_hostile nic (Some (Hostile.create ~seed ()));
-    for i = 1 to steps do
-      ignore (Ixgbe.wire_deliver nic sweep_frame);
-      rx (Ixgbe.rx_burst nic);
-      if i mod 4 = 0 then begin
-        ignore (Ixgbe.tx_burst nic [ sweep_frame ]);
-        ignore (Ixgbe.wire_collect nic)
-      end
-    done;
-    Ixgbe.set_hostile nic None;
-    for _ = 1 to 4 do
-      rx (Ixgbe.rx_burst nic)
-    done;
-    Ixgbe.error_count nic
-  | `Virtio ->
-    let mem, iommu, span = mk_dev_env ~device:14 in
-    let nic = Virtio_net.create mem iommu ~device:14 ~clock ~cost in
-    let buffers () = Array.init slots (fun _ -> (span 2048, 2048)) in
-    (match Virtio_net.setup_rx nic ~ring_iova:(span Phys_mem.page_size) ~buffers:(buffers ()) with
-    | Ok () -> ()
-    | Error e -> Alcotest.fail (Fault.error_to_string e));
-    (match Virtio_net.setup_tx nic ~ring_iova:(span Phys_mem.page_size) ~buffers:(buffers ()) with
-    | Ok () -> ()
-    | Error e -> Alcotest.fail (Fault.error_to_string e));
-    Virtio_net.set_hostile nic (Some (Hostile.create ~seed ()));
-    for i = 1 to steps do
-      ignore (Virtio_net.wire_deliver nic sweep_frame);
-      rx (Virtio_net.rx_burst nic);
-      if i mod 4 = 0 then begin
-        ignore (Virtio_net.tx_burst nic [ sweep_frame ]);
-        ignore (Virtio_net.wire_collect nic)
-      end
-    done;
-    Virtio_net.set_hostile nic None;
-    for _ = 1 to 4 do
-      rx (Virtio_net.rx_burst nic)
-    done;
-    Virtio_net.error_count nic
-
-let hostile_blk_sweep ~seed ~steps ~kind =
-  let cost = Atmo_sim.Cost.default in
-  let clock = Clock.create () in
-  let block = Bytes.make Nvme.block_bytes 'b' in
-  match kind with
-  | `Nvme ->
-    let dev = Nvme.create ~clock ~cost ~capacity_blocks:256 in
-    Nvme.set_device dev 12;
-    Nvme.set_hostile dev (Some (Hostile.create ~seed ()));
-    for i = 1 to steps do
-      let lba = i mod 256 in
-      (match
-         if i mod 3 = 0 then Result.map ignore (Nvme.submit_write dev ~lba ~data:block)
-         else Result.map ignore (Nvme.submit_read dev ~lba)
-       with
-      | Ok () -> ()
-      | Error _ -> ignore (Nvme.wait_all dev));
-      if i mod 8 = 0 then ignore (Nvme.poll dev)
-    done;
-    ignore (Nvme.wait_all dev);
-    Nvme.set_hostile dev None;
-    ignore (Nvme.wait_all dev);
-    Nvme.error_count dev
-  | `Virtio ->
-    let mem, iommu, span = mk_dev_env ~device:13 in
-    let dev = Virtio_blk.create mem iommu ~device:13 ~clock ~cost ~capacity_blocks:256 in
-    let depth = 16 in
-    let _, _, _, ring_bytes = Virtio_ring.layout ~qsz:(3 * depth) ~base:0 in
-    let ring_iova = span ring_bytes in
-    let arena_iova = span (depth * Virtio_blk.slot_bytes) in
-    (match Virtio_blk.setup dev ~ring_iova ~arena_iova ~depth with
-    | Ok () -> ()
-    | Error e -> Alcotest.fail (Fault.error_to_string e));
-    Virtio_blk.set_hostile dev (Some (Hostile.create ~seed ()));
-    for i = 1 to steps do
-      let lba = i mod 256 in
-      (match
-         if i mod 3 = 0 then Result.map ignore (Virtio_blk.submit_write dev ~lba ~data:block)
-         else Result.map ignore (Virtio_blk.submit_read dev ~lba)
-       with
-      | Ok () -> ()
-      | Error _ -> ignore (Virtio_blk.wait_all dev));
-      if i mod 8 = 0 then ignore (Virtio_blk.poll dev)
-    done;
-    ignore (Virtio_blk.wait_all dev);
-    Virtio_blk.set_hostile dev None;
-    ignore (Virtio_blk.wait_all dev);
-    Virtio_blk.error_count dev
-
 (* The headline property: a full seeded fault sweep over all four
    devices never raises, and after the drain Driver_lint has nothing to
    say — no undefined state, no escaped DMA, no storm, no lost
@@ -276,12 +126,7 @@ let test_hostile_sweep_survives () =
   List.iter
     (fun seed ->
       with_clean_models (fun () ->
-          let absorbed =
-            hostile_nic_sweep ~seed ~steps:200 ~kind:`Ixgbe
-            + hostile_nic_sweep ~seed:(seed + 1) ~steps:200 ~kind:`Virtio
-            + hostile_blk_sweep ~seed:(seed + 2) ~steps:200 ~kind:`Nvme
-            + hostile_blk_sweep ~seed:(seed + 3) ~steps:200 ~kind:`Virtio
-          in
+          let absorbed = Device_env.hostile_sweep ~seed ~steps:200 in
           checkb "some faults were absorbed as typed errors" true (absorbed > 0);
           checki "lint clean after drain" 0 (Driver_lint.lint k);
           checkb "no device left non-quiescent" true
@@ -300,7 +145,7 @@ let test_hostile_faults_traced () =
       Fun.protect
         ~finally:(fun () -> Sink.install Sink.Disabled)
         (fun () ->
-          let absorbed = hostile_blk_sweep ~seed:5 ~steps:64 ~kind:`Nvme in
+          let absorbed = Device_env.hostile_blk_sweep ~seed:5 ~steps:64 ~kind:`Nvme in
           let faults =
             List.filter
               (fun r ->
@@ -321,7 +166,7 @@ let nic_pump ~kind ~frames =
   let clock = Clock.create () in
   let slots = 8 in
   let device = match kind with `Ixgbe -> 11 | `Virtio -> 14 in
-  let mem, iommu, span = mk_dev_env ~device in
+  let mem, iommu, span = Device_env.mk_dma_env ~page_count:128 ~device in
   let buffers () = Array.init slots (fun _ -> (span 2048, 2048)) in
   let deliver, rx =
     match kind with
@@ -389,7 +234,7 @@ let test_virtio_blk_roundtrip () =
   with_clean_models (fun () ->
       let cost = Atmo_sim.Cost.default in
       let clock = Clock.create () in
-      let mem, iommu, span = mk_dev_env ~device:13 in
+      let mem, iommu, span = Device_env.mk_dma_env ~page_count:128 ~device:13 in
       let dev = Virtio_blk.create mem iommu ~device:13 ~clock ~cost ~capacity_blocks:32 in
       let depth = 4 in
       let _, _, _, ring_bytes = Virtio_ring.layout ~qsz:(3 * depth) ~base:0 in

@@ -111,6 +111,8 @@ let dll_plants =
     ("backward cycle", (fun l -> B.set_prev l 0 2), "t: backward traversal exceeds capacity");
     ("skipped node", (fun l -> B.set_next l 0 2), "t: length 3 but traversal found 2");
     ("unlinked member", (fun l -> B.set_member l 5 true), "t: 4 member flags but length 3");
+    ("wild next link", (fun l -> B.set_next l 1 99), "t: link to 99 outside [0, 8)");
+    ("wild prev link", (fun l -> B.set_prev l 2 99), "t: link to 99 outside [0, 8)");
   ]
 
 let test_dll_plant (plant, expected) () =
@@ -386,6 +388,9 @@ let alloc_plants =
     ( "free frame off its list",
       (fun a -> Dll.remove (free4k a) 300),
       "free frame 300 (4K) not on its free list" );
+    ( "wild link on a list",
+      (fun a -> Dll.Backdoor.set_next (free4k a) 18 4096),
+      "free4k: link to 4096 outside [0, 1024)" );
     ( "live frame inside a superpage",
       (fun a -> B.set_frame a ~frame:700 Page_state.Allocated Page_state.S4k),
       "body frame 700 of head 512 is allocated" );

@@ -18,6 +18,7 @@
    (`make perf-pairs`). *)
 
 module J = Atmo_util.Minijson
+module H = Perfbench.Harness
 
 let die fmt = Printf.ksprintf (fun s -> prerr_endline ("perf-pairs: " ^ s); exit 2) fmt
 
@@ -80,36 +81,12 @@ let run ~dir ~command ~args ~log =
       die "run in %s reported correct = false (output in %s)" dir log;
     fun name -> J.to_float (J.path [ "metrics"; name; "value" ] j)
 
-let sorted xs =
-  let a = Array.of_list xs in
-  Array.sort compare a;
-  a
-
-let median xs =
-  let a = sorted xs in
-  let n = Array.length a in
-  if n = 0 then nan else if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.
-
-(* statistics.quantiles(xs, n=4), the default "exclusive" method *)
-let quartiles xs =
-  let a = sorted xs in
-  let ld = Array.length a in
-  if ld < 2 then (median xs, median xs)
-  else
-    let q i =
-      let m = ld + 1 in
-      let j = max 1 (min (ld - 1) (i * m / 4)) in
-      let delta = (i * m) - (j * 4) in
-      ((a.(j - 1) *. float_of_int (4 - delta)) +. (a.(j) *. float_of_int delta)) /. 4.
-    in
-    (q 1, q 3)
-
 let report metrics pairs =
   let n = List.length pairs in
   let need = ((9 * n) + 9) / 10 in
   let stat xs =
-    let q1, q3 = quartiles xs in
-    Printf.sprintf "%.4g [%.4g, %.4g]" (median xs) q1 q3
+    let q1, q3 = H.quartiles xs in
+    Printf.sprintf "%.4g [%.4g, %.4g]" (H.median xs) q1 q3
   in
   Printf.printf "\n%-16s %-4s  %-30s %-30s %-7s %-8s %s\n" "metric" "unit"
     "base median [q1, q3]" "change median [q1, q3]" "wins" "delta" "verdict";
@@ -122,8 +99,8 @@ let report metrics pairs =
       else begin
         let better x y = if m.higher then x > y else x < y in
         let wins = List.length (List.filter (fun (x, y) -> better y x) (List.combine b c)) in
-        let mb = median b and mc = median c in
-        let b1, b3 = quartiles b in
+        let mb = H.median b and mc = H.median c in
+        let b1, b3 = H.quartiles b in
         let delta = if mb = 0. then 0. else (mc -. mb) /. Float.abs mb in
         let worse = if m.higher then -.delta else delta in
         let gain = wins >= need && better mc mb && Float.abs (mc -. mb) > b3 -. b1 in
