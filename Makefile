@@ -108,20 +108,16 @@ perf-pairs:
 
 # Pre-commit gate: build, tier-1 tests (plain and with the sanitizer
 # armed, so the TLB-coherence, scheduler and span-balance lints run
-# over every suite), the fastpath on/off oracle, the headline IPC
-# table, the sanitizer over the scripted workload + hostile device
-# sweep (clean run must report zero violations; the double-free,
-# unlocked and bad-pte plants on the mutation-stream subscribers must
-# be caught; the stale-TLB, fastpath-skip, span-leak, lock-order,
-# queue-corrupt, lost-steal and driver plants must each be caught by
-# exactly their rule), the
-# big-lock/fine-grained scheduler oracle, the incremental verifier (dirty-set re-check
+# over every suite; `dune runtest` also runs the CLI rules in bin/dune:
+# the sanitizer's clean run and its fourteen plants, each caught by its
+# rule, the profiler's request-path reconstruction over the kv-store
+# demo, top's accounting, the trace CLI's per-kind --filter and
+# --sample admission paths and its Chrome exporter), the fastpath
+# on/off oracle, the headline IPC table, the SLO monitor (a compliant
+# run must exit 0), the incremental verifier (dirty-set re-check
 # bit-identical to a full oracle within the 20% budget; the stale-proof
-# plant caught by exactly its rule), the profiler's request-path
-# reconstruction over the kv-store demo, the trace CLI's per-kind
-# --filter and --sample admission paths, the SLO monitor (a compliant
-# run must exit 0; the stalled-cpu plant must be caught by exactly
-# watchdog-silent), and the obs + span + device + verif + smp + slo
+# plant caught by exactly its rule), and the obs + span + device +
+# verif + smp (the big-lock/fine-grained scheduler oracle) + slo
 # benches + regression report (bit-identity and performance floors,
 # including the <= 100% traced kv overhead with zero drops and exact
 # accounting, the >= 5x incremental speedup, the >= 2.5x fine-grained
@@ -132,29 +128,9 @@ check:
 	dune build && dune runtest && SAN=1 dune runtest --force \
 	&& dune exec test/test_fastpath.exe \
 	&& dune exec bench/main.exe -- table3 \
-	&& dune exec bin/atmo_cli.exe -- san \
-	&& dune exec bin/atmo_cli.exe -- san --plant double-free \
-	&& dune exec bin/atmo_cli.exe -- san --plant unlocked \
-	&& dune exec bin/atmo_cli.exe -- san --plant bad-pte \
-	&& dune exec bin/atmo_cli.exe -- san --plant stale-tlb \
-	&& dune exec bin/atmo_cli.exe -- san --plant fastpath-skip \
-	&& dune exec bin/atmo_cli.exe -- san --plant span-leak \
-	&& dune exec bin/atmo_cli.exe -- san --plant lock-order \
-	&& dune exec bin/atmo_cli.exe -- san --plant queue-corrupt \
-	&& dune exec bin/atmo_cli.exe -- san --plant lost-steal \
-	&& dune exec bin/atmo_cli.exe -- san --plant undefined-state \
-	&& dune exec bin/atmo_cli.exe -- san --plant dma-escape \
-	&& dune exec bin/atmo_cli.exe -- san --plant irq-storm \
-	&& dune exec bin/atmo_cli.exe -- san --plant lost-completion \
-	&& dune exec bin/atmo_cli.exe -- san --plant stalled-cpu \
 	&& dune exec bin/atmo_cli.exe -- monitor --workload kv --requests 64 \
 	&& dune exec bin/atmo_cli.exe -- verify --incremental \
 	&& dune exec bin/atmo_cli.exe -- verify --plant stale-proof \
-	&& dune exec bin/atmo_cli.exe -- profile --requests 8 \
-	&& dune exec bin/atmo_cli.exe -- trace --workload kv --iterations 20 \
-	     --slots 4096 --events 0 --filter syscall_enter,syscall_exit,span_begin,span_end \
-	&& dune exec bin/atmo_cli.exe -- trace --workload kv --iterations 20 \
-	     --slots 4096 --events 0 --sample 2 \
 	&& dune exec bench/main.exe -- obs \
 	&& dune exec bench/main.exe -- span \
 	&& dune exec bench/main.exe -- dev \

@@ -29,11 +29,10 @@ let run () =
     Fun.protect ~finally:Incremental.disarm (fun () ->
         let first = Incremental.run ~threads:1 suite in
         let full = ref first and inc = ref first and dirty = ref [] in
-        (* a plain discharge mutates scratch worlds; suspended, it dirties
-           nothing the next re-check would have to redo *)
-        let full_config () () =
-          full := Incremental.suspend (fun () -> Runner.run ~threads:1 suite)
-        in
+        (* a plain discharge runs under the armed tracker's suspension,
+           so its scratch worlds dirty nothing the next re-check would
+           have to redo *)
+        let full_config () () = full := Runner.run ~threads:1 suite in
         (* each round's transition: the running thread yields *)
         let inc_config () =
           let running =

@@ -694,7 +694,7 @@ let trace sink_kind workload iterations max_events slots filter sample export ou
        let by_kind = Hashtbl.create 16 in
        List.iter
          (fun (r : Obs_event.record) ->
-           let key = Obs_event.kind r.Obs_event.ev in
+           let key = Obs_event.tag_name r.Obs_event.tag in
            Hashtbl.replace by_kind key
              (1 + Option.value ~default:0 (Hashtbl.find_opt by_kind key)))
          records;

@@ -92,6 +92,8 @@ let sweep_irqs_hook t = !sweep_irqs_ref t
 (* ------------------------------------------------------------------ *)
 (* Per-endpoint interrupt backlog                                      *)
 
+(* Pending interrupts routed to [ep]: the cached total (invariants
+   recompute it from the device table). *)
 let irq_backlog_of t ~ep = Option.value ~default:0 (Imap.find_opt ep t.irq_backlog)
 
 let irq_backlog_add t ~ep n =
@@ -358,7 +360,6 @@ let sys_close_endpoint t ~thread ~slot =
 
 let fastpath_on = ref true
 let set_fastpath b = fastpath_on := b
-let fastpath_enabled () = !fastpath_on
 
 (* atmo-san plant: drop the preempted caller on the floor instead of
    requeueing it, so a Runnable thread is queued nowhere — the
@@ -831,6 +832,8 @@ let sys_terminate_process t ~thread ~proc =
 (* ------------------------------------------------------------------ *)
 (* IOMMU                                                               *)
 
+(* A dedicated IOMMU page table for the device, charged to the caller's
+   container; the device starts with an empty DMA window. *)
 let sys_assign_device t ~thread ~device =
   match calling_thread t ~thread with
   | Error e -> err e
@@ -864,6 +867,8 @@ let sys_assign_device t ~thread ~device =
            Syscall.Runit)
     end
 
+(* The frame backing [va] is shared with the device, reference counted
+   like an IPC page grant. *)
 let sys_io_map t ~thread ~device ~iova ~va =
   match calling_thread t ~thread with
   | Error e -> err e
@@ -946,6 +951,7 @@ let sweep_irqs t =
       t.devices;
   note_dev ()
 
+(* Only the device's owner may route its interrupt, and only once. *)
 let sys_register_irq t ~thread ~device ~slot =
   match calling_thread t ~thread with
   | Error e -> err e
@@ -963,8 +969,11 @@ let sys_register_irq t ~thread ~device ~slot =
             note_dev ();
             Syscall.Runit))
 
-(* A hardware entry: no calling thread is involved.  Unassigned or
-   unrouted devices raise spurious interrupts, which are dropped. *)
+(* A hardware entry: no calling thread is involved.  The interrupt is
+   delivered as a one-scalar message to a receiver waiting on the routed
+   endpoint, or counted pending (picked up by the next receive).
+   Unassigned or unrouted devices raise spurious interrupts, which are
+   dropped. *)
 let irq_fire t ~device =
   match Imap.find_opt device t.devices with
   | None -> Syscall.Runit

@@ -57,7 +57,10 @@ val boot : boot_params -> (t * int, Atmo_util.Errno.t) result
     [Rerr]), as the noninterference theorem requires. *)
 
 val step : t -> thread:int -> Atmo_spec.Syscall.t -> Atmo_spec.Syscall.ret
-(** Uniform dispatcher over all system calls. *)
+(** The only system-call entry: dispatches every call of
+    {!Atmo_spec.Syscall.t} (including the [Irq_fire] hardware entry)
+    inside the step observer's bracket and, while tracing, records its
+    enter/exit events and the [kernel/syscalls] counters. *)
 
 val set_step_observer : (t -> thread:int -> entering:bool -> unit) option -> unit
 (** Process-global bracket around every {!step} (called with
@@ -65,50 +68,6 @@ val set_step_observer : (t -> thread:int -> entering:bool -> unit) option -> uni
     exceptions).  Used by atmo_san to attribute physical-memory accesses
     to the executing thread's container; one bool load per step when not
     installed. *)
-
-val sys_mmap :
-  t -> thread:int -> va:int -> count:int -> size:Atmo_pmem.Page_state.size ->
-  perm:Atmo_hw.Pte_bits.perm -> Atmo_spec.Syscall.ret
-
-val sys_munmap :
-  t -> thread:int -> va:int -> count:int -> size:Atmo_pmem.Page_state.size ->
-  Atmo_spec.Syscall.ret
-
-val sys_mprotect : t -> thread:int -> va:int -> perm:Atmo_hw.Pte_bits.perm -> Atmo_spec.Syscall.ret
-val sys_new_container : t -> thread:int -> quota:int -> cpus:Atmo_util.Iset.t -> Atmo_spec.Syscall.ret
-val sys_new_process : t -> thread:int -> Atmo_spec.Syscall.ret
-val sys_new_thread : t -> thread:int -> Atmo_spec.Syscall.ret
-val sys_new_endpoint : t -> thread:int -> slot:int -> Atmo_spec.Syscall.ret
-val sys_close_endpoint : t -> thread:int -> slot:int -> Atmo_spec.Syscall.ret
-val sys_send : t -> thread:int -> slot:int -> msg:Atmo_pm.Message.t -> Atmo_spec.Syscall.ret
-val sys_recv : t -> thread:int -> slot:int -> Atmo_spec.Syscall.ret
-val sys_send_nb : t -> thread:int -> slot:int -> msg:Atmo_pm.Message.t -> Atmo_spec.Syscall.ret
-val sys_recv_nb : t -> thread:int -> slot:int -> Atmo_spec.Syscall.ret
-val sys_recv_reject : t -> thread:int -> slot:int -> Atmo_spec.Syscall.ret
-val sys_yield : t -> thread:int -> Atmo_spec.Syscall.ret
-val sys_terminate_container : t -> thread:int -> container:int -> Atmo_spec.Syscall.ret
-val sys_terminate_process : t -> thread:int -> proc:int -> Atmo_spec.Syscall.ret
-val sys_assign_device : t -> thread:int -> device:int -> Atmo_spec.Syscall.ret
-(** Create a dedicated IOMMU page table for the device (charged to the
-    caller's container) and attach the device to it.  The device starts
-    with an empty DMA window. *)
-
-val sys_io_map : t -> thread:int -> device:int -> iova:int -> va:int -> Atmo_spec.Syscall.ret
-(** Expose the 4 KiB frame backing [va] in the caller's address space to
-    the device at I/O virtual address [iova] (shares the frame:
-    reference counted like an IPC page grant). *)
-
-val sys_io_unmap : t -> thread:int -> device:int -> iova:int -> Atmo_spec.Syscall.ret
-
-val sys_register_irq : t -> thread:int -> device:int -> slot:int -> Atmo_spec.Syscall.ret
-(** Route the device's interrupt to the endpoint held in the caller's
-    descriptor slot; only the device owner may register, once. *)
-
-val irq_fire : t -> device:int -> Atmo_spec.Syscall.ret
-(** Hardware entry: the device raised its interrupt.  Delivered as a
-    one-scalar message to a receiver waiting on the routed endpoint, or
-    counted pending (picked up by the next receive); spurious interrupts
-    (unassigned or unrouted device) are dropped. *)
 
 (** {2 IPC fastpath} *)
 
@@ -118,8 +77,6 @@ val set_fastpath : bool -> unit
     generic scheduler machinery; the resulting kernel state is
     bit-identical either way — the oracle test in [test_fastpath]
     replays random workloads under both settings and compares. *)
-
-val fastpath_enabled : unit -> bool
 
 val set_fastpath_skip_plant : bool -> unit
 (** Sanitizer plant ([atmo san --plant fastpath-skip]): make the
@@ -140,10 +97,6 @@ type Atmo_util.Mutation.event += Devices_changed
 val devices_id : string
 (** ["kernel/devices"]: the map id of the device table and the IRQ
     backlog cache. *)
-
-val irq_backlog_of : t -> ep:int -> int
-(** Pending interrupts routed to [ep] (the cached total; invariants
-    recompute it from the device table). *)
 
 (** {2 Helpers for harnesses and applications} *)
 

@@ -11,8 +11,8 @@ let all =
   [ Malformed_desc; Short_desc; Spurious_irq; Irq_storm; Reorder_completion;
     Duplicate_completion; Dma_escape ]
 
-(* Codes are the wire encoding in [Atmo_obs.Event.Dev_fault] slots; keep
-   in sync with [Atmo_obs.Event.fault_name] (cross-checked in tests). *)
+(* Codes are the wire encoding in [Atmo_obs.Event.Dev_fault] slots, and
+   [Atmo_obs.Event.fault_name] is the one table that names them. *)
 let code = function
   | Malformed_desc -> 1
   | Short_desc -> 2
@@ -24,14 +24,7 @@ let code = function
 
 let of_code n = List.find_opt (fun k -> code k = n) all
 
-let name = function
-  | Malformed_desc -> "malformed-desc"
-  | Short_desc -> "short-desc"
-  | Spurious_irq -> "spurious-irq"
-  | Irq_storm -> "irq-storm"
-  | Reorder_completion -> "reorder-completion"
-  | Duplicate_completion -> "duplicate-completion"
-  | Dma_escape -> "dma-escape"
+let name k = Atmo_obs.Event.fault_name (code k)
 
 let of_name s = List.find_opt (fun k -> name k = s) all
 

@@ -25,13 +25,14 @@ val all : kind list
 (** Every fault kind, in [code] order. *)
 
 val code : kind -> int
-(** Stable wire code (1-based), carried by [Atmo_obs.Event.Dev_fault].
-    Matches [Atmo_obs.Event.fault_name]. *)
+(** Stable wire code (1-based), carried by [Atmo_obs.Event.Dev_fault]
+    and named by [Atmo_obs.Event.fault_name]. *)
 
 val of_code : int -> kind option
 
 val name : kind -> string
-(** Kebab-case name, e.g. ["irq-storm"]. *)
+(** Kebab-case name, e.g. ["irq-storm"]:
+    [Atmo_obs.Event.fault_name (code k)]. *)
 
 val of_name : string -> kind option
 

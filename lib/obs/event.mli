@@ -1,12 +1,15 @@
-(** Typed kernel tracepoints.
+(** Typed kernel tracepoints: the flight-recorder slot format.
 
     One variant covers every instrumented hot path of the stack: system
     call entry/exit (with the {!Atmo_util.Errno.t} result), physical
     page allocation/free and superpage formation, endpoint send / recv /
     block transitions, MMU walks and the individual PTE loads they
     perform, driver queue doorbells/completions, and big-lock
-    acquisitions.  Events carry no heap structure so that encoding them
-    into a flight-recorder slot is a handful of stores. *)
+    acquisitions.  The format has one encoder, the per-tag
+    [Sink.emit_*] writers, which store a slot's words straight into the
+    arena without building a [t]; one decoder, {!decode_at}, which is
+    the only place a [t] is built; and one name table per concept:
+    {!tag_name}, {!syscall_name} and {!fault_name}. *)
 
 type dir = Dir_send | Dir_recv
 
@@ -67,12 +70,15 @@ type t =
           profiler and exporters see an unchanged stream at half the
           ring cost. *)
 
-type record = { ts : int; cpu : int; ev : t }
-(** A decoded flight-recorder slot: cycle timestamp, recording CPU, event. *)
+type record = { ts : int; cpu : int; tag : int; ev : t }
+(** A decoded flight-recorder slot: cycle timestamp, recording CPU, the
+    slot's tag code (the constructor of [ev]) and the event. *)
 
 val syscall_name : int -> string
-(** Name of a syscall number, matching [Atmo_spec.Syscall.number]
-    (declaration order of the syscall variant). *)
+(** Name of a syscall number ([Atmo_spec.Syscall.number], declaration
+    order of the syscall variant); ["sys?<n>"] out of range.  The one
+    syscall-name table: [Atmo_spec.Syscall.name] and the verifier's
+    [spec/<call>] obligations read it. *)
 
 val syscall_count : int
 
@@ -85,11 +91,9 @@ val causal_name : int -> string
 (** Name of a causal-edge code: ipc / irq / drv / wakeup. *)
 
 val fault_name : int -> string
-(** Name of a device-fault code carried by [Dev_fault]/[Dev_recover];
-    matches [Atmo_devmodel.Fault.code] (cross-checked in tests). *)
-
-val kind : t -> string
-(** Constructor name, for grouping decoded streams. *)
+(** Name of a device-fault code carried by [Dev_fault]/[Dev_recover]
+    ([Atmo_devmodel.Fault.code]); ["fault<n>"] for an unknown code.
+    The one fault-name table: [Atmo_devmodel.Fault.name] reads it. *)
 
 (** {2 Tags}
 
@@ -126,12 +130,11 @@ val tag_span_pair : int
 val tag_count : int
 (** Highest valid tag (tags are [1..tag_count]). *)
 
-val tag_of : t -> int
-(** Tag code of a boxed event (allocating path only; the fast writers
-    never construct a [t]). *)
-
 val tag_name : int -> string
-(** Constructor name of a tag code, matching {!kind}. *)
+(** Name of a tag code (the constructor's name in snake case, e.g.
+    ["syscall_enter"]); ["tag?<n>"] out of range.  The one tag-name
+    table: the printer, the Chrome exporter, [atmo trace]'s kind table
+    and the [obs/emitted/<kind>] counters all read it. *)
 
 val tag_of_name : string -> int option
 (** Inverse of {!tag_name} — how [atmo trace --filter] resolves kind
@@ -147,18 +150,13 @@ val errno_code : Atmo_util.Errno.t -> int
 (** Stable wire code of an errno as stored in [Syscall_exit] slots
     (0 means success); used by the sink's zero-allocation writer. *)
 
-val encode : ts:int -> cpu:int -> t -> bytes
-(** Encode into a fresh [slot_bytes] buffer (little-endian u64 fields,
-    tag byte first; a zero tag byte denotes an empty slot). *)
-
-val decode : bytes -> record option
-(** Inverse of {!encode}; [None] on an empty or corrupt slot. *)
-
 val decode_at : bytes -> int -> record option
 (** [decode_at buf off] decodes the slot starting at byte [off] of a
-    larger buffer (the flight-recorder arena) without copying it out;
-    [None] on an empty or corrupt slot or an out-of-bounds offset. *)
+    buffer (the flight-recorder arena) in place: byte 0 the tag, byte 1
+    a small per-tag field, byte 2 the CPU, bytes 8, 16, 24 and 32 the
+    timestamp and three fields as little-endian u64 words.  [None] on
+    an empty slot (tag 0), an unknown tag or an out-of-bounds offset. *)
 
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
 val pp_record : Format.formatter -> record -> unit
+(** One line: [[cpu<c> @<ts>]], the tag name padded to 14 columns,
+    then the event's fields. *)

@@ -78,10 +78,10 @@ let chrome_trace records =
           (Printf.sprintf
              {|{"name":"%s","cat":"causal","ph":"f","bp":"e","id":%d,"ts":%d,"pid":%d,"tid":%d}|}
              name !flow (max dts r.ts) dpid dcpu)
-      | ev ->
+      | _ ->
         emit
           (Printf.sprintf {|{"name":"%s","ph":"i","ts":%d,"pid":0,"tid":%d,"s":"t"}|}
-             (json_escape (Event.kind ev)) r.ts r.cpu))
+             (json_escape (Event.tag_name r.tag)) r.ts r.cpu))
     records;
   Buffer.add_string b "]\n";
   Buffer.contents b

@@ -18,10 +18,9 @@ type t = {
   slot_size : int;
   (* Lossless per-CPU drop tally, outside the arena.  The in-arena
      [dropped] word is part of the decoder-visible ring state and is
-     wiped by [clear] along with everything else; accounting that
-     feeds benchmark output must never itself be droppable, so it
-     lives here and survives clears for the lifetime of the
-     recorder. *)
+     reset by [clear] with head and tail; accounting that feeds
+     benchmark output must never itself be droppable, so it lives here
+     and survives clears for the lifetime of the recorder. *)
   lifetime_dropped : int array;
 }
 
@@ -73,42 +72,20 @@ let store_u64 b addr v =
   else set64u b addr (Int64.of_int v)
 
 let read_u64 t addr = load_u64 t.arena addr
-let write_u64 t addr v = store_u64 t.arena addr v
 
 let head t ~cpu = read_u64 t (cpu_base t cpu)
 let tail t ~cpu = read_u64 t (cpu_base t cpu + 8)
 let dropped t ~cpu = read_u64 t (cpu_base t cpu + 16)
-let set_head t ~cpu v = write_u64 t (cpu_base t cpu) v
-let set_tail t ~cpu v = write_u64 t (cpu_base t cpu + 8) v
-let set_dropped t ~cpu v = write_u64 t (cpu_base t cpu + 16) v
 
 let length t ~cpu =
   check_cpu t cpu;
   head t ~cpu - tail t ~cpu
 
-let slot_addr t ~cpu idx =
-  cpu_base t cpu + header_bytes + ((idx land (t.slots - 1)) * t.slot_size)
-
-(* Overwrite-oldest: a full ring advances the tail over the victim slot
+(* The zero-allocation emit path: advance the cursor and hand back the
+   arena offset of the claimed slot; the caller writes all [slot_size]
+   bytes in place, so the victim slot is not zeroed first.
+   Overwrite-oldest: a full ring advances the tail over the victim slot
    and counts it dropped; a flight recorder never refuses an event. *)
-let push t ~cpu payload =
-  check_cpu t cpu;
-  let h = head t ~cpu in
-  if h - tail t ~cpu >= t.slots then begin
-    set_tail t ~cpu (tail t ~cpu + 1);
-    set_dropped t ~cpu (dropped t ~cpu + 1);
-    t.lifetime_dropped.(cpu) <- t.lifetime_dropped.(cpu) + 1
-  end;
-  let addr = slot_addr t ~cpu h in
-  let len = min (Bytes.length payload) t.slot_size in
-  Bytes.fill t.arena addr t.slot_size '\000';
-  Bytes.blit payload 0 t.arena addr len;
-  set_head t ~cpu (h + 1)
-
-(* The zero-allocation emit path: advance the cursor (with the same
-   overwrite-oldest drop accounting as [push]) and hand back the arena
-   offset of the claimed slot; the caller writes all [slot_size] bytes
-   in place, so the victim slot is not zeroed first. *)
 let reserve t ~cpu =
   let base = cpu_base t cpu in
   let h = load_u64 t.arena base in
@@ -125,17 +102,7 @@ let arena t = t.arena
 
 let slot_offset t ~cpu idx =
   check_cpu t cpu;
-  slot_addr t ~cpu idx
-
-let to_list t ~cpu =
-  check_cpu t cpu;
-  let tl = tail t ~cpu and h = head t ~cpu in
-  let rec go i acc =
-    if i >= h then List.rev acc
-    else
-      go (i + 1) (Bytes.sub t.arena (slot_addr t ~cpu i) t.slot_size :: acc)
-  in
-  go tl []
+  cpu_base t cpu + header_bytes + ((idx land (t.slots - 1)) * t.slot_size)
 
 let lifetime_dropped t ~cpu =
   check_cpu t cpu;
@@ -143,5 +110,11 @@ let lifetime_dropped t ~cpu =
 
 let total_dropped t = Array.fold_left ( + ) 0 t.lifetime_dropped
 
+(* Readers decode only the slots between tail and head, and [reserve]
+   hands out slots the writer fully rewrites, so emptying a ring is
+   zeroing its header (head, tail, dropped); the slots keep their
+   stale bytes. *)
 let clear t =
-  Bytes.fill t.arena 0 (Bytes.length t.arena) '\000'
+  for cpu = 0 to t.cpus - 1 do
+    Bytes.fill t.arena (cpu_base t cpu) header_bytes '\000'
+  done

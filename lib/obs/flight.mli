@@ -3,9 +3,9 @@
     Layout per CPU (mirroring {!Atmo_sim.Ring}'s byte-accurate style):
     [[head:u64][tail:u64][dropped:u64][slot 0][slot 1]...] with
     free-running head/tail counters masked by [slots-1].  All state
-    lives in the arena; pushing to a full ring overwrites the oldest
-    slot and increments the drop counter (a flight recorder never
-    refuses an event). *)
+    lives in the arena; reserving a slot on a full ring overwrites the
+    oldest slot and increments the drop counter (a flight recorder
+    never refuses an event). *)
 
 type t
 
@@ -26,8 +26,8 @@ val length : t -> cpu:int -> int
 
 val dropped : t -> cpu:int -> int
 (** Events overwritten before being read on this CPU's ring, as
-    recorded in the arena's decoder-visible header word.  Wiped by
-    {!clear} together with the rest of the ring state. *)
+    recorded in the arena's decoder-visible header word.  Reset by
+    {!clear} together with head and tail. *)
 
 val lifetime_dropped : t -> cpu:int -> int
 (** Lossless per-CPU drop count for the lifetime of the recorder.
@@ -39,15 +39,13 @@ val lifetime_dropped : t -> cpu:int -> int
 val total_dropped : t -> int
 (** Sum of {!lifetime_dropped} over all CPUs. *)
 
-val push : t -> cpu:int -> bytes -> unit
-(** Record a payload (truncated / zero-padded to [slot_size]). *)
-
 val reserve : t -> cpu:int -> int
 (** Claim the next slot on [cpu]'s ring and return its byte offset in
-    {!arena}: the zero-allocation emit path.  Advances the head with
-    the same overwrite-oldest drop accounting as {!push}, but does not
-    zero the slot — the caller must write all [slot_size] bytes.
-    [cpu] must already be in range (the sink clamps before calling). *)
+    {!arena}: the zero-allocation emit path.  Advances the head; on a
+    full ring the tail moves over the oldest slot, which counts as
+    dropped.  The slot is not zeroed — the caller must write all
+    [slot_size] bytes.  [cpu] must already be in range (the sink clamps
+    before calling). *)
 
 val arena : t -> bytes
 (** The backing arena itself, for in-place encode ({!reserve}) and
@@ -67,7 +65,8 @@ val store_u64 : bytes -> int -> int -> unit
 val load_u64 : bytes -> int -> int
 (** Inverse of {!store_u64} (i.e. [Int64.to_int] of the LE word). *)
 
-val to_list : t -> cpu:int -> bytes list
-(** Live slots, oldest first. *)
-
 val clear : t -> unit
+(** Empty every ring: reset its head, tail and drop words.  Slot bytes
+    are left as they are (readers decode only live slots, and
+    {!reserve} hands out slots the writer fully rewrites); the
+    lifetime drop counts are kept. *)

@@ -11,9 +11,10 @@
 
    The hot path is allocation-free end to end: [Flight.reserve] bumps
    the ring cursor and returns the slot's arena offset, and the writer
-   stores the five slot words in place ([Flight.store_u64], bit-for-bit
-   what [Event.encode] produces — the boxed [emit] below is kept as the
-   oracle and the tests assert arena-byte identity).
+   stores the five slot words in place ([Flight.store_u64]).  The
+   writers are the format's only encoder; the tests compare their
+   arena bytes with a boxed oracle encoder kept beside the other test
+   oracles, and [Event.decode_at] is the only decoder.
 
    Filtering and sampling are per tag: a bitmask enables each event
    kind, and a power-of-two sample shift keeps 1-in-2^shift of the
@@ -164,29 +165,23 @@ let admit tag =
 
 (* Write one admitted event straight into the arena slot returned by
    [Flight.reserve]: five u64 stores, nothing allocated.  The first
-   word packs tag/aux/cpu exactly as [Event.encode] lays out bytes 0-7
-   (tag at byte 0, aux at byte 1, cpu at byte 2, reserved bytes zero),
-   so the slot is bit-identical to the boxed oracle without a fill. *)
-let write ?ts ?cpu ~tag ~aux a b c =
+   word packs tag/aux/cpu as bytes 0-7 of the slot (tag at byte 0, aux
+   at byte 1, cpu at byte 2, reserved bytes zero), so no fill is
+   needed.  The recording CPU is the [set_cpu] hint; an out-of-range
+   hint files the event on ring 0 and is counted.  [ts] defaults to the
+   injected clock (only the span writers pass it). *)
+let write ?ts ~tag ~aux a b c =
   match !current with
   | Disabled -> ()
   | Flight fr ->
     emitted.(tag) <- emitted.(tag) + 1;
     let cpu =
-      match cpu with
-      | Some c ->
-        if c >= 0 && c < Flight.cpus fr then c
-        else begin
-          bad_cpu := !bad_cpu + 1;
-          0
-        end
-      | None ->
-        let c = !cpu_hint in
-        if c >= 0 && c < Flight.cpus fr then c
-        else begin
-          bad_cpu := !bad_cpu + 1;
-          0
-        end
+      let c = !cpu_hint in
+      if c >= 0 && c < Flight.cpus fr then c
+      else begin
+        bad_cpu := !bad_cpu + 1;
+        0
+      end
     in
     let ts = match ts with Some t -> t | None -> !now_fn () in
     let off = Flight.reserve fr ~cpu in
@@ -197,140 +192,108 @@ let write ?ts ?cpu ~tag ~aux a b c =
     Flight.store_u64 arena (off + 24) b;
     Flight.store_u64 arena (off + 32) c
 
-(* Per-tag emitters.  Field-to-word layout mirrors [Event.fields]
-   clause for clause; the randomized oracle test compares the arena
-   bytes of every emitter against [Event.encode] of the boxed event. *)
-
-let emit_syscall_enter ?ts ?cpu ~thread ~sysno () =
+(* Per-tag emitters: each one's choice of aux byte and words a, b, c is
+   the slot layout [Event.decode_at] reads back. *)
+let emit_syscall_enter ~thread ~sysno () =
   if admit Event.tag_syscall_enter then
-    write ?ts ?cpu ~tag:Event.tag_syscall_enter ~aux:sysno thread 0 0
+    write ~tag:Event.tag_syscall_enter ~aux:sysno thread 0 0
 
-let emit_syscall_exit ?ts ?cpu ~thread ~sysno ~errno () =
+let emit_syscall_exit ~thread ~sysno ~errno () =
   if admit Event.tag_syscall_exit then
-    write ?ts ?cpu ~tag:Event.tag_syscall_exit ~aux:sysno thread
+    write ~tag:Event.tag_syscall_exit ~aux:sysno thread
       (match errno with None -> 0 | Some e -> Event.errno_code e)
       0
 
-let emit_page_alloc ?ts ?cpu ~addr ~order () =
+let emit_page_alloc ~addr ~order () =
   if admit Event.tag_page_alloc then
-    write ?ts ?cpu ~tag:Event.tag_page_alloc ~aux:order addr 0 0
+    write ~tag:Event.tag_page_alloc ~aux:order addr 0 0
 
-let emit_page_free ?ts ?cpu ~addr ~order () =
+let emit_page_free ~addr ~order () =
   if admit Event.tag_page_free then
-    write ?ts ?cpu ~tag:Event.tag_page_free ~aux:order addr 0 0
+    write ~tag:Event.tag_page_free ~aux:order addr 0 0
 
-let emit_superpage_merge ?ts ?cpu ~head ~order () =
+let emit_superpage_merge ~head ~order () =
   if admit Event.tag_superpage_merge then
-    write ?ts ?cpu ~tag:Event.tag_superpage_merge ~aux:order head 0 0
+    write ~tag:Event.tag_superpage_merge ~aux:order head 0 0
 
-let emit_ep_create ?ts ?cpu ~container () =
+let emit_ep_create ~container () =
   if admit Event.tag_ep_create then
-    write ?ts ?cpu ~tag:Event.tag_ep_create ~aux:0 container 0 0
+    write ~tag:Event.tag_ep_create ~aux:0 container 0 0
 
-let emit_ep_send ?ts ?cpu ~ep ~sender ~receiver () =
+let emit_ep_send ~ep ~sender ~receiver () =
   if admit Event.tag_ep_send then
-    write ?ts ?cpu ~tag:Event.tag_ep_send ~aux:0 ep sender receiver
+    write ~tag:Event.tag_ep_send ~aux:0 ep sender receiver
 
-let emit_ep_recv ?ts ?cpu ~ep ~receiver ~sender () =
+let emit_ep_recv ~ep ~receiver ~sender () =
   if admit Event.tag_ep_recv then
-    write ?ts ?cpu ~tag:Event.tag_ep_recv ~aux:0 ep receiver sender
+    write ~tag:Event.tag_ep_recv ~aux:0 ep receiver sender
 
-let emit_ep_block ?ts ?cpu ~ep ~thread ~dir () =
+let emit_ep_block ~ep ~thread ~dir () =
   if admit Event.tag_ep_block then
-    write ?ts ?cpu ~tag:Event.tag_ep_block
+    write ~tag:Event.tag_ep_block
       ~aux:(match dir with Event.Dir_send -> 0 | Event.Dir_recv -> 1)
       ep thread 0
 
-let emit_mmu_walk ?ts ?cpu ~vaddr ~ok () =
+let emit_mmu_walk ~vaddr ~ok () =
   if admit Event.tag_mmu_walk then
-    write ?ts ?cpu ~tag:Event.tag_mmu_walk ~aux:(if ok then 1 else 0) vaddr 0 0
+    write ~tag:Event.tag_mmu_walk ~aux:(if ok then 1 else 0) vaddr 0 0
 
-let emit_pte_touch ?ts ?cpu ~table ~index () =
+let emit_pte_touch ~table ~index () =
   if admit Event.tag_pte_touch then
-    write ?ts ?cpu ~tag:Event.tag_pte_touch ~aux:0 table index 0
+    write ~tag:Event.tag_pte_touch ~aux:0 table index 0
 
-let emit_drv_doorbell ?ts ?cpu ~device ~queue () =
+let emit_drv_doorbell ~device ~queue () =
   if admit Event.tag_drv_doorbell then
-    write ?ts ?cpu ~tag:Event.tag_drv_doorbell ~aux:0 device queue 0
+    write ~tag:Event.tag_drv_doorbell ~aux:0 device queue 0
 
-let emit_drv_completion ?ts ?cpu ~device ~count () =
+let emit_drv_completion ~device ~count () =
   if admit Event.tag_drv_completion then
-    write ?ts ?cpu ~tag:Event.tag_drv_completion ~aux:0 device count 0
+    write ~tag:Event.tag_drv_completion ~aux:0 device count 0
 
-let emit_lock_acquire ?ts ?cpu ~cpu_id ~wait_cycles () =
+let emit_lock_acquire ~cpu_id ~wait_cycles () =
   if admit Event.tag_lock_acquire then
-    write ?ts ?cpu ~tag:Event.tag_lock_acquire ~aux:0 cpu_id wait_cycles 0
+    write ~tag:Event.tag_lock_acquire ~aux:0 cpu_id wait_cycles 0
 
-let emit_tlb_hit ?ts ?cpu ~vaddr () =
-  if admit Event.tag_tlb_hit then write ?ts ?cpu ~tag:Event.tag_tlb_hit ~aux:0 vaddr 0 0
+let emit_tlb_hit ~vaddr () =
+  if admit Event.tag_tlb_hit then write ~tag:Event.tag_tlb_hit ~aux:0 vaddr 0 0
 
-let emit_tlb_miss ?ts ?cpu ~vaddr () =
-  if admit Event.tag_tlb_miss then write ?ts ?cpu ~tag:Event.tag_tlb_miss ~aux:0 vaddr 0 0
+let emit_tlb_miss ~vaddr () =
+  if admit Event.tag_tlb_miss then write ~tag:Event.tag_tlb_miss ~aux:0 vaddr 0 0
 
-let emit_tlb_flush ?ts ?cpu ~asid ~entries () =
+let emit_tlb_flush ~asid ~entries () =
   if admit Event.tag_tlb_flush then
-    write ?ts ?cpu ~tag:Event.tag_tlb_flush ~aux:0 asid entries 0
+    write ~tag:Event.tag_tlb_flush ~aux:0 asid entries 0
 
-let emit_ep_fastpath ?ts ?cpu ~ep ~sender ~receiver () =
+let emit_ep_fastpath ~ep ~sender ~receiver () =
   if admit Event.tag_ep_fastpath then
-    write ?ts ?cpu ~tag:Event.tag_ep_fastpath ~aux:0 ep sender receiver
+    write ~tag:Event.tag_ep_fastpath ~aux:0 ep sender receiver
 
-let emit_causal ?ts ?cpu ~edge ~src ~dst () =
-  if admit Event.tag_causal then write ?ts ?cpu ~tag:Event.tag_causal ~aux:edge src dst 0
+let emit_causal ~edge ~src ~dst () =
+  if admit Event.tag_causal then write ~tag:Event.tag_causal ~aux:edge src dst 0
 
-let emit_dev_fault ?ts ?cpu ~device ~fault () =
+let emit_dev_fault ~device ~fault () =
   if admit Event.tag_dev_fault then
-    write ?ts ?cpu ~tag:Event.tag_dev_fault ~aux:fault device 0 0
+    write ~tag:Event.tag_dev_fault ~aux:fault device 0 0
 
-let emit_dev_recover ?ts ?cpu ~device ~fault () =
+let emit_dev_recover ~device ~fault () =
   if admit Event.tag_dev_recover then
-    write ?ts ?cpu ~tag:Event.tag_dev_recover ~aux:fault device 0 0
+    write ~tag:Event.tag_dev_recover ~aux:fault device 0 0
 
 (* The span writers bypass [admit]: the span layer makes one admission
    decision per span at [Span.begin_]/[Span.pair] (under the span_begin
    tag), so begins and ends stay balanced — a sampled span is skipped
    whole, never half. *)
 
-let emit_span_begin ?ts ?cpu ~span ~parent ~kind ~owner () =
+let emit_span_begin ?ts ~span ~parent ~kind ~owner () =
   if tracing () then
-    write ?ts ?cpu ~tag:Event.tag_span_begin ~aux:kind span parent owner
+    write ?ts ~tag:Event.tag_span_begin ~aux:kind span parent owner
 
-let emit_span_end ?ts ?cpu ~span ~kind ~owner () =
-  if tracing () then write ?ts ?cpu ~tag:Event.tag_span_end ~aux:kind span owner 0
+let emit_span_end ?ts ~span ~kind ~owner () =
+  if tracing () then write ?ts ~tag:Event.tag_span_end ~aux:kind span owner 0
 
-let emit_span_pair ?ts ?cpu ~span ~parent ~kind ~owner () =
+let emit_span_pair ?ts ~span ~parent ~kind ~owner () =
   if tracing () then
-    write ?ts ?cpu ~tag:Event.tag_span_pair ~aux:kind span parent owner
-
-(* ------------------------------------------------------------------ *)
-(* Boxed oracle path                                                   *)
-
-let emit ?ts ?cpu ev =
-  match !current with
-  | Disabled -> ()
-  | Flight fr ->
-    let tag = Event.tag_of ev in
-    if admit tag then begin
-      emitted.(tag) <- emitted.(tag) + 1;
-      let cpu =
-        match cpu with
-        | Some c ->
-          if c >= 0 && c < Flight.cpus fr then c
-          else begin
-            bad_cpu := !bad_cpu + 1;
-            0
-          end
-        | None ->
-          let c = !cpu_hint in
-          if c >= 0 && c < Flight.cpus fr then c
-          else begin
-            bad_cpu := !bad_cpu + 1;
-            0
-          end
-      in
-      let ts = match ts with Some t -> t | None -> !now_fn () in
-      Flight.push fr ~cpu (Event.encode ~ts ~cpu ev)
-    end
+    write ?ts ~tag:Event.tag_span_pair ~aux:kind span parent owner
 
 (* ------------------------------------------------------------------ *)
 (* The merged, decoded stream                                          *)
@@ -356,9 +319,11 @@ let records () =
           | Event.Span_pair { span; parent; kind; owner } ->
             (* Unpack the batched record so the profiler and exporters
                see the same begin/end stream the unbatched path wrote. *)
+            let b = Event.Span_begin { span; parent; kind; owner } in
+            let e = Event.Span_end { span; kind; owner } in
             acc :=
-              { r with Event.ev = Event.Span_begin { span; parent; kind; owner } }
-              :: { r with Event.ev = Event.Span_end { span; kind; owner } }
+              { r with Event.tag = Event.tag_span_begin; ev = b }
+              :: { r with Event.tag = Event.tag_span_end; ev = e }
               :: !acc
           | _ -> acc := r :: !acc)
       done

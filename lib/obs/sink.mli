@@ -9,9 +9,10 @@
     flight recorder is installed; recording costs host time only.
 
     The hot path allocates nothing: {!Flight.reserve} bumps the ring
-    cursor and the writer stores the five slot words in place,
-    bit-identical to what the boxed {!emit}/{!Event.encode} oracle
-    produces (asserted in tests).  Admission is per event kind: a tag
+    cursor and the writer stores the five slot words in place.  The
+    writers are the slot format's only encoder ({!Event.decode_at} is
+    its only decoder); the tests compare their arena bytes with a boxed
+    oracle encoder.  Admission is per event kind: a tag
     bitmask ({!set_filter}) and a power-of-two sample shift
     ({!set_sample}) are checked before any field is written, and exact
     per-tag tallies ([obs/emitted/<kind>], [obs/sampled_out/<kind>],
@@ -73,7 +74,9 @@ val set_clock : (unit -> int) -> unit
 val now : unit -> int
 
 val set_cpu : int -> unit
-(** Current-CPU hint used when emitting without [?cpu]. *)
+(** The recording CPU of every event written from now on (default 0).
+    An out-of-range CPU files the event on ring 0 and counts
+    [obs/bad_cpu]. *)
 
 val current_cpu : unit -> int
 
@@ -82,70 +85,51 @@ val current_cpu : unit -> int
     One writer per event kind, mirroring {!Event.t} field for field.
     Each checks {!admit} first (one load+mask when the tag is off),
     then writes the 40-byte slot directly into the recorder arena —
-    no [Event.t], no intermediate buffer, no copy.  [?ts] overrides
-    the injected clock, [?cpu] the CPU hint; an out-of-range CPU files
-    the event on ring 0 and counts [obs/bad_cpu]. *)
+    no [Event.t], no intermediate buffer, no copy.  The timestamp is
+    the injected clock ({!set_clock}) and the ring the CPU hint
+    ({!set_cpu}). *)
 
-val emit_syscall_enter : ?ts:int -> ?cpu:int -> thread:int -> sysno:int -> unit -> unit
+val emit_syscall_enter : thread:int -> sysno:int -> unit -> unit
 
 val emit_syscall_exit :
-  ?ts:int -> ?cpu:int -> thread:int -> sysno:int -> errno:Atmo_util.Errno.t option ->
-  unit -> unit
+  thread:int -> sysno:int -> errno:Atmo_util.Errno.t option -> unit -> unit
 
-val emit_page_alloc : ?ts:int -> ?cpu:int -> addr:int -> order:int -> unit -> unit
-val emit_page_free : ?ts:int -> ?cpu:int -> addr:int -> order:int -> unit -> unit
-val emit_superpage_merge : ?ts:int -> ?cpu:int -> head:int -> order:int -> unit -> unit
-val emit_ep_create : ?ts:int -> ?cpu:int -> container:int -> unit -> unit
+val emit_page_alloc : addr:int -> order:int -> unit -> unit
+val emit_page_free : addr:int -> order:int -> unit -> unit
+val emit_superpage_merge : head:int -> order:int -> unit -> unit
+val emit_ep_create : container:int -> unit -> unit
+val emit_ep_send : ep:int -> sender:int -> receiver:int -> unit -> unit
+val emit_ep_recv : ep:int -> receiver:int -> sender:int -> unit -> unit
+val emit_ep_block : ep:int -> thread:int -> dir:Event.dir -> unit -> unit
+val emit_mmu_walk : vaddr:int -> ok:bool -> unit -> unit
+val emit_pte_touch : table:int -> index:int -> unit -> unit
+val emit_drv_doorbell : device:int -> queue:int -> unit -> unit
+val emit_drv_completion : device:int -> count:int -> unit -> unit
+val emit_lock_acquire : cpu_id:int -> wait_cycles:int -> unit -> unit
+(** [cpu_id] is the event payload (the CPU that won the lock); the
+    recording ring is still the {!set_cpu} hint. *)
 
-val emit_ep_send :
-  ?ts:int -> ?cpu:int -> ep:int -> sender:int -> receiver:int -> unit -> unit
-
-val emit_ep_recv :
-  ?ts:int -> ?cpu:int -> ep:int -> receiver:int -> sender:int -> unit -> unit
-
-val emit_ep_block :
-  ?ts:int -> ?cpu:int -> ep:int -> thread:int -> dir:Event.dir -> unit -> unit
-
-val emit_mmu_walk : ?ts:int -> ?cpu:int -> vaddr:int -> ok:bool -> unit -> unit
-val emit_pte_touch : ?ts:int -> ?cpu:int -> table:int -> index:int -> unit -> unit
-val emit_drv_doorbell : ?ts:int -> ?cpu:int -> device:int -> queue:int -> unit -> unit
-val emit_drv_completion : ?ts:int -> ?cpu:int -> device:int -> count:int -> unit -> unit
-
-val emit_lock_acquire :
-  ?ts:int -> ?cpu:int -> cpu_id:int -> wait_cycles:int -> unit -> unit
-(** [cpu_id] is the event payload (the CPU that won the lock); [?cpu]
-    stays the recording-ring override. *)
-
-val emit_tlb_hit : ?ts:int -> ?cpu:int -> vaddr:int -> unit -> unit
-val emit_tlb_miss : ?ts:int -> ?cpu:int -> vaddr:int -> unit -> unit
-val emit_tlb_flush : ?ts:int -> ?cpu:int -> asid:int -> entries:int -> unit -> unit
-
-val emit_ep_fastpath :
-  ?ts:int -> ?cpu:int -> ep:int -> sender:int -> receiver:int -> unit -> unit
-
-val emit_causal : ?ts:int -> ?cpu:int -> edge:int -> src:int -> dst:int -> unit -> unit
-val emit_dev_fault : ?ts:int -> ?cpu:int -> device:int -> fault:int -> unit -> unit
-val emit_dev_recover : ?ts:int -> ?cpu:int -> device:int -> fault:int -> unit -> unit
+val emit_tlb_hit : vaddr:int -> unit -> unit
+val emit_tlb_miss : vaddr:int -> unit -> unit
+val emit_tlb_flush : asid:int -> entries:int -> unit -> unit
+val emit_ep_fastpath : ep:int -> sender:int -> receiver:int -> unit -> unit
+val emit_causal : edge:int -> src:int -> dst:int -> unit -> unit
+val emit_dev_fault : device:int -> fault:int -> unit -> unit
+val emit_dev_recover : device:int -> fault:int -> unit -> unit
 
 (** The three span writers do {e not} consult {!admit}: the span layer
     makes one admission decision per span (under the [span_begin] tag)
-    and these only write, so a span is recorded whole or not at all. *)
+    and these only write, so a span is recorded whole or not at all.
+    They alone take [?ts], which overrides the injected clock: the span
+    layer stamps a span with the cycle its caller measured. *)
 
 val emit_span_begin :
-  ?ts:int -> ?cpu:int -> span:int -> parent:int -> kind:int -> owner:int -> unit -> unit
+  ?ts:int -> span:int -> parent:int -> kind:int -> owner:int -> unit -> unit
 
-val emit_span_end :
-  ?ts:int -> ?cpu:int -> span:int -> kind:int -> owner:int -> unit -> unit
+val emit_span_end : ?ts:int -> span:int -> kind:int -> owner:int -> unit -> unit
 
 val emit_span_pair :
-  ?ts:int -> ?cpu:int -> span:int -> parent:int -> kind:int -> owner:int -> unit -> unit
-
-val emit : ?ts:int -> ?cpu:int -> Event.t -> unit
-(** The boxed oracle path: encode into a fresh buffer and copy it into
-    the ring ({!Event.encode} → {!Flight.push}).  Subject to the same
-    filter/sampling admission and [obs/bad_cpu] accounting as the fast
-    writers, and byte-identical in the arena — tests diff the two.
-    Not for hot paths. *)
+  ?ts:int -> span:int -> parent:int -> kind:int -> owner:int -> unit -> unit
 
 val records : unit -> Event.record list
 (** Decode every live slot of the installed recorder in place, merged

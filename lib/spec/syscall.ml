@@ -38,8 +38,9 @@ type ret =
   | Rmapped of int list
   | Rerr of Atmo_util.Errno.t
 
-(* Stable syscall numbers in declaration order; [Atmo_obs.Event] keeps a
-   matching name table for decoding flight-recorder streams. *)
+(* Stable syscall numbers in declaration order; the flight recorder
+   carries them and [Atmo_obs.Event.syscall_name] is the one table that
+   names them. *)
 let number = function
   | Mmap _ -> 0
   | Munmap _ -> 1
@@ -63,28 +64,7 @@ let number = function
   | Register_irq _ -> 19
   | Irq_fire _ -> 20
 
-let name = function
-  | Mmap _ -> "mmap"
-  | Munmap _ -> "munmap"
-  | Mprotect _ -> "mprotect"
-  | New_container _ -> "new_container"
-  | New_process -> "new_process"
-  | New_thread -> "new_thread"
-  | New_endpoint _ -> "new_endpoint"
-  | Close_endpoint _ -> "close_endpoint"
-  | Send _ -> "send"
-  | Recv _ -> "recv"
-  | Send_nb _ -> "send_nb"
-  | Recv_nb _ -> "recv_nb"
-  | Recv_reject _ -> "recv_reject"
-  | Yield -> "yield"
-  | Terminate_container _ -> "terminate_container"
-  | Terminate_process _ -> "terminate_process"
-  | Assign_device _ -> "assign_device"
-  | Io_map _ -> "io_map"
-  | Io_unmap _ -> "io_unmap"
-  | Register_irq _ -> "register_irq"
-  | Irq_fire _ -> "irq_fire"
+let name c = Atmo_obs.Event.syscall_name (number c)
 
 let pp ppf t =
   match t with

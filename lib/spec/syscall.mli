@@ -59,7 +59,8 @@ val pp : Format.formatter -> t -> unit
 val pp_ret : Format.formatter -> ret -> unit
 val equal_ret : ret -> ret -> bool
 val name : t -> string
-(** Constructor name, for reporting. *)
+(** Constructor name in snake case, for reporting:
+    [Atmo_obs.Event.syscall_name (number c)]. *)
 
 val number : t -> int
 (** Stable syscall number (declaration order, 0-based), carried by the

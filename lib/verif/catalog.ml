@@ -215,16 +215,10 @@ let pm_tree_obligations_recursive k =
 (* For each system call, a fresh world is driven through transitions of
    mostly that call (interleaved with setup calls), each checked against
    the top-level specification.  One obligation per call = one bar of
-   Figure 2. *)
+   Figure 2, named after the call by the flight recorder's syscall-name
+   table. *)
 let syscall_kinds =
-  [
-    ("mmap", 0); ("munmap", 1); ("mprotect", 2); ("new_container", 3);
-    ("new_process", 4); ("new_thread", 5); ("new_endpoint", 6);
-    ("close_endpoint", 7); ("send", 8); ("recv", 9); ("send_nb", 10);
-    ("recv_nb", 11); ("recv_reject", 12); ("yield", 13);
-    ("terminate_container", 14); ("terminate_process", 15); ("assign_device", 16);
-    ("io_map", 17); ("io_unmap", 18); ("register_irq", 19); ("irq_fire", 20);
-  ]
+  List.init Atmo_obs.Event.syscall_count (fun n -> (Atmo_obs.Event.syscall_name n, n))
 
 let call_of_kind rng kind k ~thread:_ =
   let open Syscall in
@@ -266,8 +260,8 @@ let call_of_kind rng kind k ~thread:_ =
 (* Spec obligations build a FRESH scratch world per discharge, so they
    read nothing of the tracked kernel: [reads = Some []] means a cached
    verdict stays valid across transitions of the live world.  (Their
-   own mutations are kept out of the dirty set by [Incremental.suspend]
-   around discharge.) *)
+   own mutations are kept out of the dirty set: an armed tracker
+   suspends dirty marking around every [Runner.run] discharge.) *)
 let syscall_obligation ~scale (name, kind) =
   Obligation.make ~reads:[] ~name:("spec/" ^ name) ~group:"spec" (fun () ->
       match build_world ~scale with

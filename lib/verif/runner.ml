@@ -27,6 +27,12 @@ let check_unique obls =
   | Some n -> invalid_arg ("Runner.run: duplicate obligation name " ^ n)
   | None -> ()
 
+(* Every discharge runs under this wrapper; [Incremental.arm] installs
+   its suspension here, so the scratch worlds a discharge builds never
+   dirty the maps of the kernel it tracks, whoever called [run]. *)
+let suspend : ((unit -> unit) -> unit) ref = ref (fun f -> f ())
+let set_suspend wrap = suspend := Option.value wrap ~default:(fun f -> f ())
+
 let run_sequential obls = List.map Obligation.discharge obls
 
 (* Static round-robin partition over domains: obligations are
@@ -75,11 +81,10 @@ let run ?(threads = 1) ?incremental obls =
       obls
   in
   let to_run = List.filter_map (function Either.Left o -> Some o | _ -> None) plan in
-  let fresh =
-    if threads <= 1 then run_sequential to_run else run_parallel ~threads to_run
-  in
+  let fresh = ref [] in
+  !suspend (fun () ->
+      fresh := if threads <= 1 then run_sequential to_run else run_parallel ~threads to_run);
   (* splice fresh results back into suite order *)
-  let fresh = ref fresh in
   let results =
     List.map
       (function

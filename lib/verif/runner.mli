@@ -33,6 +33,12 @@ val run : ?threads:int -> ?incremental:incremental -> Obligation.t list -> repor
     name — duplicates would shadow each other in grouped reports and
     in the incremental verdict cache. *)
 
+val set_suspend : ((unit -> unit) -> unit) option -> unit
+(** Install the wrapper every {!run} discharges its obligations under
+    ([None] removes it).  The incremental verifier's [arm] installs its
+    dirty-marking suspension here and [disarm] removes it, so a plain
+    {!run} of an armed suite leaves the tracker as it found it. *)
+
 val duplicate_name : Obligation.t list -> string option
 (** First name appearing twice, if any. *)
 

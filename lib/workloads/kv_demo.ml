@@ -93,16 +93,6 @@ let unpack_bytes = function
       words;
     b
 
-(* FNV-1a over the key, for Maglev flow steering. *)
-let flow_hash key =
-  let h = ref 0xcbf29ce484222325L in
-  Bytes.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h 0x100000001b3L)
-    key;
-  !h
-
 (* ------------------------------------------------------------------ *)
 
 let keys = 32
@@ -292,7 +282,7 @@ let run ?(requests = 16) ?(entries = 256) ?(blk = `Nvme) ?nic ?(slow_every = 0)
   let backends = [ "kv0"; "kv1"; "kv2" ] in
   let maglev = Maglev.create ~backends ~table_size:31 in
   let stores = List.map (fun b -> (b, Kv_store.create ~entries)) backends in
-  let shard_of key = List.assoc (Maglev.lookup maglev (flow_hash key)) stores in
+  let shard_of key = List.assoc (Maglev.lookup maglev (Atmo_net.Fnv.hash64 key)) stores in
   let blkdev = mk_blk blk ~clock:dclock ~cost in
   let nicdev = Option.map (fun b -> mk_nic b ~clock:dclock ~cost) nic in
   let block = Bytes.make Nvme.block_bytes 'v' in
