@@ -47,15 +47,27 @@ let with_clean_models f =
 (* Fault taxonomy: codes, names, and obs events agree. *)
 
 let test_fault_codes () =
+  (* the names are spelled out here, not read back from [Event]: a
+     fault recoded against the name table prints the wrong name *)
+  let names =
+    [
+      (Fault.Malformed_desc, "malformed-desc");
+      (Fault.Short_desc, "short-desc");
+      (Fault.Spurious_irq, "spurious-irq");
+      (Fault.Irq_storm, "irq-storm");
+      (Fault.Reorder_completion, "reorder-completion");
+      (Fault.Duplicate_completion, "duplicate-completion");
+      (Fault.Dma_escape, "dma-escape");
+    ]
+  in
+  checkb "one name per fault" true (List.map fst names = Fault.all);
   List.iter
-    (fun k ->
+    (fun (k, name) ->
       let code = Fault.code k in
       checkb "of_code round trip" true (Fault.of_code code = Some k);
       checkb "of_name round trip" true (Fault.of_name (Fault.name k) = Some k);
-      Alcotest.(check string)
-        "obs fault_name matches taxonomy" (Fault.name k)
-        (Event.fault_name code))
-    Fault.all;
+      Alcotest.(check string) (Printf.sprintf "code %d" code) name (Fault.name k))
+    names;
   checkb "unknown code rejected" true (Fault.of_code 0 = None);
   checkb "unknown name rejected" true (Fault.of_name "no-such-fault" = None)
 
