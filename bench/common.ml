@@ -279,17 +279,12 @@ let kv_identity ~indent (off : Kv.result) (on : Kv.result) =
 (* ------------------------------------------------------------------ *)
 (* ixgbe receive *)
 
-module Ixgbe = Atmo_drivers.Ixgbe
+module Env = Atmo_workloads.Device_env
 
 (* An ixgbe NIC in its own DMA arena, receiving into 64 2 KiB
    buffers. *)
 let ixgbe_rx () =
-  let mem, iommu, span = Atmo_workloads.Device_env.mk_dma_env ~page_count:128 ~device:0 in
-  let nic = Ixgbe.create mem iommu ~device:0 ~clock:(Atmo_hw.Clock.create ()) ~cost in
-  let buffers = Array.init 64 (fun _ -> (span 2048, 2048)) in
-  match Ixgbe.setup_rx nic ~ring_iova:(span 4096) ~buffers with
-  | Ok () -> nic
-  | Error e -> failwith ("ixgbe setup: " ^ Atmo_devmodel.Fault.error_to_string e)
+  Env.nic ~kind:`Ixgbe ~device:0 ~slots:64 ~clock:(Atmo_hw.Clock.create ()) ~cost
 
 (* Deliver [frames] UDP frames one at a time through the descriptor
    ring and the IOMMU, harvesting after each; the frames harvested. *)
@@ -297,7 +292,7 @@ let ixgbe_forward nic ~frames =
   let flow = Atmo_net.Packet.flow_of_ints ~src:1 ~dst:2 ~sport:1000 ~dport:53 in
   let received = ref 0 in
   for _ = 1 to frames do
-    ignore (Ixgbe.wire_deliver nic (Atmo_net.Packet.build flow ~payload:(Bytes.make 22 'x')));
-    received := !received + List.length (Ixgbe.rx_burst nic ~max:32)
+    ignore (Env.nic_deliver nic (Atmo_net.Packet.build flow ~payload:(Bytes.make 22 'x')));
+    received := !received + List.length (Env.nic_rx nic ~max:32)
   done;
   !received

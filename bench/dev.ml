@@ -3,74 +3,47 @@
 open Common
 module Clock = Atmo_hw.Clock
 module Hostile = Atmo_devmodel.Hostile
-
-(* One NIC behind a first-class interface so the pump is shared. *)
-type nic_iface = {
-  nic_deliver : bytes -> bool;
-  nic_rx : max:int -> bytes list;
-  nic_errors : unit -> int;
-  nic_set_hostile : Hostile.t option -> unit;
-  nic_clock : Clock.t;
-}
+module Model = Atmo_devmodel.Model
+module Env = Atmo_workloads.Device_env
 
 let nic_slots = 32
 
-let mk_bench_nic kind =
+(* Pump [frames] 64-byte frames through the RX path of a fresh NIC of
+   [kind] in bursts of 8, with [hostile] attached until the drain is
+   done; returns (frames harvested, model cycles at the end, typed
+   errors). *)
+let pump_nic ?hostile kind ~frames =
   let clock = Clock.create () in
-  let env device = Atmo_workloads.Device_env.mk_dma_env ~page_count:128 ~device in
-  let setup = function Ok () -> () | Error _ -> failwith "bench dev: nic setup" in
-  match kind with
-  | `Ixgbe ->
-    let module N = Atmo_drivers.Ixgbe in
-    let mem, iommu, span = env 11 in
-    let nic = N.create mem iommu ~device:11 ~clock ~cost in
-    let buffers = Array.init nic_slots (fun _ -> (span 2048, 2048)) in
-    setup (N.setup_rx nic ~ring_iova:(span 4096) ~buffers);
-    { nic_deliver = N.wire_deliver nic;
-      nic_rx = (fun ~max -> N.rx_burst nic ~max);
-      nic_errors = (fun () -> N.error_count nic);
-      nic_set_hostile = N.set_hostile nic;
-      nic_clock = clock }
-  | `Virtio ->
-    let module N = Atmo_drivers.Virtio_net in
-    let mem, iommu, span = env 14 in
-    let nic = N.create mem iommu ~device:14 ~clock ~cost in
-    let buffers = Array.init nic_slots (fun _ -> (span 2048, 2048)) in
-    setup (N.setup_rx nic ~ring_iova:(span 4096) ~buffers);
-    { nic_deliver = N.wire_deliver nic;
-      nic_rx = (fun ~max -> N.rx_burst nic ~max);
-      nic_errors = (fun () -> N.error_count nic);
-      nic_set_hostile = N.set_hostile nic;
-      nic_clock = clock }
-
-(* Pump [frames] 64-byte frames through the RX path in bursts of 8;
-   returns (frames harvested, model cycles at the end, typed errors). *)
-let pump_nic iface ~frames =
+  let nic = Env.nic ~kind ~device:11 ~slots:nic_slots ~clock ~cost in
+  let model = Env.nic_model nic in
+  Model.set_hostile model hostile;
   let frame = Bytes.make 64 '\x42' in
   let received = ref 0 in
   for i = 1 to frames do
-    ignore (iface.nic_deliver frame);
-    if i mod 8 = 0 then received := !received + List.length (iface.nic_rx ~max:8)
+    ignore (Env.nic_deliver nic frame);
+    if i mod 8 = 0 then received := !received + List.length (Env.nic_rx nic ~max:8)
   done;
   (* drain until quiescent: hostile duplicates can trail the last burst *)
   let rec drain () =
-    let got = List.length (iface.nic_rx ~max:nic_slots) in
+    let got = List.length (Env.nic_rx nic ~max:nic_slots) in
     if got > 0 then begin
       received := !received + got;
       drain ()
     end
   in
   drain ();
-  (!received, Clock.now iface.nic_clock, iface.nic_errors ())
+  let result = (!received, Clock.now clock, model.Model.error_count) in
+  Model.set_hostile model None;
+  ignore (Env.nic_rx nic ~max:nic_slots);
+  result
 
 let run () =
   section "Device backends: virtio vs ixgbe identity; hostile-mode resilience";
-  let module Model = Atmo_devmodel.Model in
   Model.reset ();
   let frames = 5000 in
   (* fault-free throughput identity: same frames, same cycle total *)
-  let ixg_rx, ixg_cycles, _ = pump_nic (mk_bench_nic `Ixgbe) ~frames in
-  let vio_rx, vio_cycles, _ = pump_nic (mk_bench_nic `Virtio) ~frames in
+  let ixg_rx, ixg_cycles, _ = pump_nic `Ixgbe ~frames in
+  let vio_rx, vio_cycles, _ = pump_nic `Virtio ~frames in
   let delivery_identity = ixg_rx = vio_rx && ixg_cycles = vio_cycles in
   line "fault-free RX, %d frames:" frames;
   line "  ixgbe:      %5d harvested, %8d cycles" ixg_rx ixg_cycles;
@@ -93,12 +66,7 @@ let run () =
      delivered frames, and the ledgers must balance at quiescence *)
   let budget = 64 in
   let hostile_run kind seed =
-    let iface = mk_bench_nic kind in
-    iface.nic_set_hostile (Some (Hostile.create ~budget ~seed ()));
-    let rx, cycles, errors = pump_nic iface ~frames in
-    iface.nic_set_hostile None;
-    ignore (iface.nic_rx ~max:nic_slots);
-    (rx, cycles, errors)
+    pump_nic ~hostile:(Hostile.create ~budget ~seed ()) kind ~frames
   in
   let hixg_rx, hixg_cycles, hixg_err = hostile_run `Ixgbe 42 in
   let hvio_rx, hvio_cycles, hvio_err = hostile_run `Virtio 43 in

@@ -29,9 +29,12 @@ let table1 () =
   match Effort.measure_repo ~root:"." with
   | Some s ->
     line "";
-    line "this reproduction (measured): %d spec/check lines, %d exec lines, %d test lines"
-      s.Effort.spec_lines s.Effort.exec_lines s.Effort.test_lines;
-    line "check-to-code ratio: %.2f:1 (the paper's Atmosphere: 3.32:1)" s.Effort.ratio
+    line "this reproduction (measured): %d spec/check lines, %d exec lines (%d of them the \
+          kernel's), %d test lines"
+      s.Effort.spec_lines s.Effort.exec_lines s.Effort.kernel_lines s.Effort.test_lines;
+    line "check-to-code ratio: %.2f:1 over the kernel, %.2f:1 over all exec lines (the \
+          paper's Atmosphere: 3.32:1 over its kernel)"
+      s.Effort.kernel_ratio s.Effort.ratio
   | None -> line "(repo sources not reachable; skipping measured ratio)"
 
 (* ------------------------------------------------------------------ *)
@@ -251,8 +254,9 @@ let fig4 () =
   let frames = 2000 in
   let nic = ixgbe_rx () in
   let received = ixgbe_forward nic ~frames in
+  (* fault-free, every frame the ring accepts is harvested at once *)
   line "(functional path: %d/%d frames through descriptor rings + IOMMU, %d drops)" received
-    frames (Ixgbe.rx_drops nic)
+    frames (frames - received)
 
 (* ------------------------------------------------------------------ *)
 (* Figure 5: NVMe driver performance                                   *)

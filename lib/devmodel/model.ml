@@ -29,6 +29,8 @@ type t = {
   mutable escape_blocked : int;
   mutable faults : int;
   mutable recoveries : int;
+  mutable error_log : Fault.error list;
+  mutable error_count : int;
 }
 
 let storm_threshold = 64
@@ -54,6 +56,8 @@ let register ~name ~device ~initial =
       escape_blocked = 0;
       faults = 0;
       recoveries = 0;
+      error_log = [];
+      error_count = 0;
     }
   in
   registry := t :: !registry;
@@ -74,16 +78,6 @@ let note_fault t f =
     Metrics.bump (Printf.sprintf "dev/%s/faults" t.name);
     Obs.emit_dev_fault ~device:t.device ~fault:(Fault.code f) ()
   end
-
-let inject t ~site candidates =
-  match t.hostile with
-  | None -> None
-  | Some h ->
-    (match Hostile.pick h ~site candidates with
-     | None -> None
-     | Some f ->
-       note_fault t f;
-       Some f)
 
 let fault t f = note_fault t f
 
@@ -129,3 +123,33 @@ let ack_irqs t =
   t.irq_masked <- false
 
 let set_auto_mask t v = t.auto_mask <- v
+
+let inject t ~site candidates =
+  match t.hostile with
+  | None -> None
+  | Some h ->
+    (match Hostile.pick h ~site candidates with
+     | None -> None
+     | Some f ->
+       note_fault t f;
+       (match f with
+        | Fault.Spurious_irq ->
+          raise_irq t;
+          recovered t f;
+          None
+        | Fault.Irq_storm ->
+          (* auto-mask bounds the storm; the vector unmasks at the next poll *)
+          for _ = 0 to storm_threshold + 7 do
+            raise_irq t
+          done;
+          recovered t f;
+          None
+        | _ -> Some f))
+
+let error_cap = 32
+
+let note_error t e =
+  t.error_count <- t.error_count + 1;
+  if List.length t.error_log < error_cap then t.error_log <- e :: t.error_log
+
+let errors t = List.rev t.error_log

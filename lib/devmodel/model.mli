@@ -3,7 +3,8 @@
     Every simulated device (ixgbe, NVMe, virtio-net, virtio-blk)
     registers one model at creation.  The model tracks the device's
     lifecycle state, a completion/IRQ/DMA ledger, and the optional
-    hostile engine, and is the evidence [Atmo_san.Driver_lint] checks:
+    hostile engine, the typed errors its driver absorbed, and is the
+    evidence [Atmo_san.Driver_lint] checks:
     at quiescence no device may be [Undefined], no DMA may have escaped
     the IOMMU window, pending IRQs must be bounded, and every delivered
     completion must have been harvested by its driver.
@@ -40,6 +41,10 @@ type t = {
   mutable escape_blocked : int;  (** of those, how many the IOMMU rejected *)
   mutable faults : int;
   mutable recoveries : int;
+  (* typed-error ledger *)
+  mutable error_log : Fault.error list;
+      (** the first 32 typed errors the driver absorbed, newest first *)
+  mutable error_count : int;  (** every typed error, past those 32 too *)
 }
 
 val storm_threshold : int
@@ -64,7 +69,11 @@ val inject : t -> site:string -> Fault.kind list -> Fault.kind option
 (** Consult the hostile engine at an injection site.  On injection the
     model enters [Recovering], the fault ledger and the
     [dev/<name>/faults] counter advance, and a [Dev_fault] event is
-    emitted (when tracing). *)
+    emitted (when tracing).  The interrupt faults are absorbed here,
+    the same for every device: [Spurious_irq] raises the vector once,
+    [Irq_storm] {!storm_threshold}[ + 8] times; either is then
+    {!recovered} and [inject] returns [None], so the site carries on as
+    if nothing was injected. *)
 
 val fault : t -> Fault.kind -> unit
 (** Record a device fault observed outside the hostile engine. *)
@@ -94,6 +103,14 @@ val note_escape : t -> blocked:bool -> unit
 (** The device attempted DMA outside its window; [blocked] says whether
     the IOMMU stopped it.  An unblocked escape is silent corruption and
     trips [drv-dma-escape]. *)
+
+(* Typed errors *)
+val note_error : t -> Fault.error -> unit
+(** The driver absorbed a typed error: count it, and log it while the
+    log holds fewer than 32. *)
+
+val errors : t -> Fault.error list
+(** The logged typed errors, oldest first. *)
 
 (* IRQs *)
 val raise_irq : t -> unit

@@ -48,17 +48,9 @@ type t = {
   mutable rx_drops : int;
   mutable rx_frames : int;
   mutable tx_frames : int;
-  mutable errors : Fault.error list;  (* newest first, capped *)
-  mutable error_count : int;
   rdesc : bytes;  (* the descriptor last read off a ring *)
   wdesc : bytes;  (* the descriptor being written to a ring *)
 }
-
-let error_cap = 32
-
-let note_error t e =
-  t.error_count <- t.error_count + 1;
-  if List.length t.errors < error_cap then t.errors <- e :: t.errors
 
 let create mem iommu ~device ~clock ~cost =
   {
@@ -76,16 +68,13 @@ let create mem iommu ~device ~clock ~cost =
     rx_drops = 0;
     rx_frames = 0;
     tx_frames = 0;
-    errors = [];
-    error_count = 0;
     rdesc = Bytes.make descriptor_bytes '\000';
     wdesc = Bytes.make descriptor_bytes '\000';
   }
 
 let model t = t.model
-let set_hostile t h = Model.set_hostile t.model h
-let errors t = List.rev t.errors
-let error_count t = t.error_count
+let errors t = Model.errors t.model
+let error_count t = t.model.Model.error_count
 
 (* All descriptor accesses are device-side: they go through the IOMMU,
    into and out of the device's two scratch descriptors.  [read_desc]
@@ -128,7 +117,7 @@ let setup_ring t ~ring_iova ~buffers ~flags =
       buffers;
     match !fault with
     | Some e ->
-      note_error t e;
+      Model.note_error t.model e;
       Error e
     | None -> Ok ring
   end
@@ -221,17 +210,6 @@ let wire_deliver t frame =
      | Some Fault.Short_desc ->
        (* zero-length completion: truncated past the point of use *)
        deliver_poisoned t ring ~len:0
-     | Some Fault.Spurious_irq ->
-       Model.raise_irq t.model;
-       Model.recovered t.model Fault.Spurious_irq;
-       deliver_into t ring frame
-     | Some Fault.Irq_storm ->
-       for _ = 0 to Model.storm_threshold + 7 do
-         Model.raise_irq t.model
-       done;
-       (* auto-mask bounds the storm; the vector unmasks at the next poll *)
-       Model.recovered t.model Fault.Irq_storm;
-       deliver_into t ring frame
      | Some Fault.Duplicate_completion ->
        let first = deliver_into t ring frame in
        if first then begin
@@ -247,9 +225,10 @@ let wire_deliver t frame =
        if blocked then Model.recovered t.model Fault.Dma_escape;
        t.rx_drops <- t.rx_drops + 1;
        false
-     | Some (Fault.Reorder_completion as f) ->
-       (* positional ring: reordering is not expressible; treat as a
-          well-behaved delivery after noting the attempt *)
+     | Some ((Fault.Reorder_completion | Fault.Spurious_irq | Fault.Irq_storm) as f) ->
+       (* positional ring: reordering is not expressible, and [inject]
+          absorbs the interrupt faults; a well-behaved delivery after
+          noting the attempt *)
        Model.recovered t.model f;
        deliver_into t ring frame)
 
@@ -268,7 +247,7 @@ let recycle t ring ~buf_iova ~cap =
   Model.note_harvest t.model 1
 
 let reject t e f =
-  note_error t e;
+  Model.note_error t.model e;
   Model.recovered t.model f
 
 let rx_burst t ~max =

@@ -13,77 +13,16 @@
     by the driver on transmit completion), bit 1 is OWN (owned by
     hardware).
 
-    The wire is modelled by {!wire_deliver} / {!wire_collect}; a 64-byte
-    line rate cap of 14.2 Mpps applies to the throughput model, not to
-    the functional path.
+    On delivery the device claims the next descriptor with OWN set,
+    DMA-writes the frame into its buffer, records the length and sets
+    DD; the driver harvests DD descriptors and hands them back with
+    OWN.  The wire is modelled by [wire_deliver] / [wire_collect]; a
+    64-byte line rate cap of 14.2 Mpps applies to the throughput model,
+    not to the functional path.  Hostile mode injects malformed/short
+    descriptors, spurious and storming IRQs, duplicated completions,
+    and DMA escapes. *)
 
-    The device runs behind an {!Atmo_devmodel.Model} state machine; with
-    a hostile engine attached ({!set_hostile}) the wire side injects
-    malformed/short descriptors, spurious and storming IRQs, duplicated
-    completions, and DMA escapes, all of which the driver absorbs as
-    typed {!Atmo_devmodel.Fault.error}s. *)
-
-type t
+include Backend.NIC
 
 val descriptor_bytes : int
 val line_rate_pps : float
-
-val create :
-  Atmo_hw.Phys_mem.t ->
-  Atmo_hw.Iommu.t ->
-  device:int ->
-  clock:Atmo_hw.Clock.t ->
-  cost:Atmo_sim.Cost.t ->
-  t
-
-val model : t -> Atmo_devmodel.Model.t
-val set_hostile : t -> Atmo_devmodel.Hostile.t option -> unit
-
-val errors : t -> Atmo_devmodel.Fault.error list
-(** Typed errors the driver absorbed, oldest first (capped). *)
-
-val error_count : t -> int
-
-val setup_rx :
-  t -> ring_iova:int -> buffers:(int * int) array -> (unit, Atmo_devmodel.Fault.error) result
-(** Program the receive ring: descriptor ring at [ring_iova], one
-    [(buffer iova, buffer length)] per slot, all slots handed to
-    hardware.  Fails if the ring or a descriptor write faults in the
-    IOMMU. *)
-
-val setup_tx :
-  t -> ring_iova:int -> buffers:(int * int) array -> (unit, Atmo_devmodel.Fault.error) result
-(** Program the transmit ring with one DMA buffer per slot; frames are
-    DMA-written into the slot buffer before they reach the wire. *)
-
-(** {2 Wire side (the cable)} *)
-
-val wire_deliver : t -> bytes -> bool
-(** A frame arrives: the device claims the next hardware-owned RX
-    descriptor, DMA-writes the frame into its buffer, records the
-    length and sets DD.  [false] (and a drop counted) when no
-    descriptor is available or the DMA faults. *)
-
-val wire_collect : t -> bytes list
-(** Drain frames the device has transmitted since the last call. *)
-
-val rx_drops : t -> int
-
-(** {2 Driver side} *)
-
-val rx_burst : t -> max:int -> bytes list
-(** Poll the RX ring: harvest up to [max] completed frames, recycle
-    their descriptors back to hardware, and acknowledge any pending
-    IRQs.  A completion that fails validation (zero length, length
-    beyond the slot's capacity, buffer the IOMMU rejects) is consumed,
-    recorded as a typed error, and its descriptor recycled — hostile
-    devices cannot wedge the ring.  Charges [cost.driver_per_packet]
-    per consumed descriptor to the clock. *)
-
-val tx_burst : t -> bytes list -> int
-(** Enqueue frames for transmission into free TX descriptors (the
-    device "sends" them immediately; {!wire_collect} observes them).
-    Returns the number accepted.  Charges per-packet driver cycles. *)
-
-val stats : t -> int * int
-(** (frames received by driver, frames transmitted). *)

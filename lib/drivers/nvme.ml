@@ -1,5 +1,4 @@
 module Clock = Atmo_hw.Clock
-module Cost = Atmo_sim.Cost
 module Obs = Atmo_obs.Sink
 module Event = Atmo_obs.Event
 module Span = Atmo_obs.Span
@@ -12,9 +11,9 @@ let submission_queue = 0
    completion and cached (no registry probe per completion). *)
 let io_hist = lazy (Atmo_obs.Metrics.histogram "lat/nvme_io")
 
-type op = Read | Write
+type op = Block.op = Read | Write
 
-type completion = {
+type completion = Block.completion = {
   tag : int;
   op : op;
   lba : int;
@@ -33,99 +32,58 @@ type pending = {
 
 type t = {
   clock : Clock.t;
-  cost : Cost.t;
+  store : Block.t;
   mutable device : int;  (* id carried by tracepoints *)
-  capacity_blocks : int;
-  blocks : (int, bytes) Hashtbl.t;
   model : Model.t;
   outstanding : (int, unit) Hashtbl.t;  (* tags submitted, not yet harvested *)
   mutable dropped : int list;  (* tags the drop plant discarded unharvested *)
   mutable queue : pending list;  (* oldest first *)
   mutable next_tag : int;  (* tags count up: [0, next_tag) were submitted *)
-  mutable last_read_slot : int;  (* rate limiting: next free device slot *)
-  mutable last_write_slot : int;
   mutable drop_completion_plant : bool;
-  mutable errors : Fault.error list;  (* newest first, capped *)
-  mutable error_count : int;
 }
 
-let block_bytes = 4096
+let block_bytes = Block.block_bytes
 let max_queue = 1024
-let error_cap = 32
 
 (* tags a glitching controller invents never collide with real ones *)
 let bogus_tag_offset = 0x10000
 
 let create ~clock ~cost ~capacity_blocks =
-  if capacity_blocks <= 0 then invalid_arg "Nvme.create: capacity <= 0";
   {
     clock;
-    cost;
+    store = Block.create ~clock ~cost ~capacity_blocks;
     device = 0;
-    capacity_blocks;
-    blocks = Hashtbl.create 1024;
     model = Model.register ~name:"nvme0" ~device:0 ~initial:Model.Ready;
     outstanding = Hashtbl.create 64;
     dropped = [];
     queue = [];
     next_tag = 0;
-    last_read_slot = 0;
-    last_write_slot = 0;
     drop_completion_plant = false;
-    errors = [];
-    error_count = 0;
   }
 
-let capacity_blocks t = t.capacity_blocks
 let queue_depth t = List.length t.queue
 
 let set_device t device =
   t.device <- device;
   t.model.Model.device <- device
 
-let device t = t.device
 let model t = t.model
-let set_hostile t h = Model.set_hostile t.model h
-let errors t = List.rev t.errors
-let error_count t = t.error_count
+let errors t = Model.errors t.model
+let error_count t = t.model.Model.error_count
 let set_drop_completion_plant t v = t.drop_completion_plant <- v
 
-let note_error t e =
-  t.error_count <- t.error_count + 1;
-  if List.length t.errors < error_cap then t.errors <- e :: t.errors
-
-(* Service model: a request completes after the device latency, and the
-   stream of same-kind requests is spaced by the rate cap (1/cap worth
-   of cycles each), whichever is later. *)
-let due_time t op =
-  let now = Clock.now t.clock in
-  let cap =
-    match op with
-    | Read -> t.cost.Cost.nvme_read_cap_iops
-    | Write ->
-      t.cost.Cost.nvme_write_cap_iops /. (1. +. t.cost.Cost.nvme_atmo_write_penalty)
-  in
-  let spacing = int_of_float (t.cost.Cost.frequency_hz /. cap) in
-  let latency = int_of_float (t.cost.Cost.nvme_read_latency_s *. t.cost.Cost.frequency_hz) in
-  let slot_ref = match op with Read -> t.last_read_slot | Write -> t.last_write_slot in
-  let slot = max now slot_ref in
-  (match op with
-   | Read -> t.last_read_slot <- slot + spacing
-   | Write -> t.last_write_slot <- slot + spacing);
-  slot + latency
-
 let submit t op ~lba ~data =
-  if lba < 0 || lba >= t.capacity_blocks then
-    Error (Fault.Lba_out_of_range { lba; capacity = t.capacity_blocks })
-  else if queue_depth t >= max_queue then Error Fault.Queue_full
-  else begin
+  match Block.check t.store ~lba ~data with
+  | Error e -> Error e
+  | Ok () when queue_depth t >= max_queue -> Error Fault.Queue_full
+  | Ok () ->
     let tag = t.next_tag in
     t.next_tag <- tag + 1;
     let submitted = Clock.now t.clock in
     t.queue <-
       t.queue
       @ [ { p_tag = tag; p_op = op; p_lba = lba; p_data = data; submitted;
-            due = due_time t op } ];
+            due = Block.due_time t.store op } ];
     Hashtbl.replace t.outstanding tag ();
     Model.note_submit t.model 1;
     Model.on_op t.model;
@@ -138,29 +96,20 @@ let submit t op ~lba ~data =
       Span.note_submit ~device:t.device ~tag ~span:sid
     end;
     Ok tag
-  end
 
 let submit_read t ~lba = submit t Read ~lba ~data:None
 
-let submit_write t ~lba ~data =
-  if Bytes.length data <> block_bytes then
-    Error (Fault.Bad_block_size { expected = block_bytes; got = Bytes.length data })
-  else submit t Write ~lba ~data:(Some (Bytes.copy data))
+(* the caller may reuse [data] before the write completes *)
+let submit_write t ~lba ~data = submit t Write ~lba ~data:(Some (Bytes.copy data))
 
 let complete t p =
   match p.p_op with
   | Write ->
-    (match p.p_data with
-     | Some d -> Hashtbl.replace t.blocks p.p_lba d
-     | None -> ());
+    (match p.p_data with Some d -> Block.write t.store ~lba:p.p_lba d | None -> ());
     { tag = p.p_tag; op = Write; lba = p.p_lba; ok = true; data = None }
   | Read ->
-    let data =
-      match Hashtbl.find_opt t.blocks p.p_lba with
-      | Some d -> Bytes.copy d
-      | None -> Bytes.make block_bytes '\000'
-    in
-    { tag = p.p_tag; op = Read; lba = p.p_lba; ok = true; data = Some data }
+    { tag = p.p_tag; op = Read; lba = p.p_lba; ok = true;
+      data = Some (Block.read t.store ~lba:p.p_lba) }
 
 let poll t =
   (* service the completion vector before touching the queue *)
@@ -194,18 +143,11 @@ let poll t =
         | Some Fault.Reorder_completion ->
           reorder := true;
           [ (p, real) ]
-        | Some Fault.Spurious_irq ->
-          Model.raise_irq t.model;
-          Model.recovered t.model Fault.Spurious_irq;
-          [ (p, real) ]
-        | Some Fault.Irq_storm ->
-          for _ = 0 to Model.storm_threshold + 7 do
-            Model.raise_irq t.model
-          done;
-          Model.recovered t.model Fault.Irq_storm;
-          [ (p, real) ]
-        | Some ((Fault.Short_desc | Fault.Dma_escape) as f) ->
-          (* not expressible on this queue pair *)
+        | Some
+            ((Fault.Short_desc | Fault.Dma_escape | Fault.Spurious_irq | Fault.Irq_storm)
+             as f) ->
+          (* not expressible on this queue pair; [inject] absorbs the
+             interrupt faults itself *)
           Model.recovered t.model f;
           [ (p, real) ])
       due
@@ -240,7 +182,7 @@ let poll t =
               (Fault.Duplicate_completion, Fault.Duplicate { tag = c.tag })
             else (Fault.Malformed_desc, Fault.Unknown_completion { tag = c.tag })
           in
-          note_error t err;
+          Model.note_error t.model err;
           Model.recovered t.model fault;
           None
         end)
@@ -268,7 +210,4 @@ let wait_all t =
     if latest > now then Clock.advance t.clock (latest - now);
     poll t
 
-let read_block_direct t ~lba =
-  match Hashtbl.find_opt t.blocks lba with
-  | Some d -> Bytes.copy d
-  | None -> Bytes.make block_bytes '\000'
+let read_block_direct t ~lba = Block.read t.store ~lba

@@ -1,15 +1,16 @@
 (** NVMe SSD model (PCIe-attached, P3700-class).
 
-    Submission/completion queue pairs over a block store of 4 KiB
-    blocks.  The device serves requests with a fixed per-op latency and
-    rate caps taken from the {!Atmo_sim.Cost} calibration (§6.5.2's
-    device maxima); completions become visible when the virtual clock
-    passes their due time, so polling drivers and the benchmark see the
-    same timing model the figures are computed from. *)
+    Submission/completion queue pairs over the shared {!Block} service
+    model: 4 KiB blocks served with a fixed per-op latency and rate
+    caps from the {!Atmo_sim.Cost} calibration; completions become
+    visible when the virtual clock passes their due time, so polling
+    drivers and the benchmark see the same timing model the figures are
+    computed from.  A hostile controller's completions with invented or
+    duplicated tags are dropped by tag. *)
 
-type op = Read | Write
+type op = Block.op = Read | Write
 
-type completion = {
+type completion = Block.completion = {
   tag : int;
   op : op;
   lba : int;
@@ -17,51 +18,15 @@ type completion = {
   data : bytes option;  (** block contents for successful reads *)
 }
 
-type t
+include Backend.BLOCK
 
-val block_bytes : int
 val create : clock:Atmo_hw.Clock.t -> cost:Atmo_sim.Cost.t -> capacity_blocks:int -> t
-
-val capacity_blocks : t -> int
-val queue_depth : t -> int
-(** Outstanding (submitted, not yet completed) requests. *)
 
 val set_device : t -> int -> unit
 (** Device id carried by the [Atmo_obs] doorbell/completion tracepoints
     (default 0). *)
 
-val device : t -> int
-
-val model : t -> Atmo_devmodel.Model.t
-val set_hostile : t -> Atmo_devmodel.Hostile.t option -> unit
-
-val errors : t -> Atmo_devmodel.Fault.error list
-(** Typed errors the driver absorbed (bogus/duplicate completion tags),
-    oldest first, capped. *)
-
-val error_count : t -> int
-
 val set_drop_completion_plant : t -> bool -> unit
 (** Plant a driver bug for the sanitizer: the next valid completion is
     silently skipped, which [Atmo_san.Driver_lint] must report as
     [drv-lost-completion]. *)
-
-val submit_read : t -> lba:int -> (int, Atmo_devmodel.Fault.error) result
-(** Returns the tag; fails on out-of-range LBA or full queue. *)
-
-val submit_write : t -> lba:int -> data:bytes -> (int, Atmo_devmodel.Fault.error) result
-(** [data] must be exactly one block. *)
-
-val poll : t -> completion list
-(** Harvest completions due at the current clock, oldest first.  Only
-    completions whose tag is actually outstanding are surfaced: a
-    hostile controller's invented or duplicated tags are dropped with a
-    typed error, and its interrupt glitches are acknowledged (storms
-    are bounded by the auto-mask in the device model). *)
-
-val wait_all : t -> completion list
-(** Advance the clock to drain every outstanding request (benchmark
-    convenience). *)
-
-val read_block_direct : t -> lba:int -> bytes
-(** Backdoor for tests: current contents of a block. *)

@@ -1,7 +1,6 @@
 module Phys_mem = Atmo_hw.Phys_mem
 module Iommu = Atmo_hw.Iommu
 module Clock = Atmo_hw.Clock
-module Cost = Atmo_sim.Cost
 module Obs = Atmo_obs.Sink
 module Event = Atmo_obs.Event
 module Span = Atmo_obs.Span
@@ -10,7 +9,7 @@ module Model = Atmo_devmodel.Model
 module Vring = Virtio_ring
 
 let submission_queue = 0
-let block_bytes = 4096
+let block_bytes = Block.block_bytes
 
 (* request type codes, per virtio-blk: 0 = VIRTIO_BLK_T_IN (device
    writes, i.e. a read), 1 = VIRTIO_BLK_T_OUT (a write) *)
@@ -23,15 +22,7 @@ let slot_bytes = header_bytes + block_bytes + 16
 
 let escape_iova = 0x7f00_0000_0000
 
-type op = Read | Write
-
-type completion = {
-  tag : int;
-  op : op;
-  lba : int;
-  ok : bool;
-  data : bytes option;
-}
+type op = Block.op = Read | Write
 
 (* device-side view of an accepted request *)
 type pending = {
@@ -54,9 +45,7 @@ type t = {
   iommu : Iommu.t;
   device : int;
   clock : Clock.t;
-  cost : Cost.t;
-  capacity_blocks : int;
-  blocks : (int, bytes) Hashtbl.t;
+  store : Block.t;
   model : Model.t;
   mutable vr : Vring.t option;
   mutable arena : int;  (* iova of the request arena *)
@@ -65,28 +54,15 @@ type t = {
   inflight : (int, inflight) Hashtbl.t;  (* slot -> driver record *)
   mutable pending : pending list;  (* device queue, oldest first *)
   mutable next_tag : int;
-  mutable last_read_slot : int;  (* rate limiting, as in Nvme *)
-  mutable last_write_slot : int;
-  mutable errors : Fault.error list;
-  mutable error_count : int;
 }
 
-let error_cap = 32
-
-let note_error t e =
-  t.error_count <- t.error_count + 1;
-  if List.length t.errors < error_cap then t.errors <- e :: t.errors
-
 let create mem iommu ~device ~clock ~cost ~capacity_blocks =
-  if capacity_blocks <= 0 then invalid_arg "Virtio_blk.create: capacity <= 0";
   {
     mem;
     iommu;
     device;
     clock;
-    cost;
-    capacity_blocks;
-    blocks = Hashtbl.create 1024;
+    store = Block.create ~clock ~cost ~capacity_blocks;
     model =
       Model.register ~name:(Printf.sprintf "virtio-blk%d" device) ~device
         ~initial:Model.Reset;
@@ -97,17 +73,11 @@ let create mem iommu ~device ~clock ~cost ~capacity_blocks =
     inflight = Hashtbl.create 64;
     pending = [];
     next_tag = 0;
-    last_read_slot = 0;
-    last_write_slot = 0;
-    errors = [];
-    error_count = 0;
   }
 
 let model t = t.model
-let set_hostile t h = Model.set_hostile t.model h
-let errors t = List.rev t.errors
-let error_count t = t.error_count
-let capacity_blocks t = t.capacity_blocks
+let errors t = Model.errors t.model
+let error_count t = t.model.Model.error_count
 let queue_depth t = Hashtbl.length t.inflight
 
 let dma t =
@@ -137,7 +107,7 @@ let setup t ~ring_iova ~arena_iova ~depth =
                probe)
     then begin
       let e = Fault.Dma_fault { iova = arena_iova; len = depth * slot_bytes } in
-      note_error t e;
+      Model.note_error t.model e;
       Error e
     end
     else begin
@@ -152,100 +122,76 @@ let setup t ~ring_iova ~arena_iova ~depth =
     end
   end
 
-(* Same service model as Nvme: device latency plus per-kind rate-cap
-   spacing, so both block backends share one virtual-clock timeline. *)
-let due_time t op =
-  let now = Clock.now t.clock in
-  let cap =
-    match op with
-    | Read -> t.cost.Cost.nvme_read_cap_iops
-    | Write ->
-      t.cost.Cost.nvme_write_cap_iops /. (1. +. t.cost.Cost.nvme_atmo_write_penalty)
-  in
-  let spacing = int_of_float (t.cost.Cost.frequency_hz /. cap) in
-  let latency = int_of_float (t.cost.Cost.nvme_read_latency_s *. t.cost.Cost.frequency_hz) in
-  let slot_ref = match op with Read -> t.last_read_slot | Write -> t.last_write_slot in
-  let slot = max now slot_ref in
-  (match op with
-   | Read -> t.last_read_slot <- slot + spacing
-   | Write -> t.last_write_slot <- slot + spacing);
-  slot + latency
-
 let submit t op ~lba ~data =
-  match t.vr with
-  | None -> Error (Fault.Bad_setup "queue not set up")
-  | Some vr ->
-    if lba < 0 || lba >= t.capacity_blocks then
-      Error (Fault.Lba_out_of_range { lba; capacity = t.capacity_blocks })
-    else begin
-      match Queue.take_opt t.free with
-      | None -> Error Fault.Queue_full
-      | Some slot ->
-        let fail e =
-          Queue.add slot t.free;
-          note_error t e;
-          Error e
+  match (Block.check t.store ~lba ~data, t.vr) with
+  | Error e, _ -> Error e
+  | Ok (), None -> Error (Fault.Bad_setup "queue not set up")
+  | Ok (), Some vr ->
+    match Queue.take_opt t.free with
+    | None -> Error Fault.Queue_full
+    | Some slot ->
+      let fail e =
+        Queue.add slot t.free;
+        Model.note_error t.model e;
+        Error e
+      in
+      (* header: type u32, reserved u32, sector u64 *)
+      let hdr = Bytes.make header_bytes '\000' in
+      Bytes.set_int32_le hdr 0 (Int32.of_int (match op with Read -> t_in | Write -> t_out));
+      Bytes.set_int64_le hdr 8 (Int64.of_int lba);
+      if not (Iommu.dma_write t.iommu ~device:t.device ~iova:(hdr_iova t slot) hdr) then
+        fail (Fault.Dma_fault { iova = hdr_iova t slot; len = header_bytes })
+      else begin
+        let data_ok =
+          match op, data with
+          | Write, Some d -> Iommu.dma_write t.iommu ~device:t.device ~iova:(data_iova t slot) d
+          | _ -> true
         in
-        (* header: type u32, reserved u32, sector u64 *)
-        let hdr = Bytes.make header_bytes '\000' in
-        Bytes.set_int32_le hdr 0 (Int32.of_int (match op with Read -> t_in | Write -> t_out));
-        Bytes.set_int64_le hdr 8 (Int64.of_int lba);
-        if not (Iommu.dma_write t.iommu ~device:t.device ~iova:(hdr_iova t slot) hdr) then
-          fail (Fault.Dma_fault { iova = hdr_iova t slot; len = header_bytes })
+        if not data_ok then
+          fail (Fault.Dma_fault { iova = data_iova t slot; len = block_bytes })
         else begin
-          let data_ok =
-            match op, data with
-            | Write, Some d -> Iommu.dma_write t.iommu ~device:t.device ~iova:(data_iova t slot) d
-            | _ -> true
+          let d0 = 3 * slot in
+          let data_flags =
+            Vring.flag_next lor (match op with Read -> Vring.flag_write | Write -> 0)
           in
-          if not data_ok then
-            fail (Fault.Dma_fault { iova = data_iova t slot; len = block_bytes })
-          else begin
-            let d0 = 3 * slot in
-            let data_flags =
-              Vring.flag_next lor (match op with Read -> Vring.flag_write | Write -> 0)
-            in
-            if
-              Vring.write_desc vr ~slot:d0 ~addr:(hdr_iova t slot) ~len:header_bytes
-                ~flags:Vring.flag_next ~next:(d0 + 1) ()
-              && Vring.write_desc vr ~slot:(d0 + 1) ~addr:(data_iova t slot)
-                   ~len:block_bytes ~flags:data_flags ~next:(d0 + 2) ()
-              && Vring.write_desc vr ~slot:(d0 + 2) ~addr:(status_iova t slot) ~len:1
-                   ~flags:Vring.flag_write ()
-              && Vring.push_avail vr ~head:d0
-            then begin
-              let tag = t.next_tag in
-              t.next_tag <- tag + 1;
-              Hashtbl.replace t.inflight slot
-                { i_tag = tag; i_op = op; i_lba = lba; i_submitted = Clock.now t.clock };
-              Model.note_submit t.model 1;
-              Model.on_op t.model;
-              (* device pops the chain at the doorbell and schedules it *)
-              (match Vring.device_pop_avail vr with
-               | Some head when head = d0 ->
-                 t.pending <-
-                   t.pending @ [ { d_slot = slot; d_op = op; d_lba = lba; d_due = due_time t op } ]
-               | _ ->
-                 (* chain the device cannot parse: fail the request *)
-                 Model.fault t.model Fault.Malformed_desc);
-              if Obs.tracing () then begin
-                let sid = Span.pair Span.Drv_submit in
-                Obs.emit_drv_doorbell ~device:t.device ~queue:submission_queue ();
-                Span.note_submit ~device:t.device ~tag ~span:sid
-              end;
-              Ok tag
-            end
-            else fail (Fault.Dma_fault { iova = hdr_iova t slot; len = header_bytes })
+          if
+            Vring.write_desc vr ~slot:d0 ~addr:(hdr_iova t slot) ~len:header_bytes
+              ~flags:Vring.flag_next ~next:(d0 + 1) ()
+            && Vring.write_desc vr ~slot:(d0 + 1) ~addr:(data_iova t slot)
+                 ~len:block_bytes ~flags:data_flags ~next:(d0 + 2) ()
+            && Vring.write_desc vr ~slot:(d0 + 2) ~addr:(status_iova t slot) ~len:1
+                 ~flags:Vring.flag_write ()
+            && Vring.push_avail vr ~head:d0
+          then begin
+            let tag = t.next_tag in
+            t.next_tag <- tag + 1;
+            Hashtbl.replace t.inflight slot
+              { i_tag = tag; i_op = op; i_lba = lba; i_submitted = Clock.now t.clock };
+            Model.note_submit t.model 1;
+            Model.on_op t.model;
+            (* device pops the chain at the doorbell and schedules it *)
+            (match Vring.device_pop_avail vr with
+             | Some head when head = d0 ->
+               t.pending <-
+                 t.pending
+                 @ [ { d_slot = slot; d_op = op; d_lba = lba;
+                       d_due = Block.due_time t.store op } ]
+             | _ ->
+               (* chain the device cannot parse: fail the request *)
+               Model.fault t.model Fault.Malformed_desc);
+            if Obs.tracing () then begin
+              let sid = Span.pair Span.Drv_submit in
+              Obs.emit_drv_doorbell ~device:t.device ~queue:submission_queue ();
+              Span.note_submit ~device:t.device ~tag ~span:sid
+            end;
+            Ok tag
           end
+          else fail (Fault.Dma_fault { iova = hdr_iova t slot; len = header_bytes })
         end
-    end
+      end
 
 let submit_read t ~lba = submit t Read ~lba ~data:None
-
-let submit_write t ~lba ~data =
-  if Bytes.length data <> block_bytes then
-    Error (Fault.Bad_block_size { expected = block_bytes; got = Bytes.length data })
-  else submit t Write ~lba ~data:(Some data)
+let submit_write t ~lba ~data = submit t Write ~lba ~data:(Some data)
 
 (* Device side: execute one due request against the block store and
    push its used entry. *)
@@ -253,15 +199,12 @@ let execute t vr p =
   (match p.d_op with
    | Write ->
      (match Iommu.dma_read t.iommu ~device:t.device ~iova:(data_iova t p.d_slot) ~len:block_bytes with
-      | Some d -> Hashtbl.replace t.blocks p.d_lba d
+      | Some d -> Block.write t.store ~lba:p.d_lba d
       | None -> ())
    | Read ->
-     let d =
-       match Hashtbl.find_opt t.blocks p.d_lba with
-       | Some d -> Bytes.copy d
-       | None -> Bytes.make block_bytes '\000'
-     in
-     ignore (Iommu.dma_write t.iommu ~device:t.device ~iova:(data_iova t p.d_slot) d));
+     ignore
+       (Iommu.dma_write t.iommu ~device:t.device ~iova:(data_iova t p.d_slot)
+          (Block.read t.store ~lba:p.d_lba)));
   ignore
     (Iommu.dma_write t.iommu ~device:t.device ~iova:(status_iova t p.d_slot)
        (Bytes.make 1 '\000'));
@@ -298,16 +241,6 @@ let poll t =
           Model.note_dup t.model;
           ignore (Vring.device_push_used vr ~id:(3 * p.d_slot) ~len:block_bytes)
         | Some Fault.Reorder_completion -> deferred := p :: !deferred
-        | Some Fault.Spurious_irq ->
-          Model.raise_irq t.model;
-          Model.recovered t.model Fault.Spurious_irq;
-          execute t vr p
-        | Some Fault.Irq_storm ->
-          for _ = 0 to Model.storm_threshold + 7 do
-            Model.raise_irq t.model
-          done;
-          Model.recovered t.model Fault.Irq_storm;
-          execute t vr p
         | Some Fault.Dma_escape ->
           (* a stray copy aimed outside the window, then the real op *)
           let blocked =
@@ -318,7 +251,9 @@ let poll t =
           Model.note_escape t.model ~blocked;
           if blocked then Model.recovered t.model Fault.Dma_escape;
           execute t vr p
-        | Some (Fault.Short_desc as f) ->
+        | Some ((Fault.Short_desc | Fault.Spurious_irq | Fault.Irq_storm) as f) ->
+          (* not expressible on this queue; [inject] absorbs the
+             interrupt faults itself *)
           Model.recovered t.model f;
           execute t vr p)
       due;
@@ -332,7 +267,8 @@ let poll t =
       | None -> List.rev acc
       | Some (id, _len) ->
         if id < 0 || id >= 3 * t.depth || id mod 3 <> 0 then begin
-          note_error t (Fault.Malformed { slot = id; detail = "used id out of range" });
+          Model.note_error t.model
+            (Fault.Malformed { slot = id; detail = "used id out of range" });
           Model.recovered t.model Fault.Malformed_desc;
           drain acc
         end
@@ -340,7 +276,7 @@ let poll t =
           let slot = id / 3 in
           match Hashtbl.find_opt t.inflight slot with
           | None ->
-            note_error t (Fault.Duplicate { tag = slot });
+            Model.note_error t.model (Fault.Duplicate { tag = slot });
             Model.recovered t.model Fault.Duplicate_completion;
             drain acc
           | Some i ->
@@ -372,7 +308,8 @@ let poll t =
                 ~dst:sid
             end;
             drain
-              ({ tag = i.i_tag; op = i.i_op; lba = i.i_lba; ok = status = 0; data } :: acc)
+              ({ Block.tag = i.i_tag; op = i.i_op; lba = i.i_lba; ok = status = 0; data }
+               :: acc)
         end
     in
     let completions = drain [] in
@@ -389,7 +326,4 @@ let wait_all t =
     if latest > now then Clock.advance t.clock (latest - now);
     poll t
 
-let read_block_direct t ~lba =
-  match Hashtbl.find_opt t.blocks lba with
-  | Some d -> Bytes.copy d
-  | None -> Bytes.make block_bytes '\000'
+let read_block_direct t ~lba = Block.read t.store ~lba

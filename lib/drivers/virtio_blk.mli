@@ -5,28 +5,17 @@
     is a classic three-descriptor chain in guest memory — a 16-byte
     header (type, sector), the 4 KiB data buffer, and a one-byte status
     — all reached by IOTLB-mediated DMA, so the IOMMU window bounds
-    every byte the device can touch.  The service-time model (latency +
-    rate caps) is identical to {!Nvme}, so a workload sees the same
-    virtual-clock timeline on either backend.
+    every byte the device can touch.  Requests are validated, timed and
+    served by the {!Block} service model {!Nvme} uses too, so a
+    workload sees the same virtual-clock timeline on either backend.
 
     [setup] must be called before the first submit: [ring_iova] names
     a region covering [Virtio_ring.layout ~qsz:(3 * queue_depth)]
     bytes, and [arena_iova] a region of [queue_depth * slot_bytes]
     bytes holding the per-request header/data/status blocks. *)
 
-type op = Read | Write
+include Backend.BLOCK
 
-type completion = {
-  tag : int;
-  op : op;
-  lba : int;
-  ok : bool;
-  data : bytes option;  (** block contents for successful reads *)
-}
-
-type t
-
-val block_bytes : int
 val slot_bytes : int
 (** Arena footprint of one in-flight request: header + block + status. *)
 
@@ -39,24 +28,5 @@ val create :
   capacity_blocks:int ->
   t
 
-val model : t -> Atmo_devmodel.Model.t
-val set_hostile : t -> Atmo_devmodel.Hostile.t option -> unit
-val errors : t -> Atmo_devmodel.Fault.error list
-val error_count : t -> int
-
-val capacity_blocks : t -> int
-val queue_depth : t -> int
-(** Outstanding (submitted, not yet harvested) requests. *)
-
 val setup :
   t -> ring_iova:int -> arena_iova:int -> depth:int -> (unit, Atmo_devmodel.Fault.error) result
-
-val submit_read : t -> lba:int -> (int, Atmo_devmodel.Fault.error) result
-val submit_write : t -> lba:int -> data:bytes -> (int, Atmo_devmodel.Fault.error) result
-
-val poll : t -> completion list
-(** Harvest completions due at the current clock.  Used-ring entries
-    with invented or duplicated ids are dropped with a typed error. *)
-
-val wait_all : t -> completion list
-val read_block_direct : t -> lba:int -> bytes

@@ -34,15 +34,7 @@ type t = {
   mutable rx_drops : int;
   mutable rx_frames : int;
   mutable tx_frames : int;
-  mutable errors : Fault.error list;  (* newest first, capped *)
-  mutable error_count : int;
 }
-
-let error_cap = 32
-
-let note_error t e =
-  t.error_count <- t.error_count + 1;
-  if List.length t.errors < error_cap then t.errors <- e :: t.errors
 
 let create mem iommu ~device ~clock ~cost =
   {
@@ -60,14 +52,11 @@ let create mem iommu ~device ~clock ~cost =
     rx_drops = 0;
     rx_frames = 0;
     tx_frames = 0;
-    errors = [];
-    error_count = 0;
   }
 
 let model t = t.model
-let set_hostile t h = Model.set_hostile t.model h
-let errors t = List.rev t.errors
-let error_count t = t.error_count
+let errors t = Model.errors t.model
+let error_count t = t.model.Model.error_count
 
 let dma t =
   {
@@ -93,7 +82,7 @@ let setup_queue t ~ring_iova ~buffers ~desc_flags ~post =
       buffers;
     match !fault with
     | Some e ->
-      note_error t e;
+      Model.note_error t.model e;
       Error e
     | None ->
       let free = Queue.create () in
@@ -179,16 +168,6 @@ let wire_deliver t frame =
         | None -> ());
        t.rx_drops <- t.rx_drops + 1;
        false
-     | Some Fault.Spurious_irq ->
-       Model.raise_irq t.model;
-       Model.recovered t.model Fault.Spurious_irq;
-       deliver t q frame
-     | Some Fault.Irq_storm ->
-       for _ = 0 to Model.storm_threshold + 7 do
-         Model.raise_irq t.model
-       done;
-       Model.recovered t.model Fault.Irq_storm;
-       deliver t q frame
      | Some Fault.Duplicate_completion ->
        (match deliver_into t q frame with
         | None -> false
@@ -205,7 +184,9 @@ let wire_deliver t frame =
        if blocked then Model.recovered t.model Fault.Dma_escape;
        t.rx_drops <- t.rx_drops + 1;
        false
-     | Some (Fault.Reorder_completion as f) ->
+     | Some ((Fault.Reorder_completion | Fault.Spurious_irq | Fault.Irq_storm) as f) ->
+       (* not expressible on a virtqueue, and [inject] absorbs the
+          interrupt faults *)
        Model.recovered t.model f;
        deliver t q frame)
 
@@ -231,7 +212,7 @@ let rx_burst t ~max =
         | Some (id, len) ->
           Clock.advance t.clock t.cost.Cost.driver_per_packet;
           let reject e f =
-            note_error t e;
+            Model.note_error t.model e;
             Model.note_harvest t.model 1;
             Model.recovered t.model f;
             harvest acc (n + 1)

@@ -1,53 +1,11 @@
 (** Virtio-net device model over a split virtqueue.
 
-    Same driver signature as {!Ixgbe} — create, program RX/TX with
-    [(buffer iova, capacity)] arrays, deliver/collect on the wire side,
-    [rx_burst]/[tx_burst] on the driver side — but the rings are real
-    virtio 1.0 split virtqueues ({!Virtio_ring}) living in guest memory
-    behind the IOMMU, so the kv/Maglev workload runs on either NIC
-    backend unchanged.  The queue region passed as [ring_iova] must
-    cover [Virtio_ring.layout ~qsz:(Array.length buffers)] bytes.
+    The same {!Backend.NIC} as {!Ixgbe}, but the rings are real virtio
+    1.0 split virtqueues ({!Virtio_ring}) living in guest memory behind
+    the IOMMU, so the kv/Maglev workload runs on either NIC backend
+    unchanged.  The queue region passed as [ring_iova] must cover
+    [Virtio_ring.layout ~qsz:(Array.length buffers)] bytes.  Hostile
+    mode injects the same fault kinds as the ixgbe model, as used-ring
+    entries. *)
 
-    Runs behind an {!Atmo_devmodel.Model}; hostile mode injects the
-    same fault kinds as the ixgbe model (malformed/short used entries,
-    spurious and storming IRQs, duplicated completions, DMA escapes). *)
-
-type t
-
-val create :
-  Atmo_hw.Phys_mem.t ->
-  Atmo_hw.Iommu.t ->
-  device:int ->
-  clock:Atmo_hw.Clock.t ->
-  cost:Atmo_sim.Cost.t ->
-  t
-
-val model : t -> Atmo_devmodel.Model.t
-val set_hostile : t -> Atmo_devmodel.Hostile.t option -> unit
-val errors : t -> Atmo_devmodel.Fault.error list
-val error_count : t -> int
-
-val setup_rx :
-  t -> ring_iova:int -> buffers:(int * int) array -> (unit, Atmo_devmodel.Fault.error) result
-(** Build the RX virtqueue at [ring_iova] (descriptor table, avail and
-    used rings) and post every buffer as a device-writable descriptor. *)
-
-val setup_tx :
-  t -> ring_iova:int -> buffers:(int * int) array -> (unit, Atmo_devmodel.Fault.error) result
-
-val wire_deliver : t -> bytes -> bool
-(** A frame arrives: the device pops the next available descriptor,
-    DMA-writes the frame, and pushes a used-ring entry. *)
-
-val wire_collect : t -> bytes list
-val rx_drops : t -> int
-
-val rx_burst : t -> max:int -> bytes list
-(** Poll the used ring: harvest up to [max] frames, repost their
-    buffers, acknowledge IRQs.  Garbage used entries (bad id, zero or
-    oversized length, unmapped buffer) are consumed with a typed error
-    and never wedge the queue.  Charges [cost.driver_per_packet] per
-    consumed entry. *)
-
-val tx_burst : t -> bytes list -> int
-val stats : t -> int * int
+include Backend.NIC

@@ -431,8 +431,11 @@ let spec_close_endpoint ~(pre : A.t) ~(post : A.t) ~thread ~slot : ck =
          @& unchanged_bundle ~threads:(Iset.singleton thread) ~edpts:(Iset.singleton ep)
               pre post)
 
-(* grants as seen from the spec: what the receiver gains *)
-let grant_clauses ~(pre : A.t) ~(post : A.t) ~sender ~receiver ~(msg : Message.t) : ck =
+(* grants as seen from the spec: what the receiver gains.  [rendezvous]
+   is the endpoint the message went through, with the record the
+   rendezvous alone leaves it (its queue popped). *)
+let grant_clauses ~(pre : A.t) ~(post : A.t) ~sender ~receiver ~(msg : Message.t)
+    ~rendezvous:(ep, (popped : A.aendpoint)) : ck =
   let s_th = Imap.find sender pre.A.threads in
   let r_th = Imap.find receiver pre.A.threads in
   let r_proc = r_th.A.at_owner_proc in
@@ -488,6 +491,9 @@ let grant_clauses ~(pre : A.t) ~(post : A.t) ~sender ~receiver ~(msg : Message.t
          @& c "ipc/endpoint_refcount"
               (match (Imap.find_opt ep2 pre.A.endpoints, Imap.find_opt ep2 post.A.endpoints) with
                | Some e, Some e' ->
+                 (* granting the rendezvous endpoint itself: its one
+                    record carries the popped queue and the new reference *)
+                 let e = if ep2 = ep then popped else e in
                  A.equal_aendpoint e' { e with A.ae_refcount = e.A.ae_refcount + 1 }
                | _ -> false))
   in
@@ -558,6 +564,7 @@ let spec_send ~(pre : A.t) ~(post : A.t) ~thread ~slot ~(msg : Message.t)
                        }
                    | None -> false)
              @& grant_clauses ~pre ~post ~sender:thread ~receiver ~msg
+                  ~rendezvous:(ep, { pre_e with A.ae_recv_queue = rest })
              @& c "send/threads_frame"
                   (A.threads_unchanged_except pre post touched_threads)
              @& c "send/endpoints_frame" (A.endpoints_unchanged_except pre post touched_edpts)
@@ -691,6 +698,7 @@ let spec_recv ~(pre : A.t) ~(post : A.t) ~thread ~slot (ret : Syscall.ret) : ck 
                      && (match r.A.at_msg with Some m -> eq_msg m msg | None -> false)
                    | None -> false)
              @& grant_clauses ~pre ~post ~sender ~receiver:thread ~msg
+                  ~rendezvous:(ep, { pre_e with A.ae_send_queue = rest })
              @& c "recv/threads_frame"
                   (A.threads_unchanged_except pre post touched_threads)
              @& c "recv/endpoints_frame" (A.endpoints_unchanged_except pre post touched_edpts)

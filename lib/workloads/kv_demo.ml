@@ -28,13 +28,7 @@ module Message = Atmo_pm.Message
 module Sink = Atmo_obs.Sink
 module Span = Atmo_obs.Span
 module Clock = Atmo_hw.Clock
-module Nvme = Atmo_drivers.Nvme
-module Ixgbe = Atmo_drivers.Ixgbe
-module Virtio_net = Atmo_drivers.Virtio_net
-module Virtio_blk = Atmo_drivers.Virtio_blk
-module Virtio_ring = Atmo_drivers.Virtio_ring
 module Fault = Atmo_devmodel.Fault
-module Phys_mem = Atmo_hw.Phys_mem
 module Packet = Atmo_net.Packet
 module Kv_store = Atmo_net.Kv_store
 module Maglev = Atmo_net.Maglev
@@ -100,89 +94,17 @@ let key_of i = Bytes.of_string (Printf.sprintf "k%05d" (i mod keys))
 let lba_of i = 1 + (i mod keys)
 
 (* ------------------------------------------------------------------ *)
-(* Interchangeable device backends.  Each backend that DMAs lives in its
-   own standalone device environment (memory, identity page table,
-   IOMMU domain) so the workload kernel's memory accounting is
-   untouched; both backends of a kind charge the virtual clock
-   identically, so swapping one for the other must not move a single
-   cycle. *)
+(* Device backends.  Each is a {!Device_env} handle, so the workload
+   runs unchanged on either backend of a kind; both backends of a kind
+   charge the virtual clock identically, so swapping one for the other
+   must not move a single cycle.
 
-type blk = Blk_nvme of Nvme.t | Blk_virtio of Virtio_blk.t
-type nic = Nic_ixgbe of Ixgbe.t | Nic_virtio of Virtio_net.t
-
-let blk_queue_depth = 32
-
-let mk_blk backend ~clock ~cost =
-  match backend with
-  | `Nvme ->
-    let nvme = Nvme.create ~clock ~cost ~capacity_blocks:1024 in
-    Nvme.set_device nvme 7;
-    Blk_nvme nvme
-  | `Virtio ->
-    let mem, iommu, span = Device_env.mk_dma_env ~page_count:64 ~device:7 in
-    let blk = Virtio_blk.create mem iommu ~device:7 ~clock ~cost ~capacity_blocks:1024 in
-    let _, _, _, ring_bytes =
-      Virtio_ring.layout ~qsz:(3 * blk_queue_depth) ~base:0
-    in
-    let ring_iova = span ring_bytes in
-    let arena_iova = span (blk_queue_depth * Virtio_blk.slot_bytes) in
-    (match Virtio_blk.setup blk ~ring_iova ~arena_iova ~depth:blk_queue_depth with
-     | Ok () -> ()
-     | Error e -> Fmt.failwith "kv_demo: virtio-blk setup: %s" (Fault.error_to_string e));
-    Blk_virtio blk
-
-let blk_write b ~lba ~data =
-  match b with
-  | Blk_nvme d -> Result.map ignore (Nvme.submit_write d ~lba ~data)
-  | Blk_virtio d -> Result.map ignore (Virtio_blk.submit_write d ~lba ~data)
-
-let blk_read b ~lba =
-  match b with
-  | Blk_nvme d -> Result.map ignore (Nvme.submit_read d ~lba)
-  | Blk_virtio d -> Result.map ignore (Virtio_blk.submit_read d ~lba)
-
-let blk_wait b =
-  match b with
-  | Blk_nvme d -> ignore (Nvme.wait_all d)
-  | Blk_virtio d -> ignore (Virtio_blk.wait_all d)
-
-(* The optional NIC loop: when a NIC backend is selected, every request
+   The optional NIC loop: when a NIC backend is selected, every request
    and reply payload additionally travels as an Ethernet frame through
    the device — driver tx, the wire, device rx DMA — and the bytes the
    far side decodes are the ones harvested from the RX ring. *)
-let nic_slots = 8
-let nic_buf_bytes = 2048
 
-let mk_nic backend ~clock ~cost =
-  let mem_pages = 64 in
-  let mk_rings span =
-    let ring () = span Phys_mem.page_size in
-    let bufs () = Array.init nic_slots (fun _ -> (span nic_buf_bytes, nic_buf_bytes)) in
-    let rx_ring = ring () in
-    let rx_bufs = bufs () in
-    let tx_ring = ring () in
-    let tx_bufs = bufs () in
-    (rx_ring, rx_bufs, tx_ring, tx_bufs)
-  in
-  let fail what = function
-    | Ok () -> ()
-    | Error e -> Fmt.failwith "kv_demo: %s: %s" what (Fault.error_to_string e)
-  in
-  match backend with
-  | `Ixgbe ->
-    let mem, iommu, span = Device_env.mk_dma_env ~page_count:mem_pages ~device:3 in
-    let nic = Ixgbe.create mem iommu ~device:3 ~clock ~cost in
-    let rx_ring, rx_bufs, tx_ring, tx_bufs = mk_rings span in
-    fail "ixgbe setup_rx" (Ixgbe.setup_rx nic ~ring_iova:rx_ring ~buffers:rx_bufs);
-    fail "ixgbe setup_tx" (Ixgbe.setup_tx nic ~ring_iova:tx_ring ~buffers:tx_bufs);
-    Nic_ixgbe nic
-  | `Virtio ->
-    let mem, iommu, span = Device_env.mk_dma_env ~page_count:mem_pages ~device:3 in
-    let nic = Virtio_net.create mem iommu ~device:3 ~clock ~cost in
-    let rx_ring, rx_bufs, tx_ring, tx_bufs = mk_rings span in
-    fail "virtio-net setup_rx" (Virtio_net.setup_rx nic ~ring_iova:rx_ring ~buffers:rx_bufs);
-    fail "virtio-net setup_tx" (Virtio_net.setup_tx nic ~ring_iova:tx_ring ~buffers:tx_bufs);
-    Nic_virtio nic
+let nic_slots = 8
 
 let nic_flow = lazy (Packet.flow_of_ints ~src:0x0a00_0001 ~dst:0x0a00_0002 ~sport:7777 ~dport:11211)
 
@@ -191,19 +113,10 @@ let nic_flow = lazy (Packet.flow_of_ints ~src:0x0a00_0001 ~dst:0x0a00_0002 ~spor
    payload as decoded from the received frame. *)
 let nic_transfer nic payload =
   let frame = Packet.build (Lazy.force nic_flow) ~payload in
-  let sent, collected, harvested =
-    match nic with
-    | Nic_ixgbe n ->
-      let sent = Ixgbe.tx_burst n [ frame ] in
-      let wire = Ixgbe.wire_collect n in
-      List.iter (fun f -> ignore (Ixgbe.wire_deliver n f)) wire;
-      (sent, wire, Ixgbe.rx_burst n ~max:nic_slots)
-    | Nic_virtio n ->
-      let sent = Virtio_net.tx_burst n [ frame ] in
-      let wire = Virtio_net.wire_collect n in
-      List.iter (fun f -> ignore (Virtio_net.wire_deliver n f)) wire;
-      (sent, wire, Virtio_net.rx_burst n ~max:nic_slots)
-  in
+  let sent = Device_env.nic_tx nic [ frame ] in
+  let collected = Device_env.nic_collect nic in
+  List.iter (fun f -> ignore (Device_env.nic_deliver nic f)) collected;
+  let harvested = Device_env.nic_rx nic ~max:nic_slots in
   match (sent, collected, harvested) with
   | 1, [ _ ], [ rxf ] ->
     (match Packet.payload rxf with
@@ -216,15 +129,17 @@ let nic_transfer nic payload =
 let run ?(requests = 16) ?(entries = 256) ?(blk = `Nvme) ?nic ?(slow_every = 0)
     ?(slow_cycles = 0) () =
   let cost = Atmo_sim.Cost.default in
+  (* the clock goes in before the boot, so the boot's events carry this
+     run's time, not whatever clock an earlier run left installed *)
+  let dclock = Clock.create () in
+  let tracing = Sink.tracing () in
+  if tracing then Sink.set_clock (fun () -> Clock.now dclock);
   let k, init =
     match Kernel.boot Kernel.default_boot with
     | Ok v -> v
     | Error e -> Fmt.failwith "kv_demo: boot: %a" Atmo_util.Errno.pp e
   in
   let pm = k.Kernel.pm in
-  let dclock = Clock.create () in
-  let tracing = Sink.tracing () in
-  if tracing then Sink.set_clock (fun () -> Clock.now dclock);
   let owner thread =
     (Kernel.container_of_thread k ~thread, Kernel.proc_of_thread k ~thread)
   in
@@ -283,19 +198,25 @@ let run ?(requests = 16) ?(entries = 256) ?(blk = `Nvme) ?nic ?(slow_every = 0)
   let maglev = Maglev.create ~backends ~table_size:31 in
   let stores = List.map (fun b -> (b, Kv_store.create ~entries)) backends in
   let shard_of key = List.assoc (Maglev.lookup maglev (Atmo_net.Fnv.hash64 key)) stores in
-  let blkdev = mk_blk blk ~clock:dclock ~cost in
-  let nicdev = Option.map (fun b -> mk_nic b ~clock:dclock ~cost) nic in
-  let block = Bytes.make Nvme.block_bytes 'v' in
+  let blkdev =
+    Device_env.blk ~kind:blk ~device:7 ~depth:32 ~capacity_blocks:1024 ~clock:dclock ~cost
+  in
+  let nicdev =
+    Option.map
+      (fun kind -> Device_env.nic ~kind ~device:3 ~slots:nic_slots ~clock:dclock ~cost)
+      nic
+  in
+  let block = Bytes.make Atmo_drivers.Block.block_bytes 'v' in
   for i = 0 to keys - 1 do
     let key = key_of i in
     let value = Bytes.of_string (string_of_int (lba_of i)) in
     if not (Kv_store.set (shard_of key) ~key ~value) then
       Fmt.failwith "kv_demo: preload overflowed a %d-entry shard" entries;
-    (match blk_write blkdev ~lba:(lba_of i) ~data:block with
-     | Ok () -> ()
+    (match Device_env.blk_write blkdev ~lba:(lba_of i) ~data:block with
+     | Ok _ -> ()
      | Error e -> Fmt.failwith "kv_demo: preload write: %s" (Fault.error_to_string e))
   done;
-  blk_wait blkdev;
+  ignore (Device_env.blk_wait blkdev);
   (* the request loop *)
   let hits = ref 0 in
   let latencies = ref [] in
@@ -354,8 +275,8 @@ let run ?(requests = 16) ?(entries = 256) ?(blk = `Nvme) ?nic ?(slow_every = 0)
            (* fetch the backing block: driver submit/complete spans and
               the submit→completion causal edge come from the driver *)
            let lba = int_of_string (Bytes.to_string value) in
-           (match blk_read blkdev ~lba with
-            | Ok () -> blk_wait blkdev
+           (match Device_env.blk_read blkdev ~lba with
+            | Ok _ -> ignore (Device_env.blk_wait blkdev)
             | Error e -> Fmt.failwith "kv_demo: block read: %s" (Fault.error_to_string e));
            Kv_store.Value value
          | None -> Kv_store.Not_found)

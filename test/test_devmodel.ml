@@ -9,11 +9,7 @@
 module Fault = Atmo_devmodel.Fault
 module Hostile = Atmo_devmodel.Hostile
 module Model = Atmo_devmodel.Model
-module Ixgbe = Atmo_drivers.Ixgbe
-module Virtio_net = Atmo_drivers.Virtio_net
-module Virtio_blk = Atmo_drivers.Virtio_blk
-module Virtio_ring = Atmo_drivers.Virtio_ring
-module Phys_mem = Atmo_hw.Phys_mem
+module Block = Atmo_drivers.Block
 module Clock = Atmo_hw.Clock
 module Kernel = Atmo_core.Kernel
 module Event = Atmo_obs.Event
@@ -129,17 +125,70 @@ let test_irq_storm_auto_mask () =
       | None -> Alcotest.fail "drv-irq-storm not filed"
       | Some _ -> ())
 
+(* One device after its hostile sweep: its model's name and state, the
+   typed errors its driver absorbed, then the model's ledger —
+   submitted, delivered, harvested, duplicates, IRQs raised/acked, DMA
+   escapes attempted/blocked, faults, recoveries. *)
+let ledger absorbed (m : Model.t) =
+  Printf.sprintf
+    "%s %s absorbed=%d sub=%d del=%d harv=%d dup=%d irq=%d/%d esc=%d/%d faults=%d rec=%d"
+    m.Model.name (Model.state_name m.Model.state) absorbed m.Model.submitted
+    m.Model.delivered m.Model.harvested m.Model.dup_delivered m.Model.irq_raised
+    m.Model.irq_acked m.Model.escape_attempts m.Model.escape_blocked m.Model.faults
+    m.Model.recoveries
+
+(* Each device's 200-step sweep at the seed [Device_env.hostile_sweep
+   ~seed] gives it.  Literals, so that a change to one driver's fault
+   handling, to the shared error ledger or to the interrupt faults
+   shows up as the device and figure it moved. *)
+let sweep_pins =
+  [
+    ( 7,
+      [
+        "ixgbe11 active absorbed=10 sub=50 del=251 harv=251 dup=8 irq=519/519 esc=7/7 faults=40 rec=32";
+        "virtio-net14 recovering absorbed=20 sub=50 del=250 harv=250 dup=5 irq=650/650 esc=5/5 faults=50 rec=45";
+        "nvme0 active absorbed=22 sub=200 del=200 harv=200 dup=8 irq=64/64 esc=0/0 faults=50 rec=39";
+        "virtio-blk13 active absorbed=14 sub=189 del=189 harv=189 dup=9 irq=325/325 esc=5/5 faults=38 rec=38";
+      ] );
+    ( 101,
+      [
+        "ixgbe11 active absorbed=18 sub=50 del=249 harv=249 dup=7 irq=519/519 esc=8/8 faults=48 rec=41";
+        "virtio-net14 active absorbed=18 sub=50 del=250 harv=250 dup=4 irq=461/461 esc=4/4 faults=46 rec=42";
+        "nvme0 active absorbed=21 sub=200 del=200 harv=200 dup=14 irq=64/64 esc=0/0 faults=48 rec=35";
+        "virtio-blk13 active absorbed=13 sub=189 del=189 harv=189 dup=8 irq=579/579 esc=11/11 faults=48 rec=46";
+      ] );
+    ( 2026,
+      [
+        "ixgbe11 active absorbed=19 sub=50 del=253 harv=253 dup=10 irq=774/774 esc=7/7 faults=54 rec=44";
+        "virtio-net14 recovering absorbed=16 sub=50 del=247 harv=247 dup=6 irq=454/454 esc=9/9 faults=44 rec=38";
+        "nvme0 active absorbed=28 sub=200 del=200 harv=200 dup=17 irq=64/64 esc=0/0 faults=54 rec=46";
+        "virtio-blk13 active absorbed=17 sub=189 del=189 harv=189 dup=10 irq=387/387 esc=4/4 faults=44 rec=43";
+      ] );
+  ]
+
 (* The headline property: a full seeded fault sweep over all four
-   devices never raises, and after the drain Driver_lint has nothing to
-   say — no undefined state, no escaped DMA, no storm, no lost
-   completion. *)
+   devices never raises, absorbs exactly the pinned typed errors, and
+   after the drain Driver_lint has nothing to say — no undefined state,
+   no escaped DMA, no storm, no lost completion. *)
 let test_hostile_sweep_survives () =
   let k = boot () in
   List.iter
-    (fun seed ->
+    (fun (seed, pins) ->
       with_clean_models (fun () ->
-          let absorbed = Device_env.hostile_sweep ~seed ~steps:200 in
-          checkb "some faults were absorbed as typed errors" true (absorbed > 0);
+          let absorbed =
+            List.map
+              (fun sweep -> sweep ~steps:200)
+              [
+                Device_env.hostile_nic_sweep ~seed ~kind:`Ixgbe;
+                Device_env.hostile_nic_sweep ~seed:(seed + 1) ~kind:`Virtio;
+                Device_env.hostile_blk_sweep ~seed:(seed + 2) ~kind:`Nvme;
+                Device_env.hostile_blk_sweep ~seed:(seed + 3) ~kind:`Virtio;
+              ]
+          in
+          Alcotest.(check (list string))
+            (Printf.sprintf "seed %d ledgers" seed)
+            pins
+            (List.map2 ledger absorbed (Model.all ()));
           checki "lint clean after drain" 0 (Driver_lint.lint k);
           checkb "no device left non-quiescent" true
             (List.for_all
@@ -147,7 +196,7 @@ let test_hostile_sweep_survives () =
                  m.Model.state <> Model.Undefined
                  && m.Model.delivered = m.Model.harvested)
                (Model.all ()))))
-    [ 7; 101; 2026 ]
+    sweep_pins
 
 (* Hostile faults surface as Dev_fault flight-recorder events. *)
 let test_hostile_faults_traced () =
@@ -174,27 +223,10 @@ let test_hostile_faults_traced () =
    ixgbe delivers, on the same virtual-clock timeline. *)
 
 let nic_pump ~kind ~frames =
-  let cost = Atmo_sim.Cost.default in
   let clock = Clock.create () in
   let slots = 8 in
-  let device = match kind with `Ixgbe -> 11 | `Virtio -> 14 in
-  let mem, iommu, span = Device_env.mk_dma_env ~page_count:128 ~device in
-  let buffers () = Array.init slots (fun _ -> (span 2048, 2048)) in
-  let deliver, rx =
-    match kind with
-    | `Ixgbe ->
-      let nic = Ixgbe.create mem iommu ~device ~clock ~cost in
-      (match Ixgbe.setup_rx nic ~ring_iova:(span Phys_mem.page_size) ~buffers:(buffers ()) with
-      | Ok () -> ()
-      | Error e -> Alcotest.fail (Fault.error_to_string e));
-      ((fun f -> Ixgbe.wire_deliver nic f), fun () -> Ixgbe.rx_burst nic ~max:slots)
-    | `Virtio ->
-      let nic = Virtio_net.create mem iommu ~device ~clock ~cost in
-      (match Virtio_net.setup_rx nic ~ring_iova:(span Phys_mem.page_size) ~buffers:(buffers ()) with
-      | Ok () -> ()
-      | Error e -> Alcotest.fail (Fault.error_to_string e));
-      ((fun f -> Virtio_net.wire_deliver nic f), fun () -> Virtio_net.rx_burst nic ~max:slots)
-  in
+  let nic = Device_env.nic ~kind ~device:11 ~slots ~clock ~cost:Atmo_sim.Cost.default in
+  let deliver = Device_env.nic_deliver nic and rx () = Device_env.nic_rx nic ~max:slots in
   let got = ref [] in
   for i = 1 to frames do
     let frame = Bytes.make 64 (Char.chr (i mod 256)) in
@@ -219,14 +251,46 @@ let test_nic_delivery_identity () =
       checkb "payloads bit-identical" true (ixg = vio);
       checki "cycle timelines identical" ixg_cycles vio_cycles)
 
+let digest_of to_s l = Digest.to_hex (Digest.string (String.concat "," (List.map to_s l)))
+
+let kv_digest (r : Kv_demo.result) =
+  Printf.sprintf "end=%d latencies=%s replies=%s" r.Kv_demo.end_cycles
+    (digest_of string_of_int r.Kv_demo.latencies)
+    (digest_of Bytes.to_string r.Kv_demo.replies)
+
+(* An 8-request run on each backend combination: end clock, and digests
+   of the latencies and of the reply bytes.  Equal rows are the
+   backend identity; literals, so that a change moving every backend
+   alike shows up too. *)
+let kv_pins =
+  let ipc_only = "end=1858293 latencies=7cd13213a57467ef31fc7d583b4fbe02"
+  and with_nic = "end=1860725 latencies=4c10ba51ebc11af3e986e0e98997e094"
+  and replies = " replies=b27eaa31e3dada8262106e0ce2ff3c01" in
+  [
+    ((`Nvme, None), ipc_only ^ replies);
+    ((`Virtio, None), ipc_only ^ replies);
+    ((`Nvme, Some `Ixgbe), with_nic ^ replies);
+    ((`Nvme, Some `Virtio), with_nic ^ replies);
+    ((`Virtio, Some `Ixgbe), with_nic ^ replies);
+    ((`Virtio, Some `Virtio), with_nic ^ replies);
+  ]
+
 (* The kv/Maglev workload is backend-agnostic: swapping nvme→virtio-blk
-   or ixgbe→virtio-net moves neither a cycle nor a reply byte. *)
+   or ixgbe→virtio-net moves neither a cycle nor a reply byte, and each
+   combination's figures are the pinned ones. *)
 let test_kv_backend_identity () =
   with_clean_models (fun () ->
-      let base = Kv_demo.run ~requests:8 () in
-      let vblk = Kv_demo.run ~requests:8 ~blk:`Virtio () in
-      let nixg = Kv_demo.run ~requests:8 ~nic:`Ixgbe () in
-      let nvio = Kv_demo.run ~requests:8 ~nic:`Virtio () in
+      let run ?nic blk =
+        let r = Kv_demo.run ~requests:8 ~blk ?nic () in
+        Alcotest.(check string) "pinned run" (List.assoc (blk, nic) kv_pins) (kv_digest r);
+        r
+      in
+      let base = run `Nvme in
+      let vblk = run `Virtio in
+      let nixg = run ~nic:`Ixgbe `Nvme in
+      let nvio = run ~nic:`Virtio `Nvme in
+      ignore (run ~nic:`Ixgbe `Virtio);
+      ignore (run ~nic:`Virtio `Virtio);
       checki "virtio-blk: same end cycles" base.Kv_demo.end_cycles vblk.Kv_demo.end_cycles;
       checkb "virtio-blk: same latencies" true
         (base.Kv_demo.latencies = vblk.Kv_demo.latencies);
@@ -244,46 +308,37 @@ let test_kv_backend_identity () =
 
 let test_virtio_blk_roundtrip () =
   with_clean_models (fun () ->
-      let cost = Atmo_sim.Cost.default in
-      let clock = Clock.create () in
-      let mem, iommu, span = Device_env.mk_dma_env ~page_count:128 ~device:13 in
-      let dev = Virtio_blk.create mem iommu ~device:13 ~clock ~cost ~capacity_blocks:32 in
       let depth = 4 in
-      let _, _, _, ring_bytes = Virtio_ring.layout ~qsz:(3 * depth) ~base:0 in
-      (match
-         Virtio_blk.setup dev
-           ~ring_iova:(span ring_bytes)
-           ~arena_iova:(span (depth * Virtio_blk.slot_bytes))
-           ~depth
-       with
-      | Ok () -> ()
-      | Error e -> Alcotest.fail (Fault.error_to_string e));
-      let block = Bytes.init Virtio_blk.block_bytes (fun i -> Char.chr (i mod 251)) in
-      (match Virtio_blk.submit_write dev ~lba:3 ~data:block with
+      let dev =
+        Device_env.blk ~kind:`Virtio ~device:13 ~depth ~capacity_blocks:32
+          ~clock:(Clock.create ()) ~cost:Atmo_sim.Cost.default
+      in
+      let block = Bytes.init Block.block_bytes (fun i -> Char.chr (i mod 251)) in
+      (match Device_env.blk_write dev ~lba:3 ~data:block with
       | Ok _ -> ()
       | Error e -> Alcotest.fail (Fault.error_to_string e));
-      ignore (Virtio_blk.wait_all dev);
-      (match Virtio_blk.submit_read dev ~lba:3 with
+      ignore (Device_env.blk_wait dev);
+      (match Device_env.blk_read dev ~lba:3 with
       | Ok _ -> ()
       | Error e -> Alcotest.fail (Fault.error_to_string e));
-      (match Virtio_blk.wait_all dev with
+      (match Device_env.blk_wait dev with
       | [ c ] ->
-        checkb "read ok" true c.Virtio_blk.ok;
-        checkb "read returns written block" true (c.Virtio_blk.data = Some block)
+        checkb "read ok" true c.Block.ok;
+        checkb "read returns written block" true (c.Block.data = Some block)
       | cs -> Alcotest.failf "expected one completion, got %d" (List.length cs));
       (* fill the queue: depth submissions fit, one more is Queue_full *)
       for lba = 0 to depth - 1 do
-        match Virtio_blk.submit_read dev ~lba with
+        match Device_env.blk_read dev ~lba with
         | Ok _ -> ()
         | Error e -> Alcotest.fail (Fault.error_to_string e)
       done;
-      (match Virtio_blk.submit_read dev ~lba:9 with
+      (match Device_env.blk_read dev ~lba:9 with
       | Error Fault.Queue_full -> ()
       | Ok _ -> Alcotest.fail "over-depth submit accepted"
       | Error e -> Alcotest.failf "wrong error: %s" (Fault.error_to_string e));
-      ignore (Virtio_blk.wait_all dev);
+      ignore (Device_env.blk_wait dev);
       (* lba bounds are typed errors, not exceptions *)
-      match Virtio_blk.submit_read dev ~lba:99 with
+      match Device_env.blk_read dev ~lba:99 with
       | Error (Fault.Lba_out_of_range _) -> ()
       | Ok _ -> Alcotest.fail "out-of-range lba accepted"
       | Error e -> Alcotest.failf "wrong error: %s" (Fault.error_to_string e))

@@ -65,6 +65,23 @@ let test_kv_kernel_wf () =
   | Ok () -> ()
   | Error msg -> Alcotest.failf "kv demo kernel not wf: %s" msg
 
+(* Two traced runs into one recorder, cleared between them, decode to
+   the same stream: the workload installs its clock before it boots, so
+   the second run's boot events carry its own time, not the clock the
+   first run left installed. *)
+let test_kv_rerun_same_stream () =
+  with_flight (fun recorder ->
+      let run () =
+        Flight.clear recorder;
+        Span.reset ();
+        ignore (Kv_demo.run ~requests:20 ());
+        List.map (Format.asprintf "%a" Event.pp_record) (Sink.records ())
+      in
+      let first = run () in
+      let second = run () in
+      Alcotest.(check int) "as many records" (List.length first) (List.length second);
+      List.iter2 (Alcotest.(check string) "same record") first second)
+
 (* ------------------------------------------------------------------ *)
 (* the acceptance scenario: one GET reconstructs end to end            *)
 
@@ -336,6 +353,8 @@ let () =
           Alcotest.test_case "disabled sink is bit-identical" `Quick
             test_kv_disabled_identity;
           Alcotest.test_case "final kernel is well-formed" `Quick test_kv_kernel_wf;
+          Alcotest.test_case "a second run records the same stream" `Quick
+            test_kv_rerun_same_stream;
           Alcotest.test_case "request path reconstructs" `Quick
             test_kv_request_path_reconstructs;
           Alcotest.test_case "container cycles sum to total" `Quick

@@ -175,6 +175,43 @@ let test_page_grant_spec () =
       (t2, Syscall.Recv { slot = 0 });
     ]
 
+(* A send that grants the rendezvous endpoint itself.  Init and a second
+   thread share endpoint E in slot 0, and the message grants slot 0 into
+   the receiver's slot 1, so one rendezvous both pops E's queue and adds
+   a reference to E: the spec has to expect both on E's one record.
+   [parked] runs first, on the second thread, and blocks; [meets] then
+   completes the rendezvous from init and must return [ret]. *)
+let test_self_grant ~parked ~meets ~ret () =
+  let k, init = boot () in
+  let checked ~thread call =
+    let o = H.step_checked k ~thread call in
+    if o.H.spec <> Ok () || o.H.wf <> Ok () then fail_outcome o;
+    o.H.ret
+  in
+  let ptr = function
+    | Syscall.Rptr p -> p
+    | r -> Alcotest.failf "setup: %a" Syscall.pp_ret r
+  in
+  let t2 = ptr (checked ~thread:init Syscall.New_thread) in
+  let ep = ptr (checked ~thread:init (Syscall.New_endpoint { slot = 0 })) in
+  Atmo_pm.Proc_mgr.install_descriptor k.Kernel.pm ~thread:t2 ~slot:0 ~endpoint:ep;
+  Alcotest.(check bool) "partner parks" true (checked ~thread:t2 parked = Syscall.Rblocked);
+  match (checked ~thread:init meets, ret) with
+  | Syscall.Runit, `Unit | Syscall.Rmsg _, `Msg -> ()
+  | r, _ -> Alcotest.failf "rendezvous returned %a" Syscall.pp_ret r
+
+let self_grant =
+  Syscall.Send
+    {
+      slot = 0;
+      msg =
+        {
+          Message.scalars = [ 5 ];
+          page = None;
+          endpoint = Some { Message.src_slot = 0; dst_slot = 1 };
+        };
+    }
+
 let () =
   Alcotest.run "spec"
     [
@@ -187,6 +224,12 @@ let () =
           Alcotest.test_case "device trace" `Quick test_scripted_device_trace;
           Alcotest.test_case "io trace" `Quick test_scripted_io_trace;
           Alcotest.test_case "page grant" `Quick test_page_grant_spec;
+          Alcotest.test_case "self grant, send meets recv" `Quick
+            (test_self_grant ~parked:(Syscall.Recv { slot = 0 }) ~meets:self_grant ~ret:`Unit);
+          Alcotest.test_case "self grant, recv meets send" `Quick
+            (test_self_grant ~parked:self_grant ~meets:(Syscall.Recv { slot = 0 }) ~ret:`Msg);
+          Alcotest.test_case "self grant, recv_nb meets send" `Quick
+            (test_self_grant ~parked:self_grant ~meets:(Syscall.Recv_nb { slot = 0 }) ~ret:`Msg);
         ] );
       ( "fuzz",
         [

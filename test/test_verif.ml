@@ -397,6 +397,8 @@ let test_measure_repo () =
   | Some s ->
     checkb "found spec lines" true (s.Effort.spec_lines > 1000);
     checkb "found exec lines" true (s.Effort.exec_lines > 1000);
+    checkb "kernel is part of exec" true
+      (s.Effort.kernel_lines > 1000 && s.Effort.kernel_lines < s.Effort.exec_lines);
     checkb "ratio positive" true (s.Effort.ratio > 0.)
   | None -> () (* sources not reachable in this environment: acceptable *)
 
