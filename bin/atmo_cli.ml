@@ -1088,18 +1088,20 @@ let san plant iterations seed =
   | Ok (k, init) ->
     San_runtime.attach k;
     let stats, t2 = run_san_workload k ~init ~iterations in
+    let workload_accesses = Atmo_san.Memsan.checked () in
     (* every fault of the seeded hostile sweep over all four device
        models must be absorbed as a typed error, and every ledger must
        balance at quiescence: Driver_lint runs inside [full_check] *)
     let absorbed = Atmo_workloads.Device_env.hostile_sweep ~seed ~steps:200 in
+    let sweep_accesses = Atmo_san.Memsan.checked () - workload_accesses in
     let structural = San_runtime.full_check k in
     let clean_count = San_report.count () in
     Format.printf
       "san: %d syscalls under the big lock, %d accesses checked, %d hostile fault(s) \
-       absorbed as typed errors (seed %d), %d structural check(s) failed@."
-      stats.Atmo_sim.Smp.syscalls_executed
-      (Atmo_san.Memsan.checked ())
-      absorbed seed structural;
+       absorbed as typed errors over %d checked accesses (seed %d), %d structural \
+       check(s) failed@."
+      stats.Atmo_sim.Smp.syscalls_executed workload_accesses absorbed sweep_accesses seed
+      structural;
     (match plant with
      | "none" ->
        if clean_count = 0 then begin

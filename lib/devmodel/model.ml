@@ -13,7 +13,7 @@ let state_name = function
   | Undefined -> "undefined"
 
 type t = {
-  name : string;
+  mutable name : string;
   mutable device : int;
   mutable state : state;
   mutable hostile : Hostile.t option;

@@ -19,7 +19,7 @@ type state = Reset | Ready | Active | Recovering | Failed | Undefined
 val state_name : state -> string
 
 type t = {
-  name : string;  (** metric key component, e.g. ["ixgbe0"] *)
+  mutable name : string;  (** metric key component, e.g. ["ixgbe0"] *)
   mutable device : int;  (** device id carried by obs events *)
   mutable state : state;
   mutable hostile : Hostile.t option;

@@ -24,9 +24,6 @@ let tx_ctr = lazy (Atmo_obs.Metrics.counter "drv/ixgbe_tx")
 let flag_dd = 0x1
 let flag_own = 0x2
 
-(* hostile-mode DMA escapes aim here: far outside any mapped window *)
-let escape_iova = 0x7f00_0000_0000
-
 type ring = {
   iova : int;  (* base of the descriptor ring, device-visible *)
   slots : int;
@@ -220,9 +217,7 @@ let wire_deliver t frame =
      | Some Fault.Dma_escape ->
        (* the device aims the frame outside its window; the IOMMU must
           reject it before a byte lands *)
-       let blocked = not (Iommu.dma_write t.iommu ~device:t.device ~iova:escape_iova frame) in
-       Model.note_escape t.model ~blocked;
-       if blocked then Model.recovered t.model Fault.Dma_escape;
+       Dma.escape t.iommu ~device:t.device t.model frame;
        t.rx_drops <- t.rx_drops + 1;
        false
      | Some ((Fault.Reorder_completion | Fault.Spurious_irq | Fault.Irq_storm) as f) ->

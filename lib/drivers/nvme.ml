@@ -48,12 +48,15 @@ let max_queue = 1024
 (* tags a glitching controller invents never collide with real ones *)
 let bogus_tag_offset = 0x10000
 
+(* the model is named after its device, as the other drivers name theirs *)
+let model_name device = Printf.sprintf "nvme%d" device
+
 let create ~clock ~cost ~capacity_blocks =
   {
     clock;
     store = Block.create ~clock ~cost ~capacity_blocks;
     device = 0;
-    model = Model.register ~name:"nvme0" ~device:0 ~initial:Model.Ready;
+    model = Model.register ~name:(model_name 0) ~device:0 ~initial:Model.Ready;
     outstanding = Hashtbl.create 64;
     dropped = [];
     queue = [];
@@ -65,7 +68,8 @@ let queue_depth t = List.length t.queue
 
 let set_device t device =
   t.device <- device;
-  t.model.Model.device <- device
+  t.model.Model.device <- device;
+  t.model.Model.name <- model_name device
 
 let model t = t.model
 let errors t = Model.errors t.model

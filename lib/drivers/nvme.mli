@@ -24,7 +24,8 @@ val create : clock:Atmo_hw.Clock.t -> cost:Atmo_sim.Cost.t -> capacity_blocks:in
 
 val set_device : t -> int -> unit
 (** Device id carried by the [Atmo_obs] doorbell/completion tracepoints
-    (default 0). *)
+    (default 0); the model takes the name [nvme<id>], which its
+    [dev/<name>/*] counters and lint reports carry. *)
 
 val set_drop_completion_plant : t -> bool -> unit
 (** Plant a driver bug for the sanitizer: the next valid completion is

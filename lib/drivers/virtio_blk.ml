@@ -20,8 +20,6 @@ let header_bytes = 16
 (* header (16) + one block + status byte padded to keep slots aligned *)
 let slot_bytes = header_bytes + block_bytes + 16
 
-let escape_iova = 0x7f00_0000_0000
-
 type op = Block.op = Read | Write
 
 (* device-side view of an accepted request *)
@@ -80,12 +78,6 @@ let errors t = Model.errors t.model
 let error_count t = t.model.Model.error_count
 let queue_depth t = Hashtbl.length t.inflight
 
-let dma t =
-  {
-    Vring.read = (fun ~iova ~len -> Iommu.dma_read t.iommu ~device:t.device ~iova ~len);
-    Vring.write = (fun ~iova b -> Iommu.dma_write t.iommu ~device:t.device ~iova b);
-  }
-
 let hdr_iova t slot = t.arena + (slot * slot_bytes)
 let data_iova t slot = hdr_iova t slot + header_bytes
 let status_iova t slot = data_iova t slot + block_bytes
@@ -95,7 +87,7 @@ let setup t ~ring_iova ~arena_iova ~depth =
   else begin
     let qsz = 3 * depth in
     let desc, avail, used, _total = Vring.layout ~qsz ~base:ring_iova in
-    let vr = Vring.create (dma t) ~qsz ~desc ~avail ~used in
+    let vr = Vring.create (Dma.ring t.iommu ~device:t.device) ~qsz ~desc ~avail ~used in
     t.arena <- arena_iova;
     t.depth <- depth;
     (* probe the arena so a bad window fails at setup, not mid-request *)
@@ -243,13 +235,7 @@ let poll t =
         | Some Fault.Reorder_completion -> deferred := p :: !deferred
         | Some Fault.Dma_escape ->
           (* a stray copy aimed outside the window, then the real op *)
-          let blocked =
-            not
-              (Iommu.dma_write t.iommu ~device:t.device ~iova:escape_iova
-                 (Bytes.make 8 '\000'))
-          in
-          Model.note_escape t.model ~blocked;
-          if blocked then Model.recovered t.model Fault.Dma_escape;
+          Dma.escape t.iommu ~device:t.device t.model (Bytes.make 8 '\000');
           execute t vr p
         | Some ((Fault.Short_desc | Fault.Spurious_irq | Fault.Irq_storm) as f) ->
           (* not expressible on this queue; [inject] absorbs the

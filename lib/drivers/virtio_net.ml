@@ -12,9 +12,6 @@ module Vring = Virtio_ring
 let rx_queue = 0
 let tx_queue = 1
 
-(* hostile-mode DMA escapes aim here: far outside any mapped window *)
-let escape_iova = 0x7f00_0000_0000
-
 type queue = {
   vr : Vring.t;
   bufs : (int * int) array;  (* slot i -> (buffer iova, capacity) *)
@@ -58,18 +55,12 @@ let model t = t.model
 let errors t = Model.errors t.model
 let error_count t = t.model.Model.error_count
 
-let dma t =
-  {
-    Vring.read = (fun ~iova ~len -> Iommu.dma_read t.iommu ~device:t.device ~iova ~len);
-    Vring.write = (fun ~iova b -> Iommu.dma_write t.iommu ~device:t.device ~iova b);
-  }
-
 let setup_queue t ~ring_iova ~buffers ~desc_flags ~post =
   let qsz = Array.length buffers in
   if qsz = 0 then Error (Fault.Bad_setup "no buffers")
   else begin
     let desc, avail, used, _total = Vring.layout ~qsz ~base:ring_iova in
-    let vr = Vring.create (dma t) ~qsz ~desc ~avail ~used in
+    let vr = Vring.create (Dma.ring t.iommu ~device:t.device) ~qsz ~desc ~avail ~used in
     let fault = ref None in
     Array.iteri
       (fun i (addr, cap) ->
@@ -179,9 +170,7 @@ let wire_deliver t frame =
           ignore (Vring.device_push_used q.vr ~id:head ~len:(Bytes.length frame));
           true)
      | Some Fault.Dma_escape ->
-       let blocked = not (Iommu.dma_write t.iommu ~device:t.device ~iova:escape_iova frame) in
-       Model.note_escape t.model ~blocked;
-       if blocked then Model.recovered t.model Fault.Dma_escape;
+       Dma.escape t.iommu ~device:t.device t.model frame;
        t.rx_drops <- t.rx_drops + 1;
        false
      | Some ((Fault.Reorder_completion | Fault.Spurious_irq | Fault.Irq_storm) as f) ->

@@ -4,6 +4,7 @@ type t = {
   uid : int;
   page_count : int;
   frames : (int, Bytes.t) Hashtbl.t;
+  mutable last_version : int;  (* the newest write version handed out *)
 }
 
 let page_size = 4096
@@ -25,7 +26,7 @@ let uid_counter = ref 0
 let create ~page_count =
   if page_count <= 0 then invalid_arg "Phys_mem.create: page_count <= 0";
   incr uid_counter;
-  { uid = !uid_counter; page_count; frames = Hashtbl.create 1024 }
+  { uid = !uid_counter; page_count; frames = Hashtbl.create 1024; last_version = 0 }
 
 let uid t = t.uid
 
@@ -42,15 +43,26 @@ let check_bounds t addr len what =
     invalid_arg (Printf.sprintf "Phys_mem.%s: address 0x%x out of bounds" what addr)
 
 (* Frames are materialised lazily and zero-filled, like RAM from a boot
-   allocator.  Reads of untouched frames return zero without allocating. *)
+   allocator.  Reads of untouched frames return zero without allocating.
+   A frame's write version sits in the word past its page, in the
+   frame's own bytes, so a store touches no second table. *)
+let version_off = page_size
+
 let frame_of t addr =
   let idx = page_index addr in
   match Hashtbl.find t.frames idx with
   | b -> b
   | exception Not_found ->
-    let b = Bytes.make page_size '\000' in
+    let b = Bytes.make (page_size + 8) '\000' in
     Hashtbl.replace t.frames idx b;
     b
+
+(* Every store stamps its frame with the next version of this memory.
+   Versions are never reused, so a frame [zero_page] dropped and a later
+   frame at its address never share one. *)
+let stamp t b =
+  t.last_version <- t.last_version + 1;
+  Bytes.set_int64_ne b version_off (Int64.of_int t.last_version)
 
 let frame_opt t addr = Hashtbl.find_opt t.frames (page_index addr)
 
@@ -66,7 +78,9 @@ let write_u64 t ~addr v =
   check_bounds t addr 8 "write_u64";
   if addr land 7 <> 0 then invalid_arg "Phys_mem.write_u64: unaligned";
   if observed () then access t Write addr 8;
-  Bytes.set_int64_le (frame_of t addr) (addr land (page_size - 1)) v
+  let b = frame_of t addr in
+  Bytes.set_int64_le b (addr land (page_size - 1)) v;
+  stamp t b
 
 let iter_table t ~addr f =
   check_bounds t addr page_size "iter_table";
@@ -90,11 +104,14 @@ let read_u8 t ~addr =
 let write_u8 t ~addr v =
   check_bounds t addr 1 "write_u8";
   if observed () then access t Write addr 1;
-  Bytes.set (frame_of t addr) (addr land (page_size - 1)) (Char.chr (v land 0xff))
+  let b = frame_of t addr in
+  Bytes.set b (addr land (page_size - 1)) (Char.chr (v land 0xff));
+  stamp t b
 
 (* Dropping the frame is observationally identical to zero-filling it
    (untouched frames read as zero) and keeps the simulation sparse even
-   when superpages are zeroed. *)
+   when superpages are zeroed.  The dropped frame's version goes with
+   it: an absent frame has version 0. *)
 let zero_page t ~addr =
   check_bounds t addr page_size "zero_page";
   if addr land (page_size - 1) <> 0 then invalid_arg "Phys_mem.zero_page: unaligned";
@@ -108,7 +125,9 @@ let rec copy_in t ~addr src ~off ~len o =
     let a = addr + o in
     let in_frame = a land (page_size - 1) in
     let chunk = min (len - o) (page_size - in_frame) in
-    Bytes.blit src (off + o) (frame_of t a) in_frame chunk;
+    let b = frame_of t a in
+    Bytes.blit src (off + o) b in_frame chunk;
+    stamp t b;
     copy_in t ~addr src ~off ~len (o + chunk)
   end
 
@@ -139,5 +158,16 @@ let blit_from t ~addr ~len =
   let dst = Bytes.create len in
   read_bytes t ~addr ~len dst ~off:0;
   dst
+
+let version t ~addr =
+  match Hashtbl.find t.frames (page_index addr) with
+  | b -> Int64.to_int (Bytes.get_int64_ne b version_off)
+  | exception Not_found -> 0
+
+let unchanged t ~addr ~version:v =
+  check_bounds t addr page_size "unchanged";
+  if addr land (page_size - 1) <> 0 then invalid_arg "Phys_mem.unchanged: unaligned";
+  if observed () then access t Read addr page_size;
+  version t ~addr = v
 
 let touched_frames t = Hashtbl.length t.frames

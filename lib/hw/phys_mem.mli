@@ -106,6 +106,30 @@ val read_bytes : t -> addr:int -> len:int -> bytes -> off:int -> unit
     into [dst.[off .. off+len)] (zeros for never-written frames); one
     access event, as {!blit_from}. *)
 
+(** {2 Write versions}
+
+    Every store advances its frame's write version: {!write_u64},
+    {!write_u8}, {!write_bytes} and {!blit_to} (each frame they touch),
+    and {!zero_page}.  Versions are drawn from one counter per memory
+    and never reused, so two equal readings of one page's version mean
+    it holds the same bytes: no store reached it in between, or it read
+    as zeros both times (version [0]).  A checker keys a verdict on the
+    versions of the pages it read and re-reads only pages whose version
+    moved. *)
+
+val version : t -> addr:int -> int
+(** The write version of the frame holding [addr]: [0] while the frame
+    reads as zeros because it was never stored to or was dropped by
+    {!zero_page}.  Reads no byte of the page, so it emits no
+    {!Access}. *)
+
+val unchanged : t -> addr:int -> version:int -> bool
+(** [unchanged mem ~addr ~version] is [version mem ~addr = version], as
+    one ranged [Read] {!Access} of the whole page, as {!iter_table}: so
+    an observer sees a keyed check read the page it skips.  [addr] must
+    be page-aligned and the page in bounds; raises [Invalid_argument]
+    otherwise. *)
+
 val touched_frames : t -> int
 (** Number of frames that have been materialised (written or zeroed);
     used by tests to check the memory stays sparse. *)

@@ -38,6 +38,19 @@ let pp_error ppf e =
      | Conflict -> "size conflict"
      | Oom -> "out of memory")
 
+(* The input of a table's last clean check: the persistent ghost values
+   (compared by identity), the registry's pairs in [tables] order, and
+   the write version of each registered page. *)
+type check_input = {
+  in_ghost4k : entry Imap.t;
+  in_ghost2m : entry Imap.t;
+  in_ghost1g : entry Imap.t;
+  in_space : entry Imap.t;
+  in_closure : Iset.t;
+  in_tables : (int * int) array;
+  in_versions : int array;
+}
+
 type t = {
   mem : Phys_mem.t;
   alloc : Page_alloc.t;
@@ -54,6 +67,9 @@ type t = {
      disjoint by virtual base (a base can carry at most one mapping). *)
   mutable space : entry Imap.t;
   mutable step_hook : (leaf:bool -> unit) option;
+  (* Published with one field write, so checks racing on other domains
+     read either key whole. *)
+  mutable clean_check : check_input option;
 }
 
 (* Structural changes on the mutation stream, for the incremental
@@ -104,6 +120,7 @@ let create mem alloc =
         ghost1g = Imap.empty;
         space = Imap.empty;
         step_hook = None;
+        clean_check = None;
       }
 
 (* Fetch (or allocate on demand) the next-level table under
@@ -389,6 +406,63 @@ let prune_empty_tables t ~keep =
   done;
   if !freed > 0 then note ();
   !freed
+
+let check_input t =
+  let in_tables = Array.of_list (tables t) in
+  {
+    in_ghost4k = t.ghost4k;
+    in_ghost2m = t.ghost2m;
+    in_ghost1g = t.ghost1g;
+    in_space = t.space;
+    in_closure = t.closure;
+    in_tables;
+    in_versions = Array.map (fun (addr, _) -> Phys_mem.version t.mem ~addr) in_tables;
+  }
+
+let record_clean_check t input = t.clean_check <- Some input
+
+(* Same registry pairs (same count, each present) and every page at its
+   recorded version; one ranged read per page, none allocating. *)
+let rec tables_unchanged t k i =
+  i = Array.length k.in_tables
+  ||
+  let addr, level = k.in_tables.(i) in
+  (match Hashtbl.find t.table_levels addr with
+   | l -> l = level
+   | exception Not_found -> false)
+  && Phys_mem.unchanged t.mem ~addr ~version:k.in_versions.(i)
+  && tables_unchanged t k (i + 1)
+
+let unchanged_since_clean_check t =
+  match t.clean_check with
+  | None -> false
+  | Some k ->
+    k.in_ghost4k == t.ghost4k
+    && k.in_ghost2m == t.ghost2m
+    && k.in_ghost1g == t.ghost1g
+    && k.in_space == t.space
+    && k.in_closure == t.closure
+    && Array.length k.in_tables = Hashtbl.length t.table_levels
+    && tables_unchanged t k 0
+
+module Backdoor = struct
+  let forget_check t = t.clean_check <- None
+
+  type part = Ghost_4k | Ghost_2m | Ghost_1g | Space | Closure | Table_level | Extra_table
+
+  (* a mapping no writer made, at a canonical 1 GiB-aligned base *)
+  let stray_va = 0x7f00_0000_0000
+  let stray size m = Imap.add stray_va { frame = 0; size; perm = Pte.perm_ro } m
+
+  let drift t = function
+    | Ghost_4k -> t.ghost4k <- stray Page_state.S4k t.ghost4k
+    | Ghost_2m -> t.ghost2m <- stray Page_state.S2m t.ghost2m
+    | Ghost_1g -> t.ghost1g <- stray Page_state.S1g t.ghost1g
+    | Space -> t.space <- stray Page_state.S4k t.space
+    | Closure -> t.closure <- Iset.add stray_va t.closure
+    | Table_level -> Hashtbl.replace t.table_levels t.cr3 3
+    | Extra_table -> Hashtbl.replace t.table_levels 0 1
+end
 
 (* Walk the concrete tables from cr3, one table-page read per table
    page: every present leaf becomes a [(virtual base, entry)] pair. *)

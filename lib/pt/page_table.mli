@@ -153,6 +153,55 @@ type Atmo_util.Mutation.event += Pt_changed
 val map_id : string
 (** ["pt"]: the map id of every page table, process and IOMMU alike. *)
 
+(** {2 The key of the last clean check}
+
+    [Pt_refine.violations] reads the three ghost maps, the unified
+    address space, the page closure, the registry and the bytes of the
+    table pages its walk reaches.  A clean verdict means every page the
+    walk reaches is registered, so after one the registered pages are
+    every page the check read, and their write versions
+    ({!Atmo_hw.Phys_mem.version}) with the rest are the check's whole
+    input.  A table whose input equals that of its last clean check is
+    clean again: a hit is exact, not trusted.  Unlike the {!Pt_changed}
+    stream, which only this module's writers emit, the key also sees a
+    raw {!Atmo_hw.Phys_mem} store into a table page. *)
+
+type check_input
+(** The input of one check: the persistent ghost values by identity,
+    the registry's pairs in {!tables} order and the write version of
+    each registered page. *)
+
+val check_input : t -> check_input
+(** The check's input as it stands; take it before the check. *)
+
+val record_clean_check : t -> check_input -> unit
+(** Keep [input] as the key of the table's last clean check: one field
+    write, so checks of one table racing on other domains see either
+    key whole (and may both run in full). *)
+
+val unchanged_since_clean_check : t -> bool
+(** The table's input equals the key of its last clean check: the same
+    ghost values, the same registry pairs, and every registered page at
+    its recorded version.  Puts one ranged [Read] per registered page
+    on the [Access] stream ({!Atmo_hw.Phys_mem.unchanged}), so a
+    sanitizer still sees the check read a freed table page.  False
+    before any clean check. *)
+
+module Backdoor : sig
+  val forget_check : t -> unit
+  (** Drop the key, so the next check runs in full: for oracle tests
+      that compare the keyed check with a cache-free one. *)
+
+  type part = Ghost_4k | Ghost_2m | Ghost_1g | Space | Closure | Table_level | Extra_table
+
+  val drift : t -> part -> unit
+  (** Change one part of the check's input and nothing else, as a writer
+      that skipped its table store would: a stray mapping in one ghost
+      map or only in the unified address space, a stray page in the
+      closure, the root re-registered at level 3, or page 0 registered
+      as an L1 table.  Each breaks a clause of the check. *)
+end
+
 val walk_concrete : t -> (int * entry) list
 (** Enumerate the MMU-visible mappings by walking the concrete tables
     from cr3, one {!Atmo_hw.Phys_mem.iter_table} per table page:

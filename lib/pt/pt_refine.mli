@@ -47,7 +47,11 @@ val violations : Page_table.t -> Atmo_util.Violation.sink -> unit
     the order {!obligations} lists them: malformed entries file as
     [Malformed_pte], misaligned huge leaves as
     [Pt_misaligned_superpage], wrong-level or shared tables as
-    [Pt_bad_level], the rest as [Ill_formed]. *)
+    [Pt_bad_level], the rest as [Ill_formed].  Returns at once when the
+    table's whole input equals that of its last clean check
+    ({!Page_table.unchanged_since_clean_check}) and records the key
+    after a clean run; the first-failure obligations above never
+    consult it. *)
 
 val all : Page_table.t -> (unit, string) result
 (** The first of {!violations}. *)

@@ -147,21 +147,21 @@ let sweep_pins =
       [
         "ixgbe11 active absorbed=10 sub=50 del=251 harv=251 dup=8 irq=519/519 esc=7/7 faults=40 rec=32";
         "virtio-net14 recovering absorbed=20 sub=50 del=250 harv=250 dup=5 irq=650/650 esc=5/5 faults=50 rec=45";
-        "nvme0 active absorbed=22 sub=200 del=200 harv=200 dup=8 irq=64/64 esc=0/0 faults=50 rec=39";
+        "nvme12 active absorbed=22 sub=200 del=200 harv=200 dup=8 irq=64/64 esc=0/0 faults=50 rec=39";
         "virtio-blk13 active absorbed=14 sub=189 del=189 harv=189 dup=9 irq=325/325 esc=5/5 faults=38 rec=38";
       ] );
     ( 101,
       [
         "ixgbe11 active absorbed=18 sub=50 del=249 harv=249 dup=7 irq=519/519 esc=8/8 faults=48 rec=41";
         "virtio-net14 active absorbed=18 sub=50 del=250 harv=250 dup=4 irq=461/461 esc=4/4 faults=46 rec=42";
-        "nvme0 active absorbed=21 sub=200 del=200 harv=200 dup=14 irq=64/64 esc=0/0 faults=48 rec=35";
+        "nvme12 active absorbed=21 sub=200 del=200 harv=200 dup=14 irq=64/64 esc=0/0 faults=48 rec=35";
         "virtio-blk13 active absorbed=13 sub=189 del=189 harv=189 dup=8 irq=579/579 esc=11/11 faults=48 rec=46";
       ] );
     ( 2026,
       [
         "ixgbe11 active absorbed=19 sub=50 del=253 harv=253 dup=10 irq=774/774 esc=7/7 faults=54 rec=44";
         "virtio-net14 recovering absorbed=16 sub=50 del=247 harv=247 dup=6 irq=454/454 esc=9/9 faults=44 rec=38";
-        "nvme0 active absorbed=28 sub=200 del=200 harv=200 dup=17 irq=64/64 esc=0/0 faults=54 rec=46";
+        "nvme12 active absorbed=28 sub=200 del=200 harv=200 dup=17 irq=64/64 esc=0/0 faults=54 rec=46";
         "virtio-blk13 active absorbed=17 sub=189 del=189 harv=189 dup=10 irq=387/387 esc=4/4 faults=44 rec=43";
       ] );
   ]

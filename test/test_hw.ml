@@ -33,6 +33,42 @@ let test_mem_zero_page () =
     (Invalid_argument "Phys_mem.zero_page: address 0x10000 out of bounds")
     (fun () -> Phys_mem.zero_page m ~addr:(16 * 4096))
 
+(* Every store path moves the frame's write version, reads do not, and
+   a frame zero_page dropped never hands a later frame at its address a
+   version the address had before. *)
+let test_mem_write_versions () =
+  let m = Phys_mem.create ~page_count:4 in
+  let page = 4096 in
+  let seen = ref [ Phys_mem.version m ~addr:page ] in
+  check Alcotest.int "untouched frame" 0 (List.hd !seen);
+  let moves what store =
+    store ();
+    let v = Phys_mem.version m ~addr:page in
+    checkb (what ^ " moves the version") false (List.mem v !seen);
+    seen := v :: !seen;
+    checkb (what ^ ": unchanged at the new version") true
+      (Phys_mem.unchanged m ~addr:page ~version:v)
+  in
+  moves "write_u64" (fun () -> Phys_mem.write_u64 m ~addr:(page + 8) 7L);
+  ignore (Phys_mem.read_u64 m ~addr:(page + 8));
+  ignore (Phys_mem.read_u8 m ~addr:page);
+  ignore (Phys_mem.blit_from m ~addr:page ~len:16);
+  check Alcotest.int "reads keep the version" (List.hd !seen) (Phys_mem.version m ~addr:page);
+  moves "write_u8" (fun () -> Phys_mem.write_u8 m ~addr:(page + 3) 1);
+  moves "write_bytes" (fun () -> Phys_mem.write_bytes m ~addr:(page + 16) (Bytes.make 4 'x') ~off:0 ~len:4);
+  moves "blit_to" (fun () -> Phys_mem.blit_to m ~addr:(page + 32) (Bytes.make 4 'y'));
+  let before = List.hd !seen in
+  Phys_mem.zero_page m ~addr:page;
+  check Alcotest.int "a dropped frame" 0 (Phys_mem.version m ~addr:page);
+  checkb "zero_page moves the version" false (Phys_mem.unchanged m ~addr:page ~version:before);
+  moves "a store after zero_page" (fun () -> Phys_mem.write_u8 m ~addr:page 1);
+  (* a blit across two frames moves both *)
+  let next = Phys_mem.version m ~addr:(2 * page) in
+  moves "a blit into the next frame" (fun () ->
+      Phys_mem.blit_to m ~addr:((2 * page) - 4) (Bytes.make 8 'z'));
+  checkb "the blit moves the next frame too" false
+    (Phys_mem.unchanged m ~addr:(2 * page) ~version:next)
+
 let test_mem_bounds () =
   let m = Phys_mem.create ~page_count:2 in
   Alcotest.check_raises "oob write" (Invalid_argument "Phys_mem.write_u64: address 0x2000 out of bounds")
@@ -477,6 +513,7 @@ let () =
           Alcotest.test_case "read/write" `Quick test_mem_rw;
           Alcotest.test_case "untouched reads zero" `Quick test_mem_untouched_zero;
           Alcotest.test_case "zero_page" `Quick test_mem_zero_page;
+          Alcotest.test_case "write versions" `Quick test_mem_write_versions;
           Alcotest.test_case "bounds and alignment" `Quick test_mem_bounds;
           Alcotest.test_case "blit across frames" `Quick test_mem_blit_cross_frame;
           Alcotest.test_case "geometry helpers" `Quick test_mem_geometry;

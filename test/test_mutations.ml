@@ -599,7 +599,7 @@ let test_san_lost_completion () =
           | None -> Alcotest.fail "lost completion not detected"
           | Some r ->
             checkb "report names the device model" true
-              (r.San_report.site = "driver_lint.nvme0")))
+              (r.San_report.site = "driver_lint.nvme9")))
 
 let test_san_watchdog_silent () =
   (* the `atmo san --plant stalled-cpu` scenario: a CPU that beat for

@@ -12,7 +12,10 @@
    n=4), the change's wins out of N pairs, whether the change is worse
    than the base by more than the metric's bound, and whether it is a
    gain: a win in at least 9 of every 10 pairs and a median better by
-   more than the base's inter-quartile range.  The worktree is removed
+   more than the base's inter-quartile range.  A metric whose base
+   spread (inter-quartile range over median) exceeds its bound is
+   "unresolved" unless every change run beats every base run
+   ([Pair_verdict.judge]).  The worktree is removed
    on exit; each run's output stays beside it, in
    $TMPDIR/atmo-perf-pairs-*/.  Run from the repo root
    (`make perf-pairs`). *)
@@ -83,7 +86,6 @@ let run ~dir ~command ~args ~log =
 
 let report metrics pairs =
   let n = List.length pairs in
-  let need = ((9 * n) + 9) / 10 in
   let stat xs =
     let q1, q3 = H.quartiles xs in
     Printf.sprintf "%.4g [%.4g, %.4g]" (H.median xs) q1 q3
@@ -92,32 +94,31 @@ let report metrics pairs =
     "base median [q1, q3]" "change median [q1, q3]" "wins" "delta" "verdict";
   List.iter
     (fun m ->
-      let b = List.filter_map (fun (b, _) -> b m.name) pairs
-      and c = List.filter_map (fun (_, c) -> c m.name) pairs in
-      if List.length b <> n || List.length c <> n then
+      let base = List.filter_map (fun (b, _) -> b m.name) pairs
+      and change = List.filter_map (fun (_, c) -> c m.name) pairs in
+      if List.length base <> n || List.length change <> n then
         Printf.printf "%-16s missing from some runs\n" m.name
       else begin
-        let better x y = if m.higher then x > y else x < y in
-        let wins = List.length (List.filter (fun (x, y) -> better y x) (List.combine b c)) in
-        let mb = H.median b and mc = H.median c in
-        let b1, b3 = H.quartiles b in
-        let delta = if mb = 0. then 0. else (mc -. mb) /. Float.abs mb in
-        let worse = if m.higher then -.delta else delta in
-        let gain = wins >= need && better mc mb && Float.abs (mc -. mb) > b3 -. b1 in
-        Printf.printf "%-16s %-4s  %-30s %-30s %-7s %+7.1f%% %s%s\n" m.name m.unit_ (stat b)
-          (stat c)
-          (Printf.sprintf "%d/%d" wins n)
-          (100. *. delta)
-          (if gain then "gain" else "no gain")
-          (if worse > m.bound then
-             Printf.sprintf ", WORSE than its %.0f%% bound" (100. *. m.bound)
-           else "")
+        let v = Pair_verdict.judge ~higher:m.higher ~bound:m.bound ~base ~change in
+        Printf.printf "%-16s %-4s  %-30s %-30s %-7s %+7.1f%% %s%s\n" m.name m.unit_ (stat base)
+          (stat change)
+          (Printf.sprintf "%d/%d" v.wins n)
+          (100. *. v.delta)
+          (if v.gain then "gain" else "no gain")
+          (match v.outcome with
+           | Pair_verdict.Within_bound -> ""
+           | Worse -> Printf.sprintf ", WORSE than its %.0f%% bound" (100. *. m.bound)
+           | Unresolved ->
+             Printf.sprintf ", unresolved (base IQR %.0f%% of its median, bound %.0f%%)"
+               (100. *. v.spread) (100. *. m.bound))
       end)
     metrics;
   Printf.printf
     "\ngain = the change won at least %d of %d pairs and its median beats the base's by \
-     more than the base's inter-quartile range.\n"
-    need n
+     more than the base's inter-quartile range.\n\
+     unresolved = the base's inter-quartile range exceeds the metric's bound and not every \
+     change run beats every base run.\n"
+    (Pair_verdict.wins_needed n) n
 
 let () =
   let base = ref "HEAD~1" and pairs = ref 10 and workload = ref "mm" and seed = ref 1 in
