@@ -109,8 +109,10 @@ perf-pairs:
 # Pre-commit gate: build, tier-1 tests (plain and with the sanitizer
 # armed, so the TLB-coherence, scheduler and span-balance lints run
 # over every suite; `dune runtest` also runs the CLI rules in bin/dune:
-# the sanitizer's clean run and its fourteen plants, each caught by its
-# rule, the profiler's request-path reconstruction over the kv-store
+# the sanitizer's clean run and every plant of the plant table, each
+# caught by the report bin/plants.expected pins, the scripted trace
+# workload's disabled-vs-flight identity, the profiler's request-path
+# reconstruction over the kv-store
 # demo, top's accounting, the trace CLI's per-kind --filter and
 # --sample admission paths and its Chrome exporter), the fastpath
 # on/off oracle, the headline IPC table, the SLO monitor (a compliant
@@ -154,27 +156,15 @@ profile:
 top:
 	dune exec bin/atmo_cli.exe -- top
 
-# Full sanitizer demonstration: clean workload (including the seeded
-# hostile device sweep), then the fourteen planted bugs, each of which
-# must be detected with a typed report — the four driver plants by
-# exactly their Driver_lint rule, the stalled-cpu plant by exactly the
-# watchdog-silent rule.
+# Full sanitizer demonstration: the bin/dune rules under the san alias.
+# The clean workload (including the seeded hostile device sweep) must
+# print bin/san.expected, and every plant `atmo san --plant` accepts (the
+# plant table, lib/workloads/plants.ml) must be detected with the typed
+# report bin/plants.expected pins: the surgical ones (driver, watchdog
+# and table-state plants) with no other report filed.
 san:
-	dune exec bin/atmo_cli.exe -- san
-	dune exec bin/atmo_cli.exe -- san --plant double-free
-	dune exec bin/atmo_cli.exe -- san --plant unlocked
-	dune exec bin/atmo_cli.exe -- san --plant bad-pte
-	dune exec bin/atmo_cli.exe -- san --plant stale-tlb
-	dune exec bin/atmo_cli.exe -- san --plant fastpath-skip
-	dune exec bin/atmo_cli.exe -- san --plant span-leak
-	dune exec bin/atmo_cli.exe -- san --plant lock-order
-	dune exec bin/atmo_cli.exe -- san --plant queue-corrupt
-	dune exec bin/atmo_cli.exe -- san --plant lost-steal
-	dune exec bin/atmo_cli.exe -- san --plant undefined-state
-	dune exec bin/atmo_cli.exe -- san --plant dma-escape
-	dune exec bin/atmo_cli.exe -- san --plant irq-storm
-	dune exec bin/atmo_cli.exe -- san --plant lost-completion
-	dune exec bin/atmo_cli.exe -- san --plant stalled-cpu
+	dune build @bin/san
+	cat _build/default/bin/san.out _build/default/bin/plants.out
 
 # Online SLO monitor over the kv workload: windowed rollup table, SLO
 # verdicts (the exit code is the compliance verdict), watchdog

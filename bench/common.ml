@@ -73,49 +73,22 @@ let timed name xs = [ (name, J.Num (H.median xs)); (name ^ "_iqr", J.Num (iqr xs
 let pp_timed ppf xs = Format.fprintf ppf "%8.3f [IQR %.3f]" (H.median xs) (iqr xs)
 
 (* ------------------------------------------------------------------ *)
-(* One sender, one receiver, one endpoint *)
+(* One sender, one receiver, one endpoint: Scenario's endpoint pair *)
 
-(* A fresh kernel where init and a second thread share one endpoint in
-   their slot 0: init creates the thread, then the endpoint, then
-   installs it in the thread's slot.  Returns the kernel, init (the
-   sender) and the receiver. *)
-let endpoint_pair () =
-  match Kernel.boot Kernel.default_boot with
-  | Error _ -> None
-  | Ok (k, init) ->
-    let receiver =
-      match Kernel.step k ~thread:init Syscall.New_thread with
-      | Syscall.Rptr t -> t
-      | _ -> init
-    in
-    (match Kernel.step k ~thread:init (Syscall.New_endpoint { slot = 0 }) with
-     | Syscall.Rptr ep ->
-       Atmo_pm.Proc_mgr.install_descriptor k.Kernel.pm ~thread:receiver ~slot:0 ~endpoint:ep
-     | _ -> ());
-    Some (k, init, receiver)
+module Scenario = Atmo_workloads.Scenario
 
-let send i = Syscall.Send { slot = 0; msg = Message.scalars_only [ i ] }
-
-(* [n] call/reply rounds without a scheduler: the receiver parks in
-   Recv, then init's Send meets it. *)
-let pingpong k ~init ~receiver n =
+(* [n] call/reply rounds without a scheduler: the peer parks in Recv,
+   then init's Send meets it. *)
+let pingpong (w : Scenario.pair) n =
   for i = 0 to n - 1 do
-    ignore (Kernel.step k ~thread:receiver (Syscall.Recv { slot = 0 }));
-    ignore (Kernel.step k ~thread:init (send i))
+    ignore (Kernel.step w.kernel ~thread:w.peer Scenario.recv);
+    ignore (Kernel.step w.kernel ~thread:w.init (Scenario.send i))
   done
 
-(* 500 rounds of the two-CPU ping-pong under Smp: the receiver parks in
-   Recv, init sends [send_call i].  The model's (wall, lock-wait)
-   cycles. *)
-let smp_pingpong k ~init ~receiver ~send_call =
-  let programs =
-    [
-      { Atmo_sim.Smp.thread = receiver; think_cycles = 600;
-        call_of = (fun _ -> Syscall.Recv { slot = 0 }) };
-      { Atmo_sim.Smp.thread = init; think_cycles = 800; call_of = send_call };
-    ]
-  in
-  match Atmo_sim.Smp.run k ~cost ~cpus:2 ~programs ~iterations:500 with
+(* 500 rounds of the two-CPU ping-pong, init sending [send_call i]: the
+   model's (wall, lock-wait) cycles. *)
+let smp_pingpong w ~send_call =
+  match Scenario.pingpong w ~send_call ~iterations:500 with
   | Ok s -> Some (s.Atmo_sim.Smp.wall_cycles, s.Atmo_sim.Smp.lock_wait_cycles)
   | Error _ -> None
 

@@ -31,15 +31,15 @@ type side = {
 
 (* Map-operation and allocation accounting over [pingpongs] rounds of
    the world left by the timed samples. *)
-let count k ~init ~receiver ns =
+let count (w : Scenario.pair) ns =
   let fast0 = counter "ipc/fastpath" and slow0 = counter "ipc/slowpath" in
   let round0 = H.pm_borrows () in
   let send_ops = ref 0 and send_words = ref 0. in
   for i = 0 to pingpongs - 1 do
-    ignore (Kernel.step k ~thread:receiver (Syscall.Recv { slot = 0 }));
+    ignore (Kernel.step w.kernel ~thread:w.peer Scenario.recv);
     let b0 = H.pm_borrows () in
     let a0 = Gc.minor_words () in
-    ignore (Kernel.step k ~thread:init (send i));
+    ignore (Kernel.step w.kernel ~thread:w.init (Scenario.send i));
     send_words := !send_words +. (Gc.minor_words () -. a0);
     send_ops := !send_ops + (H.pm_borrows () - b0)
   done;
@@ -56,20 +56,18 @@ let run () =
   section "IPC ping-pong: fastpath on vs off (host time; map ops; allocation)";
   let world fastpath =
     Kernel.set_fastpath fastpath;
-    Option.get (endpoint_pair ())
+    Scenario.boot_pair ()
   in
   let worlds = [| world false; world true |] in
   let config i () =
     Kernel.set_fastpath (i = 1);
-    let k, init, receiver = worlds.(i) in
-    fun () -> pingpong k ~init ~receiver batch
+    fun () -> pingpong worlds.(i) batch
   in
   let times = rotating [ config 0; config 1 ] in
   let per_round ms = List.map (fun ms -> ms *. 1e6 /. float_of_int batch) ms in
   let side i =
     Kernel.set_fastpath (i = 1);
-    let k, init, receiver = worlds.(i) in
-    count k ~init ~receiver (per_round (List.nth times i))
+    count worlds.(i) (per_round (List.nth times i))
   in
   let off = side 0 in
   let on = side 1 in

@@ -147,29 +147,27 @@ let table3 () =
   line "(paper: call/reply 1058 vs 1026; map 1984 vs 2650)";
   (* sanity: drive the functional kernel through the same two paths and
      report their host time per operation *)
-  match endpoint_pair () with
-  | None -> line "(functional model: boot failed)"
-  | Some (k, init, receiver) ->
-    let ops = 1000 in
-    let call_reply () () = pingpong k ~init ~receiver ops in
-    let map_unmap () () =
-      for _ = 1 to ops do
-        ignore
-          (Kernel.step k ~thread:init
-             (Syscall.Mmap
-                { va = 0x4000_0000; count = 1; size = Page_state.S4k; perm = Pte.perm_rw }));
-        ignore
-          (Kernel.step k ~thread:init
-             (Syscall.Munmap { va = 0x4000_0000; count = 1; size = Page_state.S4k }))
-      done
-    in
-    let per_op = List.map (List.map (fun ms -> ms *. 1e6 /. float_of_int ops)) in
-    (match per_op (rotating [ call_reply; map_unmap ]) with
-     | [ call; map ] ->
-       line "(functional model, host ns per operation, median [IQR] of %d rounds of %d:" rounds ops;
-       line "   Recv park + rendezvous Send %a" pp_timed call;
-       line "   mmap + munmap of one page   %a)" pp_timed map
-     | _ -> ())
+  let w = Scenario.boot_pair () in
+  let ops = 1000 in
+  let call_reply () () = pingpong w ops in
+  let map_unmap () () =
+    for _ = 1 to ops do
+      ignore
+        (Kernel.step w.kernel ~thread:w.init
+           (Syscall.Mmap
+              { va = 0x4000_0000; count = 1; size = Page_state.S4k; perm = Pte.perm_rw }));
+      ignore
+        (Kernel.step w.kernel ~thread:w.init
+           (Syscall.Munmap { va = 0x4000_0000; count = 1; size = Page_state.S4k }))
+    done
+  in
+  let per_op = List.map (List.map (fun ms -> ms *. 1e6 /. float_of_int ops)) in
+  match per_op (rotating [ call_reply; map_unmap ]) with
+  | [ call; map ] ->
+    line "(functional model, host ns per operation, median [IQR] of %d rounds of %d:" rounds ops;
+    line "   Recv park + rendezvous Send %a" pp_timed call;
+    line "   mmap + munmap of one page   %a)" pp_timed map
+  | _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Figure 2: per-function verification time                            *)

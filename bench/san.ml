@@ -9,11 +9,7 @@ open Common
 
 let run () =
   section "Sanitizer: atmo-san overhead on vs off (host time; model cycles)";
-  let workload () =
-    match endpoint_pair () with
-    | None -> None
-    | Some (k, init, receiver) -> smp_pingpong k ~init ~receiver ~send_call:send
-  in
+  let workload () = smp_pingpong (Scenario.boot_pair ()) ~send_call:Scenario.send in
   (* arming and disarming reset the sanitizer's tallies, so each armed
      run adds its own *)
   let last = Array.make 2 None and checked = ref 0 and violations = ref 0 in

@@ -59,21 +59,18 @@ let run () =
     s.Tlb.hits s.Tlb.misses s.Tlb.evictions s.Tlb.invlpgs s.Tlb.flushes;
   (* -- IPC round-trip with the TLB on vs off ------------------------- *)
   let workload () =
-    match endpoint_pair () with
-    | None -> None
-    | Some (k, init, receiver) ->
-      (* a user arena the loop translates every round, as a data-carrying
-         IPC path would *)
-      ignore
-        (Kernel.step k ~thread:init
-           (Syscall.Mmap
-              { va = 0x4000_0000; count = 8; size = Atmo_pmem.Page_state.S4k;
-                perm = Pte.perm_rw }));
-      smp_pingpong k ~init ~receiver ~send_call:(fun i ->
-          for p = 0 to 7 do
-            ignore (Kernel.resolve_user k ~thread:init ~vaddr:(0x4000_0000 + (p * 4096)))
-          done;
-          send i)
+    let w = Scenario.boot_pair () in
+    (* a user arena the loop translates every round, as a data-carrying
+       IPC path would *)
+    ignore
+      (Kernel.step w.kernel ~thread:w.init
+         (Syscall.Mmap
+            { va = 0x4000_0000; count = 8; size = Atmo_pmem.Page_state.S4k; perm = Pte.perm_rw }));
+    smp_pingpong w ~send_call:(fun i ->
+        for p = 0 to 7 do
+          ignore (Kernel.resolve_user w.kernel ~thread:w.init ~vaddr:(0x4000_0000 + (p * 4096)))
+        done;
+        Scenario.send i)
   in
   let loads = Array.make 2 0 and cycles = Array.make 2 None in
   let ipc i () () =

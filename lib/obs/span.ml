@@ -226,6 +226,18 @@ let reset () =
   Itbl.reset irq_pending;
   Itbl.reset submits
 
+let with_recorder ~cpus ~slots f =
+  reset ();
+  let recorder = Flight.create ~cpus ~slots ~slot_size:Event.slot_bytes in
+  Sink.install (Sink.Flight recorder);
+  Fun.protect
+    ~finally:(fun () ->
+      Sink.install Sink.Disabled;
+      Sink.set_clock (fun () -> 0);
+      Sink.set_cpu 0;
+      reset ())
+    (fun () -> f recorder)
+
 (* ------------------------------------------------------------------ *)
 (* Begin / end                                                         *)
 

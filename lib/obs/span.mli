@@ -112,6 +112,14 @@ val reset : unit -> unit
     slow-root ledger, and restart id allocation.  Call when
     (re)installing a sink. *)
 
+val with_recorder : cpus:int -> slots:int -> (Flight.t -> 'a) -> 'a
+(** [with_recorder ~cpus ~slots f] runs [f recorder] with fresh span
+    state and a fresh flight recorder of [slots] slots on each of
+    [cpus] rings installed.  However [f] returns, it then restores the
+    {!Sink.Disabled} sink, the constant clock 0, CPU hint 0 and fresh
+    span state.  The metrics registry is the caller's: it is neither
+    reset nor cleared. *)
+
 (** {2 Monitor feed}
 
     Hooks the online SLO monitor rides on.  Costs on the close path

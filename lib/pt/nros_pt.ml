@@ -18,13 +18,18 @@ let slot_base ~level ~vbase i =
   if level = 4 && i land 0x100 <> 0 then vbase lor (i lsl shift) lor (-1 lsl 48)
   else vbase lor (i lsl shift)
 
+(* The present entries of one table page.  A table past the end of
+   memory is a walk fault with no entries below it. *)
+let iter_table mem ~table f =
+  if Phys_mem.contains mem table then Phys_mem.iter_table mem ~addr:table f
+
 (* Recursive interpretation of the subtree rooted at [table] (a table
    page of [level]) covering the virtual range starting at [vbase].
    This is the hierarchical definition: a node's interpretation is the
    union of its children's, derived afresh on every call. *)
 let rec interp_node mem ~table ~level ~vbase =
   let acc = ref [] in
-  Phys_mem.iter_table mem ~addr:table (fun i e ->
+  iter_table mem ~table (fun i e ->
       let vslot = slot_base ~level ~vbase i in
       if not (Pte.is_present e) then ()
       else if level = 1 then
@@ -46,7 +51,7 @@ let interp pt =
    recursively — the hierarchical analogue of page_closure. *)
 let rec closure_node mem ~table ~level =
   let acc = ref (Iset.singleton table) in
-  Phys_mem.iter_table mem ~addr:table (fun _ e ->
+  iter_table mem ~table (fun _ e ->
       if Pte.is_present e && (not (Pte.is_huge e)) && level > 1 then
         acc := Iset.union !acc (closure_node mem ~table:(Pte.addr_of e) ~level:(level - 1)));
   !acc
@@ -63,7 +68,7 @@ let rec closure_node mem ~table ~level =
 let rec verify_node mem ~table ~level ~vbase =
   let shift = 12 + (9 * (level - 1)) in
   let result = ref (Ok ()) in
-  Phys_mem.iter_table mem ~addr:table (fun i e ->
+  iter_table mem ~table (fun i e ->
       match !result with
       | Error _ -> ()
       | Ok () ->
@@ -134,7 +139,7 @@ let rec node_wf mem ~table ~level =
   let result = ref (Ok ()) in
   let closures = ref [] in
   let check f = match !result with Ok () -> result := f () | Error _ -> () in
-  Phys_mem.iter_table mem ~addr:table (fun i e ->
+  iter_table mem ~table (fun i e ->
       if Pte.is_present e then begin
         if Pte.is_huge e then
           check (fun () ->
@@ -146,6 +151,9 @@ let rec node_wf mem ~table ~level =
               | None -> err "nros structure: huge bit at level %d" level)
         else if level > 1 then begin
           let child = Pte.addr_of e in
+          check (fun () ->
+              if Phys_mem.contains mem child then Ok ()
+              else err "nros structure: L%d[%d] points past memory at 0x%x" level i child);
           check (fun () -> node_wf mem ~table:child ~level:(level - 1));
           let sub = closure_node mem ~table:child ~level:(level - 1) in
           check (fun () ->

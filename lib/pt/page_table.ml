@@ -465,13 +465,17 @@ module Backdoor = struct
 end
 
 (* Walk the concrete tables from cr3, one table-page read per table
-   page: every present leaf becomes a [(virtual base, entry)] pair. *)
+   page: every present leaf becomes a [(virtual base, entry)] pair.  A
+   table past the end of memory is a walk fault, with no leaf below. *)
 let walk_concrete t =
   let acc = ref [] in
   let leaf vbase e size =
     acc := (vbase, { frame = Pte.addr_of e; size; perm = Pte.perm_of e }) :: !acc
   in
-  let table addr f = Phys_mem.iter_table t.mem ~addr (fun i e -> if Pte.is_present e then f i e) in
+  let table addr f =
+    if Phys_mem.contains t.mem addr then
+      Phys_mem.iter_table t.mem ~addr (fun i e -> if Pte.is_present e then f i e)
+  in
   table t.cr3 (fun i4 e4 ->
       table (Pte.addr_of e4) (fun i3 e3 ->
           if Pte.is_huge e3 then leaf (Mmu.va_of_indices ~l4:i4 ~l3:i3 ~l2:0 ~l1:0) e3 Page_state.S1g

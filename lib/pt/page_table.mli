@@ -62,6 +62,10 @@ val unmap : t -> vaddr:int -> (entry, error) result
     covered virtual range out of the {!Atmo_hw.Tlb} (precise [invlpg]s
     for small ranges, full ASID flush for superpages). *)
 
+val find_leaf : t -> vaddr:int -> (int * int * entry, error) result
+(** The table page, index and entry of the mapping whose virtual base
+    is [vaddr]: the slot {!unmap} and {!update_perm} write. *)
+
 val update_perm : t -> vaddr:int -> perm:Atmo_hw.Pte_bits.perm -> (unit, error) result
 (** Change the permission bits of an existing leaf mapping in place.
     Shoots the covered range like {!unmap} — a cached writable
@@ -206,4 +210,5 @@ val walk_concrete : t -> (int * entry) list
 (** Enumerate the MMU-visible mappings by walking the concrete tables
     from cr3, one {!Atmo_hw.Phys_mem.iter_table} per table page:
     [(virtual base, entry)] pairs.  Used by the refinement checker as
-    the "hardware view". *)
+    the "hardware view".  A table past the end of memory is a walk
+    fault with no leaf below it. *)

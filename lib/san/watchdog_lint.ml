@@ -18,7 +18,13 @@ module Watchdog = Atmo_obs.Watchdog
 
 let filed : (int * int * int, unit) Hashtbl.t = Hashtbl.create 8
 
-let reset () = Hashtbl.reset filed
+(* The monitor [filed] belongs to: a finding of a later monitor is new
+   even when its key repeats one of an earlier monitor's. *)
+let filed_for : Monitor.t option ref = ref None
+
+let reset () =
+  Hashtbl.reset filed;
+  filed_for := None
 
 let lint (_k : Atmo_core.Kernel.t) =
   match Monitor.active () with
@@ -26,6 +32,11 @@ let lint (_k : Atmo_core.Kernel.t) =
     reset ();
     0
   | Some m ->
+    (match !filed_for with
+     | Some prev when prev == m -> ()
+     | _ ->
+       reset ();
+       filed_for := Some m);
     let n = ref 0 in
     List.iter
       (fun (r : Watchdog.report) ->

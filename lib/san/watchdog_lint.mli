@@ -6,7 +6,8 @@
     half of the scheduling contract).  The other watchdog rules are
     overload signals, not proof-shadowing violations, and stay with
     [atmo monitor].  No-op (and state cleared) when no monitor is
-    armed; each finding is filed once across repeated calls. *)
+    armed; each finding of one monitor is filed once across repeated
+    calls. *)
 
 val lint : Atmo_core.Kernel.t -> int
 (** Returns the number of newly filed reports. *)

@@ -23,6 +23,11 @@ let ( let* ) r f = match r with Ok () -> f () | Error _ as e -> e
 
 let read pt table index = Phys_mem.read_u64 (Page_table.mem pt) ~addr:(Mmu.entry_addr ~table ~index)
 
+(* A present non-leaf entry the walk descends through: one whose table
+   lies in memory.  Past the end of memory the walk faults, and no leaf
+   lies below the entry. *)
+let descends pt e = Pte.is_present e && Phys_mem.contains (Page_table.mem pt) (Pte.addr_of e)
+
 let walk_concrete pt =
   let acc = ref [] in
   let emit vbase frame size perm =
@@ -30,7 +35,7 @@ let walk_concrete pt =
   in
   for i4 = 0 to 511 do
     let e4 = read pt (Page_table.cr3 pt) i4 in
-    if Pte.is_present e4 then begin
+    if descends pt e4 then begin
       let l3 = Pte.addr_of e4 in
       for i3 = 0 to 511 do
         let e3 = read pt l3 i3 in
@@ -39,7 +44,7 @@ let walk_concrete pt =
             emit
               (Mmu.va_of_indices ~l4:i4 ~l3:i3 ~l2:0 ~l1:0)
               (Pte.addr_of e3) Page_state.S1g (Pte.perm_of e3)
-          else begin
+          else if descends pt e3 then begin
             let l2 = Pte.addr_of e3 in
             for i2 = 0 to 511 do
               let e2 = read pt l2 i2 in
@@ -48,7 +53,7 @@ let walk_concrete pt =
                   emit
                     (Mmu.va_of_indices ~l4:i4 ~l3:i3 ~l2:i2 ~l1:0)
                     (Pte.addr_of e2) Page_state.S2m (Pte.perm_of e2)
-                else begin
+                else if descends pt e2 then begin
                   let l1 = Pte.addr_of e2 in
                   for i1 = 0 to 511 do
                     let e1 = read pt l1 i1 in

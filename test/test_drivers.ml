@@ -179,15 +179,7 @@ let test_transfer_allocation_floor () =
     | _ -> Alcotest.fail "transfer lost the frame"
   in
   Atmo_obs.Metrics.reset ();
-  Atmo_obs.Span.reset ();
-  Atmo_obs.Sink.install
-    (Atmo_obs.Sink.Flight
-       (Atmo_obs.Flight.create ~cpus:2 ~slots:1024 ~slot_size:Atmo_obs.Event.slot_bytes));
-  Fun.protect
-    ~finally:(fun () ->
-      Atmo_obs.Sink.install Atmo_obs.Sink.Disabled;
-      Atmo_obs.Span.reset ())
-    (fun () ->
+  Atmo_obs.Span.with_recorder ~cpus:2 ~slots:1024 (fun _ ->
       for _ = 1 to 16 do
         transfer ()
       done;

@@ -3,8 +3,6 @@
    quantiles checked bucket-exact against the post-mortem profiler,
    watchdog rules over synthetic series, and exemplar capture. *)
 
-module Event = Atmo_obs.Event
-module Flight = Atmo_obs.Flight
 module Metrics = Atmo_obs.Metrics
 module Sink = Atmo_obs.Sink
 module Span = Atmo_obs.Span
@@ -25,21 +23,12 @@ let contains hay needle =
   let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
   go 0
 
-(* Fresh metrics/span state and a flight recorder installed; always
-   disarm the monitor and restore the Disabled sink. *)
+(* Fresh metrics and a flight recorder installed; always disarm the
+   monitor before the recorder goes. *)
 let with_flight ?(slots = 4096) f =
   Metrics.reset ();
-  Span.reset ();
-  let recorder = Flight.create ~cpus:2 ~slots ~slot_size:Event.slot_bytes in
-  Sink.install (Sink.Flight recorder);
-  Fun.protect
-    ~finally:(fun () ->
-      Monitor.disarm ();
-      Sink.install Sink.Disabled;
-      Sink.set_clock (fun () -> 0);
-      Sink.set_cpu 0;
-      Span.reset ())
-    (fun () -> f recorder)
+  Span.with_recorder ~cpus:2 ~slots (fun recorder ->
+      Fun.protect ~finally:Monitor.disarm (fun () -> f recorder))
 
 (* ------------------------------------------------------------------ *)
 (* Metrics snapshots: deterministic order, delta clamping              *)

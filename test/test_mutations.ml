@@ -60,12 +60,9 @@ let pt_with_corruption corrupt =
   pt
 
 let leaf_slot pt va =
-  let mem = Page_table.mem pt in
-  let read table index = Phys_mem.read_u64 mem ~addr:(Mmu.entry_addr ~table ~index) in
-  let e4 = read (Page_table.cr3 pt) (Mmu.l4_index va) in
-  let e3 = read (Pte.addr_of e4) (Mmu.l3_index va) in
-  let e2 = read (Pte.addr_of e3) (Mmu.l2_index va) in
-  Mmu.entry_addr ~table:(Pte.addr_of e2) ~index:(Mmu.l1_index va)
+  match Page_table.find_leaf pt ~vaddr:va with
+  | Ok (table, index, _) -> Mmu.entry_addr ~table ~index
+  | Error e -> Alcotest.failf "no leaf at 0x%x: %a" va Page_table.pp_error e
 
 let test_pt_mutation_cleared_leaf () =
   let pt =
@@ -127,6 +124,27 @@ let test_pt_mutation_reserved_bits () =
   in
   expect_fires "flat structure" (Pt_refine.structure pt);
   expect_fires "recursive structure" (Nros_pt.structure pt)
+
+let test_pt_mutation_l4_past_memory () =
+  (* a raw store of 0x07 bytes into the L4 entry above init's mapping
+     at 0x5000_0000: present, not huge, pointing far past the end of
+     memory.  The walk faults there, so every checker reports a
+     violation instead of raising. *)
+  let k, init = world () in
+  expect_clean "kernel" (Invariants.total_wf k);
+  let pt = (Wf_plants.init_proc k ~init).Process.pt in
+  Phys_mem.write_u64 (Page_table.mem pt)
+    ~addr:(Mmu.entry_addr ~table:(Page_table.cr3 pt) ~index:(Mmu.l4_index 0x5000_0000))
+    0x0707070707070707L;
+  Pt_oracle.check_agrees "L4 entry past memory" pt;
+  expect_fires "flat refinement" (Pt_refine.refinement pt);
+  expect_fires "flat structure" (Pt_refine.structure pt);
+  expect_fires "recursive refinement" (Nros_pt.refinement pt);
+  expect_fires "recursive structure" (Nros_pt.structure pt);
+  expect_fires "total_wf" (Invariants.total_wf k);
+  Atmo_san.Report.clear ();
+  checkb "the sanitizer files it" true (Atmo_san.Runtime.wf_check k > 0);
+  Atmo_san.Report.clear ()
 
 let test_pt_mutation_ghost_drift () =
   (* the ghost map claims a mapping the hardware does not have *)
@@ -333,11 +351,51 @@ let test_kernel_mutation_blocked_current () =
 
 (* ------------------------------------------------------------------ *)
 (* Sanitizer mutations: atmo-san must catch each planted bug with a
-   typed report naming the rule and the faulting page.                 *)
+   typed report naming the rule and the faulting page or site.         *)
 
 module San_runtime = Atmo_san.Runtime
 module San_report = Atmo_san.Report
-module Lockcheck = Atmo_san.Lockcheck
+module Plants = Atmo_workloads.Plants
+module Scenario = Atmo_workloads.Scenario
+
+(* Every page table of the kernel: its processes' and its devices'. *)
+let page_tables k =
+  Perm_map.fold (fun _ (p : Process.t) pts -> p.Process.pt :: pts) k.Kernel.pm.Proc_mgr.proc_perms
+    []
+  @ Imap.fold (fun _ (d : Kernel.device_info) acc -> d.Kernel.io_pt :: acc) k.Kernel.devices []
+
+(* One case per plant of the table, run by the driver its command runs:
+   a report under the plant's rule must name its page or site, and a
+   surgical plant must trip nothing else.  A report filed at a
+   well-formedness table entry must agree with [total_wf].  Whatever
+   the plant broke, the page-table checkers must agree with the
+   per-entry oracle, and [total_wf] and the sanitizer's table check
+   must return. *)
+let test_plant (e : Plants.t) () =
+  let k, verdict =
+    match e.Plants.body with
+    | Plants.After_workload _ -> (
+      let r = Plants.san ~seed:42 ~iterations:50 (Some e) in
+      match r.Plants.outcome with
+      | Plants.Planted v -> (r.Plants.world.Scenario.kernel, v)
+      | Plants.Clean | Plants.Unclean ->
+        Alcotest.failf "%s: workload not clean: %a" e.Plants.name San_report.pp_summary ())
+    | Plants.On_verifier _ -> (
+      match Plants.verify ~scale:3 ~threads:1 e with
+      | Ok v -> (v.Plants.kernel, v.Plants.verdict)
+      | Error msg -> Alcotest.failf "world: %s" msg)
+  in
+  (match verdict with
+   | Plants.Detected r ->
+     let at_entry (w : Invariants.entry) = w.Pm_invariants.name = r.San_report.site in
+     if List.exists at_entry Invariants.table then expect_fires "total_wf" (Invariants.total_wf k)
+   | Plants.Collateral n ->
+     Alcotest.failf "%s tripped %d unrelated report(s): %a" e.Plants.name n San_report.pp_summary ()
+   | Plants.Missed -> Alcotest.failf "%s not detected: %a" e.Plants.name San_report.pp_summary ());
+  List.iter (Pt_oracle.check_agrees e.Plants.name) (page_tables k);
+  ignore (Invariants.total_wf k);
+  ignore (San_runtime.wf_check k);
+  San_report.clear ()
 
 let with_san ?(lockcheck = false) f =
   San_runtime.arm ~poison:true ~lockcheck ();
@@ -345,20 +403,6 @@ let with_san ?(lockcheck = false) f =
 
 let san_find rule =
   List.find_opt (fun r -> r.San_report.rule = rule) (San_report.reports ())
-
-let test_san_double_free () =
-  with_san (fun () ->
-      let mem = Phys_mem.create ~page_count:256 in
-      let a = Page_alloc.create mem ~reserved_frames:0 in
-      let addr = Option.get (Page_alloc.alloc_4k a ~purpose:Page_alloc.Kernel) in
-      Page_alloc.free_kernel_page a ~addr;
-      checkb "clean before plant" true (San_report.count () = 0);
-      (* the allocator's own guard also fires; the sanitizer must have
-         classified the request before that *)
-      (try Page_alloc.free_kernel_page a ~addr with Invalid_argument _ -> ());
-      match san_find San_report.Double_free with
-      | None -> Alcotest.fail "double free not detected"
-      | Some r -> Alcotest.(check int) "faulting page" addr r.San_report.page)
 
 let test_san_use_after_free () =
   with_san (fun () ->
@@ -374,172 +418,20 @@ let test_san_use_after_free () =
       | Some r -> Alcotest.(check int) "faulting page" addr r.San_report.page)
 
 let test_san_unlocked_mutation () =
+  (* the unlocked plant's call, made under the big lock the way harness
+     code enters the kernel, is clean *)
   let k, init = world () in
   with_san ~lockcheck:true (fun () ->
       San_runtime.attach k;
-      (* a bare Kernel.step: kernel state mutates inside a syscall while
-         the big lock is free *)
       ignore
-        (Kernel.step k ~thread:init
-           (Syscall.Mmap { va = 0x6660_0000; count = 1; size = Page_state.S4k; perm = Pte.perm_rw }));
-      checkb "unlocked mutation detected" true
-        (san_find San_report.Unlocked_mutation <> None);
-      (* the same call under the lock is clean *)
-      San_report.clear ();
-      Lockcheck.locked ~site:"test.big_lock" ~cpu:0 (fun () ->
-          ignore
-            (Kernel.step k ~thread:init
-               (Syscall.Munmap { va = 0x6660_0000; count = 1; size = Page_state.S4k })));
+        (Scenario.locked k ~thread:init
+           (Syscall.Mmap
+              { va = 0x6000_0000; count = 1; size = Page_state.S4k; perm = Pte.perm_rw }));
       checkb "locked step clean" true (San_report.count () = 0))
 
-let test_san_malformed_pte () =
-  let k, init = world () in
-  with_san (fun () ->
-      San_runtime.attach k;
-      (match Kernel.step k ~thread:init
-               (Syscall.Mmap { va = 0x7770_0000; count = 1; size = Page_state.S4k; perm = Pte.perm_rw })
-       with
-       | Syscall.Rmapped _ -> ()
-       | r -> Alcotest.failf "mmap: %a" Syscall.pp_ret r);
-      Alcotest.(check int) "clean lint before plant" 0 (San_runtime.full_check k);
-      let proc = Option.get (Kernel.proc_of_thread k ~thread:init) in
-      let pt = (Perm_map.borrow k.Kernel.pm.Proc_mgr.proc_perms ~ptr:proc).Process.pt in
-      let slot = leaf_slot pt 0x7770_0000 in
-      let mem = Page_table.mem pt in
-      let e = Phys_mem.read_u64 mem ~addr:slot in
-      (* set a bit the kernel never programs (bit 9, "available") *)
-      Phys_mem.write_u64 mem ~addr:slot (Int64.logor e 0x200L);
-      Pt_oracle.check_agrees "malformed pte" pt;
-      Wf_plants.expect_flagged "malformed pte" k San_report.Malformed_pte ~page:(Pte.addr_of e))
-
-let test_san_stale_tlb () =
-  let k, init = world () in
-  with_san (fun () ->
-      San_runtime.attach k;
-      (match Kernel.step k ~thread:init
-               (Syscall.Mmap { va = 0x7780_0000; count = 1; size = Page_state.S4k; perm = Pte.perm_rw })
-       with
-       | Syscall.Rmapped _ -> ()
-       | r -> Alcotest.failf "mmap: %a" Syscall.pp_ret r);
-      (* warm the TLB, then check a well-behaved kernel is coherent *)
-      checkb "translation resolves" true
-        (Kernel.resolve_user k ~thread:init ~vaddr:0x7780_0000 <> None);
-      Alcotest.(check int) "clean lint before plant" 0 (San_runtime.full_check k);
-      (* missing-shootdown bug: clear the leaf PTE behind the TLB's back *)
-      let proc = Option.get (Kernel.proc_of_thread k ~thread:init) in
-      let pt = (Perm_map.borrow k.Kernel.pm.Proc_mgr.proc_perms ~ptr:proc).Process.pt in
-      let slot = leaf_slot pt 0x7780_0000 in
-      Phys_mem.write_u64 (Page_table.mem pt) ~addr:slot Pte.not_present;
-      Pt_oracle.check_agrees "stale tlb" pt;
-      checkb "lint fires" true (Atmo_san.Tlb_lint.lint k > 0);
-      match san_find San_report.Tlb_stale with
-      | None -> Alcotest.fail "stale TLB entry not detected"
-      | Some _ -> ())
-
-let test_san_fastpath_skip () =
-  (* boot a plain two-thread kernel and park the second thread in Recv:
-     current sender, parked receiver, empty run queue — the exact
-     fastpath precondition.  Then plant the fastpath bug that forgets to
-     requeue the preempted sender: both the structural invariant and the
-     scheduler lint must catch the stranded Runnable thread. *)
-  let k, init =
-    match Kernel.boot Kernel.default_boot with
-    | Ok v -> v
-    | Error e -> Alcotest.failf "boot: %a" Atmo_util.Errno.pp e
-  in
-  let t2 =
-    match Kernel.step k ~thread:init Syscall.New_thread with
-    | Syscall.Rptr t -> t
-    | r -> Alcotest.failf "new_thread: %a" Syscall.pp_ret r
-  in
-  (match Kernel.step k ~thread:init (Syscall.New_endpoint { slot = 0 }) with
-   | Syscall.Rptr _ -> ()
-   | r -> Alcotest.failf "new_endpoint: %a" Syscall.pp_ret r);
-  let ep =
-    Option.get (Thread.slot (Perm_map.borrow k.Kernel.pm.Proc_mgr.thrd_perms ~ptr:init) 0)
-  in
-  Proc_mgr.install_descriptor k.Kernel.pm ~thread:t2 ~slot:0 ~endpoint:ep;
-  (match Kernel.step k ~thread:t2 (Syscall.Recv { slot = 0 }) with
-   | Syscall.Rblocked -> ()
-   | r -> Alcotest.failf "recv should block: %a" Syscall.pp_ret r);
-  with_san (fun () ->
-      San_runtime.attach k;
-      checkb "clean before plant" true (San_runtime.wf_check k = 0);
-      Kernel.set_fastpath_skip_plant true;
-      Fun.protect
-        ~finally:(fun () -> Kernel.set_fastpath_skip_plant false)
-        (fun () ->
-          match
-            Kernel.step k ~thread:init
-              (Syscall.Send { slot = 0; msg = Atmo_pm.Message.scalars_only [ 1 ] })
-          with
-          | Syscall.Runit -> ()
-          | r -> Alcotest.failf "send: %a" Syscall.pp_ret r);
-      expect_fires "scheduler_wf" (Pm_invariants.all k.Kernel.pm);
-      (* the preempted sender is the stranded Runnable thread *)
-      Wf_plants.expect_flagged "fastpath skip" k San_report.Sched_incoherent ~page:init)
-
-let test_san_span_leak () =
-  (* same parked-receiver setup as the fastpath test, but under a live
-     flight recorder: force the rendezvous onto the slowpath and make it
-     drop the span's end — the span-balance lint must flag the span
-     still open at quiescence. *)
-  let k, init =
-    match Kernel.boot Kernel.default_boot with
-    | Ok v -> v
-    | Error e -> Alcotest.failf "boot: %a" Atmo_util.Errno.pp e
-  in
-  let t2 =
-    match Kernel.step k ~thread:init Syscall.New_thread with
-    | Syscall.Rptr t -> t
-    | r -> Alcotest.failf "new_thread: %a" Syscall.pp_ret r
-  in
-  (match Kernel.step k ~thread:init (Syscall.New_endpoint { slot = 0 }) with
-   | Syscall.Rptr _ -> ()
-   | r -> Alcotest.failf "new_endpoint: %a" Syscall.pp_ret r);
-  let ep =
-    Option.get (Thread.slot (Perm_map.borrow k.Kernel.pm.Proc_mgr.thrd_perms ~ptr:init) 0)
-  in
-  Proc_mgr.install_descriptor k.Kernel.pm ~thread:t2 ~slot:0 ~endpoint:ep;
-  (match Kernel.step k ~thread:t2 (Syscall.Recv { slot = 0 }) with
-   | Syscall.Rblocked -> ()
-   | r -> Alcotest.failf "recv should block: %a" Syscall.pp_ret r);
-  let module Obs_sink = Atmo_obs.Sink in
-  let recorder =
-    Atmo_obs.Flight.create ~cpus:1 ~slots:64 ~slot_size:Atmo_obs.Event.slot_bytes
-  in
-  Atmo_obs.Span.reset ();
-  Obs_sink.install (Obs_sink.Flight recorder);
-  Fun.protect
-    ~finally:(fun () ->
-      Obs_sink.install Obs_sink.Disabled;
-      Atmo_obs.Span.reset ())
-    (fun () ->
-      with_san (fun () ->
-          San_runtime.attach k;
-          checkb "clean lint before plant" true (Atmo_san.Span_lint.lint k = 0);
-          Kernel.set_fastpath false;
-          Kernel.set_span_leak_plant true;
-          Fun.protect
-            ~finally:(fun () ->
-              Kernel.set_span_leak_plant false;
-              Kernel.set_fastpath true)
-            (fun () ->
-              match
-                Kernel.step k ~thread:init
-                  (Syscall.Send { slot = 0; msg = Atmo_pm.Message.scalars_only [ 1 ] })
-              with
-              | Syscall.Runit -> ()
-              | r -> Alcotest.failf "send: %a" Syscall.pp_ret r);
-          checkb "lint fires" true (Atmo_san.Span_lint.lint k > 0);
-          match san_find San_report.Span_leak with
-          | None -> Alcotest.fail "span leak not detected"
-          | Some _ -> ()))
-
-let test_san_stale_proof () =
-  (* a mutation the dirty tracker never observes: the layer's intrinsic
-     counter advances past the tracker's, and the stale-proof lint must
-     file exactly that divergence *)
+let test_san_observed_not_stale () =
+  (* the stale-proof lint stays quiet when the tracker sees what the
+     layer counts *)
   let module Incremental = Atmo_verif.Incremental in
   let k, init = world () in
   Incremental.arm ();
@@ -549,115 +441,42 @@ let test_san_stale_proof () =
       San_report.clear ())
     (fun () ->
       San_report.clear ();
-      checkb "clean before plant" true (Atmo_san.Proof_lint.lint k = 0);
-      (* observed mutations stay clean: the tracker sees what the layer counts *)
+      checkb "clean before" true (Atmo_san.Proof_lint.lint k = 0);
       ignore (Kernel.step k ~thread:init Syscall.Yield);
-      checkb "observed mutation is not stale" true (Atmo_san.Proof_lint.lint k = 0);
-      (* plant: drop the dirty marks while the intrinsic counters advance
-         (an identity update still counts as a mutation of the map) *)
-      Incremental.set_miss_plant true;
-      Fun.protect
-        ~finally:(fun () -> Incremental.set_miss_plant false)
-        (fun () ->
-          Perm_map.update k.Atmo_core.Kernel.pm.Proc_mgr.thrd_perms ~ptr:init
-            (fun t -> t));
-      checkb "lint fires" true (Atmo_san.Proof_lint.lint k > 0);
-      match san_find San_report.Stale_proof with
-      | None -> Alcotest.fail "stale proof not detected"
-      | Some r ->
-        checkb "filed at proof_lint" true (r.San_report.site = "proof_lint"))
-
-let test_san_lost_completion () =
-  (* a driver that silently drops a completion the device posted: the
-     ledger ends with delivered > harvested, and Driver_lint must file
-     drv-lost-completion at quiescence *)
-  let module Model = Atmo_devmodel.Model in
-  let module Nvme = Atmo_drivers.Nvme in
-  let k, _init = world () in
-  Model.reset ();
-  Fun.protect ~finally:(fun () -> Model.reset ())
-    (fun () ->
-      with_san (fun () ->
-          San_runtime.attach k;
-          let clock = Atmo_hw.Clock.create () in
-          let dev = Nvme.create ~clock ~cost:Atmo_sim.Cost.default ~capacity_blocks:16 in
-          Nvme.set_device dev 9;
-          (* a drained well-behaved driver is clean *)
-          (match Nvme.submit_read dev ~lba:1 with
-           | Ok _ -> ()
-           | Error e -> Alcotest.fail (Atmo_devmodel.Fault.error_to_string e));
-          ignore (Nvme.wait_all dev);
-          checkb "clean lint before plant" true (Atmo_san.Driver_lint.lint k = 0);
-          (* plant the bug, lose exactly one completion *)
-          Nvme.set_drop_completion_plant dev true;
-          (match Nvme.submit_read dev ~lba:2 with
-           | Ok _ -> ()
-           | Error e -> Alcotest.fail (Atmo_devmodel.Fault.error_to_string e));
-          ignore (Nvme.wait_all dev);
-          checkb "lint fires" true (Atmo_san.Driver_lint.lint k > 0);
-          match san_find San_report.Drv_lost_completion with
-          | None -> Alcotest.fail "lost completion not detected"
-          | Some r ->
-            checkb "report names the device model" true
-              (r.San_report.site = "driver_lint.nvme9")))
+      checkb "observed mutation is not stale" true (Atmo_san.Proof_lint.lint k = 0))
 
 let test_san_watchdog_silent () =
-  (* the `atmo san --plant stalled-cpu` scenario: a CPU that beat for
-     six SLO windows goes silent while the other keeps scheduling; the
-     watchdog's cpu-silent finding must surface as exactly one
-     [Watchdog_silent] sanitizer report naming that CPU *)
+  (* the watchdog lint is quiet while both CPUs beat, and files a CPU
+     that then goes silent once, however often it runs *)
   let module Sink = Atmo_obs.Sink in
   let module Span = Atmo_obs.Span in
   let module Monitor = Atmo_obs.Monitor in
   let k, _init = world () in
-  Span.reset ();
-  let recorder =
-    Atmo_obs.Flight.create ~cpus:2 ~slots:4096 ~slot_size:Atmo_obs.Event.slot_bytes
-  in
-  Sink.install (Sink.Flight recorder);
-  Fun.protect
-    ~finally:(fun () ->
-      Monitor.disarm ();
-      Sink.install Sink.Disabled;
-      Sink.set_clock (fun () -> 0);
-      Sink.set_cpu 0;
-      Span.reset ())
-    (fun () ->
+  Span.with_recorder ~cpus:2 ~slots:4096 (fun _ ->
       with_san (fun () ->
           let window = 2_000 in
           let m = Monitor.arm ~windows:16 ~window_cycles:window ~now:0 ~specs:[] () in
-          let vnow = ref 0 in
-          let beat cpu =
-            Sink.set_cpu cpu;
-            let sid = Span.begin_ ~ts:!vnow Span.User in
-            vnow := !vnow + 250;
-            Span.end_ ~ts:!vnow sid
-          in
-          while !vnow < 6 * window do
-            beat 0;
-            beat 1
-          done;
-          checkb "clean while both cpus beat" true
-            (Atmo_san.Watchdog_lint.lint k = 0 && San_report.count () = 0);
-          while !vnow < 12 * window do
-            beat 0
-          done;
-          Monitor.finish m ~now:!vnow;
-          checkb "lint fires" true (Atmo_san.Watchdog_lint.lint k > 0);
-          checkb "repeated lint does not double-report" true
-            (Atmo_san.Watchdog_lint.lint k = 0);
-          let hits, others =
-            List.partition
-              (fun r -> r.San_report.rule = San_report.Watchdog_silent)
-              (San_report.reports ())
-          in
-          checkb "no unrelated reports" true (others = []);
-          (* the stall persists across window boundaries, so the finding
-             recurs at later seqs — every report must still name cpu 1 *)
-          checkb "at least one report" true (hits <> []);
-          List.iter
-            (fun r -> checkb "names the silent cpu" true (r.San_report.site = "watchdog.cpu1"))
-            hits))
+          Fun.protect ~finally:Monitor.disarm (fun () ->
+              let vnow = ref 0 in
+              let beat cpu =
+                Sink.set_cpu cpu;
+                let sid = Span.begin_ ~ts:!vnow Span.User in
+                vnow := !vnow + 250;
+                Span.end_ ~ts:!vnow sid
+              in
+              while !vnow < 6 * window do
+                beat 0;
+                beat 1
+              done;
+              checkb "clean while both cpus beat" true
+                (Atmo_san.Watchdog_lint.lint k = 0 && San_report.count () = 0);
+              while !vnow < 12 * window do
+                beat 0
+              done;
+              Monitor.finish m ~now:!vnow;
+              checkb "lint fires" true (Atmo_san.Watchdog_lint.lint k > 0);
+              checkb "repeated lint does not double-report" true
+                (Atmo_san.Watchdog_lint.lint k = 0))))
 
 (* ------------------------------------------------------------------ *)
 (* Spec mutations: a wrong return value must violate the spec          *)
@@ -711,6 +530,7 @@ let () =
           Alcotest.test_case "table cycle" `Quick test_pt_mutation_table_cycle;
           Alcotest.test_case "reserved bits" `Quick test_pt_mutation_reserved_bits;
           Alcotest.test_case "ghost drift" `Quick test_pt_mutation_ghost_drift;
+          Alcotest.test_case "L4 entry past memory" `Quick test_pt_mutation_l4_past_memory;
         ] );
       ( "allocator",
         [
@@ -746,18 +566,17 @@ let () =
             test_kernel_mutation_blocked_current;
         ] );
       ( "sanitizer",
-        [
-          Alcotest.test_case "double free" `Quick test_san_double_free;
-          Alcotest.test_case "use after free" `Quick test_san_use_after_free;
-          Alcotest.test_case "unlocked mutation" `Quick test_san_unlocked_mutation;
-          Alcotest.test_case "malformed pte" `Quick test_san_malformed_pte;
-          Alcotest.test_case "stale tlb" `Quick test_san_stale_tlb;
-          Alcotest.test_case "fastpath skip" `Quick test_san_fastpath_skip;
-          Alcotest.test_case "span leak" `Quick test_san_span_leak;
-        Alcotest.test_case "lost completion" `Quick test_san_lost_completion;
-        Alcotest.test_case "stale proof" `Quick test_san_stale_proof;
-        Alcotest.test_case "watchdog silent cpu" `Quick test_san_watchdog_silent;
-        ] );
+        List.map
+          (fun (e : Plants.t) ->
+            let name = String.map (function '-' -> ' ' | c -> c) e.Plants.name in
+            Alcotest.test_case name `Quick (test_plant e))
+          Plants.table
+        @ [
+            Alcotest.test_case "use after free" `Quick test_san_use_after_free;
+            Alcotest.test_case "unlocked mutation" `Quick test_san_unlocked_mutation;
+            Alcotest.test_case "observed mutation is not stale" `Quick test_san_observed_not_stale;
+            Alcotest.test_case "watchdog silent cpu" `Quick test_san_watchdog_silent;
+          ] );
       ( "spec",
         [
           Alcotest.test_case "wrong return" `Quick test_spec_catches_wrong_ret;

@@ -7,24 +7,16 @@ module Event = Atmo_obs.Event
 module Flight = Atmo_obs.Flight
 module Metrics = Atmo_obs.Metrics
 module Sink = Atmo_obs.Sink
-module Kernel = Atmo_core.Kernel
 module Syscall = Atmo_spec.Syscall
 module Errno = Atmo_util.Errno
 
 (* Run [f recorder clock] with a fresh recorder installed and the sink's
-   clock reading [!clock]; restores the disabled sink, the constant
-   clock and CPU hint 0. *)
+   clock reading [!clock]. *)
 let recording ?(cpus = 1) ~slots f =
-  let recorder = Flight.create ~cpus ~slots ~slot_size:Event.slot_bytes in
-  let clock = ref 0 in
-  Sink.install (Sink.Flight recorder);
-  Sink.set_clock (fun () -> !clock);
-  Fun.protect
-    ~finally:(fun () ->
-      Sink.install Sink.Disabled;
-      Sink.set_clock (fun () -> 0);
-      Sink.set_cpu 0)
-    (fun () -> f recorder clock)
+  Atmo_obs.Span.with_recorder ~cpus ~slots (fun recorder ->
+      let clock = ref 0 in
+      Sink.set_clock (fun () -> !clock);
+      f recorder clock)
 
 (* One page_alloc stamped [ts] on [cpu]'s ring. *)
 let record_at clock ~cpu ts =
@@ -333,40 +325,22 @@ let prop_quantiles_monotone =
 (* ------------------------------------------------------------------ *)
 (* sink: Disabled must be free, Flight must be cycle-model-neutral     *)
 
-(* the kernel-heavy SMP ping-pong from the trace CLI, shrunk *)
+(* the trace workload's two-CPU ping-pong phase, shrunk *)
 let run_workload () =
-  match Kernel.boot Kernel.default_boot with
-  | Error e -> Alcotest.failf "boot: %s" (Fmt.to_to_string Errno.pp e)
-  | Ok (k, init) ->
-    let t2 =
-      match Kernel.step k ~thread:init Syscall.New_thread with
-      | Syscall.Rptr t -> t
-      | _ -> Alcotest.fail "new_thread"
-    in
-    (match Kernel.step k ~thread:init (Syscall.New_endpoint { slot = 0 }) with
-     | Syscall.Rptr ep ->
-       Atmo_pm.Proc_mgr.install_descriptor k.Kernel.pm ~thread:t2 ~slot:0 ~endpoint:ep
-     | _ -> Alcotest.fail "new_endpoint");
-    let programs =
-      [
-        { Atmo_sim.Smp.thread = t2; think_cycles = 600;
-          call_of = (fun _ -> Syscall.Recv { slot = 0 }) };
-        { Atmo_sim.Smp.thread = init; think_cycles = 800;
-          call_of =
-            (fun i -> Syscall.Send { slot = 0; msg = Atmo_pm.Message.scalars_only [ i ] }) };
-      ]
-    in
-    (match Atmo_sim.Smp.run k ~cost:Atmo_sim.Cost.default ~cpus:2 ~programs ~iterations:50 with
-     | Ok s -> (s, Atmo_core.Abstraction.abstract k)
-     | Error msg -> Alcotest.failf "smp: %s" msg)
+  let module Scenario = Atmo_workloads.Scenario in
+  let w = Scenario.boot_pair () in
+  match Scenario.pingpong w ~send_call:Scenario.send ~iterations:50 with
+  | Ok s -> (s, Atmo_core.Abstraction.abstract w.Scenario.kernel)
+  | Error msg -> Alcotest.failf "smp: %s" msg
 
 let test_disabled_sink_is_bit_identical () =
   Sink.install Sink.Disabled;
   let base_stats, base_abs = run_workload () in
-  let recorder = Flight.create ~cpus:2 ~slots:256 ~slot_size:Event.slot_bytes in
-  Sink.install (Sink.Flight recorder);
-  let traced_stats, traced_abs = run_workload () in
-  Sink.install Sink.Disabled;
+  let (traced_stats, traced_abs), captured =
+    Atmo_obs.Span.with_recorder ~cpus:2 ~slots:256 (fun recorder ->
+        let traced = run_workload () in
+        (traced, Flight.length recorder ~cpu:0 + Flight.length recorder ~cpu:1))
+  in
   (* the simulated-cycle accounting must not move at all under tracing *)
   Alcotest.(check int) "wall cycles" base_stats.Atmo_sim.Smp.wall_cycles
     traced_stats.Atmo_sim.Smp.wall_cycles;
@@ -379,8 +353,7 @@ let test_disabled_sink_is_bit_identical () =
   Alcotest.(check bool) "identical abstract kernel state" true
     (base_abs = traced_abs);
   (* and the traced run actually recorded the hot paths *)
-  Alcotest.(check bool) "flight run captured events" true
-    (Flight.length recorder ~cpu:0 + Flight.length recorder ~cpu:1 > 0)
+  Alcotest.(check bool) "flight run captured events" true (captured > 0)
 
 let test_disabled_sink_records_nothing () =
   Sink.install Sink.Disabled;
@@ -521,15 +494,13 @@ let test_bad_cpu_counted_not_silent () =
     (Metrics.Counter.value (Metrics.counter "obs/bad_cpu"))
 
 let test_span_pair_expands_balanced () =
-  let f = Flight.create ~cpus:1 ~slots:8 ~slot_size:Event.slot_bytes in
-  Sink.install (Sink.Flight f);
-  Atmo_obs.Span.reset ();
-  let id = Atmo_obs.Span.pair ~ts:5 Atmo_obs.Span.Ctx_switch in
-  let rs = Sink.records () in
-  Sink.install Sink.Disabled;
-  Atmo_obs.Span.reset ();
+  let id, rs, slots =
+    Atmo_obs.Span.with_recorder ~cpus:1 ~slots:8 (fun f ->
+        let id = Atmo_obs.Span.pair ~ts:5 Atmo_obs.Span.Ctx_switch in
+        (id, Sink.records (), Flight.length f ~cpu:0))
+  in
   Alcotest.(check bool) "pair admitted" true (id > 0);
-  Alcotest.(check int) "one ring slot" 1 (Flight.length f ~cpu:0);
+  Alcotest.(check int) "one ring slot" 1 slots;
   Alcotest.(check (list int)) "expanded records carry their tags"
     [ Event.tag_span_begin; Event.tag_span_end ]
     (List.map (fun (r : Event.record) -> r.Event.tag) rs);
@@ -547,26 +518,20 @@ let test_span_pair_expands_balanced () =
 
 let test_kv_workload_zero_drops () =
   let module Kv = Atmo_workloads.Kv_demo in
-  let f = Flight.create ~cpus:2 ~slots:16384 ~slot_size:Event.slot_bytes in
-  Sink.install (Sink.Flight f);
-  Atmo_obs.Span.reset ();
-  ignore (Kv.run ~requests:40 ());
-  let records = Sink.records () in
-  let dropped = Sink.dropped () in
-  let emitted = ref 0 in
-  for tag = 1 to Event.tag_count do
-    emitted := !emitted + Sink.emitted_count ~tag
-  done;
-  let pairs = Sink.emitted_count ~tag:Event.tag_span_pair in
-  Sink.install Sink.Disabled;
-  Sink.set_clock (fun () -> 0);
-  Sink.set_cpu 0;
-  Atmo_obs.Span.reset ();
-  Alcotest.(check bool) "workload emitted events" true (!emitted > 0);
+  let records, dropped, emitted, pairs =
+    Atmo_obs.Span.with_recorder ~cpus:2 ~slots:16384 (fun _ ->
+        ignore (Kv.run ~requests:40 ());
+        let emitted = ref 0 in
+        for tag = 1 to Event.tag_count do
+          emitted := !emitted + Sink.emitted_count ~tag
+        done;
+        (Sink.records (), Sink.dropped (), !emitted, Sink.emitted_count ~tag:Event.tag_span_pair))
+  in
+  Alcotest.(check bool) "workload emitted events" true (emitted > 0);
   Alcotest.(check int) "zero drops on a sized ring" 0 dropped;
   (* lossless accounting: every admitted event is a live record (span
      pairs decode into two) *)
-  Alcotest.(check int) "records = emitted + pairs" (!emitted + pairs)
+  Alcotest.(check int) "records = emitted + pairs" (emitted + pairs)
     (List.length records)
 
 let test_sink_records_merged_sorted () =

@@ -177,29 +177,13 @@ let test_smp_runs_clean_under_lockcheck () =
   with_san ~poison:false ~lockcheck:true (fun () ->
       let k, init = boot () in
       Runtime.attach k;
-      let t2 =
-        match
-          Lockcheck.locked ~site:"test.setup" ~cpu:0 (fun () ->
-              Kernel.step k ~thread:init Syscall.New_thread)
-        with
-        | Syscall.Rptr t -> t
-        | r -> Alcotest.failf "new_thread: %a" Syscall.pp_ret r
-      in
-      let ep =
-        match
-          Lockcheck.locked ~site:"test.setup" ~cpu:0 (fun () ->
-              Kernel.step k ~thread:init (Syscall.New_endpoint { slot = 0 }))
-        with
-        | Syscall.Rptr e -> e
-        | r -> Alcotest.failf "new_endpoint: %a" Syscall.pp_ret r
-      in
-      Proc_mgr.install_descriptor k.Kernel.pm ~thread:t2 ~slot:0 ~endpoint:ep;
+      let module Scenario = Atmo_workloads.Scenario in
+      let w = Scenario.pair k ~init ~step:(Scenario.locked k) in
       let programs =
         [
-          { Atmo_sim.Smp.thread = t2; think_cycles = 100;
-            call_of = (fun _ -> Syscall.Recv { slot = 0 }) };
-          { Atmo_sim.Smp.thread = init; think_cycles = 100;
-            call_of = (fun i -> Syscall.Send { slot = 0; msg = Atmo_pm.Message.scalars_only [ i ] }) };
+          { Atmo_sim.Smp.thread = w.Scenario.peer; think_cycles = 100;
+            call_of = (fun _ -> Scenario.recv) };
+          { Atmo_sim.Smp.thread = init; think_cycles = 100; call_of = Scenario.send };
         ]
       in
       (match Atmo_sim.Smp.run k ~cost:Atmo_sim.Cost.default ~cpus:2 ~programs ~iterations:20 with

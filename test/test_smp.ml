@@ -111,39 +111,17 @@ let test_terminate_racing_steal () =
   Report.clear ();
   checki "well-formed after the race" 0 (Atmo_san.Runtime.wf_check k)
 
-let test_lost_steal_detected () =
-  let k, init = boot () in
-  let pm = k.Kernel.pm in
-  Proc_mgr.set_sched_cpus pm 2;
-  let proc, t2 = child_thread k init in
-  Proc_mgr.set_cpu pm 1;
-  checkb "stolen" true (Proc_mgr.dequeue_next pm = Some t2);
-  Proc_mgr.set_cpu pm 0;
-  (* buggy teardown: the ledger entry outlives the thread, and nothing
-     else is wrong *)
-  Proc_mgr.set_lost_steal_plant pm true;
-  Fun.protect
-    ~finally:(fun () -> Proc_mgr.set_lost_steal_plant pm false)
-    (fun () -> terminate k init proc);
-  Wf_plants.expect_flagged "lost steal" k Report.Lost_steal ~page:t2;
-  checkb "ledger only" true
-    (List.for_all (fun r -> r.Report.rule = Report.Lost_steal) (Report.reports ()));
-  Report.clear ()
-
+(* The queue-corrupt plant as [atmo san] runs it (its detection is its
+   table case in test_mutations): only the global census sees the
+   thread owning two queue slots, each deque stays well-formed. *)
 let test_double_enqueue_detected () =
-  let k, init = boot () in
-  let pm = k.Kernel.pm in
-  Proc_mgr.set_sched_cpus pm 2;
-  let t2 = new_thread k init in
-  checkb "t2 on queue 0" true (Sched_queue.mem (Proc_mgr.queue pm ~cpu:0) t2);
-  Report.clear ();
-  checki "clean before the plant" 0 (Atmo_san.Runtime.wf_check k);
-  (* each deque stays individually well-formed — only the global
-     census sees the thread owning two queue slots *)
-  Sched_queue.push_back (Proc_mgr.queue pm ~cpu:1) t2;
+  let module Plants = Atmo_workloads.Plants in
+  let r = Plants.san ~seed:42 ~iterations:50 (Plants.find "queue-corrupt") in
+  checkb "detected" true
+    (match r.Plants.outcome with Plants.Planted (Plants.Detected _) -> true | _ -> false);
+  let pm = r.Plants.world.Atmo_workloads.Scenario.kernel.Kernel.pm in
   checkb "queue 0 still wf" true (Sched_queue.wf (Proc_mgr.queue pm ~cpu:0) = Ok ());
   checkb "queue 1 still wf" true (Sched_queue.wf (Proc_mgr.queue pm ~cpu:1) = Ok ());
-  Wf_plants.expect_flagged "double enqueue" k Report.Queue_corrupt ~page:t2;
   Report.clear ()
 
 (* What a resize to [n] CPUs must produce: the old queues drained in
@@ -370,7 +348,6 @@ let () =
           Alcotest.test_case "self-steal guard" `Quick test_self_steal_guard;
           Alcotest.test_case "steal migrates home" `Quick test_steal_migrates_home;
           Alcotest.test_case "terminate racing steal" `Quick test_terminate_racing_steal;
-          Alcotest.test_case "lost steal detected" `Quick test_lost_steal_detected;
           Alcotest.test_case "double enqueue detected" `Quick test_double_enqueue_detected;
           Alcotest.test_case "topology resize requeues" `Quick test_topology_resize_requeues;
           Alcotest.test_case "topology reset reuses queues" `Quick

@@ -12,20 +12,10 @@ module Profile = Atmo_obs.Profile
 module Export = Atmo_obs.Export
 module Kv_demo = Atmo_workloads.Kv_demo
 
-(* Run [f] with a fresh flight recorder installed; always restore the
-   Disabled sink, the constant clock, and the span state. *)
+(* Run [f] with fresh metrics and a fresh flight recorder installed. *)
 let with_flight ?(slots = 4096) f =
   Metrics.reset ();
-  Span.reset ();
-  let recorder = Flight.create ~cpus:2 ~slots ~slot_size:Event.slot_bytes in
-  Sink.install (Sink.Flight recorder);
-  Fun.protect
-    ~finally:(fun () ->
-      Sink.install Sink.Disabled;
-      Sink.set_clock (fun () -> 0);
-      Sink.set_cpu 0;
-      Span.reset ())
-    (fun () -> f recorder)
+  Span.with_recorder ~cpus:2 ~slots f
 
 (* ------------------------------------------------------------------ *)
 (* zero overhead: the kv workload's cycle model is sink-independent    *)

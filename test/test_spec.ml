@@ -188,13 +188,7 @@ let test_self_grant ~parked ~meets ~ret () =
     if o.H.spec <> Ok () || o.H.wf <> Ok () then fail_outcome o;
     o.H.ret
   in
-  let ptr = function
-    | Syscall.Rptr p -> p
-    | r -> Alcotest.failf "setup: %a" Syscall.pp_ret r
-  in
-  let t2 = ptr (checked ~thread:init Syscall.New_thread) in
-  let ep = ptr (checked ~thread:init (Syscall.New_endpoint { slot = 0 })) in
-  Atmo_pm.Proc_mgr.install_descriptor k.Kernel.pm ~thread:t2 ~slot:0 ~endpoint:ep;
+  let t2 = (Atmo_workloads.Scenario.pair k ~init ~step:checked).Atmo_workloads.Scenario.peer in
   Alcotest.(check bool) "partner parks" true (checked ~thread:t2 parked = Syscall.Rblocked);
   match (checked ~thread:init meets, ret) with
   | Syscall.Runit, `Unit | Syscall.Rmsg _, `Msg -> ()
