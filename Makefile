@@ -111,7 +111,8 @@ perf-pairs:
 # over every suite; `dune runtest` also runs the CLI rules in bin/dune:
 # the sanitizer's clean run and every plant of the plant table, each
 # caught by the report bin/plants.expected pins, the scripted trace
-# workload's disabled-vs-flight identity, the profiler's request-path
+# workload's disabled-vs-flight identity, the verifier's verdicts that
+# bin/verify.expected pins, the profiler's request-path
 # reconstruction over the kv-store
 # demo, top's accounting, the trace CLI's per-kind --filter and
 # --sample admission paths and its Chrome exporter), the fastpath

@@ -164,11 +164,52 @@ let alloc_block t (size : Page_state.size) =
   | Page_state.S2m -> Page_alloc.alloc_2m t.alloc ~purpose:Page_alloc.User
   | Page_state.S1g -> Page_alloc.alloc_1g t.alloc ~purpose:Page_alloc.User
 
-let map_block pt ~vaddr ~frame ~perm (size : Page_state.size) =
-  match size with
-  | Page_state.S4k -> Page_table.map_4k pt ~vaddr ~frame ~perm
-  | Page_state.S2m -> Page_table.map_2m pt ~vaddr ~frame ~perm
-  | Page_state.S1g -> Page_table.map_1g pt ~vaddr ~frame ~perm
+let errno_of_map = function Page_table.Oom -> Errno.Enomem | _ -> Errno.Einval
+
+(* Unmap the pages at [vaddrs], in that order, and drop each frame's
+   reference. *)
+let unmap_pages t pt vaddrs =
+  List.iter
+    (fun v ->
+      match Page_table.unmap pt ~vaddr:v with
+      | Ok e -> ignore (Page_alloc.dec_ref t.alloc ~addr:e.Page_table.frame)
+      | Error _ -> assert false)
+    vaddrs
+
+(* The one way the kernel maps pages.  Count the table pages that
+   mappings of [size] at [vaddrs] need, charge them and [frames] up
+   front, then run [install].  When it fails, having undone its own
+   mappings, free the table pages it added and refund the charge, so a
+   failing call leaves no trace.  A superpage block may come from
+   merging free frames (or splitting a larger block), so superpage
+   installs run inside [Page_alloc.atomically], which undoes those
+   reshapes after the rollback: a failing call also leaves every free
+   set as it found it. *)
+let charged_map t pt ~charge ~uncharge ~size ~vaddrs ~frames install =
+  let n_tables =
+    Page_table.missing_tables pt ~vaddrs:(List.map (fun v -> (v, size)) vaddrs)
+  in
+  let need = frames + n_tables in
+  let* () = charge ~frames:need in
+  let keep = Page_table.page_closure pt in
+  let run () =
+    match install () with
+    | Ok _ as ok -> ok
+    | Error _ as e ->
+      ignore (Page_table.prune_empty_tables pt ~keep);
+      uncharge ~frames:need;
+      e
+  in
+  let r =
+    match size with
+    | Page_state.S4k -> run ()
+    | Page_state.S2m | Page_state.S1g -> Page_alloc.atomically t.alloc run
+  in
+  (* The dry run must have predicted the table growth exactly; anything
+     else is a kernel bug. *)
+  if Result.is_ok r then
+    assert (Iset.cardinal (Page_table.page_closure pt) - Iset.cardinal keep = n_tables);
+  r
 
 let sys_mmap t ~thread ~va ~count ~size ~perm =
   match calling_thread t ~thread with
@@ -186,68 +227,30 @@ let sys_mmap t ~thread ~va ~count ~size ~perm =
          Already_mapped after partial progress. *)
       if Page_table.overlaps pt ~vaddr:va ~bytes:(count * bytes) then err Errno.Eexist
       else begin
-        let n_tables =
-          Page_table.missing_tables pt ~vaddrs:(List.map (fun v -> (v, size)) vaddrs)
+        (* [mapped] holds the pages mapped so far, newest first *)
+        let rec go mapped frames = function
+          | [] -> Ok (List.rev frames)
+          | v :: rest ->
+            (match alloc_block t size with
+             | None ->
+               unmap_pages t pt mapped;
+               Error Errno.Enomem
+             | Some frame ->
+               (match Page_table.map pt ~size ~vaddr:v ~frame ~perm with
+                | Ok () -> go (v :: mapped) (frame :: frames) rest
+                | Error e ->
+                  ignore (Page_alloc.dec_ref t.alloc ~addr:frame);
+                  unmap_pages t pt mapped;
+                  Error (errno_of_map e)))
         in
-        let fp = Page_state.frames_per size in
-        let need = (count * fp) + n_tables in
-        match Proc_mgr.charge t.pm ~container ~frames:need with
+        match
+          charged_map t pt ~charge:(Proc_mgr.charge t.pm ~container)
+            ~uncharge:(Proc_mgr.uncharge t.pm ~container) ~size ~vaddrs
+            ~frames:(count * Page_state.frames_per size)
+            (fun () -> go [] [] vaddrs)
+        with
         | Error e -> err e
-        | Ok () ->
-          let keep = Page_table.page_closure pt in
-          let rec rollback mapped =
-            List.iter
-              (fun v ->
-                match Page_table.unmap pt ~vaddr:v with
-                | Ok e -> ignore (Page_alloc.dec_ref t.alloc ~addr:e.Page_table.frame)
-                | Error _ -> assert false)
-              mapped;
-            ignore (Page_table.prune_empty_tables pt ~keep);
-            Proc_mgr.uncharge t.pm ~container ~frames:need
-          and go acc = function
-            | [] -> Ok (List.rev acc)
-            | v :: rest ->
-              (match alloc_block t size with
-               | None ->
-                 rollback acc;
-                 Error Errno.Enomem
-               | Some frame ->
-                 (match map_block pt ~vaddr:v ~frame ~perm size with
-                  | Ok () -> go (v :: acc) rest
-                  | Error Page_table.Oom ->
-                    ignore (Page_alloc.dec_ref t.alloc ~addr:frame);
-                    rollback acc;
-                    Error Errno.Enomem
-                  | Error _ ->
-                    ignore (Page_alloc.dec_ref t.alloc ~addr:frame);
-                    rollback acc;
-                    Error Errno.Einval))
-          in
-          (* A superpage block may come from merging free frames (or
-             splitting a larger block); when a later block or table
-             fails, the allocator undoes those reshapes after the
-             rollback, so a failing call leaves every free set as it
-             found it. *)
-          let mapped =
-            match size with
-            | Page_state.S4k -> go [] vaddrs
-            | Page_state.S2m | Page_state.S1g ->
-              Page_alloc.atomically t.alloc (fun () -> go [] vaddrs)
-          in
-          (match mapped with
-           | Error e -> err e
-           | Ok mapped_vas ->
-             (* The dry run must have predicted the table growth exactly;
-                anything else is a kernel bug. *)
-             assert (
-               Iset.cardinal (Page_table.page_closure pt) - Iset.cardinal keep
-               = n_tables);
-             let frames =
-               List.map
-                 (fun v -> (Imap.find v (Page_table.address_space pt)).Page_table.frame)
-                 mapped_vas
-             in
-             Syscall.Rmapped frames)
+        | Ok frames -> Syscall.Rmapped frames
       end
     end
 
@@ -277,12 +280,7 @@ let sys_munmap t ~thread ~va ~count ~size =
       in
       if not valid then err Errno.Einval
       else begin
-        List.iter
-          (fun v ->
-            match Page_table.unmap pt ~vaddr:v with
-            | Ok e -> ignore (Page_alloc.dec_ref t.alloc ~addr:e.Page_table.frame)
-            | Error _ -> assert false)
-          vaddrs;
+        unmap_pages t pt vaddrs;
         Proc_mgr.uncharge t.pm ~container ~frames:(count * Page_state.frames_per size);
         Syscall.Runit
       end
@@ -418,34 +416,22 @@ let rendezvous_fast t ~ep ~sender ~receiver ~caller ~partner ~partner_up ~caller
   Obs.emit_ep_fastpath ~ep ~sender ~receiver ();
   Span.end_ sid
 
-(* Map an already-[Mapped] 4 KiB frame into [proc]'s address space at
-   [va], charging the owning container for the frame share and any new
-   table pages.  Atomic: failure leaves no trace. *)
-let map_shared_page t ~proc ~frame ~va ~perm =
-  let p = Perm_map.borrow t.pm.Proc_mgr.proc_perms ~ptr:proc in
-  let pt = p.Process.pt in
-  let container = p.Process.owner_container in
-  if (not (Mmu.canonical va)) || va land (Phys_mem.page_size - 1) <> 0 then
-    Error Errno.Einval
-  else if Imap.mem va (Page_table.address_space pt) then Error Errno.Eexist
-  else begin
-    let n_tables = Page_table.missing_tables pt ~vaddrs:[ (va, Page_state.S4k) ] in
-    let need = 1 + n_tables in
-    let* () = Proc_mgr.charge t.pm ~container ~frames:need in
-    let keep = Page_table.page_closure pt in
-    match Page_table.map_4k pt ~vaddr:va ~frame ~perm with
-    | Ok () ->
-      Page_alloc.inc_ref t.alloc ~addr:frame;
-      Ok ()
-    | Error Page_table.Oom ->
-      ignore (Page_table.prune_empty_tables pt ~keep);
-      Proc_mgr.uncharge t.pm ~container ~frames:need;
-      Error Errno.Enomem
-    | Error _ ->
-      ignore (Page_table.prune_empty_tables pt ~keep);
-      Proc_mgr.uncharge t.pm ~container ~frames:need;
-      Error Errno.Einval
-  end
+(* A canonical 4 KiB page base: where a shared page may go. *)
+let page_base va = Mmu.canonical va && va land (Phys_mem.page_size - 1) = 0
+
+(* Map the already-[Mapped] 4 KiB [frame] once more, at the page base
+   [va] of [pt], reference counted: an IPC page grant, which the
+   receiving container pays for, or a DMA window, which its owner's
+   container pays for under the external charge.  Atomic: failure
+   leaves no trace. *)
+let share_page t pt ~charge ~uncharge ~va ~frame ~perm =
+  if Imap.mem va (Page_table.address_space pt) then Error Errno.Eexist
+  else
+    charged_map t pt ~charge ~uncharge ~size:Page_state.S4k ~vaddrs:[ va ] ~frames:1
+      (fun () ->
+        match Page_table.map pt ~size:Page_state.S4k ~vaddr:va ~frame ~perm with
+        | Ok () -> Ok (Page_alloc.inc_ref t.alloc ~addr:frame)
+        | Error e -> Error (errno_of_map e))
 
 (* Transfer [msg] from [sender] to [receiver]: validate every grant
    first, then apply.  The only fallible step after validation is the
@@ -485,7 +471,13 @@ let deliver t ~sender ~receiver ~(msg : Message.t) =
       match page_frame with
       | None -> Ok ()
       | Some (g, frame, perm) ->
-        map_shared_page t ~proc:rth.Thread.owner_proc ~frame ~va:g.Message.dst_vaddr ~perm
+        let p = Perm_map.borrow t.pm.Proc_mgr.proc_perms ~ptr:rth.Thread.owner_proc in
+        let container = p.Process.owner_container in
+        let va = g.Message.dst_vaddr in
+        if not (page_base va) then Error Errno.Einval
+        else
+          share_page t p.Process.pt ~charge:(Proc_mgr.charge t.pm ~container)
+            ~uncharge:(Proc_mgr.uncharge t.pm ~container) ~va ~frame ~perm
     in
     (match edpt_grant with
      | None -> ()
@@ -877,38 +869,16 @@ let sys_io_map t ~thread ~device ~iova ~va =
      | None -> err Errno.Esrch
      | Some info ->
        if info.owner_proc <> th.Thread.owner_proc then err Errno.Eperm
-       else if
-         (not (Mmu.canonical iova)) || iova land (Phys_mem.page_size - 1) <> 0
-       then err Errno.Einval
+       else if not (page_base iova) then err Errno.Einval
        else begin
          let p = Perm_map.borrow t.pm.Proc_mgr.proc_perms ~ptr:info.owner_proc in
          match Imap.find_opt va (Page_table.address_space p.Process.pt) with
          | Some e when Page_state.equal_size e.Page_table.size Page_state.S4k ->
-           if Imap.mem iova (Page_table.address_space info.io_pt) then err Errno.Eexist
-           else begin
-             let n_tables =
-               Page_table.missing_tables info.io_pt ~vaddrs:[ (iova, Page_state.S4k) ]
-             in
-             match
-               Proc_mgr.charge_external t.pm ~container:info.owner_container
-                 ~frames:(1 + n_tables)
-             with
-             | Error e -> err e
-             | Ok () ->
-               let keep = Page_table.page_closure info.io_pt in
-               (match
-                  Page_table.map_4k info.io_pt ~vaddr:iova ~frame:e.Page_table.frame
-                    ~perm:e.Page_table.perm
-                with
-                | Ok () ->
-                  Page_alloc.inc_ref t.alloc ~addr:e.Page_table.frame;
-                  Syscall.Runit
-                | Error _ ->
-                  ignore (Page_table.prune_empty_tables info.io_pt ~keep);
-                  Proc_mgr.uncharge_external t.pm ~container:info.owner_container
-                    ~frames:(1 + n_tables);
-                  err Errno.Enomem)
-           end
+           let container = info.owner_container in
+           ret_of_unit
+             (share_page t info.io_pt ~charge:(Proc_mgr.charge_external t.pm ~container)
+                ~uncharge:(Proc_mgr.uncharge_external t.pm ~container) ~va:iova
+                ~frame:e.Page_table.frame ~perm:e.Page_table.perm)
          | Some _ | None -> err Errno.Einval
        end)
 

@@ -21,16 +21,6 @@ type dma_error = {
   e_reason : [ `No_domain | `Unmapped | `Readonly ];
 }
 
-let reason_name = function
-  | `No_domain -> "no-domain"
-  | `Unmapped -> "unmapped"
-  | `Readonly -> "readonly"
-
-let pp_dma_error ppf e =
-  Format.fprintf ppf "device %d %s iova=0x%x len=%d: %s" e.e_device
-    (if e.e_write then "write" else "read")
-    e.e_iova e.e_len (reason_name e.e_reason)
-
 (* Rejected DMA bursts, process-wide (like mmu/walk_loads the registry
    entry lives for the whole process; [Metrics.reset] zeroes it). *)
 let blocked_counter = Atmo_obs.Metrics.counter "iommu/blocked"
@@ -82,11 +72,6 @@ let iotlb_invlpg t ~device ~iova =
   match Hashtbl.find_opt t.iotlbs device with
   | None -> ()
   | Some tlb -> Tlb.invalidate_page tlb ~vaddr:iova
-
-let iotlb_flush t ~device =
-  match Hashtbl.find_opt t.iotlbs device with
-  | None -> ()
-  | Some tlb -> Tlb.flush tlb
 
 let iter_iotlbs t f = Hashtbl.iter (fun device tlb -> f ~device tlb) t.iotlbs
 

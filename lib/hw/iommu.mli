@@ -19,8 +19,6 @@ type dma_error = {
     bumps the [iommu/blocked] metrics counter and happens before any
     byte of {!Phys_mem} is touched. *)
 
-val pp_dma_error : Format.formatter -> dma_error -> unit
-
 val blocked : unit -> int
 (** Process-wide count of DMA bursts the IOMMU rejected (the
     [iommu/blocked] counter; [Atmo_obs.Metrics.reset] zeroes it). *)
@@ -53,9 +51,6 @@ val translate : t -> device:int -> iova:int -> Mmu.translation option
 val iotlb_invlpg : t -> device:int -> iova:int -> unit
 (** Invalidate the IOTLB entry (if any) for one I/O virtual page — the
     invalidation-queue command the kernel queues after an IOMMU unmap. *)
-
-val iotlb_flush : t -> device:int -> unit
-(** Drop every cached translation of the device's IOTLB. *)
 
 val iter_iotlbs : t -> (device:int -> Tlb.t -> unit) -> unit
 (** Iterate live IOTLBs (coherence lint uses this). *)

@@ -43,11 +43,16 @@ let meet (a : Pte_bits.perm) (b : Pte_bits.perm) : Pte_bits.perm =
     execute = a.execute && b.execute;
   }
 
+(* A present non-leaf entry whose table lies past the end of memory is
+   a walk fault: one bounds check per table descended, before its
+   load. *)
+let past_memory mem e = not (Phys_mem.contains mem (Pte_bits.addr_of e))
+
 let walk mem ~cr3 ~vaddr =
   if not (canonical vaddr) then None
   else
     let e4 = load mem ~table:cr3 ~index:(l4_index vaddr) in
-    if not (Pte_bits.is_present e4) then None
+    if (not (Pte_bits.is_present e4)) || past_memory mem e4 then None
     else
       let p4 = Pte_bits.perm_of e4 in
       let e3 = load mem ~table:(Pte_bits.addr_of e4) ~index:(l3_index vaddr) in
@@ -62,6 +67,7 @@ let walk mem ~cr3 ~vaddr =
             size = Phys_mem.page_size_1g;
             perm = meet p4 (Pte_bits.perm_of e3);
           }
+      else if past_memory mem e3 then None
       else
         let p3 = meet p4 (Pte_bits.perm_of e3) in
         let e2 = load mem ~table:(Pte_bits.addr_of e3) ~index:(l2_index vaddr) in
@@ -76,6 +82,7 @@ let walk mem ~cr3 ~vaddr =
               size = Phys_mem.page_size_2m;
               perm = meet p3 (Pte_bits.perm_of e2);
             }
+        else if past_memory mem e2 then None
         else
           let p2 = meet p3 (Pte_bits.perm_of e2) in
           let e1 = load mem ~table:(Pte_bits.addr_of e2) ~index:(l1_index vaddr) in

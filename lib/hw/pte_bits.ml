@@ -7,7 +7,6 @@ type perm = {
 let perm_rw = { write = true; user = true; execute = false }
 let perm_ro = { write = false; user = true; execute = false }
 let perm_rx = { write = false; user = true; execute = true }
-let perm_rwx = { write = true; user = true; execute = true }
 
 let pp_perm ppf p =
   Format.fprintf ppf "%c%c%c"

@@ -16,7 +16,6 @@ val perm_rw : perm
 
 val perm_ro : perm
 val perm_rx : perm
-val perm_rwx : perm
 
 val pp_perm : Format.formatter -> perm -> unit
 val equal_perm : perm -> perm -> bool

@@ -217,9 +217,6 @@ let space mem ~cr3 =
 let space_opt mem ~cr3 = Hashtbl.find_opt spaces (key mem ~cr3)
 let iter_spaces f = Hashtbl.iter (fun _ t -> f t) spaces
 
-let invlpg mem ~cr3 ~vaddr =
-  match space_opt mem ~cr3 with None -> () | Some t -> invalidate_page t ~vaddr
-
 let shoot_range mem ~cr3 ~vaddr ~bytes =
   match space_opt mem ~cr3 with
   | None -> ()

@@ -12,9 +12,9 @@
 
     Caching is only sound with invalidation, and the invalidation points
     are the interesting part: {!Page_table} issues a precise
-    invlpg-style {!invlpg} / {!shoot_range} after every mapping
-    mutation, {!flush_asid} tears the whole space down on destroy, the
-    page allocator shoots physical ranges on superpage merge / split,
+    invlpg-style {!shoot_range} after every mapping mutation,
+    {!flush_asid} tears the whole space down on destroy, the page
+    allocator shoots physical ranges on superpage merge / split,
     and the IOMMU keeps a parallel IOTLB (instances created here with
     [kind:`Io]) that the kernel must invalidate explicitly on io_unmap /
     device detach — CPU-side shootdowns deliberately do not reach it,
@@ -60,14 +60,6 @@ val insert : t -> vaddr:int -> frame:int -> size:int -> perm:Pte_bits.perm -> un
 val invalidate_page : t -> vaddr:int -> unit
 (** invlpg: drop the entry for [vaddr]'s page, if cached. *)
 
-val invalidate_range : t -> vaddr:int -> bytes:int -> unit
-(** Precise per-page invalidation of a span, falling back to {!flush}
-    past the precision threshold (superpage spans), like a cr3 write. *)
-
-val invalidate_frames : t -> lo:int -> hi:int -> unit
-(** Drop every entry whose backing physical range intersects
-    [\[lo, hi)] — used when the allocator reshapes physical blocks. *)
-
 val flush : t -> unit
 (** Drop every entry; emits a [Tlb_flush] event when tracing. *)
 
@@ -91,11 +83,11 @@ val space : Phys_mem.t -> cr3:int -> t
 
 val space_opt : Phys_mem.t -> cr3:int -> t option
 
-val invlpg : Phys_mem.t -> cr3:int -> vaddr:int -> unit
-(** Shootdown of one page in one address space; no-op if the space has
-    no cache yet. *)
-
 val shoot_range : Phys_mem.t -> cr3:int -> vaddr:int -> bytes:int -> unit
+(** Shootdown of a span in one address space: one {!invalidate_page}
+    per covered page, falling back to {!flush} past the precision
+    threshold (superpage spans), like a cr3 write; no-op if the space
+    has no cache yet. *)
 
 val flush_asid : Phys_mem.t -> cr3:int -> unit
 (** Flush and unregister the cache of a dying (or reused) root. *)

@@ -14,7 +14,7 @@ val interp : Page_table.t -> (int * Page_table.entry) list
 
 val refinement : Page_table.t -> (unit, string) result
 (** Recursive refinement: the recursively-derived interpretation equals
-    the ghost maps.  Parent nodes recompute child interpretations when
+    the ghost map.  Parent nodes recompute child interpretations when
     validating containment, reproducing the repeated-unrolling cost of
     the hierarchical proof. *)
 

@@ -38,13 +38,10 @@ let pp_error ppf e =
      | Conflict -> "size conflict"
      | Oom -> "out of memory")
 
-(* The input of a table's last clean check: the persistent ghost values
-   (compared by identity), the registry's pairs in [tables] order, and
-   the write version of each registered page. *)
+(* The input of a table's last clean check: the address space and the
+   page closure (compared by identity), the registry's pairs in
+   [tables] order, and the write version of each registered page. *)
 type check_input = {
-  in_ghost4k : entry Imap.t;
-  in_ghost2m : entry Imap.t;
-  in_ghost1g : entry Imap.t;
   in_space : entry Imap.t;
   in_closure : Iset.t;
   in_tables : (int * int) array;
@@ -59,12 +56,8 @@ type t = {
   (* The keys of [table_levels] as a persistent set, maintained where
      table pages are registered and freed so [page_closure] is O(1). *)
   mutable closure : Iset.t;
-  mutable ghost4k : entry Imap.t;
-  mutable ghost2m : entry Imap.t;
-  mutable ghost1g : entry Imap.t;
-  (* The unified view of the three ghost maps, maintained incrementally
-     so [address_space] is O(1).  Sound because the per-size maps are
-     disjoint by virtual base (a base can carry at most one mapping). *)
+  (* The ghost address space: virtual base -> mapping, each entry
+     carrying its own size. *)
   mutable space : entry Imap.t;
   mutable step_hook : (leaf:bool -> unit) option;
   (* Published with one field write, so checks racing on other domains
@@ -115,9 +108,6 @@ let create mem alloc =
         cr3 = root;
         table_levels;
         closure = Iset.singleton root;
-        ghost4k = Imap.empty;
-        ghost2m = Imap.empty;
-        ghost1g = Imap.empty;
         space = Imap.empty;
         step_hook = None;
         clean_check = None;
@@ -150,102 +140,65 @@ let check_addr vaddr frame size =
   else if not (aligned vaddr frame size) then Error Misaligned
   else Ok ()
 
-(* A leaf slot must be empty; a present table entry at leaf position for
-   our size means finer-grained mappings exist underneath. *)
-let leaf_slot_free t ~table ~index =
+(* The level whose entries are leaves of [size], and a virtual
+   address's index into a table of [level]. *)
+let leaf_level (size : Page_state.size) = match size with S4k -> 1 | S2m -> 2 | S1g -> 3
+
+let level_index ~level va =
+  match level with
+  | 4 -> Mmu.l4_index va
+  | 3 -> Mmu.l3_index va
+  | 2 -> Mmu.l2_index va
+  | _ -> Mmu.l1_index va
+
+(* A leaf slot must be empty.  Above L1, a present non-huge entry there
+   means finer-grained mappings exist underneath. *)
+let leaf_slot_free t ~table ~index ~level =
   let e = Phys_mem.read_u64 t.mem ~addr:(Mmu.entry_addr ~table ~index) in
   if not (Pte.is_present e) then Ok ()
-  else if Pte.is_huge e then Error Already_mapped
+  else if level = 1 || Pte.is_huge e then Error Already_mapped
   else Error Conflict
 
-let map_4k t ~vaddr ~frame ~perm =
-  let* () = check_addr vaddr frame Page_state.S4k in
-  let* l3 = next_table t ~table:t.cr3 ~index:(Mmu.l4_index vaddr) ~level:4 in
-  let* l2 = next_table t ~table:l3 ~index:(Mmu.l3_index vaddr) ~level:3 in
-  let* l1 = next_table t ~table:l2 ~index:(Mmu.l2_index vaddr) ~level:2 in
-  let index = Mmu.l1_index vaddr in
-  let e = Phys_mem.read_u64 t.mem ~addr:(Mmu.entry_addr ~table:l1 ~index) in
-  if Pte.is_present e then Error Already_mapped
-  else begin
-    write_entry t ~table:l1 ~index (Pte.make ~addr:frame ~perm ~huge:false) ~leaf:true;
-    (* Defensive invlpg: the slot was non-present, but a negative result
-       must never linger if caching policy ever changes. *)
-    Tlb.invlpg t.mem ~cr3:t.cr3 ~vaddr;
-    let e = { frame; size = Page_state.S4k; perm } in
-    t.ghost4k <- Imap.add vaddr e t.ghost4k;
-    t.space <- Imap.add vaddr e t.space;
-    note ();
-    Ok ()
-  end
-
-let map_2m t ~vaddr ~frame ~perm =
-  let* () = check_addr vaddr frame Page_state.S2m in
-  let* l3 = next_table t ~table:t.cr3 ~index:(Mmu.l4_index vaddr) ~level:4 in
-  let* l2 = next_table t ~table:l3 ~index:(Mmu.l3_index vaddr) ~level:3 in
-  let index = Mmu.l2_index vaddr in
-  let* () = leaf_slot_free t ~table:l2 ~index in
-  write_entry t ~table:l2 ~index (Pte.make ~addr:frame ~perm ~huge:true) ~leaf:true;
-  Tlb.shoot_range t.mem ~cr3:t.cr3 ~vaddr ~bytes:Phys_mem.page_size_2m;
-  let e = { frame; size = Page_state.S2m; perm } in
-  t.ghost2m <- Imap.add vaddr e t.ghost2m;
-  t.space <- Imap.add vaddr e t.space;
-  note ();
-  Ok ()
-
-let map_1g t ~vaddr ~frame ~perm =
-  let* () = check_addr vaddr frame Page_state.S1g in
-  let* l3 = next_table t ~table:t.cr3 ~index:(Mmu.l4_index vaddr) ~level:4 in
-  let index = Mmu.l3_index vaddr in
-  let* () = leaf_slot_free t ~table:l3 ~index in
-  write_entry t ~table:l3 ~index (Pte.make ~addr:frame ~perm ~huge:true) ~leaf:true;
-  Tlb.shoot_range t.mem ~cr3:t.cr3 ~vaddr ~bytes:Phys_mem.page_size_1g;
-  let e = { frame; size = Page_state.S1g; perm } in
-  t.ghost1g <- Imap.add vaddr e t.ghost1g;
-  t.space <- Imap.add vaddr e t.space;
-  note ();
-  Ok ()
-
-(* Locate the leaf slot of an existing mapping whose virtual base is
-   [vaddr]; returns (table, index, entry record). *)
-let find_leaf t ~vaddr =
-  if not (Mmu.canonical vaddr) then Error Non_canonical
-  else
-    let read table index =
-      Phys_mem.read_u64 t.mem ~addr:(Mmu.entry_addr ~table ~index)
-    in
-    let e4 = read t.cr3 (Mmu.l4_index vaddr) in
-    if not (Pte.is_present e4) then Error Not_mapped
+let map t ~size ~vaddr ~frame ~perm =
+  let* () = check_addr vaddr frame size in
+  let leaf = leaf_level size in
+  (* the table of [level] translating [vaddr], allocated on demand *)
+  let rec table_at level table =
+    if level = leaf then Ok table
     else
-      let l3 = Pte.addr_of e4 in
-      let e3 = read l3 (Mmu.l3_index vaddr) in
-      if not (Pte.is_present e3) then Error Not_mapped
-      else if Pte.is_huge e3 then
-        if vaddr land (Phys_mem.page_size_1g - 1) <> 0 then Error Misaligned
-        else
-          Ok
-            ( l3,
-              Mmu.l3_index vaddr,
-              { frame = Pte.addr_of e3; size = Page_state.S1g; perm = Pte.perm_of e3 } )
-      else
-        let l2 = Pte.addr_of e3 in
-        let e2 = read l2 (Mmu.l2_index vaddr) in
-        if not (Pte.is_present e2) then Error Not_mapped
-        else if Pte.is_huge e2 then
-          if vaddr land (Phys_mem.page_size_2m - 1) <> 0 then Error Misaligned
-          else
-            Ok
-              ( l2,
-                Mmu.l2_index vaddr,
-                { frame = Pte.addr_of e2; size = Page_state.S2m; perm = Pte.perm_of e2 } )
-        else
-          let l1 = Pte.addr_of e2 in
-          let e1 = read l1 (Mmu.l1_index vaddr) in
-          if not (Pte.is_present e1) then Error Not_mapped
-          else
-            Ok
-              ( l1,
-                Mmu.l1_index vaddr,
-                { frame = Pte.addr_of e1; size = Page_state.S4k; perm = Pte.perm_of e1 } )
+      let* next = next_table t ~table ~index:(level_index ~level vaddr) ~level in
+      table_at (level - 1) next
+  in
+  let* table = table_at 4 t.cr3 in
+  let index = level_index ~level:leaf vaddr in
+  let* () = leaf_slot_free t ~table ~index ~level:leaf in
+  write_entry t ~table ~index (Pte.make ~addr:frame ~perm ~huge:(leaf > 1)) ~leaf:true;
+  (* Defensive: the slot was non-present, but a negative result must
+     never linger if caching policy ever changes (one invlpg for a
+     4 KiB page). *)
+  Tlb.shoot_range t.mem ~cr3:t.cr3 ~vaddr ~bytes:(Page_state.bytes_per size);
+  t.space <- Imap.add vaddr { frame; size; perm } t.space;
+  note ();
+  Ok ()
+
+let map_4k t ~vaddr ~frame ~perm = map t ~size:Page_state.S4k ~vaddr ~frame ~perm
+
+(* Locate the leaf slot of the mapping whose virtual base is [vaddr]:
+   (table, index, entry record).  The leaf is the first huge entry
+   below L4, or the L1 entry, and [vaddr] must be its base. *)
+let find_leaf t ~vaddr =
+  let rec at level table =
+    let index = level_index ~level vaddr in
+    let e = Phys_mem.read_u64 t.mem ~addr:(Mmu.entry_addr ~table ~index) in
+    if not (Pte.is_present e) then Error Not_mapped
+    else if level = 1 || (level < 4 && Pte.is_huge e) then begin
+      let size : Page_state.size = match level with 1 -> S4k | 2 -> S2m | _ -> S1g in
+      if vaddr land (Page_state.bytes_per size - 1) <> 0 then Error Misaligned
+      else Ok (table, index, { frame = Pte.addr_of e; size; perm = Pte.perm_of e })
+    end
+    else at (level - 1) (Pte.addr_of e)
+  in
+  if not (Mmu.canonical vaddr) then Error Non_canonical else at 4 t.cr3
 
 let unmap t ~vaddr =
   let* table, index, entry = find_leaf t ~vaddr in
@@ -253,10 +206,6 @@ let unmap t ~vaddr =
   (* The shootdown point: every page the dying mapping covered must leave
      the TLB before the caller can reuse the frame. *)
   Tlb.shoot_range t.mem ~cr3:t.cr3 ~vaddr ~bytes:(Page_state.bytes_per entry.size);
-  (match entry.size with
-   | Page_state.S4k -> t.ghost4k <- Imap.remove vaddr t.ghost4k
-   | Page_state.S2m -> t.ghost2m <- Imap.remove vaddr t.ghost2m
-   | Page_state.S1g -> t.ghost1g <- Imap.remove vaddr t.ghost1g);
   t.space <- Imap.remove vaddr t.space;
   note ();
   Ok entry
@@ -268,32 +217,16 @@ let update_perm t ~vaddr ~perm =
   (* Permission changes are as dangerous as unmaps: a stale writable
      entry would outlive an mprotect to read-only. *)
   Tlb.shoot_range t.mem ~cr3:t.cr3 ~vaddr ~bytes:(Page_state.bytes_per entry.size);
-  let entry' = { entry with perm } in
-  (match entry.size with
-   | Page_state.S4k -> t.ghost4k <- Imap.add vaddr entry' t.ghost4k
-   | Page_state.S2m -> t.ghost2m <- Imap.add vaddr entry' t.ghost2m
-   | Page_state.S1g -> t.ghost1g <- Imap.add vaddr entry' t.ghost1g);
-  t.space <- Imap.add vaddr entry' t.space;
+  t.space <- Imap.add vaddr { entry with perm } t.space;
   note ();
   Ok ()
 
 let resolve t ~vaddr = Mmu.resolve t.mem ~cr3:t.cr3 ~vaddr
 let resolve_cold t ~vaddr = Mmu.walk t.mem ~cr3:t.cr3 ~vaddr
 
-let mapping_4k t = t.ghost4k
-let mapping_2m t = t.ghost2m
-let mapping_1g t = t.ghost1g
-
 let address_space t = t.space
 
-(* The recomputed union the incremental cache must always equal; kept
-   for the refinement check ([Pt_refine.ghost_wf]) and tests. *)
-let address_space_recomputed t =
-  Imap.union (fun _ a _ -> Some a) t.ghost4k
-    (Imap.union (fun _ a _ -> Some a) t.ghost2m t.ghost1g)
-
-let mapped_frames t =
-  Imap.fold (fun _ e acc -> Iset.add e.frame acc) (address_space t) Iset.empty
+let mapped_frames t = Imap.fold (fun _ e acc -> Iset.add e.frame acc) t.space Iset.empty
 
 (* Ranges in [space] are pairwise disjoint, so of the mappings based
    below [hi] only the one with the greatest base can reach up into
@@ -314,9 +247,6 @@ let destroy t =
   Hashtbl.iter (fun addr _ -> Page_alloc.free_kernel_page t.alloc ~addr) t.table_levels;
   Hashtbl.reset t.table_levels;
   t.closure <- Iset.empty;
-  t.ghost4k <- Imap.empty;
-  t.ghost2m <- Imap.empty;
-  t.ghost1g <- Imap.empty;
   t.space <- Imap.empty;
   note ();
   still_mapped
@@ -326,27 +256,20 @@ let destroy t =
    it is missing.  A missing table is named by its level and the virtual
    prefix it translates, so mappings sharing a new table count it once. *)
 let missing_tables t ~vaddrs =
-  let read table index =
-    Phys_mem.read_u64 t.mem ~addr:(Mmu.entry_addr ~table ~index)
-  in
   let counted = ref [] in
   let need level va =
     let key = ((va asr (12 + (9 * level))) lsl 2) lor level in
     if not (List.mem key !counted) then counted := key :: !counted
   in
   List.iter
-    (fun (va, (size : Page_state.size)) ->
-      let lowest = match size with S4k -> 1 | S2m -> 2 | S1g -> 3 in
+    (fun (va, size) ->
+      let lowest = leaf_level size in
       (* the table of [level] translating [va] exists at [table] *)
       let rec walk level table =
         if level > lowest then begin
-          let index =
-            match level with
-            | 4 -> Mmu.l4_index va
-            | 3 -> Mmu.l3_index va
-            | _ -> Mmu.l2_index va
+          let e =
+            Phys_mem.read_u64 t.mem ~addr:(Mmu.entry_addr ~table ~index:(level_index ~level va))
           in
-          let e = read table index in
           if Pte.is_present e && (level = 4 || not (Pte.is_huge e)) then
             walk (level - 1) (Pte.addr_of e)
           else
@@ -410,9 +333,6 @@ let prune_empty_tables t ~keep =
 let check_input t =
   let in_tables = Array.of_list (tables t) in
   {
-    in_ghost4k = t.ghost4k;
-    in_ghost2m = t.ghost2m;
-    in_ghost1g = t.ghost1g;
     in_space = t.space;
     in_closure = t.closure;
     in_tables;
@@ -437,10 +357,7 @@ let unchanged_since_clean_check t =
   match t.clean_check with
   | None -> false
   | Some k ->
-    k.in_ghost4k == t.ghost4k
-    && k.in_ghost2m == t.ghost2m
-    && k.in_ghost1g == t.ghost1g
-    && k.in_space == t.space
+    k.in_space == t.space
     && k.in_closure == t.closure
     && Array.length k.in_tables = Hashtbl.length t.table_levels
     && tables_unchanged t k 0
@@ -448,17 +365,16 @@ let unchanged_since_clean_check t =
 module Backdoor = struct
   let forget_check t = t.clean_check <- None
 
-  type part = Ghost_4k | Ghost_2m | Ghost_1g | Space | Closure | Table_level | Extra_table
+  type part = Space | Closure | Table_level | Extra_table
+
+  let add_mapping t ~vaddr e = t.space <- Imap.add vaddr e t.space
 
   (* a mapping no writer made, at a canonical 1 GiB-aligned base *)
   let stray_va = 0x7f00_0000_0000
-  let stray size m = Imap.add stray_va { frame = 0; size; perm = Pte.perm_ro } m
 
   let drift t = function
-    | Ghost_4k -> t.ghost4k <- stray Page_state.S4k t.ghost4k
-    | Ghost_2m -> t.ghost2m <- stray Page_state.S2m t.ghost2m
-    | Ghost_1g -> t.ghost1g <- stray Page_state.S1g t.ghost1g
-    | Space -> t.space <- stray Page_state.S4k t.space
+    | Space ->
+      add_mapping t ~vaddr:stray_va { frame = 0; size = Page_state.S4k; perm = Pte.perm_ro }
     | Closure -> t.closure <- Iset.add stray_va t.closure
     | Table_level -> Hashtbl.replace t.table_levels t.cr3 3
     | Extra_table -> Hashtbl.replace t.table_levels 0 1

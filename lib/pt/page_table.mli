@@ -1,9 +1,10 @@
 (** 4-level page tables with 4 KiB / 2 MiB / 1 GiB mappings.
 
     The concrete state is real page-table pages in simulated physical
-    memory; the abstract state is the paper's three ghost maps (one per
-    page size) from virtual address to mapped frame + permission,
-    maintained side by side with every update.  {!Pt_refine} checks the
+    memory; the abstract state is one ghost address space from virtual
+    base to mapped frame, size and permission, updated with every
+    mapping change.  (The paper keeps one ghost map per page size; each
+    is this map's entries of that size.)  {!Pt_refine} checks the
     refinement between the two (ghost map vs MMU walk) and the structural
     invariants.
 
@@ -46,14 +47,21 @@ val tables : t -> (int * int) list
 
 val table_level : t -> addr:int -> int option
 
-val map_4k : t -> vaddr:int -> frame:int -> perm:Atmo_hw.Pte_bits.perm -> (unit, error) result
-(** Install a 4 KiB mapping, allocating intermediate table pages on
-    demand.  The frame's allocator state is the caller's concern (the
-    kernel's mmap path allocates/refcounts around this call).  Issues an
-    [invlpg]-style {!Atmo_hw.Tlb} invalidation for the covered page. *)
+val map :
+  t ->
+  size:Atmo_pmem.Page_state.size ->
+  vaddr:int ->
+  frame:int ->
+  perm:Atmo_hw.Pte_bits.perm ->
+  (unit, error) result
+(** Install a mapping of [size], allocating intermediate table pages on
+    demand: the only function that installs one.  The frame's allocator
+    state is the caller's concern (the kernel's mmap path
+    allocates/refcounts around this call).  Shoots the covered range out
+    of the {!Atmo_hw.Tlb} (one [invlpg] for a 4 KiB page). *)
 
-val map_2m : t -> vaddr:int -> frame:int -> perm:Atmo_hw.Pte_bits.perm -> (unit, error) result
-val map_1g : t -> vaddr:int -> frame:int -> perm:Atmo_hw.Pte_bits.perm -> (unit, error) result
+val map_4k : t -> vaddr:int -> frame:int -> perm:Atmo_hw.Pte_bits.perm -> (unit, error) result
+(** [map ~size:S4k]. *)
 
 val unmap : t -> vaddr:int -> (entry, error) result
 (** Remove the mapping whose range contains [vaddr] (given its exact
@@ -64,7 +72,9 @@ val unmap : t -> vaddr:int -> (entry, error) result
 
 val find_leaf : t -> vaddr:int -> (int * int * entry, error) result
 (** The table page, index and entry of the mapping whose virtual base
-    is [vaddr]: the slot {!unmap} and {!update_perm} write. *)
+    is [vaddr]: the slot {!unmap} and {!update_perm} write.
+    [Error Misaligned] when [vaddr] lies inside a mapping but is not
+    its base. *)
 
 val update_perm : t -> vaddr:int -> perm:Atmo_hw.Pte_bits.perm -> (unit, error) result
 (** Change the permission bits of an existing leaf mapping in place.
@@ -77,28 +87,21 @@ val resolve : t -> vaddr:int -> Atmo_hw.Mmu.translation option
 
 val resolve_cold : t -> vaddr:int -> Atmo_hw.Mmu.translation option
 (** {!Atmo_hw.Mmu.walk} through this table: always reads the concrete
-    tables, never the TLB.  The oracle checkers compare against. *)
+    tables, never the TLB.  The oracle {!resolve} is tested against. *)
 
 val destroy : t -> Atmo_util.Iset.t
 (** Tear the table down, returning every table page to the allocator.
     Returns the set of frames that were still mapped (for the caller to
-    unreference); the ghost maps become empty.  Flushes and retires the
-    address space's TLB (its ASID disappears with its cr3). *)
+    unreference); the ghost address space becomes empty.  Flushes and
+    retires the address space's TLB (its ASID disappears with its
+    cr3). *)
 
 (** {2 Abstract (ghost) state} *)
 
-val mapping_4k : t -> entry Atmo_util.Imap.t
-(** Ghost map of 4 KiB mappings, keyed by virtual base address. *)
-
-val mapping_2m : t -> entry Atmo_util.Imap.t
-val mapping_1g : t -> entry Atmo_util.Imap.t
-
 val address_space : t -> entry Atmo_util.Imap.t
-(** The process's abstract address space as used by the kernel
-    specification: the union of the three ghost maps, maintained
-    incrementally on map/unmap/update_perm so this accessor is O(1).
-    It sits on the IPC grant-validation path and the invariant suites,
-    both of which used to pay a per-call union. *)
+(** The ghost address space, keyed by virtual base address: the
+    process's abstract address space as used by the kernel
+    specification.  Each entry carries its own size. *)
 
 val overlaps : t -> vaddr:int -> bytes:int -> bool
 (** Does [\[vaddr, vaddr + bytes)] intersect a mapping?  One
@@ -106,11 +109,6 @@ val overlaps : t -> vaddr:int -> bytes:int -> bool
     are pairwise disjoint (checked by [Pt_refine.ghost_wf]), so only the
     mapping with the greatest base below [vaddr + bytes] can reach into
     the range.  [sys_mmap] refuses overlapping requests with it. *)
-
-val address_space_recomputed : t -> entry Atmo_util.Imap.t
-(** The union of the three per-size ghost maps recomputed from scratch;
-    [address_space] must always equal this (checked by
-    [Pt_refine.ghost_wf]). *)
 
 val mapped_frames : t -> Atmo_util.Iset.t
 (** Physical base addresses of all mapped blocks. *)
@@ -159,21 +157,21 @@ val map_id : string
 
 (** {2 The key of the last clean check}
 
-    [Pt_refine.violations] reads the three ghost maps, the unified
-    address space, the page closure, the registry and the bytes of the
-    table pages its walk reaches.  A clean verdict means every page the
-    walk reaches is registered, so after one the registered pages are
-    every page the check read, and their write versions
-    ({!Atmo_hw.Phys_mem.version}) with the rest are the check's whole
-    input.  A table whose input equals that of its last clean check is
-    clean again: a hit is exact, not trusted.  Unlike the {!Pt_changed}
-    stream, which only this module's writers emit, the key also sees a
-    raw {!Atmo_hw.Phys_mem} store into a table page. *)
+    [Pt_refine.violations] reads the address space, the page closure,
+    the registry and the bytes of the table pages its walk reaches.  A
+    clean verdict means every page the walk reaches is registered, so
+    after one the registered pages are every page the check read, and
+    their write versions ({!Atmo_hw.Phys_mem.version}) with the rest
+    are the check's whole input.  A table whose input equals that of
+    its last clean check is clean again: a hit is exact, not trusted.
+    Unlike the {!Pt_changed} stream, which only this module's writers
+    emit, the key also sees a raw {!Atmo_hw.Phys_mem} store into a
+    table page. *)
 
 type check_input
-(** The input of one check: the persistent ghost values by identity,
-    the registry's pairs in {!tables} order and the write version of
-    each registered page. *)
+(** The input of one check: the address space and the page closure by
+    identity, the registry's pairs in {!tables} order and the write
+    version of each registered page. *)
 
 val check_input : t -> check_input
 (** The check's input as it stands; take it before the check. *)
@@ -185,9 +183,9 @@ val record_clean_check : t -> check_input -> unit
 
 val unchanged_since_clean_check : t -> bool
 (** The table's input equals the key of its last clean check: the same
-    ghost values, the same registry pairs, and every registered page at
-    its recorded version.  Puts one ranged [Read] per registered page
-    on the [Access] stream ({!Atmo_hw.Phys_mem.unchanged}), so a
+    address space and closure, the same registry pairs, and every
+    registered page at its recorded version.  Puts one ranged [Read]
+    per registered page on the [Access] stream ({!Atmo_hw.Phys_mem.unchanged}), so a
     sanitizer still sees the check read a freed table page.  False
     before any clean check. *)
 
@@ -196,14 +194,18 @@ module Backdoor : sig
   (** Drop the key, so the next check runs in full: for oracle tests
       that compare the keyed check with a cache-free one. *)
 
-  type part = Ghost_4k | Ghost_2m | Ghost_1g | Space | Closure | Table_level | Extra_table
+  val add_mapping : t -> vaddr:int -> entry -> unit
+  (** Put [entry] in the address space at [vaddr] and touch nothing
+      else, as a writer that skipped its table store would. *)
+
+  type part = Space | Closure | Table_level | Extra_table
 
   val drift : t -> part -> unit
   (** Change one part of the check's input and nothing else, as a writer
-      that skipped its table store would: a stray mapping in one ghost
-      map or only in the unified address space, a stray page in the
-      closure, the root re-registered at level 3, or page 0 registered
-      as an L1 table.  Each breaks a clause of the check. *)
+      that skipped its table store would: a stray mapping in the address
+      space, a stray page in the closure, the root re-registered at
+      level 3, or page 0 registered as an L1 table.  Each breaks a
+      clause of the check. *)
 end
 
 val walk_concrete : t -> (int * entry) list

@@ -5,17 +5,6 @@ module Pte = Atmo_hw.Pte_bits
 module Page_state = Atmo_pmem.Page_state
 module V = Violation
 
-let err fmt = Format.kasprintf (fun s -> Error s) fmt
-let ( let* ) r f = match r with Ok () -> f () | Error _ as e -> e
-
-let entry_of_translation (tr : Mmu.translation) : Page_table.entry =
-  let size =
-    if tr.size = Phys_mem.page_size then Page_state.S4k
-    else if tr.size = Phys_mem.page_size_2m then Page_state.S2m
-    else Page_state.S1g
-  in
-  { frame = tr.frame; size; perm = tr.perm }
-
 (* Each obligation below is an enumerator: it hands every violation it
    finds to the sink [v], in the order the first-failure forms at the
    end report them. *)
@@ -50,35 +39,6 @@ let refinement pt v =
           V.report v V.Ill_formed a.frame "refinement: abstract maps 0x%x but MMU faults" va)
       abstract
   end
-
-let mmu_probe pt ~vaddrs =
-  let abstract = Page_table.address_space pt in
-  let lookup va =
-    (* Find the mapping (of any size) whose range covers [va]. *)
-    let covers base (e : Page_table.entry) =
-      va >= base && va < base + Page_state.bytes_per e.size
-    in
-    Imap.fold
-      (fun base e acc -> if covers base e then Some (base, e) else acc)
-      abstract None
-  in
-  List.fold_left
-    (fun acc va ->
-      let* () = acc in
-      (* Probe cold: the checker must see the real tables, not a cached
-         translation that a planted bug failed to shoot down. *)
-      match (Page_table.resolve_cold pt ~vaddr:va, lookup va) with
-      | None, None -> Ok ()
-      | Some _, None -> err "probe: MMU resolves 0x%x but abstract map faults" va
-      | None, Some _ -> err "probe: abstract map covers 0x%x but MMU faults" va
-      | Some tr, Some (base, e) ->
-        let got = entry_of_translation tr in
-        if Page_table.equal_entry got e && tr.Mmu.paddr = e.frame + (va - base) then
-          Ok ()
-        else
-          err "probe: 0x%x resolves to %a vs abstract %a" va Page_table.pp_entry got
-            Page_table.pp_entry e)
-    (Ok ()) vaddrs
 
 let structure pt v =
   let mem = Page_table.mem pt in
@@ -142,43 +102,26 @@ let structure pt v =
       (List.rev !reserved)
 
 let ghost_wf pt v =
-  let check_map name m size =
-    let mask = Page_state.bytes_per size - 1 in
-    Imap.iter
-      (fun va (e : Page_table.entry) ->
-        if not (Mmu.canonical va) then
-          V.report v V.Ill_formed e.frame "ghost_wf: %s maps non-canonical 0x%x" name va
-        else if va land mask <> 0 then
-          V.report v V.Ill_formed e.frame "ghost_wf: %s base 0x%x misaligned" name va
-        else if e.frame land mask <> 0 then
-          V.report v V.Ill_formed e.frame "ghost_wf: %s frame 0x%x misaligned" name e.frame
-        else if not (Page_state.equal_size e.size size) then
-          V.report v V.Ill_formed e.frame "ghost_wf: %s entry at 0x%x has size %a" name va
-            Page_state.pp_size e.size)
-      m
-  in
-  check_map "mapping_4k" (Page_table.mapping_4k pt) Page_state.S4k;
-  check_map "mapping_2m" (Page_table.mapping_2m pt) Page_state.S2m;
-  check_map "mapping_1g" (Page_table.mapping_1g pt) Page_state.S1g;
-  (* The incrementally-maintained unified view must equal the union of
-     the per-size ghost maps it caches. *)
-  if
-    not
-      (Imap.equal Page_table.equal_entry
-         (Page_table.address_space pt)
-         (Page_table.address_space_recomputed pt))
-  then
-    V.report v V.Ill_formed (-1)
-      "ghost_wf: unified address-space cache diverged from the ghost maps";
-  (* Pairwise disjointness of virtual ranges across all sizes: in base
-     order, adjacent ranges must not overlap. *)
+  (* One pass in base order: each entry's base and frame are canonical
+     and aligned to the entry's own size, and adjacent ranges do not
+     overlap, so the ranges of all mappings are pairwise disjoint. *)
   let rec adjacent b1 e1 ranges =
     match ranges () with
     | Seq.Nil -> ()
-    | Seq.Cons ((b2, (e : Page_table.entry)), rest) ->
-      if e1 > b2 then
-        V.report v V.Ill_formed e.frame "ghost_wf: ranges [0x%x..) and [0x%x..) overlap" b1 b2;
-      adjacent b2 (b2 + Page_state.bytes_per e.size) rest
+    | Seq.Cons ((va, (e : Page_table.entry)), rest) ->
+      let bytes = Page_state.bytes_per e.size in
+      if not (Mmu.canonical va) then
+        V.report v V.Ill_formed e.frame "ghost_wf: %a mapping at non-canonical 0x%x"
+          Page_state.pp_size e.size va
+      else if va land (bytes - 1) <> 0 then
+        V.report v V.Ill_formed e.frame "ghost_wf: %a mapping base 0x%x misaligned"
+          Page_state.pp_size e.size va
+      else if e.frame land (bytes - 1) <> 0 then
+        V.report v V.Ill_formed e.frame "ghost_wf: %a mapping frame 0x%x misaligned"
+          Page_state.pp_size e.size e.frame;
+      if e1 > va then
+        V.report v V.Ill_formed e.frame "ghost_wf: ranges [0x%x..) and [0x%x..) overlap" b1 va;
+      adjacent va (va + bytes) rest
   in
   adjacent min_int min_int (Imap.to_seq (Page_table.address_space pt));
   (* The maintained closure must equal the table registry it caches. *)

@@ -2,7 +2,7 @@
 
     Executable counterpart of the paper's page-table proof (§6.2): each
     function is one named obligation.  All checks are written in the
-    paper's flat style — they quantify over the global ghost maps and the
+    paper's flat style — they quantify over the global ghost map and the
     flat table-page registry, never by structural recursion from the
     root.  {!Nros_pt} provides the recursive (NrOS-style) formulation of
     the same obligations for the ablation.
@@ -11,15 +11,10 @@
     ({!violations}); the functions below are its first-failure form. *)
 
 val refinement : Page_table.t -> (unit, string) result
-(** The ghost maps and the MMU agree: every ghost entry resolves through
+(** The ghost map and the MMU agree: every ghost entry resolves through
     the concrete tables to the same frame and permission, and every
-    MMU-visible mapping appears in the ghost maps (both inclusions, as in
+    MMU-visible mapping appears in the ghost map (both inclusions, as in
     the paper's two [forall] statements). *)
-
-val mmu_probe : Page_table.t -> vaddrs:int list -> (unit, string) result
-(** Point-wise refinement at chosen probe addresses: [Mmu.resolve]
-    agrees with the abstract address space, including on unmapped
-    addresses (resolve must fault). *)
 
 val structure : Page_table.t -> (unit, string) result
 (** Structural invariants over the flat registry: the root is a level-4
@@ -31,19 +26,17 @@ val structure : Page_table.t -> (unit, string) result
     ({!Atmo_hw.Pte_bits.has_reserved}). *)
 
 val ghost_wf : Page_table.t -> (unit, string) result
-(** Well-formedness of the abstract state: canonical, size-aligned
-    virtual bases in each ghost map, the virtual ranges of all mappings
-    (across the three sizes) are pairwise disjoint — which is what lets
-    {!Page_table.overlaps} decide overlap with one lookup — and the two
-    maintained caches, [address_space] and [page_closure], equal what
-    they cache. *)
-
-val closure_disjoint : Page_table.t -> (unit, string) result
-(** The table pages (page_closure) are disjoint from the mapped frames —
-    a mapping must never expose the page table's own memory. *)
+(** Well-formedness of the abstract state: each entry's virtual base is
+    canonical, and its base and frame are aligned to the entry's own
+    size; the virtual ranges of all mappings are pairwise disjoint —
+    which is what lets {!Page_table.overlaps} decide overlap with one
+    lookup — and the maintained [page_closure] equals the table
+    registry it caches. *)
 
 val violations : Page_table.t -> Atmo_util.Violation.sink -> unit
-(** Every violation of every obligation above except {!mmu_probe}, in
+(** Every violation of every obligation above, and of
+    [pt/closure_disjoint] (the table pages are disjoint from the mapped
+    frames: a mapping must never expose the page table's own memory), in
     the order {!obligations} lists them: malformed entries file as
     [Malformed_pte], misaligned huge leaves as
     [Pt_misaligned_superpage], wrong-level or shared tables as

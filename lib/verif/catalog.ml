@@ -42,7 +42,8 @@ let build_pt ~mappings =
   (* a couple of superpage mappings exercise the huge-leaf clauses *)
   (match Page_alloc.alloc_2m alloc ~purpose:Page_alloc.User with
    | Some big ->
-     ignore (Page_table.map_2m pt ~vaddr:0x8000_0000 ~frame:big ~perm:Pte.perm_ro)
+     ignore
+       (Page_table.map pt ~size:Page_state.S2m ~vaddr:0x8000_0000 ~frame:big ~perm:Pte.perm_ro)
    | None -> ());
   pt
 

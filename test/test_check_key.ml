@@ -189,9 +189,6 @@ let () =
             Alcotest.test_case (what ^ " misses the key") `Quick (drift part))
           Page_table.Backdoor.
             [
-              ("ghost 4k", Ghost_4k);
-              ("ghost 2m", Ghost_2m);
-              ("ghost 1g", Ghost_1g);
               ("address space", Space);
               ("closure", Closure);
               ("table level", Table_level);

@@ -309,7 +309,10 @@ let dma_world () =
   (match Atmo_pmem.Page_alloc.alloc_2m alloc ~purpose:Atmo_pmem.Page_alloc.User with
    | None -> Alcotest.fail "dma world: no 2 MiB block"
    | Some frame ->
-     (match Atmo_pt.Page_table.map_2m pt ~vaddr:dma_super ~frame ~perm:Pte_bits.perm_rw with
+     (match
+        Atmo_pt.Page_table.map pt ~size:Atmo_pmem.Page_state.S2m ~vaddr:dma_super ~frame
+          ~perm:Pte_bits.perm_rw
+      with
       | Ok () -> ()
       | Error _ -> Alcotest.fail "dma world: map_2m"));
   (mem, Atmo_pt.Page_table.cr3 pt)

@@ -322,6 +322,104 @@ let test_mmap_4k_quota_boundary () =
   checki "the block was split" 0 (Atmo_pmem.Page_alloc.free_count_2m alloc);
   checki "and used up" 0 (Atmo_pmem.Page_alloc.free_count_4k alloc)
 
+(* The page grant and io_map reach the page table through the charged
+   mapping sys_mmap uses.  A small machine with device 3 assigned, the
+   page at va0 mapped and a receiver parked in a second process whose
+   address space is empty, filled with 4 KiB pages until the charge
+   refuses one, then one page given back: the container can pay for
+   the shared frame or the three new table pages a call needs, not
+   both.  Memory then holds fewer free frames than three. *)
+let shared_page_world () =
+  let k, init =
+    match
+      Kernel.boot
+        { Kernel.frames = 2048; reserved_frames = 16; root_quota = 2032; cpus = Iset.singleton 0 }
+    with
+    | Ok v -> v
+    | Error e -> Alcotest.failf "boot: %a" Errno.pp e
+  in
+  let pm = k.Kernel.pm in
+  (match mmap k init with
+   | Syscall.Rmapped [ _ ] -> ()
+   | r -> Alcotest.failf "mmap: %a" Syscall.pp_ret r);
+  ok "assign" (step k ~thread:init (Syscall.Assign_device { device = 3 }));
+  let p2 = ptr "p2" (step k ~thread:init Syscall.New_process) in
+  let t2 =
+    match Proc_mgr.new_thread pm ~proc:p2 with
+    | Ok t -> t
+    | Error e -> Alcotest.failf "t2: %a" Errno.pp e
+  in
+  let ep = ptr "ep" (step k ~thread:init (Syscall.New_endpoint { slot = 0 })) in
+  Proc_mgr.install_descriptor pm ~thread:t2 ~slot:0 ~endpoint:ep;
+  (match step k ~thread:t2 (Syscall.Recv { slot = 0 }) with
+   | Syscall.Rblocked -> ()
+   | r -> Alcotest.failf "recv should block: %a" Syscall.pp_ret r);
+  let fill = 1 lsl 39 in
+  let rec go i =
+    match mmap ~va:(fill + (i * 4096)) k init with
+    | Syscall.Rmapped _ -> go (i + 1)
+    | Syscall.Rerr Errno.Equota -> i
+    | r -> Alcotest.failf "filling mmap: %a" Syscall.pp_ret r
+  in
+  let last = fill + ((go 0 - 1) * 4096) in
+  ok "give one back"
+    (step k ~thread:init (Syscall.Munmap { va = last; count = 1; size = Page_state.S4k }));
+  let alloc = k.Kernel.alloc in
+  let free =
+    Atmo_pmem.Page_alloc.free_count_4k alloc + (512 * Atmo_pmem.Page_alloc.free_count_2m alloc)
+  in
+  checkb "room for one or two table pages" true (free >= 1 && free < 3);
+  (k, init)
+
+(* Let the root container promise more frames than memory holds, so a
+   charge passes where the allocator runs dry. *)
+let overcommit k =
+  Perm_map.update k.Kernel.pm.Proc_mgr.cntr_perms ~ptr:k.Kernel.pm.Proc_mgr.root_container
+    (fun c -> { c with Atmo_pm.Container.quota = c.Atmo_pm.Container.quota + 8 })
+
+let test_io_map_failure_is_atomic () =
+  let k, init = shared_page_world () in
+  let external_charge () =
+    Proc_mgr.external_of k.Kernel.pm ~container:k.Kernel.pm.Proc_mgr.root_container
+  in
+  let charged = external_charge () in
+  let io_map = Syscall.Io_map { device = 3; iova = 0x9000_0000; va = va0 } in
+  expect_atomic_err Errno.Equota k ~thread:init io_map;
+  checki "external charge after EQUOTA" charged (external_charge ());
+  overcommit k;
+  expect_atomic_err Errno.Enomem k ~thread:init io_map;
+  checki "external charge after ENOMEM" charged (external_charge ())
+
+let test_ipc_page_grant_failure_is_atomic () =
+  let k, init = shared_page_world () in
+  let grant =
+    Syscall.Send
+      {
+        slot = 0;
+        msg =
+          {
+            Message.scalars = [ 42 ];
+            page = Some { Message.src_vaddr = va0; dst_vaddr = 0x5000_0000 };
+            endpoint = None;
+          };
+      }
+  in
+  expect_atomic_err Errno.Equota k ~thread:init grant;
+  overcommit k;
+  expect_atomic_err Errno.Enomem k ~thread:init grant
+
+(* mprotect and io_unmap name a mapping by its base: an address inside
+   a 4 KiB page is refused, as one inside a superpage always was. *)
+let test_unmap_and_mprotect_need_the_base () =
+  let k, init = boot () in
+  ignore (mmap k init);
+  ok "assign" (step k ~thread:init (Syscall.Assign_device { device = 3 }));
+  ok "io_map" (step k ~thread:init (Syscall.Io_map { device = 3; iova = 0x9000_0000; va = va0 }));
+  expect_atomic_err Errno.Einval k ~thread:init
+    (Syscall.Mprotect { va = va0 + 1; perm = Pte.perm_ro });
+  expect_atomic_err Errno.Einval k ~thread:init
+    (Syscall.Io_unmap { device = 3; iova = 0x9000_0008 })
+
 let test_mprotect () =
   let k, init = boot () in
   ignore (mmap k init);
@@ -705,6 +803,8 @@ let () =
           Alcotest.test_case "4k mmap at the quota boundary" `Quick
             test_mmap_4k_quota_boundary;
           Alcotest.test_case "mprotect" `Quick test_mprotect;
+          Alcotest.test_case "mprotect and io_unmap need the base" `Quick
+            test_unmap_and_mprotect_need_the_base;
         ] );
       ( "lifecycle",
         [
@@ -719,6 +819,8 @@ let () =
         [
           Alcotest.test_case "rendezvous" `Quick test_ipc_rendezvous;
           Alcotest.test_case "page grant" `Quick test_ipc_page_grant;
+          Alcotest.test_case "failing page grant is atomic" `Quick
+            test_ipc_page_grant_failure_is_atomic;
           Alcotest.test_case "endpoint grant" `Quick test_ipc_endpoint_grant;
           Alcotest.test_case "blocked cannot syscall" `Quick
             test_blocked_thread_cannot_syscall;
@@ -728,6 +830,7 @@ let () =
       ( "devices",
         [
           Alcotest.test_case "assign device" `Quick test_assign_device;
+          Alcotest.test_case "failing io_map is atomic" `Quick test_io_map_failure_is_atomic;
           Alcotest.test_case "interrupt dispatch" `Quick test_interrupt_dispatch;
           Alcotest.test_case "route dies with endpoint" `Quick
             test_interrupt_route_dies_with_endpoint;

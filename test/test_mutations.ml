@@ -146,6 +146,24 @@ let test_pt_mutation_l4_past_memory () =
   checkb "the sanitizer files it" true (Atmo_san.Runtime.wf_check k > 0);
   Atmo_san.Report.clear ()
 
+let test_pt_mutation_l4_past_memory_walk () =
+  (* the same store under a warm TLB: the MMU's own walk faults there
+     too, so the TLB lint files the cached translation as stale and a
+     cold resolve faults, where each used to raise *)
+  let k, init = world () in
+  checkb "warm" true (Kernel.resolve_user k ~thread:init ~vaddr:0x5000_0000 <> None);
+  let pt = (Wf_plants.init_proc k ~init).Process.pt in
+  Phys_mem.write_u64 (Page_table.mem pt)
+    ~addr:(Mmu.entry_addr ~table:(Page_table.cr3 pt) ~index:(Mmu.l4_index 0x5000_0000))
+    0x0707070707070707L;
+  expect_fires "total_wf" (Invariants.total_wf k);
+  Atmo_san.Report.clear ();
+  checkb "the TLB lint files it" true (Atmo_san.Tlb_lint.lint k > 0);
+  ignore (Atmo_san.Runtime.full_check k);
+  Atmo_san.Report.clear ();
+  checkb "a cold resolve faults" true
+    (Kernel.resolve_user k ~thread:init ~vaddr:0x5000_1000 = None)
+
 let test_pt_mutation_ghost_drift () =
   (* the ghost map claims a mapping the hardware does not have *)
   let pt = Catalog.build_pt ~mappings:16 in
@@ -531,6 +549,8 @@ let () =
           Alcotest.test_case "reserved bits" `Quick test_pt_mutation_reserved_bits;
           Alcotest.test_case "ghost drift" `Quick test_pt_mutation_ghost_drift;
           Alcotest.test_case "L4 entry past memory" `Quick test_pt_mutation_l4_past_memory;
+          Alcotest.test_case "L4 entry past memory under a warm TLB" `Quick
+            test_pt_mutation_l4_past_memory_walk;
         ] );
       ( "allocator",
         [

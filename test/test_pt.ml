@@ -67,7 +67,7 @@ let test_misaligned_rejected () =
   checkb "va misaligned" true
     (Page_table.map_4k pt ~vaddr:(va0 + 1) ~frame ~perm:Pte.perm_rw = Error Page_table.Misaligned);
   checkb "2m misaligned" true
-    (Page_table.map_2m pt ~vaddr:(va0 + 4096) ~frame:0 ~perm:Pte.perm_rw
+    (Page_table.map pt ~size:Page_state.S2m ~vaddr:(va0 + 4096) ~frame:0 ~perm:Pte.perm_rw
      = Error Page_table.Misaligned);
   checkb "non-canonical" true
     (Page_table.map_4k pt ~vaddr:(1 lsl 50) ~frame ~perm:Pte.perm_rw
@@ -82,11 +82,12 @@ let test_size_conflicts () =
    | None -> Alcotest.fail "no 2m block"
    | Some big ->
      checkb "2m over 4k conflicts" true
-       (Page_table.map_2m pt ~vaddr:va0 ~frame:big ~perm:Pte.perm_rw
+       (Page_table.map pt ~size:Page_state.S2m ~vaddr:va0 ~frame:big ~perm:Pte.perm_rw
         = Error Page_table.Conflict);
      (* and a 4K map under an existing 2M leaf conflicts the other way *)
      let va2 = va0 + Phys_mem.page_size_2m in
-     expect "map 2m" (Page_table.map_2m pt ~vaddr:va2 ~frame:big ~perm:Pte.perm_rw);
+     expect "map 2m"
+       (Page_table.map pt ~size:Page_state.S2m ~vaddr:va2 ~frame:big ~perm:Pte.perm_rw);
      let f2 = user_frame alloc in
      checkb "4k under 2m conflicts" true
        (Page_table.map_4k pt ~vaddr:va2 ~frame:f2 ~perm:Pte.perm_rw
@@ -98,7 +99,8 @@ let test_huge_mappings_resolve () =
   (match Page_alloc.alloc_2m alloc ~purpose:Page_alloc.User with
    | None -> Alcotest.fail "no 2m"
    | Some big ->
-     expect "map 2m" (Page_table.map_2m pt ~vaddr:va0 ~frame:big ~perm:Pte.perm_ro);
+     expect "map 2m"
+       (Page_table.map pt ~size:Page_state.S2m ~vaddr:va0 ~frame:big ~perm:Pte.perm_ro);
      (match Page_table.resolve pt ~vaddr:(va0 + 0x12345) with
       | Some tr ->
         checki "2m size" Phys_mem.page_size_2m tr.Mmu.size;
@@ -177,8 +179,8 @@ let test_overlap_edges () =
   let _, _, pt = mk_pt () in
   let x = va0 and y = va0 + (4 * mib2) and z = 4 * gib and top = -4096 in
   expect "map 4k" (Page_table.map_4k pt ~vaddr:x ~frame:0 ~perm:Pte.perm_rw);
-  expect "map 2m" (Page_table.map_2m pt ~vaddr:y ~frame:0 ~perm:Pte.perm_rw);
-  expect "map 1g" (Page_table.map_1g pt ~vaddr:z ~frame:0 ~perm:Pte.perm_rw);
+  expect "map 2m" (Page_table.map pt ~size:Page_state.S2m ~vaddr:y ~frame:0 ~perm:Pte.perm_rw);
+  expect "map 1g" (Page_table.map pt ~size:Page_state.S1g ~vaddr:z ~frame:0 ~perm:Pte.perm_rw);
   expect "map top" (Page_table.map_4k pt ~vaddr:top ~frame:0 ~perm:Pte.perm_rw);
   List.iter
     (fun (what, va, count, size, want) ->
@@ -218,8 +220,8 @@ let random_space rng =
     let slot2m = w + (Random.State.int rng 16 * mib2) in
     let r =
       match Random.State.int rng 10 with
-      | 0 -> Page_table.map_1g pt ~vaddr:w ~frame:0 ~perm:Pte.perm_rw
-      | 1 | 2 | 3 -> Page_table.map_2m pt ~vaddr:slot2m ~frame:0 ~perm:Pte.perm_rw
+      | 0 -> Page_table.map pt ~size:Page_state.S1g ~vaddr:w ~frame:0 ~perm:Pte.perm_rw
+      | 1 | 2 | 3 -> Page_table.map pt ~size:Page_state.S2m ~vaddr:slot2m ~frame:0 ~perm:Pte.perm_rw
       | _ ->
         Page_table.map_4k pt
           ~vaddr:(slot2m + (Random.State.int rng 64 * 4096))
@@ -328,14 +330,6 @@ let test_step_hook_consistency () =
   Page_table.set_step_hook pt None;
   checki "no intermediate-state violations" 0 !violations
 
-let test_mmu_probe_agrees () =
-  let _, alloc, pt = mk_pt () in
-  let frame = user_frame alloc in
-  expect "map" (Page_table.map_4k pt ~vaddr:va0 ~frame ~perm:Pte.perm_rw);
-  expect_wf "probe"
-    (Pt_refine.mmu_probe pt
-       ~vaddrs:[ va0; va0 + 100; va0 + 4096; 0; 0x7fff_ffff_f000 ])
-
 let test_nros_agrees_with_flat () =
   let _, alloc, pt = mk_pt ~frames:8192 () in
   for i = 0 to 19 do
@@ -346,8 +340,9 @@ let test_nros_agrees_with_flat () =
   (match Page_alloc.alloc_2m alloc ~purpose:Page_alloc.User with
    | Some big ->
      expect "map 2m"
-       (Page_table.map_2m pt ~vaddr:(va0 + (4 * Phys_mem.page_size_2m)) ~frame:big
-          ~perm:Pte.perm_rw)
+       (Page_table.map pt ~size:Page_state.S2m
+          ~vaddr:(va0 + (4 * Phys_mem.page_size_2m))
+          ~frame:big ~perm:Pte.perm_rw)
    | None -> Alcotest.fail "no 2m");
   expect_wf "flat" (Pt_refine.all pt);
   expect_wf "recursive" (Nros_pt.all pt);
@@ -355,6 +350,27 @@ let test_nros_agrees_with_flat () =
   checkb "interps agree" true
     (List.sort compare (Nros_pt.interp pt)
      = List.sort compare (Page_table.walk_concrete pt))
+
+(* ghost_wf checks each mapping against its own size, and the ranges of
+   mappings of every size against each other, in one pass *)
+let test_ghost_wf_per_mapping () =
+  let ghost_wf mappings =
+    let _, _, pt = mk_pt () in
+    List.iter
+      (fun (vaddr, frame, size) ->
+        Page_table.Backdoor.add_mapping pt ~vaddr { Page_table.frame; size; perm = Pte.perm_rw })
+      mappings;
+    match Pt_refine.ghost_wf pt with Ok () -> "ok" | Error msg -> msg
+  in
+  let check what expected mappings = Alcotest.(check string) what expected (ghost_wf mappings) in
+  let s4k = Page_state.S4k and s2m = Page_state.S2m and s1g = Page_state.S1g in
+  check "aligned" "ok" [ (va0, 0x20_0000, s2m); (va0 + 0x20_0000, 0x1000, s4k) ];
+  check "non-canonical" "ghost_wf: 4K mapping at non-canonical 0x800000000000"
+    [ (1 lsl 47, 0, s4k) ];
+  check "base" "ghost_wf: 2M mapping base 0x40001000 misaligned" [ (va0 + 0x1000, 0, s2m) ];
+  check "frame" "ghost_wf: 1G mapping frame 0x200000 misaligned" [ (va0, 0x20_0000, s1g) ];
+  check "overlap" "ghost_wf: ranges [0x40000000..) and [0x401ff000..) overlap"
+    [ (va0, 0, s2m); (va0 + 0x1f_f000, 0x1000, s4k) ]
 
 let test_checkers_catch_corruption () =
   let mem, alloc, pt = mk_pt () in
@@ -456,7 +472,7 @@ let prop_mixed_sizes_refine =
             | None -> ()
             | Some frame ->
               let r =
-                if big then Page_table.map_2m pt ~vaddr ~frame ~perm:Pte.perm_rw
+                if big then Page_table.map pt ~size:Page_state.S2m ~vaddr ~frame ~perm:Pte.perm_rw
                 else Page_table.map_4k pt ~vaddr ~frame ~perm:Pte.perm_rw
               in
               (match r with
@@ -502,8 +518,8 @@ let () =
       ( "refinement",
         [
           Alcotest.test_case "step consistency" `Quick test_step_hook_consistency;
-          Alcotest.test_case "mmu probe" `Quick test_mmu_probe_agrees;
           Alcotest.test_case "nros agrees with flat" `Quick test_nros_agrees_with_flat;
+          Alcotest.test_case "ghost_wf per mapping" `Quick test_ghost_wf_per_mapping;
           Alcotest.test_case "checkers catch corruption" `Quick test_checkers_catch_corruption;
           Alcotest.test_case "checkers match per-entry oracle" `Quick test_checkers_match_oracle;
         ] );

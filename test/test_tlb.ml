@@ -151,7 +151,7 @@ let test_superpage () =
     | None -> Alcotest.fail "no 2M block"
   in
   let vaddr = 0x8000_0000 in
-  expect "map 2m" (Page_table.map_2m pt ~vaddr ~frame ~perm:Pte.perm_rw);
+  expect "map 2m" (Page_table.map pt ~size:Page_state.S2m ~vaddr ~frame ~perm:Pte.perm_rw);
   (* interior offsets of the superpage resolve through one cached entry
      per probed 4 KiB page, all rebuilt from the superpage base *)
   List.iter

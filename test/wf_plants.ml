@@ -86,7 +86,10 @@ let past_top_2m () =
   in
   List.iter (fun f -> ignore (Page_alloc.dec_ref alloc ~addr:f)) (claim []);
   let p = init_proc k ~init in
-  (match Page_table.map_2m p.Process.pt ~vaddr:0x4000_0000 ~frame:0x800000 ~perm:Pte.perm_rw with
+  (match
+     Page_table.map p.Process.pt ~size:Page_state.S2m ~vaddr:0x4000_0000 ~frame:0x800000
+       ~perm:Pte.perm_rw
+   with
    | Ok () -> ()
    | Error _ -> failwith "past_top_2m: map_2m");
   recharge k ~container:p.Process.owner_container;
