@@ -167,14 +167,15 @@ let alloc_block t (size : Page_state.size) =
 let errno_of_map = function Page_table.Oom -> Errno.Enomem | _ -> Errno.Einval
 
 (* Unmap the pages at [vaddrs], in that order, and drop each frame's
-   reference. *)
+   reference; or, when a leaf cannot be found, unmap none. *)
 let unmap_pages t pt vaddrs =
-  List.iter
-    (fun v ->
-      match Page_table.unmap pt ~vaddr:v with
-      | Ok e -> ignore (Page_alloc.dec_ref t.alloc ~addr:e.Page_table.frame)
-      | Error _ -> assert false)
-    vaddrs
+  Page_table.unmap_all pt ~vaddrs (fun e ->
+      ignore (Page_alloc.dec_ref t.alloc ~addr:e.Page_table.frame))
+
+(* Undo the pages a failing mmap mapped: their leaves were just written
+   through the tables the walk reads. *)
+let unmap_mapped t pt vaddrs =
+  match unmap_pages t pt vaddrs with Ok () -> () | Error _ -> assert false
 
 (* The one way the kernel maps pages.  Count the table pages that
    mappings of [size] at [vaddrs] need, charge them and [frames] up
@@ -186,30 +187,30 @@ let unmap_pages t pt vaddrs =
    reshapes after the rollback: a failing call also leaves every free
    set as it found it. *)
 let charged_map t pt ~charge ~uncharge ~size ~vaddrs ~frames install =
-  let n_tables =
-    Page_table.missing_tables pt ~vaddrs:(List.map (fun v -> (v, size)) vaddrs)
-  in
-  let need = frames + n_tables in
-  let* () = charge ~frames:need in
-  let keep = Page_table.page_closure pt in
-  let run () =
-    match install () with
-    | Ok _ as ok -> ok
-    | Error _ as e ->
-      ignore (Page_table.prune_empty_tables pt ~keep);
-      uncharge ~frames:need;
-      e
-  in
-  let r =
-    match size with
-    | Page_state.S4k -> run ()
-    | Page_state.S2m | Page_state.S1g -> Page_alloc.atomically t.alloc run
-  in
-  (* The dry run must have predicted the table growth exactly; anything
-     else is a kernel bug. *)
-  if Result.is_ok r then
-    assert (Iset.cardinal (Page_table.page_closure pt) - Iset.cardinal keep = n_tables);
-  r
+  match Page_table.missing_tables pt ~vaddrs:(List.map (fun v -> (v, size)) vaddrs) with
+  | Error e -> Error (errno_of_map e)
+  | Ok n_tables ->
+    let need = frames + n_tables in
+    let* () = charge ~frames:need in
+    let keep = Page_table.page_closure pt in
+    let run () =
+      match install () with
+      | Ok _ as ok -> ok
+      | Error _ as e ->
+        ignore (Page_table.prune_empty_tables pt ~keep);
+        uncharge ~frames:need;
+        e
+    in
+    let r =
+      match size with
+      | Page_state.S4k -> run ()
+      | Page_state.S2m | Page_state.S1g -> Page_alloc.atomically t.alloc run
+    in
+    (* The dry run must have predicted the table growth exactly; anything
+       else is a kernel bug. *)
+    if Result.is_ok r then
+      assert (Iset.cardinal (Page_table.page_closure pt) - Iset.cardinal keep = n_tables);
+    r
 
 let sys_mmap t ~thread ~va ~count ~size ~perm =
   match calling_thread t ~thread with
@@ -233,14 +234,14 @@ let sys_mmap t ~thread ~va ~count ~size ~perm =
           | v :: rest ->
             (match alloc_block t size with
              | None ->
-               unmap_pages t pt mapped;
+               unmap_mapped t pt mapped;
                Error Errno.Enomem
              | Some frame ->
                (match Page_table.map pt ~size ~vaddr:v ~frame ~perm with
                 | Ok () -> go (v :: mapped) (frame :: frames) rest
                 | Error e ->
                   ignore (Page_alloc.dec_ref t.alloc ~addr:frame);
-                  unmap_pages t pt mapped;
+                  unmap_mapped t pt mapped;
                   Error (errno_of_map e)))
         in
         match
@@ -268,8 +269,9 @@ let sys_munmap t ~thread ~va ~count ~size =
       let vaddrs = List.init count (fun i -> va + (i * bytes)) in
       let space = Page_table.address_space pt in
       (* Validate the whole range first: each base must carry a mapping
-         of exactly the requested size, so the unmapping loop below is
-         infallible and the call stays atomic. *)
+         of exactly the requested size.  The unmap itself finds every
+         leaf before it clears one, so a table past the end of memory
+         fails the call with nothing changed. *)
       let valid =
         List.for_all
           (fun v ->
@@ -279,11 +281,12 @@ let sys_munmap t ~thread ~va ~count ~size =
           vaddrs
       in
       if not valid then err Errno.Einval
-      else begin
-        unmap_pages t pt vaddrs;
-        Proc_mgr.uncharge t.pm ~container ~frames:(count * Page_state.frames_per size);
-        Syscall.Runit
-      end
+      else
+        match unmap_pages t pt vaddrs with
+        | Error _ -> err Errno.Einval
+        | Ok () ->
+          Proc_mgr.uncharge t.pm ~container ~frames:(count * Page_state.frames_per size);
+          Syscall.Runit
     end
 
 let sys_mprotect t ~thread ~va ~perm =

@@ -1,7 +1,10 @@
 (* -1 is the nil link.  Membership is a bitmap, 32 ids per [bits]
    word (bit [id land 31] of word [id lsr 5]), and is the source of
    truth, so that id 0 with nil links is unambiguous.  Bits past the
-   capacity are always clear. *)
+   capacity are always clear.  [version] advances on every membership
+   write and every backdoor link write; each push and remove makes
+   exactly one membership write, so it also covers their link and
+   length writes. *)
 type t = {
   name : string;
   prev : int array;
@@ -10,6 +13,7 @@ type t = {
   mutable first : int;
   mutable last : int;
   mutable length : int;
+  mutable version : int;
 }
 
 let nil = -1
@@ -26,12 +30,15 @@ let create ~capacity ~name =
     first = nil;
     last = nil;
     length = 0;
+    version = 0;
   }
 
 let name t = t.name
 let capacity t = Array.length t.prev
 let length t = t.length
 let is_empty t = t.length = 0
+let version t = t.version
+let stamp t = t.version <- t.version + 1
 
 let check_id t id op =
   if id < 0 || id >= capacity t then
@@ -41,7 +48,8 @@ let member t id = t.bits.(id lsr 5) land (1 lsl (id land 31)) <> 0
 
 let set_member t id v =
   let w = id lsr 5 and bit = 1 lsl (id land 31) in
-  t.bits.(w) <- (if v then t.bits.(w) lor bit else t.bits.(w) land lnot bit)
+  t.bits.(w) <- (if v then t.bits.(w) lor bit else t.bits.(w) land lnot bit);
+  stamp t
 
 let mem t id =
   check_id t id "mem";
@@ -199,7 +207,13 @@ let wf t =
   end
 
 module Backdoor = struct
-  let set_next t id n = t.next.(id) <- n
-  let set_prev t id p = t.prev.(id) <- p
+  let set_next t id n =
+    t.next.(id) <- n;
+    stamp t
+
+  let set_prev t id p =
+    t.prev.(id) <- p;
+    stamp t
+
   let set_member = set_member
 end

@@ -19,6 +19,14 @@ val name : t -> string
 val capacity : t -> int
 val length : t -> int
 val is_empty : t -> bool
+
+val version : t -> int
+(** The list's write version: it advances on every link or membership
+    write, by {!push_front}, {!push_back}, {!remove} (and so the pops)
+    and every {!Backdoor} setter, and never goes back.  Two equal
+    readings of one list's version mean nothing in it changed between
+    them. *)
+
 val mem : t -> int -> bool
 (** One bit test: membership is a bitmap beside the links. *)
 

@@ -4,6 +4,22 @@ open Page_state
 
 type purpose = Kernel | User
 
+type views = {
+  free_4k : Frame_set.t;
+  free_2m : Frame_set.t;
+  free_1g : Frame_set.t;
+  merged : Frame_set.t;
+  allocated : Iset.t;
+  mapped : Iset.t;
+}
+
+(* The input of [wf]: the page array's write version and each free
+   list's. *)
+type key = { pages : int; list4k : int; list2m : int; list1g : int }
+
+(* The last [views] and the page array's version it was read at. *)
+type memo = { at : int; views : views }
+
 (* The page array is dense.  Each frame has one code byte holding its
    kind (the state without its argument) and its block size, and one
    [aux] int holding a [Mapped] frame's reference count or a [Merged]
@@ -20,6 +36,11 @@ type t = {
   mutable journal : (unit -> unit) list option;
       (* while {!atomically} runs: the inverse of every superpage merge
          and split so far, newest first *)
+  mutable version : int;  (* advances on every write to [codes] or [aux] *)
+  (* Each published with one field write, so checks racing on other
+     domains read either whole. *)
+  mutable clean_wf : key option;
+  mutable memo : memo option;
 }
 
 let frame_addr i = i * Phys_mem.page_size
@@ -37,7 +58,18 @@ let kind_of c = match c lsr 2 with 0 -> Free_k | 1 -> Allocated_k | 2 -> Mapped_
 let size_of_code c = size_of_order (c land 3)
 
 let code_at t i = Char.code (Bytes.get t.codes i)
-let set t i kind size = Bytes.set t.codes i (Char.unsafe_chr (code kind size))
+
+(* The page array's only writers: each stamps the array's version. *)
+let stamp t = t.version <- t.version + 1
+
+let set t i kind size =
+  Bytes.set t.codes i (Char.unsafe_chr (code kind size));
+  stamp t
+
+let set_aux t i n =
+  t.aux.(i) <- n;
+  stamp t
+
 let kind_at t i = kind_of (code_at t i)
 let size_at t i = size_of_code (code_at t i)
 
@@ -118,6 +150,9 @@ let create mem ~reserved_frames =
       free2m = Dll.create ~capacity:nframes ~name:"free2m";
       free1g = Dll.create ~capacity:nframes ~name:"free1g";
       journal = None;
+      version = 0;
+      clean_wf = None;
+      memo = None;
     }
   in
   for i = reserved_frames to nframes - 1 do
@@ -159,7 +194,7 @@ let claim t i size purpose =
    | Kernel -> set t i Allocated_k size
    | User ->
      set t i Mapped_k size;
-     t.aux.(i) <- 1);
+     set_aux t i 1);
   zero_block t i size;
   if Atmo_obs.Sink.tracing () then begin
     Atmo_obs.Sink.emit_page_alloc ~addr:(frame_addr i) ~order:(order_of size) ();
@@ -181,7 +216,8 @@ let subs_free t ~head ~sub ~span =
 (* Point the body frames of the [stride]-frame block at [head] at it. *)
 let absorb t ~head ~stride =
   Bytes.fill t.codes (head + 1) (stride - 1) (Char.chr (code Merged_k S4k));
-  Array.fill t.aux (head + 1) (stride - 1) head
+  Array.fill t.aux (head + 1) (stride - 1) head;
+  stamp t
 
 (* Merge the free [sub] blocks covering the aligned [super] block at
    [head] into one free block.  Constituent heads are unlinked from
@@ -349,7 +385,7 @@ let inc_ref t ~addr =
   match kind_at t i with
   | Mapped_k ->
     if Mutation.tick muts then note (Share { alloc = t; addr });
-    t.aux.(i) <- t.aux.(i) + 1
+    set_aux t i (t.aux.(i) + 1)
   | Free_k | Allocated_k | Merged_k ->
     invalid_arg
       (Format.asprintf "Page_alloc.inc_ref: 0x%x is %a" addr pp_state (state_at t i))
@@ -362,7 +398,7 @@ let dec_ref t ~addr =
     release t i;
     `Freed
   | Mapped_k ->
-    t.aux.(i) <- t.aux.(i) - 1;
+    set_aux t i (t.aux.(i) - 1);
     `Live
   | Free_k | Allocated_k | Merged_k ->
     invalid_arg
@@ -392,22 +428,13 @@ let is_free t ~addr =
   let i = frame_of_addr addr in
   managed t i && kind_at t i = Free_k
 
-type views = {
-  free_4k : Frame_set.t;
-  free_2m : Frame_set.t;
-  free_1g : Frame_set.t;
-  merged : Frame_set.t;
-  allocated : Iset.t;
-  mapped : Iset.t;
-}
-
 (* Frames in increasing order, consed onto [acc] *)
 let add_frames acc lo hi =
   for i = lo to hi - 1 do
     acc := frame_addr i :: !acc
   done
 
-let views t =
+let scan_views t =
   let draft () = Frame_set.draft ~lo:t.first ~hi:t.nframes in
   let free_4k = draft () and free_2m = draft () and free_1g = draft () and merged = draft () in
   let allocated = ref [] and mapped = ref [] in
@@ -428,18 +455,23 @@ let views t =
     mapped = Iset.of_list !mapped;
   }
 
-(* The managed frames whose code satisfies [keep]. *)
-let collect t keep =
-  let acc = ref [] in
-  runs t (fun c lo hi -> if keep c then add_frames acc lo hi);
-  Iset.of_list !acc
+(* The views read only the code bytes, so they are kept while the page
+   array's version stands. *)
+let views t =
+  match t.memo with
+  | Some m when m.at = t.version -> m.views
+  | Some _ | None ->
+    let at = t.version in
+    let views = scan_views t in
+    t.memo <- Some { at; views };
+    views
 
-let free_pages_4k t = collect t (fun c -> c = code Free_k S4k)
-let free_pages_2m t = collect t (fun c -> c = code Free_k S2m)
-let free_pages_1g t = collect t (fun c -> c = code Free_k S1g)
-let allocated_pages t = collect t (fun c -> kind_of c = Allocated_k)
-let mapped_pages t = collect t (fun c -> kind_of c = Mapped_k)
-let merged_pages t = collect t (fun c -> kind_of c = Merged_k)
+let free_pages_4k t = Frame_set.to_iset (views t).free_4k
+let free_pages_2m t = Frame_set.to_iset (views t).free_2m
+let free_pages_1g t = Frame_set.to_iset (views t).free_1g
+let allocated_pages t = (views t).allocated
+let mapped_pages t = (views t).mapped
+let merged_pages t = Frame_set.to_iset (views t).merged
 
 let frames_of_block t ~addr =
   let i = head_frame t ~addr "frames_of_block" in
@@ -461,7 +493,7 @@ let frames_of_block t ~addr =
    of the list's size.  The members are searched one by one, and the
    frames for an unlisted one, only to name the culprit once a check
    fails. *)
-let wf t =
+let check t =
   let err fmt = Format.kasprintf (fun s -> Error s) fmt in
   let ( let* ) r f = match r with Ok () -> f () | Error _ as e -> e in
   let* () = Dll.wf t.free4k in
@@ -565,6 +597,32 @@ let wf t =
       bodies i (i + 1) (min (i + frames_per (size_at t i)) t.nframes - 1))
     (Ok ()) (List.rev !heads)
 
+let key t =
+  {
+    pages = t.version;
+    list4k = Dll.version t.free4k;
+    list2m = Dll.version t.free2m;
+    list1g = Dll.version t.free1g;
+  }
+
+let unchanged t k =
+  k.pages = t.version
+  && k.list4k = Dll.version t.free4k
+  && k.list2m = Dll.version t.free2m
+  && k.list1g = Dll.version t.free1g
+
+(* An allocator whose key equals that of its last clean check is clean
+   again; errors are never kept.  The key is read before the check, so
+   a write during it leaves a key that misses. *)
+let wf t =
+  match t.clean_wf with
+  | Some k when unchanged t k -> Ok ()
+  | Some _ | None ->
+    let k = key t in
+    let r = check t in
+    if Result.is_ok r then t.clean_wf <- Some k;
+    r
+
 module Backdoor = struct
   let set_frame t ~frame state size =
     match state with
@@ -572,10 +630,14 @@ module Backdoor = struct
     | Allocated -> set t frame Allocated_k size
     | Mapped n ->
       set t frame Mapped_k size;
-      t.aux.(frame) <- n
+      set_aux t frame n
     | Merged h ->
       set t frame Merged_k size;
-      t.aux.(frame) <- h
+      set_aux t frame h
 
   let free_list = free_list
+
+  let forget_check t =
+    t.clean_wf <- None;
+    t.memo <- None
 end

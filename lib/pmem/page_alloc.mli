@@ -128,8 +128,23 @@ val views : t -> views
     algebra on as {!Atmo_util.Iset}s.  The scan visits maximal runs of
     frames with equal code bytes, eight frames per compare, and adds a
     free or merged run to its set as one range.  Each set equals the
-    matching accessor below, which scans the same way, and the frame by
-    frame answers of {!state_of} and {!size_of}. *)
+    frame by frame answers of {!state_of} and {!size_of}.
+
+    The scan reads only the page array, so its result is kept with the
+    array's write version, which every writer of the array advances
+    (the allocator's own and {!Backdoor.set_frame}).  While the version
+    stands, [views] returns that same record: two calls with no write
+    between them are physically equal, and so are their sets, which
+    {!Atmo_util.Iset.equal} and {!Atmo_util.Frame_set.equal} then
+    compare at once.  The record is published with one field write, so
+    calls racing on other domains see it whole. *)
+
+(** {3 Accessors}
+
+    Projections of {!views}: they share its one scan per write of the
+    page array.  The four dense sets are converted to
+    {!Atmo_util.Iset}s on each call; [allocated_pages] and
+    [mapped_pages] are the view's own sets. *)
 
 val free_pages_4k : t -> Atmo_util.Iset.t
 (** Base addresses of free 4 KiB frames. *)
@@ -172,7 +187,19 @@ val wf : t -> (unit, string) result
     The error is the first violation in a fixed order: list structure,
     list members' states, sizes and alignment, list members outside the
     managed frames, each frame's own invariant (an unlisted free frame
-    before it first), then superpage bodies. *)
+    before it first), then superpage bodies.
+
+    The check reads the page array and the three free lists and
+    nothing else, so its input is keyed by their write versions: the
+    array's (as for {!views}) and each list's ({!Dll.version}).  A
+    clean verdict is kept with the key read before the check, and while
+    the key stands [wf] returns [Ok ()] at once; an error is never
+    kept.  The lists carry their own versions because
+    {!Backdoor.free_list} hands them out, and a caller may edit them
+    through {!Dll} with no allocator code running.  The allocator map's
+    mutation count ({!map_id}) is not a key: every allocator shares it,
+    and backdoor writes do not tick it.  The key is recorded with one
+    field write, as the views are. *)
 
 (** {2 Test backdoor}
 
@@ -187,4 +214,9 @@ module Backdoor : sig
   val free_list : t -> Page_state.size -> Dll.t
   (** The free list of a size, to link, unlink or re-point members
       with {!Dll} and {!Dll.Backdoor}. *)
+
+  val forget_check : t -> unit
+  (** Drop the key of the last clean {!wf} and the kept {!views}, so
+      the next of each runs in full: for oracle tests that compare the
+      keyed results with cache-free ones. *)
 end

@@ -27,6 +27,7 @@ type error =
   | Non_canonical
   | Conflict
   | Oom
+  | Walk_fault
 
 let pp_error ppf e =
   Format.pp_print_string ppf
@@ -36,7 +37,8 @@ let pp_error ppf e =
      | Misaligned -> "misaligned"
      | Non_canonical -> "non-canonical address"
      | Conflict -> "size conflict"
-     | Oom -> "out of memory")
+     | Oom -> "out of memory"
+     | Walk_fault -> "table past the end of memory")
 
 (* The input of a table's last clean check: the address space and the
    page closure (compared by identity), the registry's pairs in
@@ -113,11 +115,24 @@ let create mem alloc =
         clean_check = None;
       }
 
+(* A table past the end of memory on one of the kernel's walks: a walk
+   fault, as in [walk_concrete] and [Mmu.walk].  Each walker below
+   returns [Error Walk_fault] for it, where the load would raise. *)
+exception Past_memory
+
+(* Every entry the kernel's walks read.  A walk reaches a table past
+   memory only through an entry it did not write, so the fault comes
+   before the walk's first write: a table allocated on the way down is
+   in memory. *)
+let read_entry t ~table ~index =
+  if not (Phys_mem.contains t.mem table) then raise_notrace Past_memory;
+  Phys_mem.read_u64 t.mem ~addr:(Mmu.entry_addr ~table ~index)
+
 (* Fetch (or allocate on demand) the next-level table under
    [table.(index)].  [Error Conflict] if a huge leaf already occupies the
    slot. *)
 let next_table t ~table ~index ~level =
-  let e = Phys_mem.read_u64 t.mem ~addr:(Mmu.entry_addr ~table ~index) in
+  let e = read_entry t ~table ~index in
   if Pte.is_present e then
     if Pte.is_huge e then Error Conflict else Ok (Pte.addr_of e)
   else
@@ -154,12 +169,12 @@ let level_index ~level va =
 (* A leaf slot must be empty.  Above L1, a present non-huge entry there
    means finer-grained mappings exist underneath. *)
 let leaf_slot_free t ~table ~index ~level =
-  let e = Phys_mem.read_u64 t.mem ~addr:(Mmu.entry_addr ~table ~index) in
+  let e = read_entry t ~table ~index in
   if not (Pte.is_present e) then Ok ()
   else if level = 1 || Pte.is_huge e then Error Already_mapped
   else Error Conflict
 
-let map t ~size ~vaddr ~frame ~perm =
+let install t ~size ~vaddr ~frame ~perm =
   let* () = check_addr vaddr frame size in
   let leaf = leaf_level size in
   (* the table of [level] translating [vaddr], allocated on demand *)
@@ -181,6 +196,11 @@ let map t ~size ~vaddr ~frame ~perm =
   note ();
   Ok ()
 
+let map t ~size ~vaddr ~frame ~perm =
+  match install t ~size ~vaddr ~frame ~perm with
+  | r -> r
+  | exception Past_memory -> Error Walk_fault
+
 let map_4k t ~vaddr ~frame ~perm = map t ~size:Page_state.S4k ~vaddr ~frame ~perm
 
 (* Locate the leaf slot of the mapping whose virtual base is [vaddr]:
@@ -189,7 +209,7 @@ let map_4k t ~vaddr ~frame ~perm = map t ~size:Page_state.S4k ~vaddr ~frame ~per
 let find_leaf t ~vaddr =
   let rec at level table =
     let index = level_index ~level vaddr in
-    let e = Phys_mem.read_u64 t.mem ~addr:(Mmu.entry_addr ~table ~index) in
+    let e = read_entry t ~table ~index in
     if not (Pte.is_present e) then Error Not_mapped
     else if level = 1 || (level < 4 && Pte.is_huge e) then begin
       let size : Page_state.size = match level with 1 -> S4k | 2 -> S2m | _ -> S1g in
@@ -198,17 +218,37 @@ let find_leaf t ~vaddr =
     end
     else at (level - 1) (Pte.addr_of e)
   in
-  if not (Mmu.canonical vaddr) then Error Non_canonical else at 4 t.cr3
+  if not (Mmu.canonical vaddr) then Error Non_canonical
+  else match at 4 t.cr3 with r -> r | exception Past_memory -> Error Walk_fault
 
-let unmap t ~vaddr =
-  let* table, index, entry = find_leaf t ~vaddr in
+let clear_leaf t ~vaddr (table, index, entry) =
   write_entry t ~table ~index Pte.not_present ~leaf:true;
   (* The shootdown point: every page the dying mapping covered must leave
      the TLB before the caller can reuse the frame. *)
   Tlb.shoot_range t.mem ~cr3:t.cr3 ~vaddr ~bytes:(Page_state.bytes_per entry.size);
   t.space <- Imap.remove vaddr t.space;
   note ();
-  Ok entry
+  entry
+
+let unmap t ~vaddr =
+  let* leaf = find_leaf t ~vaddr in
+  Ok (clear_leaf t ~vaddr leaf)
+
+(* Every leaf is found before the first is cleared, so a walk fault or
+   a missing leaf leaves the table as it was. *)
+let unmap_all t ~vaddrs f =
+  let rec locate acc = function
+    | [] -> Ok (List.rev acc)
+    | vaddr :: rest ->
+      (match find_leaf t ~vaddr with
+       | Ok leaf -> locate ((vaddr, leaf) :: acc) rest
+       | Error e -> Error e)
+  in
+  match locate [] vaddrs with
+  | Error _ as e -> e
+  | Ok leaves ->
+    List.iter (fun (vaddr, leaf) -> f (clear_leaf t ~vaddr leaf)) leaves;
+    Ok ()
 
 let update_perm t ~vaddr ~perm =
   let* table, index, entry = find_leaf t ~vaddr in
@@ -261,26 +301,27 @@ let missing_tables t ~vaddrs =
     let key = ((va asr (12 + (9 * level))) lsl 2) lor level in
     if not (List.mem key !counted) then counted := key :: !counted
   in
-  List.iter
-    (fun (va, size) ->
-      let lowest = leaf_level size in
-      (* the table of [level] translating [va] exists at [table] *)
-      let rec walk level table =
-        if level > lowest then begin
-          let e =
-            Phys_mem.read_u64 t.mem ~addr:(Mmu.entry_addr ~table ~index:(level_index ~level va))
-          in
-          if Pte.is_present e && (level = 4 || not (Pte.is_huge e)) then
-            walk (level - 1) (Pte.addr_of e)
-          else
-            for l = level - 1 downto lowest do
-              need l va
-            done
-        end
-      in
-      walk 4 t.cr3)
-    vaddrs;
-  List.length !counted
+  match
+    List.iter
+      (fun (va, size) ->
+        let lowest = leaf_level size in
+        (* the table of [level] translating [va] exists at [table] *)
+        let rec walk level table =
+          if level > lowest then begin
+            let e = read_entry t ~table ~index:(level_index ~level va) in
+            if Pte.is_present e && (level = 4 || not (Pte.is_huge e)) then
+              walk (level - 1) (Pte.addr_of e)
+            else
+              for l = level - 1 downto lowest do
+                need l va
+              done
+          end
+        in
+        walk 4 t.cr3)
+      vaddrs
+  with
+  | () -> Ok (List.length !counted)
+  | exception Past_memory -> Error Walk_fault
 
 let prune_empty_tables t ~keep =
   let read table index =

@@ -29,6 +29,11 @@ type error =
   | Non_canonical
   | Conflict  (** a mapping of a different size covers this range *)
   | Oom
+  | Walk_fault
+      (** an entry on the walk points at a table past the end of
+          memory: every walk below ({!map}, {!find_leaf} and so
+          {!unmap} and {!update_perm}, {!missing_tables}) stops there
+          and changes nothing, where the load would raise *)
 
 val pp_error : Format.formatter -> error -> unit
 
@@ -69,6 +74,12 @@ val unmap : t -> vaddr:int -> (entry, error) result
     not reclaimed until {!destroy}, as in the paper's kernel.  Shoots the
     covered virtual range out of the {!Atmo_hw.Tlb} (precise [invlpg]s
     for small ranges, full ASID flush for superpages). *)
+
+val unmap_all : t -> vaddrs:int list -> (entry -> unit) -> (unit, error) result
+(** [unmap_all t ~vaddrs f] unmaps the mappings based at [vaddrs], in
+    that order, as {!unmap} would, calling [f] on each entry right after
+    its leaf is cleared; or, when a leaf cannot be found, unmaps none:
+    every leaf is found before the first is cleared. *)
 
 val find_leaf : t -> vaddr:int -> (int * int * entry, error) result
 (** The table page, index and entry of the mapping whose virtual base
@@ -121,11 +132,14 @@ val page_closure : t -> Atmo_util.Iset.t
     allocated and freed, so this accessor is O(1); it must always equal
     the pages of {!tables} (checked by [Pt_refine.ghost_wf]). *)
 
-val missing_tables : t -> vaddrs:(int * Atmo_pmem.Page_state.size) list -> int
+val missing_tables :
+  t -> vaddrs:(int * Atmo_pmem.Page_state.size) list -> (int, error) result
 (** Dry run: how many intermediate table pages would have to be
     allocated to install mappings at the given virtual bases.  Shared
     new tables between the addresses are counted once.  The kernel uses
-    this to charge container quota exactly, before any side effect. *)
+    this to charge container quota exactly, before any side effect.
+    [Error Walk_fault] when a walk reaches a table past the end of
+    memory. *)
 
 val prune_empty_tables : t -> keep:Atmo_util.Iset.t -> int
 (** Free table pages (never the root, never pages in [keep]) that

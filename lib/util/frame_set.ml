@@ -80,12 +80,15 @@ let fold f s acc =
   done;
   !acc
 
-(* Equal counts and one inclusion give equality, whatever the ranges. *)
+(* Equal counts and one inclusion give equality, whatever the ranges.
+   Views kept between checks are shared, so a set is often compared
+   with itself. *)
 let equal a b =
-  a.count = b.count
-  &&
-  if a.base = b.base && String.length a.bits = String.length b.bits then
-    String.equal a.bits b.bits
-  else fold (fun addr ok -> ok && mem b addr) a true
+  a == b
+  || (a.count = b.count
+     &&
+     if a.base = b.base && String.length a.bits = String.length b.bits then
+       String.equal a.bits b.bits
+     else fold (fun addr ok -> ok && mem b addr) a true)
 
-let to_iset s = fold Iset.add s Iset.empty
+let to_iset s = Iset.of_list (fold List.cons s [])

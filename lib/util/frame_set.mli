@@ -41,5 +41,6 @@ val mem : t -> int -> bool
 (** [mem s addr]: [addr] is the base address of a member frame. *)
 
 val equal : t -> t -> bool
+(** Set equality; [true] at once on a set and itself. *)
 
 val to_iset : t -> Iset.t

@@ -1,5 +1,9 @@
 include Set.Make (Int)
 
+(* Views kept between checks are shared, so physically equal sets are
+   common. *)
+let equal a b = a == b || equal a b
+
 let of_range ~lo ~hi =
   let rec go acc i = if i >= hi then acc else go (add i acc) (i + 1) in
   go empty lo

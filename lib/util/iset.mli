@@ -5,6 +5,7 @@
     [Stdlib.Set.Make (Int)] with a few spec-level helpers. *)
 
 include Set.S with type elt = int
+(** [equal] returns [true] at once on a set and itself. *)
 
 val of_range : lo:int -> hi:int -> t
 (** Frames [lo], [lo+1], ..., [hi-1]. *)

@@ -1,11 +1,16 @@
 (* The key of a page table's last clean check (Page_table's
-   check_input): a table whose whole input is unchanged skips
-   [Pt_refine.violations], and every other verdict and message must be
-   what a cache-free check gives.  The oracle forgets every key with
-   [Page_table.Backdoor.forget_check] and checks again. *)
+   check_input) and the page allocator's key (its write versions): a
+   table or allocator whose whole input is unchanged skips its check,
+   and every other verdict and message must be what a cache-free check
+   gives.  The oracle forgets every key with
+   [Page_table.Backdoor.forget_check] and
+   [Page_alloc.Backdoor.forget_check] and checks again. *)
 
 open Atmo_util
 module Phys_mem = Atmo_hw.Phys_mem
+module Page_state = Atmo_pmem.Page_state
+module Page_alloc = Atmo_pmem.Page_alloc
+module Dll = Atmo_pmem.Dll
 module Page_table = Atmo_pt.Page_table
 module Pt_refine = Atmo_pt.Pt_refine
 module Perm_map = Atmo_pm.Perm_map
@@ -33,7 +38,9 @@ let tables (k : Kernel.t) =
         (Printf.sprintf "device %d" device, d.Kernel.io_pt) :: acc)
       k.Kernel.devices []
 
-let forget_keys k = List.iter (fun (_, pt) -> Page_table.Backdoor.forget_check pt) (tables k)
+let forget_keys k =
+  List.iter (fun (_, pt) -> Page_table.Backdoor.forget_check pt) (tables k);
+  Page_alloc.Backdoor.forget_check k.Kernel.alloc
 
 let result = function Ok () -> "ok" | Error msg -> msg
 
@@ -88,10 +95,103 @@ let corrupt rng k =
    | _ -> Phys_mem.zero_page mem ~addr:page);
   (mem, page, saved)
 
-(* Seeded checked transitions, checking each step's cached verdicts
-   against a cache-free evaluation; every fifth step also stores raw
-   into a table page, checks, restores the page's bytes and checks
-   again. *)
+(* The allocator's keyed [wf], [views] and six accessors against a
+   cache-free [wf] and [views]. *)
+let views_equal (a : Page_alloc.views) (b : Page_alloc.views) =
+  Frame_set.equal a.free_4k b.free_4k
+  && Frame_set.equal a.free_2m b.free_2m
+  && Frame_set.equal a.free_1g b.free_1g
+  && Frame_set.equal a.merged b.merged
+  && Iset.equal a.allocated b.allocated
+  && Iset.equal a.mapped b.mapped
+
+let same_frames s f =
+  Iset.cardinal s = Frame_set.cardinal f && Iset.for_all (fun addr -> Frame_set.mem f addr) s
+
+let check_allocator what a =
+  let keyed_wf = result (Page_alloc.wf a) and keyed = Page_alloc.views a in
+  let dense =
+    [
+      ("free_pages_4k", Page_alloc.free_pages_4k a);
+      ("free_pages_2m", Page_alloc.free_pages_2m a);
+      ("free_pages_1g", Page_alloc.free_pages_1g a);
+      ("merged_pages", Page_alloc.merged_pages a);
+    ]
+  and allocated = Page_alloc.allocated_pages a
+  and mapped = Page_alloc.mapped_pages a in
+  Page_alloc.Backdoor.forget_check a;
+  let fresh_wf = result (Page_alloc.wf a) and fresh = Page_alloc.views a in
+  Alcotest.(check string) (what ^ ": allocator wf") fresh_wf keyed_wf;
+  checkb (what ^ ": views") true (views_equal fresh keyed);
+  List.iter2
+    (fun (name, s) f -> checkb (what ^ ": " ^ name) true (same_frames s f))
+    dense
+    [ fresh.free_4k; fresh.free_2m; fresh.free_1g; fresh.merged ];
+  checkb (what ^ ": allocated_pages") true (Iset.equal allocated fresh.allocated);
+  checkb (what ^ ": mapped_pages") true (Iset.equal mapped fresh.mapped)
+
+let sizes = Page_state.[| S4k; S2m; S1g |]
+
+(* A backdoor write into a random frame's state or a random free list,
+   which may break the allocator; returns its undo. *)
+let plant_allocator rng a =
+  let module B = Page_alloc.Backdoor in
+  let managed = Page_alloc.managed_frames a in
+  let first = Phys_mem.page_count (Page_alloc.mem a) - managed in
+  let frame () = first + Random.State.int rng managed in
+  let list () = B.free_list a sizes.(Random.State.int rng 3) in
+  match Random.State.int rng 4 with
+  | 0 ->
+    let f = frame () in
+    let addr = f * Phys_mem.page_size in
+    let state = Option.get (Page_alloc.state_of a ~addr) in
+    (* a merged frame's code carries the 4 KiB size *)
+    let size = Option.value (Page_alloc.size_of a ~addr) ~default:Page_state.S4k in
+    let planted =
+      match Random.State.int rng 4 with
+      | 0 -> Page_state.Free
+      | 1 -> Page_state.Allocated
+      | 2 -> Page_state.Mapped (Random.State.int rng 3)
+      | _ -> Page_state.Merged (frame ())
+    in
+    B.set_frame a ~frame:f planted sizes.(Random.State.int rng 3);
+    fun () -> B.set_frame a ~frame:f state size
+  | 1 ->
+    let l = list () and id = frame () in
+    let member = Dll.mem l id in
+    Dll.Backdoor.set_member l id (not member);
+    fun () -> Dll.Backdoor.set_member l id member
+  | 2 ->
+    (* a removed member comes back at the end of its list *)
+    let l = list () and id = frame () in
+    if Dll.mem l id then begin
+      Dll.remove l id;
+      fun () -> Dll.push_back l id
+    end
+    else begin
+      Dll.push_back l id;
+      fun () -> Dll.remove l id
+    end
+  | _ ->
+    let l = B.free_list a Page_state.S4k in
+    let ids = Array.of_list (Dll.to_list l) in
+    let i = Random.State.int rng (Array.length ids) in
+    let at j = if j < 0 || j >= Array.length ids then -1 else ids.(j) in
+    let wild = Random.State.int rng (first + managed + 2) - 1 in
+    if Random.State.bool rng then begin
+      Dll.Backdoor.set_next l ids.(i) wild;
+      fun () -> Dll.Backdoor.set_next l ids.(i) (at (i + 1))
+    end
+    else begin
+      Dll.Backdoor.set_prev l ids.(i) wild;
+      fun () -> Dll.Backdoor.set_prev l ids.(i) (at (i - 1))
+    end
+
+(* Seeded checked transitions, checking each step's cached verdicts and
+   allocator views against a cache-free evaluation; every fifth step
+   also stores raw into a table page, checks, restores the page's bytes
+   and checks again, then does the same with a backdoor write into the
+   allocator. *)
 let oracle seed () =
   let k = world () in
   let rng = Random.State.make [| seed |] in
@@ -105,11 +205,18 @@ let oracle seed () =
       Alcotest.(check string) (what ^ " step_checked total_wf") "total_wf: ok"
         ("total_wf: " ^ result o.Harness.wf);
       check_cache_free what k;
+      check_allocator what k.Kernel.alloc;
       if step mod 5 = 0 then begin
         let mem, page, saved = corrupt rng k in
         check_cache_free (what ^ " after a raw store") k;
         Phys_mem.blit_to mem ~addr:page saved;
-        check_cache_free (what ^ " after the restore") k
+        check_cache_free (what ^ " after the restore") k;
+        let undo = plant_allocator rng k.Kernel.alloc in
+        check_allocator (what ^ " after a backdoor write") k.Kernel.alloc;
+        check_cache_free (what ^ " after a backdoor write") k;
+        undo ();
+        check_allocator (what ^ " after its undo") k.Kernel.alloc;
+        check_cache_free (what ^ " after its undo") k
       end
   done
 
@@ -162,6 +269,108 @@ let drift part () =
   check_cache_free "after the drift" k;
   checkb "the drift breaks the page-table check" true (Invariants.page_tables_wf k <> Ok ())
 
+(* After a clean [wf] and [views], one write through each writer the
+   allocator's key must see: the keyed verdict and views are the
+   cache-free ones, and the write broke the allocator, so a kept clean
+   verdict would show. *)
+let writer_misses_key (what, write) () =
+  let k = world () in
+  let a = k.Kernel.alloc in
+  Alcotest.(check string) "clean before" "ok" (result (Page_alloc.wf a));
+  ignore (Page_alloc.views a);
+  write a;
+  check_allocator what a;
+  checkb "the write breaks the allocator" true (Page_alloc.wf a <> Ok ())
+
+let writers =
+  let module B = Page_alloc.Backdoor in
+  let free4k a = B.free_list a Page_state.S4k in
+  let second a = List.nth (Dll.to_list (free4k a)) 1 in
+  [
+    ( "Backdoor.set_frame",
+      fun a ->
+        let addr = Iset.max_elt (Page_alloc.free_pages_4k a) in
+        B.set_frame a ~frame:(addr / Phys_mem.page_size) Page_state.Allocated Page_state.S4k );
+    ( "Dll.push_back on a list",
+      fun a ->
+        let addr = Iset.max_elt (Page_alloc.allocated_pages a) in
+        Dll.push_back (free4k a) (addr / Phys_mem.page_size) );
+    ("Dll.remove on a list", fun a -> Dll.remove (free4k a) (second a));
+    ("Dll.Backdoor.set_next", fun a -> Dll.Backdoor.set_next (free4k a) (second a) (-1));
+    ("Dll.Backdoor.set_prev", fun a -> Dll.Backdoor.set_prev (free4k a) (second a) (-1));
+    ("Dll.Backdoor.set_member", fun a -> Dll.Backdoor.set_member (free4k a) (second a) false);
+  ]
+
+(* A failing transaction's replay is a write: two 2 MiB merges, a
+   split of one of the merged blocks for a 4 KiB frame, everything
+   released, the allocator checked in the middle (free2m holds the
+   block left merged), then the replay splits and merges back. *)
+let test_replay_misses_key () =
+  let mem = Phys_mem.create ~page_count:1536 in
+  let a = Page_alloc.create mem ~reserved_frames:0 in
+  let fresh = Page_alloc.views a in
+  let middle = ref fresh in
+  let user () = Option.get (Page_alloc.alloc_4k a ~purpose:Page_alloc.User) in
+  let r =
+    Page_alloc.atomically a (fun () ->
+        let big = List.init 2 (fun _ -> Page_alloc.alloc_2m a ~purpose:Page_alloc.User) in
+        List.iter (fun b -> ignore (Page_alloc.dec_ref a ~addr:(Option.get b))) big;
+        (* 512 free frames, then one split of a free 2 MiB block *)
+        let small = List.init 513 (fun _ -> user ()) in
+        List.iter (fun addr -> ignore (Page_alloc.dec_ref a ~addr)) small;
+        Alcotest.(check string) "clean in the middle" "ok" (result (Page_alloc.wf a));
+        middle := Page_alloc.views a;
+        Error ())
+  in
+  checkb "the transaction failed" true (Result.is_error r);
+  checkb "one block left merged in the middle" true
+    (Frame_set.cardinal !middle.Page_alloc.free_2m = 1);
+  check_allocator "after the replay" a;
+  checkb "the replay restored the views" true (views_equal fresh (Page_alloc.views a))
+
+(* Every writer of the page array moves its version, so the views are
+   read again after each: on a 2 MiB machine, a kernel and a user
+   claim, a share, both kinds of [dec_ref], a kernel free, a merge of
+   every frame, a split for the next 4 KiB claim, and a backdoor
+   write. *)
+let test_page_writers () =
+  let mem = Phys_mem.create ~page_count:512 in
+  let a = Page_alloc.create mem ~reserved_frames:0 in
+  let claim purpose = Option.get (Page_alloc.alloc_4k a ~purpose) in
+  let kernel = ref 0 and user = ref 0 in
+  List.iter
+    (fun (what, write) ->
+      let before = Page_alloc.views a in
+      write ();
+      checkb (what ^ " re-reads the views") true (Page_alloc.views a != before);
+      check_allocator what a)
+    [
+      ("a kernel claim", fun () -> kernel := claim Page_alloc.Kernel);
+      ("a user claim", fun () -> user := claim Page_alloc.User);
+      ("inc_ref", fun () -> Page_alloc.inc_ref a ~addr:!user);
+      ("dec_ref of a shared page", fun () -> ignore (Page_alloc.dec_ref a ~addr:!user));
+      ("dec_ref of the last mapping", fun () -> ignore (Page_alloc.dec_ref a ~addr:!user));
+      ("free_kernel_page", fun () -> Page_alloc.free_kernel_page a ~addr:!kernel);
+      ("a merge", fun () -> checkb "merged" true (Page_alloc.try_merge_2m a));
+      ("a split", fun () -> kernel := claim Page_alloc.Kernel);
+      ( "Backdoor.set_frame",
+        fun () -> Page_alloc.Backdoor.set_frame a ~frame:1 Page_state.Allocated Page_state.S4k );
+    ]
+
+(* With no write between them, two [views] are one record. *)
+let test_views_shared () =
+  let k = world () in
+  let a = k.Kernel.alloc in
+  checkb "physically equal" true (Page_alloc.views a == Page_alloc.views a)
+
+(* An unchanged kernel re-checks its allocator for the cost of its key:
+   four version compares. *)
+let test_unchanged_allocator () =
+  let k = world () in
+  Alcotest.(check string) "clean" "ok" (result (Invariants.allocator_wf k));
+  Alloc.check_at_most "allocator_wf on an unchanged kernel" ~limit:0.
+    (Alloc.per_call (fun () -> ignore (Invariants.allocator_wf k)))
+
 (* An unchanged kernel re-checks its tables for the cost of their keys:
    one registry lookup and one version compare per table page. *)
 let test_unchanged_allocation () =
@@ -194,7 +403,21 @@ let () =
               ("table level", Table_level);
               ("extra table", Extra_table);
             ] );
+      ( "allocator",
+        List.map
+          (fun (what, write) ->
+            Alcotest.test_case (what ^ " misses the key") `Quick (writer_misses_key (what, write)))
+          writers
+        @ [
+            Alcotest.test_case "atomically's replay misses the key" `Quick
+              test_replay_misses_key;
+            Alcotest.test_case "page-array writers move the version" `Quick
+              test_page_writers;
+            Alcotest.test_case "views without a write are one record" `Quick test_views_shared;
+          ] );
       ( "cost",
-        [ Alcotest.test_case "unchanged kernel allocation floor" `Quick test_unchanged_allocation ]
-      );
+        [
+          Alcotest.test_case "unchanged kernel allocation floor" `Quick test_unchanged_allocation;
+          Alcotest.test_case "unchanged allocator allocation floor" `Quick test_unchanged_allocator;
+        ] );
     ]

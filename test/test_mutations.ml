@@ -22,6 +22,8 @@ module Endpoint = Atmo_pm.Endpoint
 module Pm_invariants = Atmo_pm.Pm_invariants
 module Kernel = Atmo_core.Kernel
 module Invariants = Atmo_core.Invariants
+module Abstraction = Atmo_core.Abstraction
+module Abstract_state = Atmo_spec.Abstract_state
 module Syscall = Atmo_spec.Syscall
 module Catalog = Atmo_verif.Catalog
 module Obligation = Atmo_verif.Obligation
@@ -144,7 +146,28 @@ let test_pt_mutation_l4_past_memory () =
   expect_fires "total_wf" (Invariants.total_wf k);
   Atmo_san.Report.clear ();
   checkb "the sanitizer files it" true (Atmo_san.Runtime.wf_check k > 0);
-  Atmo_san.Report.clear ()
+  Atmo_san.Report.clear ();
+  (* the kernel's own walks fault there too: each call through the
+     entry fails and changes nothing, its container's charge included *)
+  let p = Wf_plants.init_proc k ~init in
+  let container = p.Process.owner_container in
+  let used () = (Perm_map.borrow k.Kernel.pm.Proc_mgr.cntr_perms ~ptr:container).Container.used in
+  let alpha = Abstraction.abstract k and charged = used () in
+  List.iter
+    (fun call ->
+      let what = Format.asprintf "%a" Syscall.pp call in
+      (match Kernel.step k ~thread:init call with
+       | Syscall.Rerr _ -> ()
+       | ret -> Alcotest.failf "%s returned %a" what Syscall.pp_ret ret);
+      checkb (what ^ " leaves the charge") true (used () = charged);
+      checkb (what ^ " leaves the abstract state") true
+        (Abstract_state.equal alpha (Abstraction.abstract k)))
+    [
+      Syscall.Mmap { va = 0x5000_2000; count = 1; size = Page_state.S4k; perm = Pte.perm_rw };
+      Syscall.Munmap { va = 0x5000_0000; count = 1; size = Page_state.S4k };
+      Syscall.Mprotect { va = 0x5000_0000; perm = Pte.perm_ro };
+    ];
+  expect_fires "total_wf after the calls" (Invariants.total_wf k)
 
 let test_pt_mutation_l4_past_memory_walk () =
   (* the same store under a warm TLB: the MMU's own walk faults there

@@ -12,6 +12,10 @@ module Page_alloc = Atmo_pmem.Page_alloc
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 
+(* a table count, or the walk's error *)
+let checkn =
+  Alcotest.(check (result int (testable Page_table.pp_error ( = ))))
+
 let expect what = function
   | Ok v -> v
   | Error e -> Alcotest.failf "%s: %a" what Page_table.pp_error e
@@ -134,19 +138,46 @@ let test_destroy_returns_tables () =
 let test_missing_tables_exact () =
   let _, alloc, pt = mk_pt () in
   (* fresh table: a 4K map needs L3+L2+L1 = 3 new tables *)
-  checki "3 tables for first 4k" 3
+  checkn "3 tables for first 4k" (Ok 3)
     (Page_table.missing_tables pt ~vaddrs:[ (va0, Page_state.S4k) ]);
   (* two adjacent pages share all three *)
-  checki "adjacent shares tables" 3
+  checkn "adjacent shares tables" (Ok 3)
     (Page_table.missing_tables pt
        ~vaddrs:[ (va0, Page_state.S4k); (va0 + 4096, Page_state.S4k) ]);
   let frame = user_frame alloc in
   expect "map" (Page_table.map_4k pt ~vaddr:va0 ~frame ~perm:Pte.perm_rw);
-  checki "nothing missing afterwards" 0
+  checkn "nothing missing afterwards" (Ok 0)
     (Page_table.missing_tables pt ~vaddrs:[ (va0 + 4096, Page_state.S4k) ]);
   (* a 2M map in a fresh L4 slot needs L3+L2 *)
-  checki "2m needs two" 2
+  checkn "2m needs two" (Ok 2)
     (Page_table.missing_tables pt ~vaddrs:[ (1 lsl 39, Page_state.S2m) ])
+
+(* Two mappings under different L4 entries; the second entry then
+   points past the end of memory.  Every walk through it faults with
+   nothing written, and [unmap_all] of both leaves the first mapped. *)
+let test_walk_fault_changes_nothing () =
+  let mem, alloc, pt = mk_pt () in
+  let va1 = va0 + (1 lsl 39) in
+  List.iter
+    (fun vaddr ->
+      expect "map" (Page_table.map_4k pt ~vaddr ~frame:(user_frame alloc) ~perm:Pte.perm_rw))
+    [ va0; va1 ];
+  Phys_mem.write_u64 mem
+    ~addr:(Mmu.entry_addr ~table:(Page_table.cr3 pt) ~index:(Mmu.l4_index va1))
+    0x0707070707070707L;
+  let space = Page_table.address_space pt and closure = Page_table.page_closure pt in
+  let fault what r =
+    checkb (what ^ " faults") true (r = Error Page_table.Walk_fault);
+    checkb (what ^ " keeps the space") true (Page_table.address_space pt == space);
+    checkb (what ^ " keeps the closure") true (Page_table.page_closure pt == closure)
+  in
+  fault "unmap_all" (Page_table.unmap_all pt ~vaddrs:[ va0; va1 ] ignore);
+  checkb "the first page still resolves" true (Page_table.resolve_cold pt ~vaddr:va0 <> None);
+  fault "update_perm" (Page_table.update_perm pt ~vaddr:va1 ~perm:Pte.perm_ro);
+  fault "map" (Page_table.map_4k pt ~vaddr:(va1 + 4096) ~frame:(user_frame alloc) ~perm:Pte.perm_rw);
+  checkb "missing_tables faults" true
+    (Page_table.missing_tables pt ~vaddrs:[ (va0, Page_state.S4k); (va1 + 4096, Page_state.S4k) ]
+     = Error Page_table.Walk_fault)
 
 let test_prune_empty_tables () =
   let _, alloc, pt = mk_pt () in
@@ -297,9 +328,9 @@ let test_missing_tables_matches_oracle () =
       let va = w + (Random.State.int rng (gib / bytes) * bytes) in
       let count = if Random.State.bool rng then 1 else 1 + Random.State.int rng 512 in
       let vaddrs = List.init count (fun i -> (va + (i * bytes), size)) in
-      checki
+      checkn
         (Format.asprintf "seed %d: %d x %a at 0x%x" seed count Page_state.pp_size size va)
-        (Pt_oracle.missing_tables pt ~vaddrs)
+        (Ok (Pt_oracle.missing_tables pt ~vaddrs))
         (Page_table.missing_tables pt ~vaddrs)
     done
   done
@@ -506,6 +537,7 @@ let () =
       ( "accounting",
         [
           Alcotest.test_case "missing_tables exact" `Quick test_missing_tables_exact;
+          Alcotest.test_case "a walk fault changes nothing" `Quick test_walk_fault_changes_nothing;
           Alcotest.test_case "prune empty tables" `Quick test_prune_empty_tables;
           Alcotest.test_case "missing_tables matches the oracle" `Quick
             test_missing_tables_matches_oracle;
