@@ -90,8 +90,8 @@ bench-all:
 perf-smoke:
 	dune exec perfbench/main.exe -- --workload all --seconds 2 --seed 7919
 
-# Paired comparison of the repo benchmark: BASE (a git revision, checked
-# out into a worktree under $$TMPDIR) against the working tree, PAIRS
+# Paired comparison of the repo benchmark: BASE (a git revision, exported
+# with git archive into a directory under $$TMPDIR) against the working tree, PAIRS
 # alternating-order pairs of full-length runs of one WORKLOAD and SEED.
 # Prints each end-to-end metric's median, quartiles and wins per side,
 # and whether the change is a gain or worse than the metric's bound.

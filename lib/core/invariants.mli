@@ -12,7 +12,16 @@
     violations, each a rule, a page and a message; {!total_wf},
     {!obligations}, the verifier's kernel obligations and atmo-san's
     whole-state reports are all derived from it.  The functions below
-    are the first-failure forms of the [kernel/*] entries. *)
+    are the first-failure forms of the [kernel/*] entries: full checks
+    that consult no key.
+
+    The table's [kernel/closures_disjoint], [kernel/leak_freedom] and
+    [kernel/mapped_consistent] share one view of the kernel's closures
+    and mappings, kept between checks and updated only for the objects
+    that appeared or went and the address spaces whose table, address
+    space or closure moved; each keeps the input of its last clean run
+    and answers from the view, and one that finds anything runs its
+    full check, so every message is the full check's. *)
 
 type entry = Kernel.t Atmo_pm.Pm_invariants.entry
 
@@ -70,3 +79,12 @@ val total_wf : Kernel.t -> (unit, string) result
 val obligations : (string * (Kernel.t -> (unit, string) result)) list
 (** {!table} with its [pm] entries folded into one [kernel/pm_wf]
     ({!pm_wf}): the eight named checks that per-check timings report. *)
+
+(** {2 Test backdoor} *)
+module Backdoor : sig
+  val cache_free : (unit -> 'a) -> 'a
+  (** [cache_free f] runs [f] with [kernel/closures_disjoint],
+      [kernel/leak_freedom] and [kernel/mapped_consistent] running their
+      full enumerators, which read no view, and keeping nothing, so the
+      kept view is the same after. *)
+end

@@ -70,6 +70,7 @@ let update t ~ptr f =
   | None -> violation t "update of absent permission 0x%x" ptr
   | Some v -> t.map <- Imap.add ptr (f v) t.map
 
+let map t = t.map
 let mem t ~ptr = Imap.mem ptr t.map
 let dom t = Imap.dom t.map
 let cardinal t = Imap.cardinal t.map

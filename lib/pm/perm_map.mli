@@ -59,6 +59,13 @@ val borrow_opt : 'a t -> ptr:int -> 'a option
 val update : 'a t -> ptr:int -> ('a -> 'a) -> unit
 (** Mutate by functional replacement; raises if absent. *)
 
+val map : 'a t -> 'a Atmo_util.Imap.t
+(** The current persistent map, in O(1).  Every write replaces it with
+    a map that shares the untouched entries, so two readings with no
+    write between them are physically equal, and
+    {!Atmo_util.Imap.fold_diff} yields the pointers written in
+    between. *)
+
 val mem : 'a t -> ptr:int -> bool
 val dom : 'a t -> Atmo_util.Iset.t
 val cardinal : 'a t -> int

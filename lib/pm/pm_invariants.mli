@@ -13,7 +13,22 @@
     {!table} declares each check once, as an enumerator of its
     violations, with the map ids it reads; the kernel-wide table
     [Atmo_core.Invariants.table] includes it.  The functions below are
-    the first-failure forms of the table's checks. *)
+    the first-failure forms of the table's checks.
+
+    Each check is a list of per-object clauses, and its full enumerator
+    runs every clause at every object of its map, in key order.  The
+    table's entries run keyed: each keeps the input of its last clean
+    run (the four permission maps, each process's page-table ghost
+    state, the run queues' write versions, the per-CPU currents, the
+    steal ledger and the external charges).  While that input stands an
+    entry reports nothing at once; after a step it diffs each map by
+    physical equality ({!Atmo_util.Imap.fold_diff}) and runs its clauses
+    only at the written objects and their neighbours, read from both the
+    old and the new value of each (parent, children, path, subtree,
+    owner, a slot's endpoint, an endpoint's queues).  A keyed run that
+    finds anything runs the full enumerator, so every message is the
+    full check's; only clean verdicts are kept.  The first-failure
+    functions below are the full enumerators and never consult a key. *)
 
 type 'st entry = {
   name : string;  (** obligation name, e.g. ["pm/quota_wf"] *)
@@ -77,3 +92,12 @@ val table : Proc_mgr.t entry list
 
 val all : Proc_mgr.t -> (unit, string) result
 (** The first failure over {!table}. *)
+
+(** {2 Test backdoor} *)
+module Backdoor : sig
+  val cache_free : (unit -> 'a) -> 'a
+  (** [cache_free f] runs [f] with every entry of {!table} running its
+      full enumerator, reading and keeping no input, so the kept inputs
+      are the same after: tests compare keyed verdicts with cache-free
+      ones without cutting the chain of keyed runs. *)
+end

@@ -23,6 +23,12 @@ let id_of thread =
 let thread_of id = id * Phys_mem.page_size
 
 let length = Dll.length
+let version = Dll.version
+let versions qs = Array.map version qs
+
+(* A top-level loop: a local one would allocate its closure per call. *)
+let rec versions_from qs vs i = i = Array.length qs || (version qs.(i) = vs.(i) && versions_from qs vs (i + 1))
+let at_versions qs vs = Array.length qs = Array.length vs && versions_from qs vs 0
 let is_empty = Dll.is_empty
 let mem t thread = Dll.mem t (id_of thread)
 let push_back t thread = Dll.push_back t (id_of thread)

@@ -15,6 +15,17 @@ val create : Atmo_hw.Phys_mem.t -> t
 
 val length : t -> int
 val is_empty : t -> bool
+
+val version : t -> int
+(** The deque's write version ({!Atmo_pmem.Dll.version}): equal
+    readings mean no push, pop or remove came between them. *)
+
+val versions : t array -> int array
+
+val at_versions : t array -> int array -> bool
+(** Every deque is at the version {!versions} read; allocates
+    nothing. *)
+
 val mem : t -> int -> bool
 
 val push_back : t -> int -> unit

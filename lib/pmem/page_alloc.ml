@@ -434,7 +434,10 @@ let add_frames acc lo hi =
     acc := frame_addr i :: !acc
   done
 
-let scan_views t =
+(* One scan of the page array.  A set equal to the same set of [prev]
+   (the last views) is [prev]'s own, so readers comparing views kept
+   across a write to another set see it unchanged at once. *)
+let scan_views ?prev t =
   let draft () = Frame_set.draft ~lo:t.first ~hi:t.nframes in
   let free_4k = draft () and free_2m = draft () and free_1g = draft () and merged = draft () in
   let allocated = ref [] and mapped = ref [] in
@@ -446,13 +449,21 @@ let scan_views t =
       | Merged_k -> Frame_set.set_range merged ~lo ~hi
       | Allocated_k -> add_frames allocated lo hi
       | Mapped_k -> add_frames mapped lo hi);
+  let dense old d =
+    let s = Frame_set.freeze d in
+    match prev with Some p when Frame_set.equal (old p) s -> old p | Some _ | None -> s
+  and ordered old l =
+    match prev with
+    | Some p -> Iset.of_sorted_over (old p) (List.rev l)
+    | None -> Iset.of_sorted_list (List.rev l)
+  in
   {
-    free_4k = Frame_set.freeze free_4k;
-    free_2m = Frame_set.freeze free_2m;
-    free_1g = Frame_set.freeze free_1g;
-    merged = Frame_set.freeze merged;
-    allocated = Iset.of_list !allocated;
-    mapped = Iset.of_list !mapped;
+    free_4k = dense (fun v -> v.free_4k) free_4k;
+    free_2m = dense (fun v -> v.free_2m) free_2m;
+    free_1g = dense (fun v -> v.free_1g) free_1g;
+    merged = dense (fun v -> v.merged) merged;
+    allocated = ordered (fun v -> v.allocated) !allocated;
+    mapped = ordered (fun v -> v.mapped) !mapped;
   }
 
 (* The views read only the code bytes, so they are kept while the page
@@ -460,18 +471,25 @@ let scan_views t =
 let views t =
   match t.memo with
   | Some m when m.at = t.version -> m.views
-  | Some _ | None ->
+  | m ->
     let at = t.version in
-    let views = scan_views t in
+    let views = scan_views ?prev:(Option.map (fun m -> m.views) m) t in
     t.memo <- Some { at; views };
     views
 
-let free_pages_4k t = Frame_set.to_iset (views t).free_4k
-let free_pages_2m t = Frame_set.to_iset (views t).free_2m
-let free_pages_1g t = Frame_set.to_iset (views t).free_1g
+(* One set by one scan, without the other five views. *)
+let frames_where t keep =
+  let acc = ref [] in
+  runs t (fun c lo hi -> if keep c then add_frames acc lo hi);
+  Iset.of_sorted_list (List.rev !acc)
+
+let free_pages t size = frames_where t (fun c -> c = code Free_k size)
+let free_pages_4k t = free_pages t S4k
+let free_pages_2m t = free_pages t S2m
+let free_pages_1g t = free_pages t S1g
 let allocated_pages t = (views t).allocated
 let mapped_pages t = (views t).mapped
-let merged_pages t = Frame_set.to_iset (views t).merged
+let merged_pages t = frames_where t (fun c -> kind_of c = Merged_k)
 
 let frames_of_block t ~addr =
   let i = head_frame t ~addr "frames_of_block" in

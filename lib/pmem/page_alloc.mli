@@ -136,15 +136,19 @@ val views : t -> views
     stands, [views] returns that same record: two calls with no write
     between them are physically equal, and so are their sets, which
     {!Atmo_util.Iset.equal} and {!Atmo_util.Frame_set.equal} then
-    compare at once.  The record is published with one field write, so
-    calls racing on other domains see it whole. *)
+    compare at once.  After a write, each set equal to the kept
+    record's is that record's own, and [allocated] and [mapped] are
+    built from the kept ones ({!Atmo_util.Iset.of_sorted_over}), so a
+    write to one set leaves the others shared.  The record is published
+    with one field write, so calls racing on other domains see it
+    whole. *)
 
 (** {3 Accessors}
 
-    Projections of {!views}: they share its one scan per write of the
-    page array.  The four dense sets are converted to
-    {!Atmo_util.Iset}s on each call; [allocated_pages] and
-    [mapped_pages] are the view's own sets. *)
+    [allocated_pages] and [mapped_pages] are the view's own sets.  The
+    four dense sets are built on each call by one scan of their own,
+    without the other views, and without a sort
+    ({!Atmo_util.Iset.of_sorted_list}). *)
 
 val free_pages_4k : t -> Atmo_util.Iset.t
 (** Base addresses of free 4 KiB frames. *)

@@ -120,13 +120,18 @@ let create mem alloc =
    returns [Error Walk_fault] for it, where the load would raise. *)
 exception Past_memory
 
-(* Every entry the kernel's walks read.  A walk reaches a table past
-   memory only through an entry it did not write, so the fault comes
-   before the walk's first write: a table allocated on the way down is
-   in memory. *)
-let read_entry t ~table ~index =
+(* Every entry the kernel's walks read, in a table known to be in
+   memory: the root, which is allocated, or one reached by {!descend}. *)
+let read_entry t ~table ~index = Phys_mem.read_u64 t.mem ~addr:(Mmu.entry_addr ~table ~index)
+
+(* The table a present non-leaf entry points at, tested once as the
+   walk reaches it.  A walk reaches a table past memory only through an
+   entry it did not write, so the fault comes before the walk's first
+   write: a table allocated on the way down is in memory. *)
+let descend t e =
+  let table = Pte.addr_of e in
   if not (Phys_mem.contains t.mem table) then raise_notrace Past_memory;
-  Phys_mem.read_u64 t.mem ~addr:(Mmu.entry_addr ~table ~index)
+  table
 
 (* Fetch (or allocate on demand) the next-level table under
    [table.(index)].  [Error Conflict] if a huge leaf already occupies the
@@ -134,7 +139,7 @@ let read_entry t ~table ~index =
 let next_table t ~table ~index ~level =
   let e = read_entry t ~table ~index in
   if Pte.is_present e then
-    if Pte.is_huge e then Error Conflict else Ok (Pte.addr_of e)
+    if Pte.is_huge e then Error Conflict else Ok (descend t e)
   else
     match Page_alloc.alloc_4k t.alloc ~purpose:Page_alloc.Kernel with
     | None -> Error Oom
@@ -216,7 +221,7 @@ let find_leaf t ~vaddr =
       if vaddr land (Page_state.bytes_per size - 1) <> 0 then Error Misaligned
       else Ok (table, index, { frame = Pte.addr_of e; size; perm = Pte.perm_of e })
     end
-    else at (level - 1) (Pte.addr_of e)
+    else at (level - 1) (descend t e)
   in
   if not (Mmu.canonical vaddr) then Error Non_canonical
   else match at 4 t.cr3 with r -> r | exception Past_memory -> Error Walk_fault
@@ -279,6 +284,11 @@ let overlaps t ~vaddr ~bytes =
 
 let page_closure t = t.closure
 
+type ghost = { pt : t; seen_space : entry Imap.t; seen_closure : Iset.t }
+
+let ghost t = { pt = t; seen_space = t.space; seen_closure = t.closure }
+let ghost_unchanged g = g.pt.space == g.seen_space && g.pt.closure == g.seen_closure
+
 let destroy t =
   (* Address-space teardown: drop the whole ASID from the TLB registry
      before the table pages go back to the allocator. *)
@@ -310,7 +320,7 @@ let missing_tables t ~vaddrs =
           if level > lowest then begin
             let e = read_entry t ~table ~index:(level_index ~level va) in
             if Pte.is_present e && (level = 4 || not (Pte.is_huge e)) then
-              walk (level - 1) (Pte.addr_of e)
+              walk (level - 1) (descend t e)
             else
               for l = level - 1 downto lowest do
                 need l va

@@ -132,6 +132,17 @@ val page_closure : t -> Atmo_util.Iset.t
     allocated and freed, so this accessor is O(1); it must always equal
     the pages of {!tables} (checked by [Pt_refine.ghost_wf]). *)
 
+type ghost = { pt : t; seen_space : entry Atmo_util.Imap.t; seen_closure : Atmo_util.Iset.t }
+(** A table's ghost state as a reader saw it: its {!address_space} and
+    {!page_closure}, persistent values every writer replaces. *)
+
+val ghost : t -> ghost
+
+val ghost_unchanged : ghost -> bool
+(** The table's address space and closure are still the values [ghost]
+    read (two pointer compares): no map, unmap, permission change, table
+    allocation or teardown came since. *)
+
 val missing_tables :
   t -> vaddrs:(int * Atmo_pmem.Page_state.size) list -> (int, error) result
 (** Dry run: how many intermediate table pages would have to be

@@ -112,6 +112,9 @@ let equal_adevice a b =
   && a.ad_irq_endpoint = b.ad_irq_endpoint
   && a.ad_irq_pending = b.ad_irq_pending
 
+(* Pre- and post-α share every set and entry the step left alone, so
+   each comparison tries physical equality first ([Imap.equal],
+   [Iset.equal] and [Frame_set.equal] do too). *)
 let memory_unchanged a b =
   Frame_set.equal a.free_4k b.free_4k
   && Frame_set.equal a.free_2m b.free_2m
@@ -121,25 +124,16 @@ let memory_unchanged a b =
   && Frame_set.equal a.merged b.merged
 
 let equal a b =
-  Imap.equal equal_acontainer a.containers b.containers
-  && Imap.equal equal_aproc a.procs b.procs
-  && Imap.equal equal_athread a.threads b.threads
-  && Imap.equal equal_aendpoint a.endpoints b.endpoints
-  && a.root = b.root
-  && a.run_queue = b.run_queue
-  && a.current = b.current
-  && memory_unchanged a b
-  && Imap.equal equal_adevice a.devices b.devices
-
-let thread_dom t = Imap.dom t.threads
-let proc_dom t = Imap.dom t.procs
-let container_dom t = Imap.dom t.containers
-let endpoint_dom t = Imap.dom t.endpoints
-
-let get_thread t p = Imap.find p t.threads
-let get_proc t p = Imap.find p t.procs
-let get_container t p = Imap.find p t.containers
-let get_endpoint t p = Imap.find p t.endpoints
+  a == b
+  || Imap.equal equal_acontainer a.containers b.containers
+     && Imap.equal equal_aproc a.procs b.procs
+     && Imap.equal equal_athread a.threads b.threads
+     && Imap.equal equal_aendpoint a.endpoints b.endpoints
+     && a.root = b.root
+     && (a.run_queue == b.run_queue || a.run_queue = b.run_queue)
+     && a.current = b.current
+     && memory_unchanged a b
+     && Imap.equal equal_adevice a.devices b.devices
 
 let get_address_space t ~proc =
   match Imap.find_opt proc t.procs with
@@ -183,17 +177,6 @@ let space_unchanged_except a b ~proc touched =
 
 let devices_unchanged_except a b s =
   unchanged_except equal_adevice a.devices b.devices s
-
-let observation_containers t ~root =
-  match Imap.find_opt root t.containers with
-  | None -> Imap.empty
-  | Some c ->
-    Iset.fold
-      (fun p acc ->
-        match Imap.find_opt p t.containers with
-        | Some cc -> Imap.add p cc acc
-        | None -> acc)
-      (Iset.add root c.ac_subtree) Imap.empty
 
 let pp ppf t =
   Format.fprintf ppf

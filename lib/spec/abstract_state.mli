@@ -10,7 +10,10 @@
     concrete kernel is refined into this state by [Atmo_core.Abstraction].
 
     Equality is structural and total, so specs can state frame conditions
-    ("every other object is unchanged") by direct comparison. *)
+    ("every other object is unchanged") by direct comparison.  Every
+    comparison below first tries physical equality: a kept α shares
+    the entries a step did not write, so a frame condition over a
+    quiet step costs pointer compares. *)
 
 type athread = {
   at_owner_proc : int;
@@ -83,16 +86,6 @@ val equal : t -> t -> bool
 
 (** {2 Accessors (the paper's Ψ.get_* spec functions)} *)
 
-val thread_dom : t -> Atmo_util.Iset.t
-val proc_dom : t -> Atmo_util.Iset.t
-val container_dom : t -> Atmo_util.Iset.t
-val endpoint_dom : t -> Atmo_util.Iset.t
-
-val get_thread : t -> int -> athread
-val get_proc : t -> int -> aproc
-val get_container : t -> int -> acontainer
-val get_endpoint : t -> int -> aendpoint
-
 val get_address_space : t -> proc:int -> Atmo_pt.Page_table.entry Atmo_util.Imap.t
 (** Abstract address space of a process (empty for dead pointers). *)
 
@@ -123,10 +116,6 @@ val memory_unchanged : t -> t -> bool
 (** All six allocator sets are equal. *)
 
 val devices_unchanged_except : t -> t -> Atmo_util.Iset.t -> bool
-
-val observation_containers : t -> root:int -> acontainer Atmo_util.Imap.t
-(** Containers of the subtree rooted at [root] (inclusive) — building
-    block of the noninterference observation function. *)
 
 val pp : Format.formatter -> t -> unit
 (** Terse multi-line summary (object counts, allocator totals). *)

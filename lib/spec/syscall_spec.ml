@@ -1181,8 +1181,15 @@ let success_clauses ~pre ~post ~thread (call : Syscall.t) (ret : Syscall.ret) : 
   | Syscall.Irq_fire { device }, Syscall.Runit -> spec_irq_fire ~pre ~post ~device
   | _, _ -> c "ret_shape" false
 
+(* A step that wrote no allocator state leaves α's six sets shared. *)
+let conserved (pre : A.t) (post : A.t) =
+  (pre.A.free_4k == post.A.free_4k && pre.A.free_2m == post.A.free_2m
+   && pre.A.free_1g == post.A.free_1g && pre.A.allocated == post.A.allocated
+   && pre.A.mapped == post.A.mapped && pre.A.merged == post.A.merged)
+  || accounted pre = accounted post
+
 let clauses ~pre ~post ~thread call ret : ck =
-  let universal = c "conserved_frames" (accounted pre = accounted post) in
+  let universal = c "conserved_frames" (conserved pre post) in
   match ret with
   | Syscall.Rerr _ -> universal @& c "error_atomic" (A.equal pre post)
   | _ -> universal @& success_clauses ~pre ~post ~thread call ret

@@ -1,10 +1,15 @@
-(* The key of a page table's last clean check (Page_table's
-   check_input) and the page allocator's key (its write versions): a
-   table or allocator whose whole input is unchanged skips its check,
-   and every other verdict and message must be what a cache-free check
-   gives.  The oracle forgets every key with
-   [Page_table.Backdoor.forget_check] and
-   [Page_alloc.Backdoor.forget_check] and checks again. *)
+(* The keys of the checks that re-read only what changed: a page
+   table's last clean input (Page_table's check_input), the page
+   allocator's write versions, the process-manager checks' last clean
+   inputs (Pm_invariants), the memory checks' shared view (Invariants)
+   and the kept α (Abstraction).  A check whose whole input is
+   unchanged skips its work, a check after a step re-reads only what
+   the step wrote, and every verdict, message and α must be what a
+   cache-free evaluation gives.  The oracle forgets the table and
+   allocator keys ([Page_table.Backdoor.forget_check],
+   [Page_alloc.Backdoor.forget_check]) and evaluates under the
+   [Backdoor.cache_free] of the other three, which put their kept state
+   back after, so the chain of keyed runs is never cut. *)
 
 open Atmo_util
 module Phys_mem = Atmo_hw.Phys_mem
@@ -16,36 +21,31 @@ module Pt_refine = Atmo_pt.Pt_refine
 module Perm_map = Atmo_pm.Perm_map
 module Proc_mgr = Atmo_pm.Proc_mgr
 module Process = Atmo_pm.Process
+module Pm_invariants = Atmo_pm.Pm_invariants
 module Kernel = Atmo_core.Kernel
 module Invariants = Atmo_core.Invariants
+module Abstraction = Atmo_core.Abstraction
+module A = Atmo_spec.Abstract_state
+module Syscall = Atmo_spec.Syscall
+module Syscall_spec = Atmo_spec.Syscall_spec
 module Catalog = Atmo_verif.Catalog
 module Harness = Atmo_verif.Refine_harness
 
 let checkb = Alcotest.(check bool)
 
-let world () =
+let world_init () =
   match Catalog.build_world ~scale:3 with
-  | Ok (k, _) -> k
+  | Ok w -> w
   | Error msg -> Alcotest.failf "world: %s" msg
 
-(* Every page table of the kernel, named as the invariants name it. *)
-let tables (k : Kernel.t) =
-  Perm_map.fold
-    (fun ptr (p : Process.t) acc -> (Printf.sprintf "process 0x%x" ptr, p.Process.pt) :: acc)
-    k.Kernel.pm.Proc_mgr.proc_perms []
-  @ Imap.fold
-      (fun device (d : Kernel.device_info) acc ->
-        (Printf.sprintf "device %d" device, d.Kernel.io_pt) :: acc)
-      k.Kernel.devices []
+let world () = fst (world_init ())
 
-let forget_keys k =
-  List.iter (fun (_, pt) -> Page_table.Backdoor.forget_check pt) (tables k);
-  Page_alloc.Backdoor.forget_check k.Kernel.alloc
+let tables = Keyed.tables
+let cache_free = Keyed.cache_free
+let result = Keyed.result
 
-let result = function Ok () -> "ok" | Error msg -> msg
-
-(* Everything the key can change: total_wf, every obligation's verdict
-   and message, and every violation each table's enumerator yields. *)
+(* Everything a key can change: {!Keyed.verdicts} and every violation
+   each table's enumerator yields. *)
 let verdicts k =
   let enumerated (who, pt) =
     let found = ref [] in
@@ -54,19 +54,45 @@ let verdicts k =
           Printf.sprintf "%s: %s 0x%x %s" who (Violation.rule_name rule) page msg :: !found);
     List.rev !found
   in
-  ("total_wf: " ^ result (Invariants.total_wf k))
-  :: List.map (fun (name, check) -> name ^ ": " ^ result (check k)) Invariants.obligations
-  @ List.concat_map enumerated (tables k)
+  Keyed.verdicts k @ List.concat_map enumerated (tables k)
+
+(* α field by field, each compared by its bindings (no physical-equality
+   shortcut). *)
+let alpha_fields (a : A.t) (b : A.t) =
+  let same eq m m' =
+    List.equal (fun (p, x) (p', y) -> p = p' && eq x y) (Imap.bindings m) (Imap.bindings m')
+  in
+  [
+    ("containers", same A.equal_acontainer a.A.containers b.A.containers);
+    ("procs", same A.equal_aproc a.A.procs b.A.procs);
+    ("threads", same A.equal_athread a.A.threads b.A.threads);
+    ("endpoints", same A.equal_aendpoint a.A.endpoints b.A.endpoints);
+    ("root", a.A.root = b.A.root);
+    ("run_queue", a.A.run_queue = b.A.run_queue);
+    ("current", a.A.current = b.A.current);
+    ("free_4k", Frame_set.equal a.A.free_4k b.A.free_4k);
+    ("free_2m", Frame_set.equal a.A.free_2m b.A.free_2m);
+    ("free_1g", Frame_set.equal a.A.free_1g b.A.free_1g);
+    ("allocated", Iset.elements a.A.allocated = Iset.elements b.A.allocated);
+    ("mapped", Iset.elements a.A.mapped = Iset.elements b.A.mapped);
+    ("merged", Frame_set.equal a.A.merged b.A.merged);
+    ("devices", same A.equal_adevice a.A.devices b.A.devices);
+  ]
+
+let check_alpha what ~fresh kept =
+  checkb (what ^ ": α equal") true (A.equal fresh kept);
+  List.iter (fun (field, ok) -> checkb (what ^ ": α " ^ field) true ok) (alpha_fields fresh kept)
 
 (* Checked twice with the keys, so a kept verdict that was not clean
    shows on the second check. *)
 let check_cache_free what k =
   let cached = verdicts k in
   let again = verdicts k in
-  forget_keys k;
-  let fresh = verdicts k in
+  let alpha = Abstraction.abstract k in
+  let fresh, fresh_alpha = cache_free k (fun () -> (verdicts k, Abstraction.abstract k)) in
   Alcotest.(check (list string)) what fresh cached;
-  Alcotest.(check (list string)) (what ^ ", checked again") fresh again
+  Alcotest.(check (list string)) (what ^ ", checked again") fresh again;
+  check_alpha what ~fresh:fresh_alpha alpha
 
 (* A raw store into a random registered table page, through a random
    store path, that changes the page; returns the page's old bytes. *)
@@ -232,8 +258,8 @@ let raw_store what store expected () =
   store (Page_table.mem pt) 0x69000;
   let cached = result (Invariants.total_wf k) in
   let again = result (Invariants.total_wf k) in
-  forget_keys k;
-  Alcotest.(check string) (what ^ ": cache-free") expected (result (Invariants.total_wf k));
+  let fresh = cache_free k (fun () -> result (Invariants.total_wf k)) in
+  Alcotest.(check string) (what ^ ": cache-free") expected fresh;
   Alcotest.(check string) (what ^ ": keyed") expected cached;
   Alcotest.(check string) (what ^ ": keyed, checked again") expected again
 
@@ -371,13 +397,298 @@ let test_unchanged_allocator () =
   Alloc.check_at_most "allocator_wf on an unchanged kernel" ~limit:0.
     (Alloc.per_call (fun () -> ignore (Invariants.allocator_wf k)))
 
-(* An unchanged kernel re-checks its tables for the cost of their keys:
-   one registry lookup and one version compare per table page. *)
+(* ------------------------------------------------------------------ *)
+(* Neighbour rules                                                     *)
+
+module Container = Atmo_pm.Container
+module Thread = Atmo_pm.Thread
+module Endpoint = Atmo_pm.Endpoint
+module Static_list = Atmo_pm.Static_list
+module Sched_queue = Atmo_pm.Sched_queue
+
+(* The scale-3 world with a container tree three deep (c0 > c00 >
+   c000), a child process [pc] of c0's first process [p0], a thread [tb]
+   of c0's second process [p1] blocked sending on [p0]'s endpoint [e0]
+   with no slot naming it, a runnable thread [tr] of [p1] with no slot,
+   endpoints [e2] and [e3] of the root container in init's slots 1 and
+   2, and a thread [trv] of [p1] blocked receiving on [e3]. *)
+type nworld = {
+  k : Kernel.t;
+  init : int;
+  root : int;
+  c0 : int;
+  c1 : int;
+  c00 : int;
+  c000 : int;
+  p0 : int;
+  p1 : int;
+  pc : int;
+  t0 : int;
+  tb : int;
+  tr : int;
+  trv : int;
+  e0 : int;
+  e2 : int;
+  e3 : int;
+}
+
+let ok what = function Ok v -> v | Error e -> Alcotest.failf "%s: %a" what Errno.pp e
+let cntrs (w : nworld) = w.k.Kernel.pm.Proc_mgr.cntr_perms
+let procs (w : nworld) = w.k.Kernel.pm.Proc_mgr.proc_perms
+let thrds (w : nworld) = w.k.Kernel.pm.Proc_mgr.thrd_perms
+let edpts (w : nworld) = w.k.Kernel.pm.Proc_mgr.edpt_perms
+let push l x = match Static_list.push l x with Ok l -> l | Error `Full -> Alcotest.fail "full"
+let drop l x = match Static_list.remove l ~eq:Int.equal x with Ok l -> l | Error `Absent -> l
+
+let nworld () =
+  let k, init = world_init () in
+  let pm = k.Kernel.pm in
+  let root = pm.Proc_mgr.root_container in
+  let tops =
+    Perm_map.fold
+      (fun ptr (c : Container.t) acc -> if c.Container.parent = Some root then ptr :: acc else acc)
+      pm.Proc_mgr.cntr_perms []
+    |> List.sort compare
+  in
+  let c0 = List.nth tops 0 and c1 = List.nth tops 1 in
+  let cpus = Iset.empty in
+  let c00 = ok "c00" (Proc_mgr.new_container pm ~parent:c0 ~quota:12 ~cpus) in
+  let c000 = ok "c000" (Proc_mgr.new_container pm ~parent:c00 ~quota:4 ~cpus) in
+  let p0, p1 =
+    match Static_list.to_list (Perm_map.borrow pm.Proc_mgr.cntr_perms ~ptr:c0).Container.procs with
+    | p0 :: p1 :: _ -> (p0, p1)
+    | _ -> Alcotest.fail "c0 has two processes"
+  in
+  let pc = ok "pc" (Proc_mgr.new_process pm ~container:c0 ~parent:(Some p0)) in
+  let t0 = List.hd (Static_list.to_list (Perm_map.borrow pm.Proc_mgr.proc_perms ~ptr:p0).Process.threads) in
+  let e0 = Option.get (Thread.slot (Perm_map.borrow pm.Proc_mgr.thrd_perms ~ptr:t0) 0) in
+  let tb = ok "tb" (Proc_mgr.new_thread pm ~proc:p1) in
+  Proc_mgr.remove_from_run_queue pm ~thread:tb;
+  Perm_map.update pm.Proc_mgr.thrd_perms ~ptr:tb (fun th ->
+      { th with Thread.state = Thread.Blocked_send e0; msg_buf = Some (Atmo_pm.Message.scalars_only [ 7 ]) });
+  Perm_map.update pm.Proc_mgr.edpt_perms ~ptr:e0 (fun e ->
+      { e with Endpoint.send_queue = push e.Endpoint.send_queue tb });
+  let tr = ok "tr" (Proc_mgr.new_thread pm ~proc:p1) in
+  let endpoint slot =
+    match Kernel.step k ~thread:init (Syscall.New_endpoint { slot }) with
+    | Syscall.Rptr e -> e
+    | r -> Alcotest.failf "endpoint in slot %d: %a" slot Syscall.pp_ret r
+  in
+  let e2 = endpoint 1 and e3 = endpoint 2 in
+  let trv = ok "trv" (Proc_mgr.new_thread pm ~proc:p1) in
+  Proc_mgr.remove_from_run_queue pm ~thread:trv;
+  Perm_map.update pm.Proc_mgr.thrd_perms ~ptr:trv (fun th ->
+      { th with Thread.state = Thread.Blocked_recv e3 });
+  Perm_map.update pm.Proc_mgr.edpt_perms ~ptr:e3 (fun e ->
+      { e with Endpoint.recv_queue = push e.Endpoint.recv_queue trv });
+  { k; init; root; c0; c1; c00; c000; p0; p1; pc; t0; tb; tr; trv; e0; e2; e3 }
+
+(* The first table entry a cache-free check fails. *)
+let first_failing k =
+  Keyed.cache_free k (fun () ->
+      List.find_map
+        (fun (e : Invariants.entry) ->
+          match Pm_invariants.check e k with Ok () -> None | Error _ -> Some e.Pm_invariants.name)
+        Invariants.table)
+
+(* After a clean keyed check, a plant whose first violation sits at an
+   object the plant did not write, a neighbour that only its rule
+   brings into the keyed run: the keyed verdicts, messages and α are
+   the cache-free ones, and [entry] is the first to fail. *)
+let neighbour (what, prepare, plant, entry) () =
+  let w = nworld () in
+  prepare w;
+  Keyed.warm what w.k;
+  plant w;
+  Keyed.check_agrees what w.k;
+  Alcotest.(check (option string)) (what ^ ": first failing entry") (Some entry) (first_failing w.k)
+
+let nothing _ = ()
+let set_cntr w ptr f = Perm_map.update (cntrs w) ~ptr f
+let set_proc w ptr f = Perm_map.update (procs w) ~ptr f
+let set_thrd w ptr f = Perm_map.update (thrds w) ~ptr f
+let set_edpt w ptr f = Perm_map.update (edpts w) ~ptr f
+
+(* A free frame mapped at [va] in [pt], charged to nobody. *)
+let map_free w pt ~va =
+  let frame = Iset.max_elt (Page_alloc.free_pages_4k w.k.Kernel.alloc) in
+  ok "map" (Result.map_error (fun _ -> Errno.Einval)
+    (Page_table.map_4k pt ~vaddr:va ~frame ~perm:Atmo_hw.Pte_bits.perm_rw))
+
+let neighbours =
+  let cx = ref 0 and pz = ref 0 in
+  [
+    ( "a container's path",
+      nothing,
+      (fun w -> set_cntr w w.c00 (fun c -> { c with Container.quota = c.Container.quota + 1 })),
+      "pm/quota_wf" );
+    ( "a container's subtree",
+      nothing,
+      (fun w ->
+        set_cntr w w.c00 (fun c -> { c with Container.subtree = Iset.remove w.c000 c.Container.subtree })),
+      "pm/subtree_wf" );
+    ( "a container's processes",
+      nothing,
+      (fun w -> set_cntr w w.c0 (fun c -> { c with Container.procs = drop c.Container.procs w.p1 })),
+      "pm/process_tree_wf" );
+    ( "a dead container's endpoints",
+      (fun w ->
+        let pm = w.k.Kernel.pm in
+        cx := ok "cx" (Proc_mgr.new_container pm ~parent:w.c0 ~quota:4 ~cpus:Iset.empty);
+        set_edpt w w.e0 (fun e -> { e with Endpoint.owner_container = !cx });
+        Wf_plants.recharge w.k ~container:w.c0;
+        Wf_plants.recharge w.k ~container:!cx),
+      (fun w ->
+        let dead = Perm_map.consume (cntrs w) ~ptr:!cx in
+        set_cntr w w.c0 (fun c ->
+            { c with
+              Container.children = drop c.Container.children !cx;
+              delegated = c.Container.delegated - dead.Container.quota });
+        List.iter
+          (fun anc ->
+            set_cntr w anc (fun c -> { c with Container.subtree = Iset.remove !cx c.Container.subtree }))
+          [ w.root; w.c0 ]),
+      "pm/endpoints_wf" );
+    ( "a process's parent",
+      nothing,
+      (fun w -> set_proc w w.pc (fun p -> { p with Process.parent = None })),
+      "pm/process_tree_wf" );
+    ( "a process's children",
+      nothing,
+      (fun w -> set_proc w w.p0 (fun p -> { p with Process.children = drop p.Process.children w.pc })),
+      "pm/process_tree_wf" );
+    ( "a process's threads",
+      nothing,
+      (fun w -> set_proc w w.p0 (fun p -> { p with Process.threads = drop p.Process.threads w.t0 })),
+      "pm/process_tree_wf" );
+    ( "a dead process's owner",
+      (fun w -> pz := ok "pz" (Proc_mgr.new_process w.k.Kernel.pm ~container:w.c1 ~parent:None)),
+      (fun w ->
+        (* its page freed, its page table left allocated: a leak only
+           the dead process's space shows *)
+        ignore (Perm_map.consume (procs w) ~ptr:!pz);
+        Page_alloc.free_kernel_page w.k.Kernel.alloc ~addr:!pz),
+      "pm/quota_wf" );
+    ( "a process's page table",
+      nothing,
+      (fun w -> map_free w (Perm_map.borrow (procs w) ~ptr:w.p0).Process.pt ~va:0x4000_8000),
+      "pm/quota_wf" );
+    ( "a thread's process",
+      nothing,
+      (fun w ->
+        set_thrd w w.t0 (fun th -> { th with Thread.owner_proc = w.p1 });
+        set_proc w w.p1 (fun p -> { p with Process.threads = push p.Process.threads w.t0 })),
+      "pm/process_tree_wf" );
+    ( "a thread's blocked endpoint",
+      nothing,
+      (fun w ->
+        set_thrd w w.tb (fun th -> { th with Thread.state = Thread.Blocked_send w.e2 });
+        set_edpt w w.e2 (fun e -> { e with Endpoint.send_queue = push e.Endpoint.send_queue w.tb })),
+      "pm/endpoints_wf" );
+    ( "a thread's slots",
+      nothing,
+      (fun w -> set_thrd w w.t0 (fun th -> Thread.set_slot th 1 (Some w.e2))),
+      "pm/endpoints_wf" );
+    ( "a thread's closed slot",
+      nothing,
+      (fun w -> set_thrd w w.t0 (fun th -> Thread.set_slot th 0 None)),
+      "pm/endpoints_wf" );
+    ( "a dead thread's container",
+      nothing,
+      (fun w ->
+        Proc_mgr.remove_from_run_queue w.k.Kernel.pm ~thread:w.tr;
+        ignore (Perm_map.consume (thrds w) ~ptr:w.tr);
+        set_proc w w.p1 (fun p -> { p with Process.threads = drop p.Process.threads w.tr })),
+      "pm/quota_wf" );
+    ( "a dead thread's queue entry",
+      nothing,
+      (fun w ->
+        ignore (Perm_map.consume (thrds w) ~ptr:w.tr);
+        set_proc w w.p1 (fun p -> { p with Process.threads = drop p.Process.threads w.tr })),
+      "pm/scheduler_wf" );
+    ( "an endpoint's send queue",
+      nothing,
+      (fun w -> set_edpt w w.e0 (fun e -> { e with Endpoint.send_queue = drop e.Endpoint.send_queue w.tb })),
+      "pm/scheduler_wf" );
+    ( "an endpoint's receive queue",
+      nothing,
+      (fun w -> set_edpt w w.e3 (fun e -> { e with Endpoint.recv_queue = drop e.Endpoint.recv_queue w.trv })),
+      "pm/scheduler_wf" );
+    ( "an endpoint's owner",
+      nothing,
+      (fun w -> set_edpt w w.e2 (fun e -> { e with Endpoint.owner_container = w.c1 })),
+      "pm/quota_wf" );
+    ( "a dead endpoint's slots",
+      nothing,
+      (fun w -> ignore (Perm_map.consume (edpts w) ~ptr:w.e2)),
+      "pm/endpoints_wf" );
+    ( "an external charge",
+      nothing,
+      (fun w ->
+        let pm = w.k.Kernel.pm in
+        Hashtbl.replace pm.Proc_mgr.external_used w.c0 (Proc_mgr.external_of pm ~container:w.c0 + 1)),
+      "pm/quota_wf" );
+    ( "a run queue",
+      nothing,
+      (fun w -> Sched_queue.push_back (Proc_mgr.queue w.k.Kernel.pm ~cpu:0) w.tb),
+      "pm/scheduler_wf" );
+    ( "the current thread",
+      nothing,
+      (fun w -> Proc_mgr.set_current w.k.Kernel.pm (Some w.tb)),
+      "pm/scheduler_wf" );
+    ( "the steal ledger",
+      nothing,
+      (fun w ->
+        let pm = w.k.Kernel.pm in
+        pm.Proc_mgr.steal_ledger <- (1, 0, 0xdead000) :: pm.Proc_mgr.steal_ledger),
+      "pm/scheduler_wf" );
+    ( "a device's DMA window",
+      nothing,
+      (fun w -> map_free w (Imap.find 0 w.k.Kernel.devices).Kernel.io_pt ~va:0x9800_0000),
+      "kernel/mapped_consistent" );
+    ( "a device's record",
+      nothing,
+      (fun w ->
+        let k = w.k in
+        k.Kernel.devices <-
+          Imap.add 0 { (Imap.find 0 k.Kernel.devices) with Kernel.irq_pending = 3 } k.Kernel.devices),
+      "kernel/irq_backlog_wf" );
+  ]
+
+(* An unchanged kernel is checked for the cost of its keys: α is the
+   kept one, the spec of a failed call compares two physically equal
+   states, and each obligation compares its input with that of its last
+   clean run (the page tables: one registry lookup and one version
+   compare per table page). *)
 let test_unchanged_allocation () =
-  let k = world () in
-  Alcotest.(check string) "clean" "ok" (result (Invariants.page_tables_wf k));
-  Alloc.check_at_most "page_tables_wf on an unchanged kernel" ~limit:1000.
-    (Alloc.per_call (fun () -> ignore (Invariants.page_tables_wf k)))
+  let k, init = world_init () in
+  Keyed.warm "world" k;
+  let call = Syscall.Mprotect { va = 0x7000_0000; perm = Atmo_hw.Pte_bits.perm_ro } in
+  let pre = Abstraction.abstract k in
+  let ret = Kernel.step k ~thread:init call in
+  checkb "the call fails" true (match ret with Syscall.Rerr _ -> true | _ -> false);
+  let post = Abstraction.abstract k in
+  checkb "α is kept across the failed call" true (pre == post);
+  Alcotest.(check string) "its spec holds" "ok"
+    (result (Syscall_spec.check ~pre ~post ~thread:init call ret));
+  let limit = function
+    | "kernel/allocator_wf" | "kernel/closures_disjoint" | "kernel/leak_freedom"
+    | "kernel/mapped_consistent" -> 0.
+    | "kernel/pm_wf" -> 16.
+    | "kernel/page_tables_wf" -> 64.
+    | _ -> 100.
+  in
+  let floors =
+    ("α", 0., fun () -> ignore (Abstraction.abstract k))
+    :: ("the spec of a failed call", 16., fun () ->
+         ignore (Syscall_spec.check ~pre ~post ~thread:init call ret))
+    :: List.map (fun (name, check) -> (name, limit name, fun () -> ignore (check k)))
+         Invariants.obligations
+  in
+  List.iter
+    (fun (what, limit, f) ->
+      Alloc.check_at_most (what ^ " on an unchanged kernel") ~limit (Alloc.per_call f))
+    floors
 
 let () =
   Alcotest.run "check_key"
@@ -415,6 +726,10 @@ let () =
               test_page_writers;
             Alcotest.test_case "views without a write are one record" `Quick test_views_shared;
           ] );
+      ( "neighbour",
+        List.map
+          (fun ((what, _, _, _) as n) -> Alcotest.test_case what `Quick (neighbour n))
+          neighbours );
       ( "cost",
         [
           Alcotest.test_case "unchanged kernel allocation floor" `Quick test_unchanged_allocation;

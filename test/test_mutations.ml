@@ -133,11 +133,12 @@ let test_pt_mutation_l4_past_memory () =
      memory.  The walk faults there, so every checker reports a
      violation instead of raising. *)
   let k, init = world () in
-  expect_clean "kernel" (Invariants.total_wf k);
+  Keyed.warm "kernel" k;
   let pt = (Wf_plants.init_proc k ~init).Process.pt in
   Phys_mem.write_u64 (Page_table.mem pt)
     ~addr:(Mmu.entry_addr ~table:(Page_table.cr3 pt) ~index:(Mmu.l4_index 0x5000_0000))
     0x0707070707070707L;
+  Keyed.check_agrees "L4 entry past memory" k;
   Pt_oracle.check_agrees "L4 entry past memory" pt;
   expect_fires "flat refinement" (Pt_refine.refinement pt);
   expect_fires "flat structure" (Pt_refine.structure pt);
@@ -242,11 +243,14 @@ let test_alloc_wf_catches_list_state_mismatch () =
 (* ------------------------------------------------------------------ *)
 (* Process-manager mutations: each targeted invariant fires            *)
 
+(* Each plant runs after a clean keyed check of everything, so the keyed
+   checks that follow it must agree with a cache-free evaluation. *)
 let mutate_and_expect name mutate check =
   let k, _ = world () in
-  expect_clean name (Pm_invariants.all k.Kernel.pm);
+  Keyed.warm name k;
   mutate k;
-  expect_fires name (check k.Kernel.pm)
+  expect_fires name (check k.Kernel.pm);
+  Keyed.check_agrees name k
 
 let test_pm_mutation_path () =
   mutate_and_expect "path"
@@ -288,12 +292,13 @@ let test_pm_mutation_runqueue () =
 let test_pm_mutation_refcount () =
   let k, _ = world () in
   let edpt = k.Kernel.pm.Proc_mgr.edpt_perms in
-  expect_clean "endpoints" (Pm_invariants.all k.Kernel.pm);
+  Keyed.warm "endpoints" k;
   Perm_map.iter
     (fun ep _ ->
       Perm_map.update edpt ~ptr:ep (fun e -> { e with Endpoint.refcount = e.Endpoint.refcount + 1 }))
     edpt;
   expect_fires "endpoints" (Pm_invariants.endpoints_wf k.Kernel.pm);
+  Keyed.check_agrees "endpoints" k;
   Wf_plants.expect_flagged "endpoint refcount" k Atmo_san.Report.Ill_formed
     ~page:(Iset.min_elt (Perm_map.dom edpt))
 
@@ -309,19 +314,22 @@ let test_pm_mutation_quota () =
 
 let test_kernel_mutation_leak () =
   let k, _ = world () in
-  expect_clean "kernel" (Invariants.total_wf k);
+  Keyed.warm "kernel" k;
   (* allocate a page that no object owns: a leak *)
   ignore (Page_alloc.alloc_4k k.Kernel.alloc ~purpose:Page_alloc.Kernel);
-  expect_fires "leak freedom" (Invariants.leak_freedom k)
+  expect_fires "leak freedom" (Invariants.leak_freedom k);
+  Keyed.check_agrees "leak freedom" k
 
 let test_kernel_mutation_type_confusion () =
   let k, _ = world () in
+  Keyed.warm "kernel" k;
   (* register the same page as both a "thread" and an "endpoint":
      pairwise disjointness of closures must fire *)
   let th = some_thread k in
   Perm_map.alloc k.Kernel.pm.Proc_mgr.edpt_perms ~ptr:th
     (Endpoint.make ~owner_container:(some_container k));
-  expect_fires "closures disjoint" (Invariants.closures_disjoint k)
+  expect_fires "closures disjoint" (Invariants.closures_disjoint k);
+  Keyed.check_agrees "closures disjoint" k
 
 let test_kernel_mutation_mapped_drift () =
   let k, init = world () in
@@ -330,8 +338,10 @@ let test_kernel_mutation_mapped_drift () =
            (Syscall.Mmap { va = 0x7770_0000; count = 1; size = Page_state.S4k; perm = Pte.perm_rw })
    with
    | Syscall.Rmapped [ frame ] ->
+     Keyed.warm "kernel" k;
      Page_alloc.inc_ref k.Kernel.alloc ~addr:frame;
-     expect_fires "mapped consistency" (Invariants.mapped_consistent k)
+     expect_fires "mapped consistency" (Invariants.mapped_consistent k);
+     Keyed.check_agrees "mapped consistency" k
    | r -> Alcotest.failf "mmap: %a" Syscall.pp_ret r)
 
 let test_kernel_mutation_device () =
@@ -339,8 +349,10 @@ let test_kernel_mutation_device () =
   (match Kernel.step k ~thread:init (Syscall.Assign_device { device = 3 }) with
    | Syscall.Runit -> ()
    | r -> Alcotest.failf "assign: %a" Syscall.pp_ret r);
+  Keyed.warm "kernel" k;
   Atmo_hw.Iommu.detach k.Kernel.iommu ~device:3;
-  expect_fires "devices wf" (Invariants.devices_wf k)
+  expect_fires "devices wf" (Invariants.devices_wf k);
+  Keyed.check_agrees "devices wf" k
 
 (* The plant breaks exactly the named kernel obligation, and [total_wf]
    reports that obligation's violation. *)
@@ -363,14 +375,16 @@ let expect_caught_by name k =
 
 let test_kernel_mutation_dead_owner () =
   let k, _ = world () in
-  expect_clean "kernel" (Invariants.total_wf k);
+  Keyed.warm "kernel" k;
   Wf_plants.dead_owner_endpoint k;
+  Keyed.check_agrees "dead owner" k;
   expect_caught_by "pm/endpoints_wf" k
 
 let test_kernel_mutation_free_frame () =
   let k, init = world () in
-  expect_clean "kernel" (Invariants.total_wf k);
+  Keyed.warm "kernel" k;
   Wf_plants.free_frame_pte k ~init;
+  Keyed.check_agrees "free frame" k;
   expect_caught_by "kernel/mapped_consistent" k
 
 let test_kernel_mutation_past_top () =
@@ -378,15 +392,17 @@ let test_kernel_mutation_past_top () =
 
 let test_kernel_mutation_resized_leaf () =
   let k, init = world () in
-  expect_clean "kernel" (Invariants.total_wf k);
+  Keyed.warm "kernel" k;
   let frame = Wf_plants.resized_leaf k ~init in
+  Keyed.check_agrees "resized leaf" k;
   expect_caught_by "kernel/mapped_consistent" k;
   Wf_plants.expect_flagged "resized leaf" k Atmo_san.Report.Pt_bad_leaf_state ~page:frame
 
 let test_kernel_mutation_blocked_current () =
   let k, _ = world () in
-  expect_clean "kernel" (Invariants.total_wf k);
+  Keyed.warm "kernel" k;
   let th = Wf_plants.blocked_current k in
+  Keyed.check_agrees "blocked current" k;
   expect_caught_by "pm/scheduler_wf" k;
   Wf_plants.expect_flagged "blocked current" k Atmo_san.Report.Sched_incoherent ~page:th
 

@@ -462,7 +462,11 @@ let prop_frame_set_oracle =
       && Frame_set.equal a b = Iset.equal ox oy
       && Frame_set.equal b a = Iset.equal ox oy
       && Frame_set.equal (dense ~lo:(64 - d1) ~hi:(192 + d2) ys) a = Iset.equal ox oy
-      && Frame_set.equal (dense ~lo:0 ~hi:0 []) (dense ~lo:d1 ~hi:(d1 + d2) []))
+      && Frame_set.equal (dense ~lo:0 ~hi:0 []) (dense ~lo:d1 ~hi:(d1 + d2) [])
+      (* the sorted-list builders, from scratch and over a kept set *)
+      && Iset.equal (Iset.of_sorted_over ox (Iset.elements oy)) oy
+      && Iset.equal (Iset.of_sorted_over o_runs (Iset.elements ox)) ox
+      && Iset.of_sorted_over ox (Iset.elements ox) == ox)
 
 (* ------------------------------------------------------------------ *)
 (* Dense views on an allocator that can hold 1 GiB                     *)

@@ -3,8 +3,9 @@
 
      perf_pairs.exe --base REV --pairs N --workload W --seed S
 
-   Checks REV out into a detached git worktree under the temporary
-   directory ($TMPDIR), builds both trees, then runs the command of
+   Exports REV's committed files ([git archive REV | tar -x]) into a
+   directory under the temporary directory ($TMPDIR), so nothing is
+   written under .git, builds both trees, then runs the command of
    BENCHMARK.json with its run_seconds N times on each side, alternating
    which side goes first.  Only the JSON summary on the last line of
    each run's output is read.  For every end-to-end metric it prints
@@ -15,7 +16,7 @@
    more than the base's inter-quartile range.  A metric whose base
    spread (inter-quartile range over median) exceeds its bound is
    "unresolved" unless every change run beats every base run
-   ([Pair_verdict.judge]).  The worktree is removed
+   ([Pair_verdict.judge]).  The exported tree is removed
    on exit; each run's output stays beside it, in
    $TMPDIR/atmo-perf-pairs-*/.  Run from the repo root
    (`make perf-pairs`). *)
@@ -136,10 +137,13 @@ let () =
   let command, seconds, metrics = benchmark () in
   let work = Filename.temp_dir "atmo-perf-pairs-" "" in
   let tree = Filename.concat work "base" in
-  let cleanup () = ignore (sh ~quiet:true "git worktree remove --force %s" (Filename.quote tree)) in
+  let cleanup () = ignore (sh ~quiet:true "rm -rf %s" (Filename.quote tree)) in
   at_exit cleanup;
-  if sh ~quiet:true "git worktree add --detach %s %s" (Filename.quote tree) (Filename.quote !base) <> 0
-  then die "cannot check %s out into %s" !base tree;
+  if
+    sh ~quiet:true "mkdir %s && git archive %s | tar -x -C %s" (Filename.quote tree)
+      (Filename.quote !base) (Filename.quote tree)
+    <> 0
+  then die "cannot export %s into %s" !base tree;
   Printf.printf "base %s in %s; change = the working tree\n%!" !base tree;
   List.iter
     (fun dir ->
