@@ -173,12 +173,12 @@ type view = {
 
 (* The view, with the inputs of the last clean [leak_freedom] (the
    owned and allocated sets) and [mapped_consistent] (the spaces and
-   the allocator's views).  Published with one write, as the other
-   keys are. *)
+   the allocator's page-array version).  Published with one write, as
+   the other keys are. *)
 type memo = {
   view : view;
   leak_clean : (Iset.t * Iset.t) option;
-  mapped_clean : (Page_table.ghost Imap.t * Page_table.ghost Imap.t * Page_alloc.views) option;
+  mapped_clean : (Page_table.ghost Imap.t * Page_table.ghost Imap.t * int) option;
 }
 
 let memo : memo option Atomic.t = Atomic.make None
@@ -370,16 +370,29 @@ let mapped_clean (k : Kernel.t) w =
   && Imap.for_all sized w.spaces
   && Imap.for_all sized w.io_spaces
 
+(* [mapped_clean] reads the allocator only at the frames some mapping
+   names, which are the allocator's mapped frames while it holds, and
+   the mapped set.  So with the spaces unchanged, it holds again after
+   writes to frames that neither a mapping names nor are mapped now. *)
+let unmapped_since alloc (w : view) at =
+  let mapped = Page_alloc.mapped_pages alloc and quiet = ref true in
+  Page_alloc.written_since alloc at (fun f ->
+      if Iset.mem f w.mapped || Iset.mem f mapped then quiet := false)
+  && !quiet
+
 let mapped_consistent_keyed (k : Kernel.t) v =
   if Atomic.get full_only then mapped_consistent k v
   else
   let m = memo_now k in
-  let w = m.view and views = Page_alloc.views k.Kernel.alloc in
+  let w = m.view and alloc = k.Kernel.alloc in
+  let now = Page_alloc.version alloc in
   match m.mapped_clean with
-  | Some (s, io, a) when s == w.spaces && io == w.io_spaces && a == views -> ()
+  | Some (s, io, at) when s == w.spaces && io == w.io_spaces && at = now -> ()
+  | Some (s, io, at) when s == w.spaces && io == w.io_spaces && unmapped_since alloc w at ->
+    keep (fun m -> { m with mapped_clean = Some (s, io, now) })
   | Some _ | None ->
     if mapped_clean k w then
-      keep (fun m -> { m with mapped_clean = Some (w.spaces, w.io_spaces, views) })
+      keep (fun m -> { m with mapped_clean = Some (w.spaces, w.io_spaces, now) })
     else mapped_consistent k v
 
 let devices_wf (k : Kernel.t) v =

@@ -910,19 +910,28 @@ let sys_io_unmap t ~thread ~device ~iova =
 (* Interrupt dispatch                                                  *)
 
 (* Devices whose bound endpoint died lose their routing (with any
-   pending interrupts); called after every endpoint-freeing path. *)
+   pending interrupts); called after every endpoint-freeing path.  When
+   no route died, the device table stays the same value and nothing is
+   noted, so readers keyed on it see a quiet step. *)
 let sweep_irqs t =
-  t.devices <-
-    Imap.map
-      (fun (d : device_info) ->
+  let dead =
+    Imap.fold
+      (fun device (d : device_info) acc ->
         match d.irq_endpoint with
-        | Some ep when not (Perm_map.mem t.pm.Proc_mgr.edpt_perms ~ptr:ep) ->
-          t.irq_backlog <- Imap.remove ep t.irq_backlog;
-          note_dev ();
-          { d with irq_endpoint = None; irq_pending = 0 }
-        | Some _ | None -> d)
-      t.devices;
-  note_dev ()
+        | Some ep when not (Perm_map.mem t.pm.Proc_mgr.edpt_perms ~ptr:ep) -> (device, ep, d) :: acc
+        | Some _ | None -> acc)
+      t.devices []
+  in
+  match List.rev dead with
+  | [] -> ()
+  | dead ->
+    List.iter
+      (fun (device, ep, (d : device_info)) ->
+        t.irq_backlog <- Imap.remove ep t.irq_backlog;
+        note_dev ();
+        t.devices <- Imap.add device { d with irq_endpoint = None; irq_pending = 0 } t.devices)
+      dead;
+    note_dev ()
 
 (* Only the device's owner may route its interrupt, and only once. *)
 let sys_register_irq t ~thread ~device ~slot =

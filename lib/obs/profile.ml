@@ -162,15 +162,3 @@ let pp_kind_table ppf t =
   List.iter
     (fun k -> Format.fprintf ppf "%-18s %8d %12d %12d@." k.klabel k.count k.self k.total)
     (kind_table t)
-
-let pp_tree ppf t =
-  let rec walk indent id =
-    match find t id with
-    | None -> ()
-    | Some s ->
-      Format.fprintf ppf "%s%s #%d cpu%d [%d..%d] self=%d owner=0x%x%s@." indent
-        (Span.label_of_code s.kind) s.id s.cpu s.t0 s.t1 (self_cycles t s) s.owner
-        (if s.ended then "" else " (truncated)");
-      List.iter (walk (indent ^ "  ")) s.children
-  in
-  List.iter (walk "") t.roots

@@ -693,11 +693,13 @@ let used_by_container t ~container =
         else acc)
       t.proc_perms 0
   in
+  (* a thread whose process is gone counts toward no container *)
   let thread_pages =
     Perm_map.fold
       (fun _ th acc ->
-        let p = Perm_map.borrow t.proc_perms ~ptr:th.Thread.owner_proc in
-        if p.Process.owner_container = container then acc + 1 else acc)
+        match Perm_map.borrow_opt t.proc_perms ~ptr:th.Thread.owner_proc with
+        | Some p when p.Process.owner_container = container -> acc + 1
+        | Some _ | None -> acc)
       t.thrd_perms 0
   in
   let endpoint_pages =

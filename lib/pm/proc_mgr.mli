@@ -228,4 +228,6 @@ val page_closure : t -> Atmo_util.Iset.t
 val used_by_container : t -> container:int -> int
 (** Recompute a container's real page consumption from the ground truth
     (object pages + page-table pages + mapped frames); invariants compare
-    this against the [used] field. *)
+    this against the [used] field.  A thread whose process is gone
+    counts toward no container, so an ill-formed process tree yields a
+    count, not an exception. *)

@@ -27,6 +27,20 @@ val version : t -> int
     readings of one list's version mean nothing in it changed between
     them. *)
 
+val log_length : int
+(** How many writes the list's log holds.  Once started, the log
+    records each write above under its version: the ids whose links or
+    membership it changes and the old target of every link it writes
+    ([first] and [last] included); the new targets are among the
+    changed ids.  A reader whose version is more than [log_length]
+    writes behind, or older than the log, reads nothing from it. *)
+
+val start_log : t -> unit
+(** Log every write from now on (nothing if already logging).  A list
+    logs nothing until a reader starts its log, so lists no check reads
+    per range (run queues, worlds never checked) pay one length test
+    per write and no memory. *)
+
 val mem : t -> int -> bool
 (** One bit test: membership is a bitmap beside the links. *)
 
@@ -59,6 +73,36 @@ val wf : t -> (unit, string) result
     the executable form of the allocator's free-list invariant.  One
     pass over the list and one over the membership bitmap, counting
     32 flags per word. *)
+
+val full_walks : unit -> int
+(** How many times {!wf} has walked a list, over every list of the
+    process: a per-range check that answered alone leaves it as it
+    was. *)
+
+val wf_since : t -> int -> (int -> bool) -> bool
+(** [wf_since t v visit], for a list whose {!wf} held at version [v],
+    is [true] only if {!wf} holds now.  It reads only what the writes
+    since [v] logged, and calls [visit] on every logged id in
+    [\[0, capacity)] (an id may come more than once): a [visit] that
+    returns [false] fails the check, so a caller checks its own rules
+    at the written ids in the same pass.  It is [false], having visited
+    nothing, when the log does not reach back to [v], and [false] when
+    a rule fails, so a [false] says nothing about {!wf}.  The rules:
+    each logged member's back link is in range and mirrored by its
+    predecessor, or it is [first]; neither old neighbour of a logged
+    non-member still links to it; the member flags number [length];
+    the ends are both nil or members with nil outer links (a remove
+    through a corrupted link can leave an end naming a non-member); and
+    a walk from each logged member, a step forward and a step back in
+    turn, reaches an end.  Because every write logged the old targets
+    of the links it moved, an unlogged member is still mirrored, so
+    with every back link mirrored each member is its predecessor's
+    successor: the members form one chain from [first] to [last] (the
+    one member whose forward link is nil) and maybe detached cycles.
+    The count catches a member spliced in or lost, and a cycle born
+    since [v] holds a logged member, which the walk rules out.  The walks share a budget
+    of one list length, and past it (or past 32 walks) the full {!wf}
+    decides. *)
 
 (** {2 Test backdoor}
 

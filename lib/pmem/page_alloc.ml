@@ -37,6 +37,11 @@ type t = {
       (* while {!atomically} runs: the inverse of every superpage merge
          and split so far, newest first *)
   mutable version : int;  (* advances on every write to [codes] or [aux] *)
+  mutable log : int array;
+      (* once a reader started it ([start_logs]), the frames write [v]
+         wrote, in slot [v mod Dll.log_length]: the first frame
+         [lsl 20], [lor] their count *)
+  mutable logged_from : int;  (* the version [log] starts at *)
   (* Each published with one field write, so checks racing on other
      domains read either whole. *)
   mutable clean_wf : key option;
@@ -59,16 +64,45 @@ let size_of_code c = size_of_order (c land 3)
 
 let code_at t i = Char.code (Bytes.get t.codes i)
 
-(* The page array's only writers: each stamps the array's version. *)
-let stamp t = t.version <- t.version + 1
+(* The page array's only writers: each logs the [n] frames from [lo]
+   it wrote and advances the array's version. *)
+let log_mask = Dll.log_length - 1
+let count_bits = 20
+
+let logged t lo n =
+  let log = t.log in
+  if Array.length log > 0 then Array.unsafe_set log (t.version land log_mask) ((lo lsl count_bits) lor n);
+  t.version <- t.version + 1
 
 let set t i kind size =
   Bytes.set t.codes i (Char.unsafe_chr (code kind size));
-  stamp t
+  logged t i 1
 
 let set_aux t i n =
   t.aux.(i) <- n;
-  stamp t
+  logged t i 1
+
+(* How many frames the writes since version [v] wrote, counted with
+   repeats; [max_int] when the log no longer reaches back to [v]. *)
+let written t v =
+  if v < t.logged_from || t.version - v > Dll.log_length then max_int
+  else begin
+    let n = ref 0 in
+    for w = v to t.version - 1 do
+      n := !n + (t.log.(w land log_mask) land ((1 lsl count_bits) - 1))
+    done;
+    !n
+  end
+
+(* [f] on each frame the writes since [v] wrote, which the log holds. *)
+let iter_written t v f =
+  for w = v to t.version - 1 do
+    let e = t.log.(w land log_mask) in
+    let lo = e lsr count_bits in
+    for i = lo to lo + (e land ((1 lsl count_bits) - 1)) - 1 do
+      f i
+    done
+  done
 
 let kind_at t i = kind_of (code_at t i)
 let size_at t i = size_of_code (code_at t i)
@@ -151,6 +185,8 @@ let create mem ~reserved_frames =
       free1g = Dll.create ~capacity:nframes ~name:"free1g";
       journal = None;
       version = 0;
+      log = [||];
+      logged_from = max_int;
       clean_wf = None;
       memo = None;
     }
@@ -161,10 +197,20 @@ let create mem ~reserved_frames =
   if Mutation.tick muts then note (Created t);
   t
 
+(* The logs a per-range reader needs: the page array's and each free
+   list's, from now on. *)
+let start_logs t =
+  if Array.length t.log = 0 then begin
+    t.log <- Array.make Dll.log_length 0;
+    t.logged_from <- t.version
+  end;
+  Dll.start_log t.free4k;
+  Dll.start_log t.free2m;
+  Dll.start_log t.free1g
+
 let managed_frames t = t.nframes - t.first
 let free_count_4k t = Dll.length t.free4k
 let free_count_2m t = Dll.length t.free2m
-let free_count_1g t = Dll.length t.free1g
 
 let managed t i = i >= t.first && i < t.nframes
 
@@ -217,7 +263,7 @@ let subs_free t ~head ~sub ~span =
 let absorb t ~head ~stride =
   Bytes.fill t.codes (head + 1) (stride - 1) (Char.chr (code Merged_k S4k));
   Array.fill t.aux (head + 1) (stride - 1) head;
-  stamp t
+  logged t (head + 1) (stride - 1)
 
 (* Merge the free [sub] blocks covering the aligned [super] block at
    [head] into one free block.  Constituent heads are unlinked from
@@ -466,16 +512,84 @@ let scan_views ?prev t =
     mapped = ordered (fun v -> v.mapped) !mapped;
   }
 
+(* The view holding a frame of code [c], and the view of [v] holding
+   the managed frame at [addr]: free 4K, 2M and 1G, merged, allocated,
+   mapped. *)
+let view_of c =
+  match kind_of c with
+  | Free_k -> order_of (size_of_code c)
+  | Merged_k -> 3
+  | Allocated_k -> 4
+  | Mapped_k -> 5
+
+let view_in v addr =
+  if Frame_set.mem v.free_4k addr then 0
+  else if Frame_set.mem v.free_2m addr then 1
+  else if Frame_set.mem v.free_1g addr then 2
+  else if Frame_set.mem v.merged addr then 3
+  else if Iset.mem addr v.allocated then 4
+  else 5
+
+(* Past this many written frames, one scan is cheaper than moving
+   frames one by one. *)
+let max_moved = 64
+
+(* [m]'s views at the current version: each managed frame written since
+   moves from the view that held it to the one its code names now, and
+   a view no frame entered or left is [m]'s own. *)
+let update_views t m =
+  if written t m.at > max_moved then None
+  else begin
+    let moved = Array.make 6 [] and seen = ref [] in
+    iter_written t m.at (fun i ->
+        if managed t i && not (List.mem i !seen) then begin
+          seen := i :: !seen;
+          let was = view_in m.views (frame_addr i) and now = view_of (code_at t i) in
+          if was <> now then begin
+            moved.(was) <- i :: moved.(was);
+            moved.(now) <- i :: moved.(now)
+          end
+        end);
+    let turn s frames =
+      List.fold_left
+        (fun s i ->
+          let a = frame_addr i in
+          if Iset.mem a s then Iset.remove a s else Iset.add a s)
+        s frames
+    and v = m.views in
+    Some
+      {
+        free_4k = Frame_set.flip v.free_4k moved.(0);
+        free_2m = Frame_set.flip v.free_2m moved.(1);
+        free_1g = Frame_set.flip v.free_1g moved.(2);
+        merged = Frame_set.flip v.merged moved.(3);
+        allocated = turn v.allocated moved.(4);
+        mapped = turn v.mapped moved.(5);
+      }
+  end
+
+(* While set, [wf] and [views] run in full and keep nothing: the
+   cache-free evaluation tests compare with. *)
+let full_only = Atomic.make false
+
 (* The views read only the code bytes, so they are kept while the page
-   array's version stands. *)
+   array's version stands, and moved at the written frames after. *)
 let views t =
-  match t.memo with
-  | Some m when m.at = t.version -> m.views
-  | m ->
-    let at = t.version in
-    let views = scan_views ?prev:(Option.map (fun m -> m.views) m) t in
-    t.memo <- Some { at; views };
-    views
+  if Atomic.get full_only then scan_views t
+  else
+    match t.memo with
+    | Some m when m.at = t.version -> m.views
+    | m ->
+      let at = t.version in
+      let views =
+        match m with
+        | None -> scan_views t
+        | Some m -> (
+          match update_views t m with Some v -> v | None -> scan_views ~prev:m.views t)
+      in
+      t.memo <- Some { at; views };
+      start_logs t;
+      views
 
 (* One set by one scan, without the other five views. *)
 let frames_where t keep =
@@ -500,6 +614,8 @@ let frames_of_block t ~addr =
   add_frames acc i (i + frames_per (size_at t i));
   Iset.of_list !acc
 
+let misaligned i size = i land (frames_per size - 1) <> 0
+
 (* The first violation, in a fixed order: the free lists' structure,
    then each list's members in list order, then every list's members
    against the managed range, then every frame in frame order, then
@@ -517,7 +633,6 @@ let check t =
   let* () = Dll.wf t.free4k in
   let* () = Dll.wf t.free2m in
   let* () = Dll.wf t.free1g in
-  let misaligned i size = i land (frames_per size - 1) <> 0 in
   let free = Array.make 3 0 in
   let listed = ref true in
   let heads = ref [] in
@@ -629,17 +744,133 @@ let unchanged t k =
   && k.list2m = Dll.version t.free2m
   && k.list1g = Dll.version t.free1g
 
+let version t = t.version
+
+let written_since t v f =
+  written t v <> max_int
+  && begin
+    iter_written t v (fun i -> f (frame_addr i));
+    true
+  end
+
+(* ------------------------------------------------------------------ *)
+(* The per-range check                                                 *)
+
+(* The kept clean state held every rule of [check].  A frame's own
+   rules read its code and [aux], the lists' membership of it, and the
+   code of the head its [aux] names; a superpage's body rule reads its
+   head and bodies.  So after writes, a rule can fail only at a written
+   frame, at a written list id, or at an unwritten body whose head was
+   written, and those are the frames the rules below visit. *)
+
+let on_a_list t i = Dll.mem t.free4k i || Dll.mem t.free2m i || Dll.mem t.free1g i
+
+(* A written list id of [list] (of [size]) is on it exactly when it is
+   a managed free frame of that size (a written frame's alignment is
+   its own rule; an unwritten one's held at the clean run). *)
+let listed_ok t list size i = Dll.mem list i = (managed t i && code_at t i = code Free_k size)
+
+(* The superpage head whose block covers frame [i], if any: the
+   2 MiB- or 1 GiB-aligned frame below [i] that is a head reaching
+   past [i]. *)
+let covers t h i = h <> i && managed t h && kind_at t h <> Merged_k && i < h + frames_per (size_at t h)
+
+let body_of t h j = kind_at t j = Merged_k && t.aux.(j) = h
+
+(* Frames [[j, last]] are all bodies of [h]. *)
+let rec bodies t h j last = j > last || (body_of t h j && bodies t h (j + 1) last)
+
+(* Some frame of [[j, stop)] is a body of [h]. *)
+let rec strays t h j stop = j < stop && (body_of t h j || strays t h (j + 1) stop)
+
+(* The [size]-aligned frame below [i], if a head whose block covers
+   [i], holds [i] as its body. *)
+let covered_ok t i size =
+  let h = i land lnot (frames_per size - 1) in
+  (not (covers t h i)) || body_of t h i
+
+(* A written managed frame: its own rule and its list membership (a
+   free frame is on its size's list and no other, any other frame on
+   none); the bodies of a superpage it heads; the head whose block
+   covers it; and the unwritten bodies still naming it, which can only
+   lie past its own block within the largest block its alignment
+   allows (a frame not 2 MiB-aligned never headed one). *)
+let frame_ok t i =
+  let c = code_at t i in
+  let size = size_of_code c in
+  let kind = kind_of c in
+  (match kind with
+   | Free_k ->
+     (not (misaligned i size))
+     && Dll.mem t.free4k i = equal_size size S4k
+     && Dll.mem t.free2m i = equal_size size S2m
+     && Dll.mem t.free1g i = equal_size size S1g
+   | Allocated_k -> (not (misaligned i size)) && not (on_a_list t i)
+   | Mapped_k -> (not (misaligned i size)) && t.aux.(i) > 0 && not (on_a_list t i)
+   | Merged_k ->
+     let h = t.aux.(i) in
+     managed t h
+     && kind_at t h <> Merged_k
+     && (not (misaligned h (size_at t h)))
+     && h < i
+     && i < h + frames_per (size_at t h)
+     && not (on_a_list t i))
+  && (kind = Merged_k || equal_size size S4k
+     || bodies t i (i + 1) (min (i + frames_per size) t.nframes - 1))
+  && covered_ok t i S2m && covered_ok t i S1g
+  && (misaligned i S2m
+     ||
+     let block = if kind = Merged_k || misaligned i size then 1 else frames_per size in
+     let reach = frames_per (if misaligned i S1g then S2m else S1g) in
+     not (strays t i (i + block) (min (i + reach) t.nframes)))
+
+(* Every written managed frame of the writes from [w] on passes
+   [frame_ok]. *)
+let rec frames_from t w =
+  w = t.version
+  ||
+  let e = t.log.(w land log_mask) in
+  let lo = e lsr count_bits in
+  range_ok t lo (lo + (e land ((1 lsl count_bits) - 1))) && frames_from t (w + 1)
+
+and range_ok t i stop = i >= stop || (((not (managed t i)) || frame_ok t i) && range_ok t (i + 1) stop)
+
+(* Past this many written frames, the full check's one scan is
+   cheaper. *)
+let max_checked = 256
+
+(* Every rule of [check], at the frames and list ids written since the
+   clean key [k]: [true] only if [check] would pass.  The free counts
+   need no frame: once the written frames and ids agree with the lists,
+   the free frames of each size are exactly its list's members, and
+   [Dll.wf_since] counts those against the length. *)
+let check_since t k =
+  written t k.pages <= max_checked
+  && Dll.wf_since t.free4k k.list4k (listed_ok t t.free4k S4k)
+  && Dll.wf_since t.free2m k.list2m (listed_ok t t.free2m S2m)
+  && Dll.wf_since t.free1g k.list1g (listed_ok t t.free1g S1g)
+  && frames_from t k.pages
+
 (* An allocator whose key equals that of its last clean check is clean
-   again; errors are never kept.  The key is read before the check, so
-   a write during it leaves a key that misses. *)
+   again; after writes the log holds, the per-range check decides, and
+   the full check whenever it finds anything, so every message is the
+   full check's.  Errors are never kept.  The key is read before the
+   check, so a write during it leaves a key that misses. *)
 let wf t =
-  match t.clean_wf with
-  | Some k when unchanged t k -> Ok ()
-  | Some _ | None ->
-    let k = key t in
-    let r = check t in
-    if Result.is_ok r then t.clean_wf <- Some k;
-    r
+  if Atomic.get full_only then check t
+  else
+    match t.clean_wf with
+    | Some k when unchanged t k -> Ok ()
+    | kept ->
+      let now = key t in
+      let r =
+        match kept with Some k when check_since t k -> Ok () | Some _ | None -> check t
+      in
+      if Result.is_ok r then begin
+        t.clean_wf <- Some now;
+        start_logs t
+      end;
+      r
 
 module Backdoor = struct
   let set_frame t ~frame state size =
@@ -655,7 +886,7 @@ module Backdoor = struct
 
   let free_list = free_list
 
-  let forget_check t =
-    t.clean_wf <- None;
-    t.memo <- None
+  let cache_free f =
+    Atomic.set full_only true;
+    Fun.protect ~finally:(fun () -> Atomic.set full_only false) f
 end

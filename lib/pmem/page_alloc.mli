@@ -64,7 +64,6 @@ val map_id : string
 val managed_frames : t -> int
 val free_count_4k : t -> int
 val free_count_2m : t -> int
-val free_count_1g : t -> int
 
 val alloc_4k : t -> purpose:purpose -> int option
 (** Allocate and zero a 4 KiB frame; returns its base address.  Splits a
@@ -131,17 +130,20 @@ val views : t -> views
     frame by frame answers of {!state_of} and {!size_of}.
 
     The scan reads only the page array, so its result is kept with the
-    array's write version, which every writer of the array advances
-    (the allocator's own and {!Backdoor.set_frame}).  While the version
-    stands, [views] returns that same record: two calls with no write
-    between them are physically equal, and so are their sets, which
+    array's write version ({!version}).  While the version stands,
+    [views] returns that same record: two calls with no write between
+    them are physically equal, and so are their sets, which
     {!Atmo_util.Iset.equal} and {!Atmo_util.Frame_set.equal} then
-    compare at once.  After a write, each set equal to the kept
-    record's is that record's own, and [allocated] and [mapped] are
-    built from the kept ones ({!Atmo_util.Iset.of_sorted_over}), so a
-    write to one set leaves the others shared.  The record is published
-    with one field write, so calls racing on other domains see it
-    whole. *)
+    compare at once.  After writes the log holds ({!written_since}),
+    up to 64 written frames, each moves from the kept set that held it
+    to the one its state names now ({!Atmo_util.Frame_set.flip}, and
+    [add]/[remove] on the two {!Atmo_util.Iset}s), and a set no written
+    frame entered or left is the kept record's own.  Past that, one
+    scan reads them all, and each set equal to the kept record's is
+    still that record's own ([allocated] and [mapped] are built from
+    the kept ones, {!Atmo_util.Iset.of_sorted_over}).  The record is
+    published with one field write, so calls racing on other domains
+    see it whole. *)
 
 (** {3 Accessors}
 
@@ -176,6 +178,21 @@ val try_merge_1g : t -> bool
     free 2 MiB block or 512 free 4 KiB frames.  The region is chosen
     before anything is merged: [false] means nothing changed. *)
 
+val version : t -> int
+(** The page array's write version.  It advances on every write to a
+    frame's state, size, reference count or head: the allocator's own
+    and {!Backdoor.set_frame}'s.  Each write also logs the frames it
+    wrote ({!written_since}). *)
+
+val written_since : t -> int -> (int -> unit) -> bool
+(** [written_since t v f] calls [f] on the address of every frame
+    written since version [v] (a frame may come more than once) and is
+    [true], or is [false] without calling [f] when the page array's log
+    does not hold every write since [v]: it holds the last
+    {!Dll.log_length} writes, from the first {!wf} or {!views} that
+    kept a result on (an allocator never checked logs nothing).  A
+    merge or split writes a block's body frames as one range. *)
+
 val wf : t -> (unit, string) result
 (** The allocator's well-formedness invariant: free lists structurally
     sound, list membership consistent with frame states, every list
@@ -195,15 +212,27 @@ val wf : t -> (unit, string) result
 
     The check reads the page array and the three free lists and
     nothing else, so its input is keyed by their write versions: the
-    array's (as for {!views}) and each list's ({!Dll.version}).  A
-    clean verdict is kept with the key read before the check, and while
-    the key stands [wf] returns [Ok ()] at once; an error is never
-    kept.  The lists carry their own versions because
-    {!Backdoor.free_list} hands them out, and a caller may edit them
-    through {!Dll} with no allocator code running.  The allocator map's
-    mutation count ({!map_id}) is not a key: every allocator shares it,
-    and backdoor writes do not tick it.  The key is recorded with one
-    field write, as the views are. *)
+    array's ({!version}) and each list's ({!Dll.version}).  A clean
+    verdict is kept with the key read before the check, and while the
+    key stands [wf] returns [Ok ()] at once; an error is never kept.
+    After writes the logs hold (at most 256 written frames), a
+    per-range run checks, from the kept clean verdict, only what was
+    written: each written frame's own rule, its list membership (free
+    exactly when on its own size's list and on no other), the bodies of
+    a superpage it heads, the head whose block covers it, and the
+    unwritten bodies still naming it; each written list id's membership
+    against its frame's state; and each list's structure per range
+    ({!Dll.wf_since}: back links mirrored at the written ids, the
+    ends, the member count against the length, which then is the free
+    count, and a walk from each written member to an end, which rules
+    out a detached cycle).  It passes only when the full check would.  When
+    it finds anything, or the logs no longer reach back, the full check
+    runs, so every message is the full check's.  The lists carry their
+    own versions because {!Backdoor.free_list} hands them out, and a
+    caller may edit them through {!Dll} with no allocator code running.
+    The allocator map's mutation count ({!map_id}) is not a key: every
+    allocator shares it, and backdoor writes do not tick it.  The key
+    is recorded with one field write, as the views are. *)
 
 (** {2 Test backdoor}
 
@@ -219,8 +248,11 @@ module Backdoor : sig
   (** The free list of a size, to link, unlink or re-point members
       with {!Dll} and {!Dll.Backdoor}. *)
 
-  val forget_check : t -> unit
-  (** Drop the key of the last clean {!wf} and the kept {!views}, so
-      the next of each runs in full: for oracle tests that compare the
-      keyed results with cache-free ones. *)
+  val cache_free : (unit -> 'a) -> 'a
+  (** [cache_free f] runs [f] with every allocator's {!wf} and
+      {!views} (and so the accessors built on them) evaluated in full,
+      reading and keeping nothing, and leaves each allocator's kept
+      state as it was: for oracle tests that compare the keyed results
+      with cache-free ones without cutting the chain of per-range
+      runs. *)
 end

@@ -118,8 +118,6 @@ let with_classes ~site ~cpu klasses f =
       List.iter (fun k -> release_class ~cpu k) (List.rev klasses))
     f
 
-let classes_held () = !class_held_total > 0
-
 let enter_step () = incr step_depth
 let exit_step () = if !step_depth > 0 then decr step_depth
 

@@ -60,8 +60,6 @@ val with_classes : site:string -> cpu:int -> klass list -> (unit -> 'a) -> 'a
 (** Acquire the classes in list order, run the thunk, release in
     reverse. *)
 
-val classes_held : unit -> bool
-
 val enter_step : unit -> unit
 (** Step-observer brackets: mutations are only judged between
     [enter_step] and [exit_step] (kernel code running on behalf of a

@@ -6,8 +6,6 @@ module Lockcheck = Atmo_san.Lockcheck
 
 type regime = Big_lock | Fine_grained
 
-let regime_name = function Big_lock -> "big-lock" | Fine_grained -> "fine-grained"
-
 type program = {
   thread : int;
   think_cycles : int;

@@ -25,8 +25,6 @@
 
 type regime = Big_lock | Fine_grained
 
-val regime_name : regime -> string
-
 type program = {
   thread : int;
   think_cycles : int;  (** user-mode work between kernel entries *)

@@ -4,6 +4,7 @@
    are equal bytewise. *)
 type t = {
   base : int;
+  frames : int;
   bits : string;
   count : int;
 }
@@ -74,9 +75,24 @@ let set_range b ~lo ~hi =
   end
 
 let freeze b =
-  { base = b.b_base; bits = Bytes.unsafe_to_string b.b_bits; count = b.b_count }
+  { base = b.b_base; frames = b.b_frames; bits = Bytes.unsafe_to_string b.b_bits; count = b.b_count }
 
 let cardinal s = s.count
+
+let flip s = function
+  | [] -> s
+  | frames ->
+    let bits = Bytes.of_string s.bits and count = ref s.count in
+    List.iter
+      (fun f ->
+        let i = f - s.base in
+        if i < 0 || i >= s.frames then
+          invalid_arg (Printf.sprintf "Frame_set.flip: frame %d outside the range" f);
+        let byte = Char.code (Bytes.unsafe_get bits (i lsr 3)) and bit = 1 lsl (i land 7) in
+        count := !count + if byte land bit = 0 then 1 else -1;
+        Bytes.unsafe_set bits (i lsr 3) (Char.unsafe_chr (byte lxor bit)))
+      frames;
+    { s with bits = Bytes.unsafe_to_string bits; count = !count }
 
 let mem_index s i =
   i >= 0

@@ -33,6 +33,13 @@ val set_range : draft -> lo:int -> hi:int -> unit
 val freeze : draft -> t
 (** The set drafted so far.  The draft must not be used afterwards. *)
 
+val flip : t -> int list -> t
+(** [flip s frames] is [s] with the membership of each listed frame
+    (a frame number, as for {!set_range}) turned over: one copy of the
+    bitmap, whatever the list's length, and [s] itself for [[]].  The
+    frames must be distinct; raises [Invalid_argument] if one is
+    outside the set's range. *)
+
 (** {2 Queries} *)
 
 val cardinal : t -> int

@@ -1,8 +1,9 @@
 (* Keyed checks against a cache-free evaluation, for the tests that
-   plant a fault after a clean keyed check.  The page-table and
-   allocator keys are forgotten ([Backdoor.forget_check]); the
-   process-manager keys, the memory view and the kept α are set aside
-   for the evaluation and put back after ([Backdoor.cache_free]). *)
+   plant a fault after a clean keyed check.  The page-table keys are
+   forgotten ([Page_table.Backdoor.forget_check]); the allocator's kept
+   state, the process-manager keys, the memory view and the kept α are
+   set aside for the evaluation and put back after
+   ([Backdoor.cache_free]). *)
 
 open Atmo_util
 module Page_alloc = Atmo_pmem.Page_alloc
@@ -25,24 +26,17 @@ let tables (k : Kernel.t) =
         (Printf.sprintf "device %d" device, d.Kernel.io_pt) :: acc)
       k.Kernel.devices []
 
-let forget_keys k =
-  List.iter (fun (_, pt) -> Page_table.Backdoor.forget_check pt) (tables k);
-  Page_alloc.Backdoor.forget_check k.Kernel.alloc
-
-(* [f] with every key of [k] forgotten and nothing else kept. *)
+(* [f] with every table key of [k] forgotten and nothing else read or
+   kept. *)
 let cache_free k f =
-  forget_keys k;
-  Pm_invariants.Backdoor.cache_free (fun () ->
-      Invariants.Backdoor.cache_free (fun () -> Abstraction.Backdoor.cache_free f))
+  List.iter (fun (_, pt) -> Page_table.Backdoor.forget_check pt) (tables k);
+  Page_alloc.Backdoor.cache_free (fun () ->
+      Pm_invariants.Backdoor.cache_free (fun () ->
+          Invariants.Backdoor.cache_free (fun () -> Abstraction.Backdoor.cache_free f)))
 
 let result = function Ok () -> "ok" | Error msg -> msg
 
-(* A check that raises is compared by its exception: [pm/quota_wf] run
-   alone borrows the owner of every thread, so it raises on a thread
-   whose process is dead, where [total_wf] stops at
-   [pm/process_tree_wf]. *)
-let verdict name f =
-  name ^ ": " ^ match f () with r -> result r | exception e -> "raised " ^ Printexc.to_string e
+let verdict name f = name ^ ": " ^ result (f ())
 
 (* total_wf, and every obligation's and every table entry's verdict and
    message. *)

@@ -1,15 +1,15 @@
 (* The keys of the checks that re-read only what changed: a page
    table's last clean input (Page_table's check_input), the page
-   allocator's write versions, the process-manager checks' last clean
-   inputs (Pm_invariants), the memory checks' shared view (Invariants)
-   and the kept α (Abstraction).  A check whose whole input is
-   unchanged skips its work, a check after a step re-reads only what
-   the step wrote, and every verdict, message and α must be what a
-   cache-free evaluation gives.  The oracle forgets the table and
-   allocator keys ([Page_table.Backdoor.forget_check],
-   [Page_alloc.Backdoor.forget_check]) and evaluates under the
-   [Backdoor.cache_free] of the other three, which put their kept state
-   back after, so the chain of keyed runs is never cut. *)
+   allocator's write versions and write logs, the process-manager
+   checks' last clean inputs (Pm_invariants), the memory checks' shared
+   view (Invariants) and the kept α (Abstraction).  A check whose whole
+   input is unchanged skips its work, a check after a step re-reads
+   only what the step wrote, and every verdict, message and α must be
+   what a cache-free evaluation gives.  The oracle forgets the table
+   keys ([Page_table.Backdoor.forget_check]) and evaluates under the
+   [Backdoor.cache_free] of the other four, which leave their kept
+   state as it was, so the chain of keyed (and per-range) runs is never
+   cut. *)
 
 open Atmo_util
 module Phys_mem = Atmo_hw.Phys_mem
@@ -122,7 +122,8 @@ let corrupt rng k =
   (mem, page, saved)
 
 (* The allocator's keyed [wf], [views] and six accessors against a
-   cache-free [wf] and [views]. *)
+   cache-free [wf] and [views], which keep nothing, so the next keyed
+   run still starts from this one's. *)
 let views_equal (a : Page_alloc.views) (b : Page_alloc.views) =
   Frame_set.equal a.free_4k b.free_4k
   && Frame_set.equal a.free_2m b.free_2m
@@ -145,8 +146,9 @@ let check_allocator what a =
     ]
   and allocated = Page_alloc.allocated_pages a
   and mapped = Page_alloc.mapped_pages a in
-  Page_alloc.Backdoor.forget_check a;
-  let fresh_wf = result (Page_alloc.wf a) and fresh = Page_alloc.views a in
+  let fresh_wf, fresh =
+    Page_alloc.Backdoor.cache_free (fun () -> (result (Page_alloc.wf a), Page_alloc.views a))
+  in
   Alcotest.(check string) (what ^ ": allocator wf") fresh_wf keyed_wf;
   checkb (what ^ ": views") true (views_equal fresh keyed);
   List.iter2
@@ -159,16 +161,16 @@ let check_allocator what a =
 let sizes = Page_state.[| S4k; S2m; S1g |]
 
 (* A backdoor write into a random frame's state or a random free list,
-   which may break the allocator; returns its undo. *)
+   which may break the allocator, or a burst of writes the logs cannot
+   hold, or a 2 MiB merge and split; returns its undo. *)
 let plant_allocator rng a =
   let module B = Page_alloc.Backdoor in
   let managed = Page_alloc.managed_frames a in
   let first = Phys_mem.page_count (Page_alloc.mem a) - managed in
   let frame () = first + Random.State.int rng managed in
   let list () = B.free_list a sizes.(Random.State.int rng 3) in
-  match Random.State.int rng 4 with
-  | 0 ->
-    let f = frame () in
+  (* frame [f]'s state, a random one to plant over it, and the undo *)
+  let overwrite f =
     let addr = f * Phys_mem.page_size in
     let state = Option.get (Page_alloc.state_of a ~addr) in
     (* a merged frame's code carries the 4 KiB size *)
@@ -180,8 +182,14 @@ let plant_allocator rng a =
       | 2 -> Page_state.Mapped (Random.State.int rng 3)
       | _ -> Page_state.Merged (frame ())
     in
-    B.set_frame a ~frame:f planted sizes.(Random.State.int rng 3);
-    fun () -> B.set_frame a ~frame:f state size
+    (planted, sizes.(Random.State.int rng 3), fun () -> B.set_frame a ~frame:f state size)
+  in
+  match Random.State.int rng 8 with
+  | 0 ->
+    let f = frame () in
+    let planted, size, undo = overwrite f in
+    B.set_frame a ~frame:f planted size;
+    undo
   | 1 ->
     let l = list () and id = frame () in
     let member = Dll.mem l id in
@@ -198,7 +206,7 @@ let plant_allocator rng a =
       Dll.push_back l id;
       fun () -> Dll.remove l id
     end
-  | _ ->
+  | 3 ->
     let l = B.free_list a Page_state.S4k in
     let ids = Array.of_list (Dll.to_list l) in
     let i = Random.State.int rng (Array.length ids) in
@@ -212,12 +220,51 @@ let plant_allocator rng a =
       Dll.Backdoor.set_prev l ids.(i) wild;
       fun () -> Dll.Backdoor.set_prev l ids.(i) (at (i - 1))
     end
+  | 4 ->
+    (* a detached cycle: a run of the 4 KiB list cut out and closed on
+       itself, every link still mirrored and the length unchanged *)
+    let l = B.free_list a Page_state.S4k in
+    let ids = Array.of_list (Dll.to_list l) in
+    let n = Array.length ids in
+    let i = 1 + Random.State.int rng (n - 3) in
+    let j = i + 1 + Random.State.int rng (min 8 (n - 2 - i)) in
+    let link x y =
+      Dll.Backdoor.set_next l ids.(x) ids.(y);
+      Dll.Backdoor.set_prev l ids.(y) ids.(x)
+    in
+    link (i - 1) (j + 1);
+    link j i;
+    fun () ->
+      link (i - 1) i;
+      link j (j + 1)
+  | 5 ->
+    (* a 2 MiB merge, split again by the failed transaction's replay *)
+    ignore (Page_alloc.atomically a (fun () -> ignore (Page_alloc.try_merge_2m a); Error ()));
+    Fun.id
+  | 6 ->
+    (* more list writes than the log holds: a flag turned over
+       [Dll.log_length + 1] times *)
+    let l = list () and id = frame () in
+    let member = Dll.mem l id in
+    for w = 0 to Dll.log_length do
+      Dll.Backdoor.set_member l id (if w mod 2 = 0 then not member else member)
+    done;
+    fun () -> Dll.Backdoor.set_member l id member
+  | _ ->
+    (* more page-array writes than the log holds: one frame's state
+       written [Dll.log_length + 1] times *)
+    let f = frame () in
+    let planted, size, undo = overwrite f in
+    for _ = 0 to Dll.log_length do
+      B.set_frame a ~frame:f planted size
+    done;
+    undo
 
 (* Seeded checked transitions, checking each step's cached verdicts and
    allocator views against a cache-free evaluation; every fifth step
    also stores raw into a table page, checks, restores the page's bytes
    and checks again, then does the same with a backdoor write into the
-   allocator. *)
+   allocator ([plant_allocator]). *)
 let oracle seed () =
   let k = world () in
   let rng = Random.State.make [| seed |] in
@@ -327,6 +374,109 @@ let writers =
     ("Dll.Backdoor.set_member", fun a -> Dll.Backdoor.set_member (free4k a) (second a) false);
   ]
 
+(* After a clean [wf], a write that only one rule of the per-range
+   check sees (each frame rule, the list-id rule, each list rule), so a
+   per-range run without that rule would keep the allocator clean: the
+   keyed verdict and views are the cache-free ones, and the write broke
+   the allocator.  [prepare] runs before the clean check and hands the
+   write its frame. *)
+let per_range_rule (what, prepare, write) () =
+  let k = world () in
+  let a = k.Kernel.alloc in
+  let f = prepare a in
+  Alcotest.(check string) "clean before" "ok" (result (Page_alloc.wf a));
+  ignore (Page_alloc.views a);
+  write a f;
+  check_allocator what a;
+  checkb "the write breaks the allocator" true (Page_alloc.wf a <> Ok ())
+
+let frame_of addr = addr / Phys_mem.page_size
+
+(* A 2 MiB block merged from free frames: its head frame. *)
+let merged a =
+  checkb "merged" true (Page_alloc.try_merge_2m a);
+  frame_of (Iset.min_elt (Page_alloc.free_pages_2m a))
+
+let frame_rules =
+  let module B = Page_alloc.Backdoor in
+  let allocated a = frame_of (Iset.max_elt (Page_alloc.allocated_pages a)) in
+  let free a = frame_of (Iset.max_elt (Page_alloc.free_pages_4k a)) in
+  [
+    ( "a frame's own rule",
+      allocated,
+      fun a f -> B.set_frame a ~frame:f (Page_state.Mapped 0) Page_state.S4k );
+    ("a free frame off its list", allocated, fun a f -> B.set_frame a ~frame:f Page_state.Free Page_state.S4k);
+    ("a list id against its frame", free, fun a f -> Dll.push_back (B.free_list a Page_state.S2m) f);
+    ( "a superpage's bodies",
+      (fun a ->
+        frame_of
+          (Iset.max_elt
+             (Iset.filter (fun addr -> frame_of addr land 511 = 0) (Page_alloc.free_pages_4k a)))),
+      fun a f ->
+        Dll.remove (B.free_list a Page_state.S4k) f;
+        B.set_frame a ~frame:f Page_state.Allocated Page_state.S2m );
+    ( "the head covering a body",
+      merged,
+      fun a h -> B.set_frame a ~frame:(h + 5) Page_state.Allocated Page_state.S4k );
+    ( "bodies naming a written head",
+      (fun a ->
+        let h = merged a in
+        checkb "claimed" true (Page_alloc.alloc_2m a ~purpose:Page_alloc.Kernel <> None);
+        h),
+      fun a h -> B.set_frame a ~frame:h Page_state.Allocated Page_state.S4k );
+  ]
+
+(* A list of ids 0..7 in order, clean, then a write only one rule of
+   [Dll.wf_since] sees: the full check fails and so does the per-range
+   one. *)
+let list_rule (what, write) () =
+  let l = Dll.create ~capacity:16 ~name:"l" in
+  for i = 0 to 7 do
+    Dll.push_back l i
+  done;
+  Dll.start_log l;
+  Alcotest.(check string) "clean before" "ok" (result (Dll.wf l));
+  let v = Dll.version l in
+  write l;
+  checkb (what ^ ": the full check fails") true (Dll.wf l <> Ok ());
+  checkb (what ^ ": the per-range check fails") false (Dll.wf_since l v (fun _ -> true))
+
+let list_rules =
+  let module D = Dll.Backdoor in
+  let link l x y =
+    D.set_next l x y;
+    D.set_prev l y x
+  in
+  (* 12 spliced in between 5 and 6, every link mirrored *)
+  let splice l =
+    D.set_member l 12 true;
+    link l 5 12;
+    link l 12 6
+  in
+  [
+    (* a back link into the list that its target does not mirror *)
+    ("a back link's mirror", fun l -> D.set_prev l 2 5);
+    (* the last member's forward link into the middle: every back link
+       is still mirrored, and the walk still reaches the first *)
+    ("the ends of a list", fun l -> D.set_next l 7 3);
+    ( "a non-member still linked",
+      fun l ->
+        D.set_member l 3 false;
+        splice l );
+    ("the member count", splice);
+    (* a remove through a back link moved before it: 4's predecessor
+       is re-pointed at 1, so the remove links 1 to 5 and leaves 2 and
+       3 a detached run that only the remove's old target names *)
+    ( "a remove's old target",
+      fun l ->
+        D.set_prev l 4 1;
+        Dll.remove l 4 );
+    ( "a walk to an end",
+      fun l ->
+        link l 2 6;
+        link l 5 3 );
+  ]
+
 (* A failing transaction's replay is a write: two 2 MiB merges, a
    split of one of the merged blocks for a 4 KiB frame, everything
    released, the allocator checked in the middle (free2m holds the
@@ -383,11 +533,49 @@ let test_page_writers () =
         fun () -> Page_alloc.Backdoor.set_frame a ~frame:1 Page_state.Allocated Page_state.S4k );
     ]
 
+(* The page array's log: nothing before the first keyed check, then
+   each write's frames, and nothing once more writes were made than it
+   holds. *)
+let test_page_log () =
+  let mem = Phys_mem.create ~page_count:512 in
+  let a = Page_alloc.create mem ~reserved_frames:0 in
+  let since v =
+    let frames = ref [] in
+    if Page_alloc.written_since a v (fun f -> frames := f :: !frames) then Some (List.rev !frames)
+    else None
+  in
+  let v = Page_alloc.version a in
+  let user = Option.get (Page_alloc.alloc_4k a ~purpose:Page_alloc.User) in
+  checkb "no log before a check" true (since v = None);
+  Alcotest.(check string) "clean" "ok" (result (Page_alloc.wf a));
+  let v = Page_alloc.version a in
+  Page_alloc.inc_ref a ~addr:user;
+  Alcotest.(check (option (list int))) "one write" (Some [ user ]) (since v);
+  for _ = 1 to Dll.log_length do
+    Page_alloc.inc_ref a ~addr:user
+  done;
+  checkb "past the log" true (since v = None)
+
 (* With no write between them, two [views] are one record. *)
 let test_views_shared () =
   let k = world () in
   let a = k.Kernel.alloc in
   checkb "physically equal" true (Page_alloc.views a == Page_alloc.views a)
+
+(* After one [New_endpoint] (a kernel page claimed off the 4 KiB list),
+   the keyed [allocator_wf] runs per range: it walks no list and
+   allocates a pinned few words. *)
+let test_new_endpoint_allocator () =
+  let k, init = world_init () in
+  Alcotest.(check string) "clean" "ok" (result (Invariants.allocator_wf k));
+  (match Kernel.step k ~thread:init (Syscall.New_endpoint { slot = 3 }) with
+   | Syscall.Rptr _ -> ()
+   | r -> Alcotest.failf "new endpoint: %a" Syscall.pp_ret r);
+  let walks = Dll.full_walks () and r = ref (Error "not run") in
+  let words = Alloc.per_call ~n:1 (fun () -> r := Invariants.allocator_wf k) in
+  Alcotest.(check string) "clean after" "ok" (result !r);
+  Alcotest.(check int) "no list walked" walks (Dll.full_walks ());
+  Alloc.check_at_most "allocator_wf after New_endpoint" ~limit:64. words
 
 (* An unchanged kernel re-checks its allocator for the cost of its key:
    four version compares. *)
@@ -646,6 +834,13 @@ let neighbours =
       nothing,
       (fun w -> map_free w (Imap.find 0 w.k.Kernel.devices).Kernel.io_pt ~va:0x9800_0000),
       "kernel/mapped_consistent" );
+    ( "a mapped frame's state",
+      nothing,
+      (fun w ->
+        let a = w.k.Kernel.alloc in
+        let f = Iset.min_elt (Page_alloc.mapped_pages a) / Phys_mem.page_size in
+        Page_alloc.Backdoor.set_frame a ~frame:f Page_state.Allocated Page_state.S4k),
+      "kernel/leak_freedom" );
     ( "a device's record",
       nothing,
       (fun w ->
@@ -671,6 +866,14 @@ let test_unchanged_allocation () =
   checkb "α is kept across the failed call" true (pre == post);
   Alcotest.(check string) "its spec holds" "ok"
     (result (Syscall_spec.check ~pre ~post ~thread:init call ret));
+  (* a failed close sweeps no interrupt route: the device table is the
+     same value, so α stays the kept one *)
+  let devices = k.Kernel.devices in
+  (match Kernel.step k ~thread:init (Syscall.Close_endpoint { slot = 9 }) with
+   | Syscall.Rerr _ -> ()
+   | r -> Alcotest.failf "close of an empty slot: %a" Syscall.pp_ret r);
+  checkb "the failed close leaves the device table" true (k.Kernel.devices == devices);
+  checkb "α is kept across the failed close" true (Abstraction.abstract k == post);
   let limit = function
     | "kernel/allocator_wf" | "kernel/closures_disjoint" | "kernel/leak_freedom"
     | "kernel/mapped_consistent" -> 0.
@@ -725,7 +928,14 @@ let () =
             Alcotest.test_case "page-array writers move the version" `Quick
               test_page_writers;
             Alcotest.test_case "views without a write are one record" `Quick test_views_shared;
-          ] );
+            Alcotest.test_case "the page array's log" `Quick test_page_log;
+          ]
+        @ List.map
+            (fun ((what, _, _) as r) -> Alcotest.test_case ("per range: " ^ what) `Quick (per_range_rule r))
+            frame_rules
+        @ List.map
+            (fun ((what, _) as r) -> Alcotest.test_case ("per range: " ^ what) `Quick (list_rule r))
+            list_rules );
       ( "neighbour",
         List.map
           (fun ((what, _, _, _) as n) -> Alcotest.test_case what `Quick (neighbour n))
@@ -734,5 +944,6 @@ let () =
         [
           Alcotest.test_case "unchanged kernel allocation floor" `Quick test_unchanged_allocation;
           Alcotest.test_case "unchanged allocator allocation floor" `Quick test_unchanged_allocator;
+          Alcotest.test_case "allocator after New_endpoint floor" `Quick test_new_endpoint_allocator;
         ] );
     ]

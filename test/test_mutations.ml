@@ -284,6 +284,32 @@ let test_pm_mutation_thread_owner () =
           { th with Thread.owner_proc = 0xbad000 }))
     Pm_invariants.process_tree_wf
 
+(* The same plant, each check run on its own: [pm/quota_wf] counts
+   the orphaned thread toward no container and reports the charge it no
+   longer finds, and the sanitizer's table check files reports instead
+   of raising. *)
+let test_pm_mutation_thread_owner_alone () =
+  let k, _ = world () in
+  let th = some_thread k in
+  let owner = (Perm_map.borrow k.Kernel.pm.Proc_mgr.thrd_perms ~ptr:th).Thread.owner_proc in
+  let container = (Perm_map.borrow k.Kernel.pm.Proc_mgr.proc_perms ~ptr:owner).Process.owner_container in
+  Perm_map.update k.Kernel.pm.Proc_mgr.thrd_perms ~ptr:th (fun th ->
+      { th with Thread.owner_proc = 0xbad000 });
+  let quota =
+    List.find (fun (e : Invariants.entry) -> e.Pm_invariants.name = "pm/quota_wf") Invariants.table
+  in
+  (match Pm_invariants.check quota k with
+   | Ok () -> Alcotest.fail "pm/quota_wf: the orphaned thread went unreported"
+   | Error msg ->
+     Alcotest.(check string) "pm/quota_wf"
+       (Printf.sprintf "container 0x%x charges used=%d but owns %d pages" container
+          (Perm_map.borrow k.Kernel.pm.Proc_mgr.cntr_perms ~ptr:container).Container.used
+          (Proc_mgr.used_by_container k.Kernel.pm ~container))
+       msg);
+  Atmo_san.Report.clear ();
+  checkb "the sanitizer files reports" true (Atmo_san.Runtime.wf_check k > 0);
+  Atmo_san.Report.clear ()
+
 let test_pm_mutation_runqueue () =
   mutate_and_expect "scheduler"
     (fun k -> Atmo_pm.Sched_queue.push_front (Proc_mgr.queue k.Kernel.pm ~cpu:0) 0xbad000)
@@ -603,6 +629,8 @@ let () =
           Alcotest.test_case "subtree" `Quick test_pm_mutation_subtree;
           Alcotest.test_case "orphan child" `Quick test_pm_mutation_orphan_child;
           Alcotest.test_case "thread owner" `Quick test_pm_mutation_thread_owner;
+          Alcotest.test_case "thread owner, each check alone" `Quick
+            test_pm_mutation_thread_owner_alone;
           Alcotest.test_case "run queue" `Quick test_pm_mutation_runqueue;
           Alcotest.test_case "refcount" `Quick test_pm_mutation_refcount;
           Alcotest.test_case "quota" `Quick test_pm_mutation_quota;

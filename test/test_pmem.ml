@@ -409,6 +409,52 @@ let test_alloc_plant (plant, expected) () =
   Alcotest.(check (result unit string)) "wf names the fault" (Error expected) (Page_alloc.wf a)
 
 (* ------------------------------------------------------------------ *)
+(* The per-range list check against the full one                       *)
+
+(* From a clean list of up to 10 of the ids 0..11, a few seeded writes
+   of every kind (pushes, pops, removes and the three backdoor setters,
+   links pointing anywhere in -1..12): [wf_since] passes only where
+   [wf] does.  A write that raises (a wild link dereferenced) ends the
+   sequence. *)
+let prop_wf_since_sound =
+  QCheck.Test.make ~name:"wf_since passes only where wf does" ~count:3000
+    QCheck.(pair small_nat (int_bound 1_000_000))
+    (fun (n, seed) ->
+      let rng = Random.State.make [| n; seed |] in
+      let l = Dll.create ~capacity:12 ~name:"l" in
+      for _ = 1 to Random.State.int rng 11 do
+        let id = Random.State.int rng 12 in
+        if not (Dll.mem l id) then
+          if Random.State.bool rng then Dll.push_back l id else Dll.push_front l id
+      done;
+      Dll.start_log l;
+      let v = Dll.version l in
+      let id () = Random.State.int rng 12 and link () = Random.State.int rng 14 - 1 in
+      let write () =
+        match Random.State.int rng 8 with
+        | 0 -> let x = id () in if not (Dll.mem l x) then Dll.push_back l x
+        | 1 -> let x = id () in if not (Dll.mem l x) then Dll.push_front l x
+        | 2 -> let x = id () in if Dll.mem l x then Dll.remove l x
+        | 3 -> ignore (Dll.pop_front l)
+        | 4 ->
+          let x = id () in
+          Dll.Backdoor.set_next l x (link ())
+        | 5 ->
+          let x = id () in
+          Dll.Backdoor.set_prev l x (link ())
+        | 6 ->
+          let x = id () in
+          Dll.Backdoor.set_member l x (Random.State.bool rng)
+        | _ -> ignore (Dll.pop_back l)
+      in
+      (try
+         for _ = 1 to 1 + Random.State.int rng 6 do
+           write ()
+         done
+       with Invalid_argument _ -> ());
+      (not (Dll.wf_since l v (fun _ -> true))) || Dll.wf l = Ok ())
+
+(* ------------------------------------------------------------------ *)
 (* Frame_set against an Iset oracle                                    *)
 
 let dense ~lo ~hi frames =
@@ -463,6 +509,12 @@ let prop_frame_set_oracle =
       && Frame_set.equal b a = Iset.equal ox oy
       && Frame_set.equal (dense ~lo:(64 - d1) ~hi:(192 + d2) ys) a = Iset.equal ox oy
       && Frame_set.equal (dense ~lo:0 ~hi:0 []) (dense ~lo:d1 ~hi:(d1 + d2) [])
+      (* turning over the frames in one set and not the other *)
+      && Frame_set.flip a [] == a
+      && (let moved = Iset.union (Iset.diff ox oy) (Iset.diff oy ox) in
+          let f = Frame_set.flip a (List.map (fun addr -> addr / page) (Iset.elements moved)) in
+          Frame_set.equal f b && Frame_set.cardinal f = Iset.cardinal oy
+          && Iset.equal (Frame_set.to_iset f) oy)
       (* the sorted-list builders, from scratch and over a kept set *)
       && Iset.equal (Iset.of_sorted_over ox (Iset.elements oy)) oy
       && Iset.equal (Iset.of_sorted_over o_runs (Iset.elements ox)) ox
@@ -565,6 +617,77 @@ let prop_views_match_frames =
       && Iset.cardinal (Iset.union_list oracle) = Page_alloc.managed_frames a
       && Page_alloc.wf a = Ok ())
 
+(* From a clean allocator after seeded traffic, more traffic and then
+   a few seeded backdoor writes: frame states, list memberships and
+   links.  The keyed [wf] and [views], which run per range from the
+   clean run when the logs allow, equal the full ones.  Nothing is
+   claimed after a plant, so the sanitizer's shadow of the allocator
+   never sees a corrupted list hand out a frame. *)
+let prop_keyed_alloc_matches_full =
+  QCheck.Test.make ~name:"keyed allocator check matches full" ~count:1000
+    (QCheck.int_bound 1_000_000)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let sizes = Page_state.[| S4k; S2m; S1g |] in
+      let mem = Phys_mem.create ~page_count:2048 in
+      let a = Page_alloc.create mem ~reserved_frames:(8 * Random.State.int rng 3) in
+      let first = 2048 - Page_alloc.managed_frames a in
+      let live = ref [] in
+      let purpose () = if Random.State.bool rng then Page_alloc.User else Page_alloc.Kernel in
+      let claim r = Option.iter (fun x -> live := x :: !live) r in
+      let free () =
+        match !live with
+        | x :: rest ->
+          live := rest;
+          if Page_alloc.ref_count a ~addr:x = None then Page_alloc.free_kernel_page a ~addr:x
+          else ignore (Page_alloc.dec_ref a ~addr:x)
+        | [] -> ()
+      in
+      let traffic n =
+        for _ = 1 to Random.State.int rng n do
+          match Random.State.int rng 5 with
+          | 0 | 1 -> claim (Page_alloc.alloc_4k a ~purpose:(purpose ()))
+          | 2 -> claim (Page_alloc.alloc_2m a ~purpose:(purpose ()))
+          | 3 -> ignore (Page_alloc.try_merge_2m a)
+          | _ -> free ()
+        done
+      in
+      traffic 40;
+      expect_wf "after the traffic" (Page_alloc.wf a);
+      ignore (Page_alloc.views a);
+      traffic 8;
+      let frame () = first + Random.State.int rng (2048 - first) and any () = Random.State.int rng 2048 in
+      let list () = Page_alloc.Backdoor.free_list a sizes.(Random.State.int rng 3) in
+      for _ = 0 to Random.State.int rng 4 do
+        try
+          match Random.State.int rng 5 with
+          | 0 | 1 ->
+            let f = frame () in
+            let state =
+              match Random.State.int rng 4 with
+              | 0 -> Page_state.Free
+              | 1 -> Page_state.Allocated
+              | 2 -> Page_state.Mapped (Random.State.int rng 3)
+              | _ -> Page_state.Merged (if Random.State.bool rng then f land lnot 511 else any ())
+            in
+            Page_alloc.Backdoor.set_frame a ~frame:f state sizes.(Random.State.int rng 3)
+          | 2 ->
+            let l = list () and x = any () in
+            if Dll.mem l x then Dll.remove l x else Dll.push_back l x
+          | 3 ->
+            let l = list () in
+            let x = any () in
+            Dll.Backdoor.set_member l x (Random.State.bool rng)
+          | _ ->
+            let l = list () in
+            let x = any () in
+            Dll.Backdoor.set_next l x (Random.State.int rng 2050 - 1)
+        with Invalid_argument _ -> ()
+      done;
+      let keyed = Page_alloc.wf a and views = Page_alloc.views a in
+      let full, full_views = Page_alloc.Backdoor.cache_free (fun () -> (Page_alloc.wf a, Page_alloc.views a)) in
+      keyed = full && views_equal views full_views)
+
 let () =
   Atmo_san.Runtime.arm_of_env ();
   Alcotest.run ~and_exit:false "pmem"
@@ -601,6 +724,7 @@ let () =
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_dll_random_ops; prop_alloc_random_traffic; prop_leak_free_roundtrip;
-            prop_frame_set_oracle; prop_views_match_frames ] );
+            prop_frame_set_oracle; prop_views_match_frames; prop_wf_since_sound;
+            prop_keyed_alloc_matches_full ] );
     ];
   Atmo_san.Runtime.exit_check ()

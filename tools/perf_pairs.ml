@@ -16,7 +16,8 @@
    more than the base's inter-quartile range.  A metric whose base
    spread (inter-quartile range over median) exceeds its bound is
    "unresolved" unless every change run beats every base run
-   ([Pair_verdict.judge]).  The exported tree is removed
+   ([Pair_verdict.judge]).  Last, for each simulated ([sim_*]) metric,
+   it prints whether all 2N runs gave one value.  The exported tree is removed
    on exit; each run's output stays beside it, in
    $TMPDIR/atmo-perf-pairs-*/.  Run from the repo root
    (`make perf-pairs`). *)
@@ -119,7 +120,23 @@ let report metrics pairs =
      more than the base's inter-quartile range.\n\
      unresolved = the base's inter-quartile range exceeds the metric's bound and not every \
      change run beats every base run.\n"
-    (Pair_verdict.wins_needed n) n
+    (Pair_verdict.wins_needed n) n;
+  (* The cycle model is deterministic: a simulated metric is the same
+     number in every run of both sides, or the change moved it. *)
+  Printf.printf "\n";
+  List.iter
+    (fun m ->
+      if String.starts_with ~prefix:"sim_" m.name then
+        let side f = List.sort_uniq compare (List.filter_map (fun p -> (f p) m.name) pairs) in
+        match (side fst, side snd) with
+        | _ when List.exists (fun (b, c) -> b m.name = None || c m.name = None) pairs ->
+          Printf.printf "%-16s missing from some runs\n" m.name
+        | [ b ], [ c ] when b = c -> Printf.printf "%-16s identical in all %d runs (%.10g)\n" m.name (2 * n) b
+        | b, c ->
+          let show vs = String.concat ", " (List.map (Printf.sprintf "%.10g") vs) in
+          Printf.printf "%-16s NOT identical over the %d runs: base {%s}, change {%s}\n" m.name
+            (2 * n) (show b) (show c))
+    metrics
 
 let () =
   let base = ref "HEAD~1" and pairs = ref 10 and workload = ref "mm" and seed = ref 1 in
